@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import networkx as nx
 
@@ -192,7 +192,3 @@ def leiden_levels(
         work, node_sets, init = _aggregate(work, refined, membership, node_sets)
     return levels
 
-
-def modularity(graph: nx.Graph, communities: Sequence[set], resolution: float = 1.0) -> float:
-    """Modularity of a partition (thin wrapper kept for symmetry in callers)."""
-    return nx.algorithms.community.modularity(graph, communities, resolution=resolution)

@@ -101,29 +101,29 @@ class EntityRecord:
     embedding: np.ndarray | None = None
 
 
-def _legal_edge(a: NodeId, b: NodeId) -> bool:
-    kinds = {a.kind, b.kind}
-    return kinds in ({NodeKind.PROPOSITION, NodeKind.ENTITY}, {NodeKind.PROPOSITION, NodeKind.PASSAGE})
-
-
 class HeteroGraph:
-    """Mutable-then-frozen container for the three-kind node universe."""
+    """Mutable-then-frozen container for the three-kind node universe.
+
+    The proposition records (``passage``, ``entity_refs``) determine every
+    edge. Finalizing builds the frozen structure from them in one global
+    integer space, passages then propositions then entities, which is also
+    the ``NodeId`` order: the uniform walk matrix, whose pattern is the
+    adjacency, each node's degree and each proposition's passage.
+    """
 
     def __init__(self) -> None:
         self.passages: list[PassageRecord] = []
         self.propositions: list[PropositionRecord] = []
         self.entities: list[EntityRecord] = []
-        self._adj: dict[NodeId, set[NodeId]] = {}
-        self._edges: set[tuple[NodeId, NodeId]] = set()
         self._finalized = False
         self._embedding_dim: int | None = None
         # caches built at finalize
         self._prop_embeddings: np.ndarray | None = None
         self._entity_embeddings: np.ndarray | None = None
         self._node_order: list[NodeId] | None = None
-        self._global_index: dict[NodeId, int] | None = None
         self._uniform_csr: sp.csr_matrix | None = None
         self._degrees: np.ndarray | None = None
+        self._prop_passage: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -156,7 +156,6 @@ class HeteroGraph:
             raise ValueError(f"invalid char span ({a}, {b})")
         node = passage_id(len(self.passages))
         self.passages.append(PassageRecord(node, text, source_doc, (a, b)))
-        self._adj[node] = set()
         return node
 
     def add_entity(self, canonical_name: str, embedding: np.ndarray, aliases: tuple[str, ...] = ()) -> NodeId:
@@ -166,7 +165,6 @@ class HeteroGraph:
         embedding = self._check_embedding(embedding)
         node = entity_id(len(self.entities))
         self.entities.append(EntityRecord(node, canonical_name, list(aliases), embedding))
-        self._adj[node] = set()
         return node
 
     def add_entity_alias(self, entity: NodeId, surface: str) -> None:
@@ -196,45 +194,50 @@ class HeteroGraph:
         embedding = self._check_embedding(embedding)
         node = proposition_id(len(self.propositions))
         self.propositions.append(PropositionRecord(node, text, passage, deduped, embedding))
-        self._adj[node] = set()
-        self._add_edge(node, passage)
-        for ent in deduped:
-            self._add_edge(node, ent)
         return node
-
-    def _add_edge(self, a: NodeId, b: NodeId) -> None:
-        if not _legal_edge(a, b):
-            raise ValueError(f"illegal edge between {a} and {b}")
-        key = (a, b) if a < b else (b, a)
-        if key in self._edges:
-            return
-        self._edges.add(key)
-        self._adj[a].add(b)
-        self._adj[b].add(a)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
+    def _records(self, kind: NodeKind) -> list:
+        return {NodeKind.PASSAGE: self.passages, NodeKind.PROPOSITION: self.propositions}.get(kind, self.entities)
+
     def has_node(self, node: NodeId) -> bool:
-        return node in self._adj
+        return 0 <= node.index < len(self._records(node.kind))
+
+    def global_index(self, node: NodeId) -> int:
+        """Position of ``node`` in the global order: passages, propositions, entities."""
+        if not self.has_node(node):
+            raise UnknownNodeError(f"unknown node {node}")
+        n_pass, n_prop = len(self.passages), len(self.propositions)
+        offset = {NodeKind.PASSAGE: 0, NodeKind.PROPOSITION: n_pass, NodeKind.ENTITY: n_pass + n_prop}[node.kind]
+        return offset + node.index
+
+    def _structure(self) -> tuple[sp.csr_matrix, list[NodeId]]:
+        """The walk matrix and node order; built from the records until finalized."""
+        if self._finalized:
+            return self._uniform_csr, self._node_order
+        order = [rec.id for rec in (*self.passages, *self.propositions, *self.entities)]
+        return _uniform_walk(self), order
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
-        if node not in self._adj:
-            raise UnknownNodeError(f"unknown node {node}")
-        return sorted(self._adj[node])
+        walk, order = self._structure()
+        i = self.global_index(node)
+        return [order[j] for j in walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()]
 
     def degree(self, node: NodeId) -> int:
-        if node not in self._adj:
-            raise UnknownNodeError(f"unknown node {node}")
-        return len(self._adj[node])
+        indptr = self._structure()[0].indptr
+        i = self.global_index(node)
+        return int(indptr[i + 1] - indptr[i])
 
     def edges(self) -> list[tuple[NodeId, NodeId]]:
-        return sorted(self._edges)
+        walk, order = self._structure()
+        return [(order[a], order[b]) for a, b in zip(*(x.tolist() for x in _edge_pairs(walk)))]
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._structure()[0].nnz // 2
 
     @property
     def node_count(self) -> int:
@@ -245,11 +248,12 @@ class HeteroGraph:
         return self._embedding_dim or 0
 
     @property
-    def proposition_indices(self) -> list[int]:
-        return list(range(len(self.propositions)))
+    def proposition_rows(self) -> slice:
+        """The propositions' rows of :attr:`uniform_transition`."""
+        return slice(len(self.passages), len(self.passages) + len(self.propositions))
 
     def _entity_record(self, node: NodeId) -> EntityRecord:
-        if node.kind is not NodeKind.ENTITY or node.index >= len(self.entities):
+        if node.kind is not NodeKind.ENTITY or not self.has_node(node):
             raise UnknownNodeError(f"unknown entity {node}")
         return self.entities[node.index]
 
@@ -268,91 +272,60 @@ class HeteroGraph:
         return self._finalized
 
     def finalize(self) -> "HeteroGraph":
-        """Drop orphan entities, validate all invariants and freeze the graph."""
+        """Validate all invariants, drop orphan entities and freeze the graph."""
         if self._finalized:
             return self
-        self._remove_orphan_entities()
         self.validate()
+        self._remove_orphan_entities()
         self._build_caches()
         self._finalized = True
         return self
 
     def _remove_orphan_entities(self) -> None:
-        keep = [rec for rec in self.entities if self._adj[rec.id]]
-        if len(keep) == len(self.entities):
+        used = np.zeros(len(self.entities), dtype=bool)
+        used[_incidence(self)[2]] = True
+        if used.all():
             return
-        remap: dict[NodeId, NodeId] = {}
-        for new_index, rec in enumerate(keep):
-            remap[rec.id] = entity_id(new_index)
-        dropped = {rec.id for rec in self.entities if rec.id not in remap}
-        for rec in keep:
-            old = rec.id
-            rec.id = remap[old]
-        self.entities = keep
+        remap = (np.cumsum(used) - 1).tolist()
+        self.entities = [rec for rec, keep in zip(self.entities, used.tolist()) if keep]
+        for new_index, rec in enumerate(self.entities):
+            rec.id = entity_id(new_index)
         for prop in self.propositions:
-            prop.entity_refs = [remap[e] for e in prop.entity_refs]
-        new_adj: dict[NodeId, set[NodeId]] = {}
-        for node, nbrs in self._adj.items():
-            if node in dropped:
-                continue
-            mapped = remap.get(node, node)
-            new_adj[mapped] = {remap.get(n, n) for n in nbrs}
-        self._adj = new_adj
-        self._edges = {
-            ((remap.get(a, a), remap.get(b, b)) if remap.get(a, a) < remap.get(b, b) else (remap.get(b, b), remap.get(a, a)))
-            for a, b in self._edges
-            if a not in dropped and b not in dropped
-        }
+            prop.entity_refs = [entity_id(remap[e.index]) for e in prop.entity_refs]
 
     def validate(self) -> None:
         """Raise if any structural invariant is violated."""
-        for a, b in self._edges:
-            if not _legal_edge(a, b):
-                raise ValueError(f"illegal edge kind pair: {a} - {b}")
-            if a == b:
-                raise ValueError(f"self loop on {a}")
-        for prop in self.propositions:
-            passage_nbrs = [n for n in self._adj[prop.id] if n.kind is NodeKind.PASSAGE]
-            if len(passage_nbrs) != 1:
-                raise ValueError(f"{prop.id} has {len(passage_nbrs)} passage edges, expected 1")
-            if len(set(prop.entity_refs)) != len(prop.entity_refs):
-                raise ValueError(f"{prop.id} has duplicate entity refs")
-            if not is_normalized(prop.embedding):
-                raise NotNormalizedError(f"{prop.id} embedding is not unit length")
-        for ent in self.entities:
-            if ent.embedding is not None and not is_normalized(ent.embedding):
-                raise NotNormalizedError(f"{ent.id} embedding is not unit length")
+        passage, counts, refs = _incidence(self)
+        props = np.repeat(np.arange(len(self.propositions)), counts)
+        bad = np.flatnonzero((passage < 0) | (passage >= len(self.passages)))
+        if bad.size:
+            raise ValueError(f"{self.propositions[bad[0]].id} has unknown passage {passage[bad[0]]}")
+        bad = np.flatnonzero((refs < 0) | (refs >= len(self.entities)))
+        if bad.size:
+            raise ValueError(f"{self.propositions[props[bad[0]]].id} has unknown entity {refs[bad[0]]}")
+        width = max(1, len(self.entities))
+        pairs = np.sort(props * width + refs)
+        dup = np.flatnonzero(np.diff(pairs) == 0)
+        if dup.size:
+            raise ValueError(f"{self.propositions[pairs[dup[0]] // width].id} has duplicate entity refs")
+        embedded = [rec for rec in (*self.propositions, *self.entities) if rec.embedding is not None]
+        if embedded:
+            norms = np.linalg.norm(np.array([rec.embedding for rec in embedded], dtype=np.float64), axis=1)
+            bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+            if bad.size:
+                raise NotNormalizedError(f"{embedded[bad[0]].id} embedding is not unit length")
 
     def _build_caches(self) -> None:
         dim = self._embedding_dim or 0
-        if self.propositions:
-            self._prop_embeddings = np.stack([p.embedding for p in self.propositions]).astype(np.float32)
-        else:
-            self._prop_embeddings = np.zeros((0, dim), dtype=np.float32)
-        if self.entities:
-            self._entity_embeddings = np.stack([e.embedding for e in self.entities]).astype(np.float32)
-        else:
-            self._entity_embeddings = np.zeros((0, dim), dtype=np.float32)
-        order: list[NodeId] = [p.id for p in self.passages]
-        order += [p.id for p in self.propositions]
-        order += [e.id for e in self.entities]
-        self._node_order = order
-        self._global_index = {node: i for i, node in enumerate(order)}
-        n = len(order)
-        degrees = np.zeros(n, dtype=np.float64)
-        rows: list[int] = []
-        cols: list[int] = []
-        for a, b in self._edges:
-            ia, ib = self._global_index[a], self._global_index[b]
-            rows += [ia, ib]
-            cols += [ib, ia]
-            degrees[ia] += 1
-            degrees[ib] += 1
-        data = np.ones(len(rows), dtype=np.float64)
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        inv_deg = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
-        self._uniform_csr = sp.diags(inv_deg).dot(adj).tocsr()
-        self._degrees = degrees
+        self._prop_embeddings = _frozen_stack([p.embedding for p in self.propositions], dim)
+        self._entity_embeddings = _frozen_stack([e.embedding for e in self.entities], dim)
+        walk, self._node_order = self._structure()
+        self._degrees = np.diff(walk.indptr).astype(np.float64)
+        # each proposition's first neighbor is its passage, as passages come first
+        self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
+        for array in (walk.data, walk.indices, walk.indptr, self._degrees, self._prop_passage):
+            array.flags.writeable = False
+        self._uniform_csr = walk
 
     def _require_finalized(self) -> None:
         if not self._finalized:
@@ -373,16 +346,13 @@ class HeteroGraph:
         self._require_finalized()
         return self._node_order
 
-    def global_index(self, node: NodeId) -> int:
-        self._require_finalized()
-        try:
-            return self._global_index[node]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {node}") from None
-
     @property
     def uniform_transition(self) -> sp.csr_matrix:
-        """Row-stochastic uniform-over-neighbors walk matrix over all nodes."""
+        """Row-stochastic uniform-over-neighbors walk matrix over all nodes.
+
+        Rows and columns follow :attr:`node_order`; each row's column
+        indices are sorted. Its pattern is the graph's adjacency.
+        """
         self._require_finalized()
         return self._uniform_csr
 
@@ -390,6 +360,52 @@ class HeteroGraph:
     def global_degrees(self) -> np.ndarray:
         self._require_finalized()
         return self._degrees
+
+    @property
+    def proposition_passages(self) -> np.ndarray:
+        """Global index of each proposition's passage."""
+        self._require_finalized()
+        return self._prop_passage
+
+
+def _incidence(graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each proposition's passage index and entity-ref count, and all refs in order."""
+    props = graph.propositions
+    passage = np.fromiter((p.passage.index for p in props), dtype=np.int64, count=len(props))
+    counts = np.fromiter((len(p.entity_refs) for p in props), dtype=np.int64, count=len(props))
+    refs = np.fromiter((e.index for p in props for e in p.entity_refs), dtype=np.int64, count=int(counts.sum()))
+    return passage, counts, refs
+
+
+def _uniform_walk(graph: HeteroGraph) -> sp.csr_matrix:
+    """Uniform walk matrix over the global order, with sorted column indices."""
+    passage, counts, refs = _incidence(graph)
+    n_pass, n_prop = len(graph.passages), len(graph.propositions)
+    props = n_pass + np.arange(n_prop)
+    side_a = np.concatenate([props, np.repeat(props, counts)])
+    side_b = np.concatenate([passage, n_pass + n_prop + refs])
+    rows = np.concatenate([side_a, side_b])
+    cols = np.concatenate([side_b, side_a])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    n = graph.node_count
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    degrees = np.diff(indptr).astype(np.float64)
+    return sp.csr_matrix((1.0 / degrees[rows], cols, indptr), shape=(n, n))
+
+
+def _edge_pairs(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Global indices (a, b), a < b, of every edge of ``walk``'s pattern, in ascending order."""
+    rows = np.repeat(np.arange(walk.shape[0]), np.diff(walk.indptr))
+    upper = rows < walk.indices
+    return rows[upper], walk.indices[upper]
+
+
+def _frozen_stack(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    matrix = np.stack(vectors).astype(np.float32) if vectors else np.zeros((0, dim), dtype=np.float32)
+    matrix.flags.writeable = False
+    return matrix
 
 
 # ----------------------------------------------------------------------
@@ -470,11 +486,30 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
                 )
                 + "\n"
             )
+    tags = [node.tag() for node in graph.node_order]
     with open(root / "edges.txt", "w") as fh:
-        for a, b in graph.edges():
-            fh.write(f"{a.tag()}\t{b.tag()}\n")
+        fh.writelines(f"{tags[a]}\t{tags[b]}\n" for a, b in zip(*(x.tolist() for x in _edge_pairs(graph.uniform_transition))))
     _write_embeddings(root / "proposition_embeddings.bin", graph.proposition_embeddings)
     _write_embeddings(root / "entity_embeddings.bin", graph.entity_embeddings)
+
+
+def _parse_edge_file(path: Path, graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The edges in ``edges.txt`` as global index pairs (a, b), a < b, in ascending order."""
+    # one row per line, one (kind, index) pair per tag
+    fields = np.array(path.read_text().replace(":", " ").split(), dtype=str).reshape(-1, 2, 2)
+    names, index = fields[..., 0], fields[..., 1].astype(np.int64)
+    nodes = np.full(index.shape, -1, dtype=np.int64)
+    offset = 0
+    for kind in NodeKind:  # declared in global order
+        count = len(graph._records(kind))
+        known = (names == kind.value) & (index >= 0) & (index < count)
+        nodes[known] = offset + index[known]
+        offset += count
+    if (nodes < 0).any():
+        raise CorruptFileError(f"{path.name}: edge references unknown node")
+    a, b = nodes.min(axis=1), nodes.max(axis=1)
+    order = np.lexsort((b, a))
+    return a[order], b[order]
 
 
 def load(path: str | Path) -> HeteroGraph:
@@ -526,19 +561,8 @@ def load(path: str | Path) -> HeteroGraph:
                 graph.entities.append(
                     EntityRecord(entity_id(obj["id"]), obj["name"], list(obj["aliases"]), ent_embs[obj["id"]])
                 )
-        for rec in graph.passages + graph.propositions + graph.entities:
-            graph._adj[rec.id] = set()
-        with open(root / "edges.txt") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                a_tag, b_tag = line.rstrip("\n").split("\t")
-                a, b = NodeId.from_tag(a_tag), NodeId.from_tag(b_tag)
-                if a not in graph._adj or b not in graph._adj:
-                    raise CorruptFileError(f"{root}: edge references unknown node {a_tag} {b_tag}")
-                graph._edges.add((a, b) if a < b else (b, a))
-                graph._adj[a].add(b)
-                graph._adj[b].add(a)
+        graph.validate()
+        edges = _parse_edge_file(root / "edges.txt", graph)
     except (KeyError, ValueError, IndexError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
 
@@ -546,11 +570,14 @@ def load(path: str | Path) -> HeteroGraph:
         "passages": len(graph.passages),
         "propositions": len(graph.propositions),
         "entities": len(graph.entities),
-        "edges": len(graph._edges),
+        "edges": len(edges[0]),
     }
     if counts != observed:
         raise CorruptFileError(f"{root}: manifest counts {counts} != files {observed}")
     if prop_embs.shape[0] != len(graph.propositions) or ent_embs.shape[0] != len(graph.entities):
         raise CorruptFileError(f"{root}: embedding row count mismatch")
+    derived = _edge_pairs(graph._structure()[0])
+    if not all(np.array_equal(x, y) for x, y in zip(edges, derived)):
+        raise CorruptFileError(f"{root}: edges.txt does not match the propositions' passages and entities")
     graph._embedding_dim = int(manifest.get("embedding_dim", prop_embs.shape[1]))
     return graph.finalize()

@@ -18,12 +18,13 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import HeteroGraph, NodeId, NodeKind, proposition_id
+from .errors import UnknownNodeError
+from .graph import HeteroGraph
 
 _DANGLING_EPS = 1e-15
 
@@ -100,38 +101,30 @@ class StationaryDistribution:
 class Subgraph:
     """Induced subgraph over a node subset of a parent graph.
 
-    Exposes the same neighbor interface the transition builders need, with
-    adjacency restricted to the retained nodes.
+    ``nodes`` holds the retained nodes' global indices in ascending order.
+    The subgraph exposes the same view interface as the parent graph:
+    ``uniform_transition`` is the uniform walk over the induced adjacency,
+    with rows and columns in ``nodes`` order, and ``proposition_rows`` its
+    proposition block.
     """
 
-    def __init__(self, parent: HeteroGraph, node_ids: Iterable[NodeId]):
+    def __init__(self, parent: HeteroGraph, nodes: Sequence[int] | np.ndarray):
         self.parent = parent
-        self.node_ids: frozenset[NodeId] = frozenset(node_ids)
-        self._adj: dict[NodeId, list[NodeId]] = {}
-        edges = set()
-        for node in self.node_ids:
-            kept = [n for n in parent.neighbors(node) if n in self.node_ids]
-            self._adj[node] = kept
-            for other in kept:
-                edges.add((node, other) if node < other else (other, node))
-        self._edges = edges
-        self.proposition_indices: list[int] = sorted(
-            n.index for n in self.node_ids if n.kind is NodeKind.PROPOSITION
-        )
-
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        return self._adj[node]
-
-    def degree(self, node: NodeId) -> int:
-        return len(self._adj[node])
-
-    def edges(self) -> list[tuple[NodeId, NodeId]]:
-        return sorted(self._edges)
+        self.nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        adjacency = parent.uniform_transition[self.nodes][:, self.nodes]
+        degrees = np.diff(adjacency.indptr)
+        adjacency.data = 1.0 / np.repeat(degrees, degrees)
+        self.uniform_transition = adjacency
+        first = parent.proposition_rows
+        lo, hi = np.searchsorted(self.nodes, [first.start, first.stop])
+        self.proposition_rows = slice(int(lo), int(hi))
+        self.proposition_indices: list[int] = (self.nodes[lo:hi] - first.start).tolist()
 
     @property
     def node_count(self) -> int:
-        return len(self.node_ids)
+        return len(self.nodes)
 
+    @property
     def proposition_embeddings(self) -> np.ndarray:
         return self.parent.proposition_embeddings[self.proposition_indices]
 
@@ -140,56 +133,29 @@ def build_structural_transition(view: HeteroGraph | Subgraph) -> TransitionMatri
     """Two-step proposition-to-proposition transition through shared hubs.
 
     A walk step goes proposition -> incident entity/passage -> proposition,
-    both hops uniform over the view-restricted neighbors. The diagonal is
-    then zeroed and surviving rows renormalized so the operator stays
-    stochastic.
+    both hops uniform over the view-restricted neighbors: the product of
+    the view's walk from its propositions to their hubs and back. The
+    diagonal is then dropped and surviving rows renormalized so the
+    operator stays stochastic.
     """
-    props = view.proposition_indices
-    n = len(props)
+    rows = view.proposition_rows
+    walk = view.uniform_transition
+    out = walk[rows]
+    n = out.shape[0]
     if n == 0:
         raise ValueError("view contains no propositions")
-    prop_row = {p: r for r, p in enumerate(props)}
-
-    hubs: list[NodeId] = []
-    hub_col: dict[NodeId, int] = {}
-    rows_a: list[int] = []
-    cols_a: list[int] = []
-    data_a: list[float] = []
-    for p in props:
-        node = proposition_id(p)
-        nbrs = view.neighbors(node)
-        if not nbrs:
-            continue
-        w = 1.0 / len(nbrs)
-        for other in nbrs:
-            col = hub_col.get(other)
-            if col is None:
-                col = len(hubs)
-                hub_col[other] = col
-                hubs.append(other)
-            rows_a.append(prop_row[p])
-            cols_a.append(col)
-            data_a.append(w)
-    m_hubs = len(hubs)
-    rows_b: list[int] = []
-    cols_b: list[int] = []
-    data_b: list[float] = []
-    for hub, col in hub_col.items():
-        nbrs = [x for x in view.neighbors(hub) if x.kind is NodeKind.PROPOSITION and x.index in prop_row]
-        if not nbrs:
-            continue
-        w = 1.0 / view.degree(hub)
-        for other in nbrs:
-            rows_b.append(col)
-            cols_b.append(prop_row[other.index])
-            data_b.append(w)
-
-    a = sp.csr_matrix((data_a, (rows_a, cols_a)), shape=(n, max(m_hubs, 1)))
-    b = sp.csr_matrix((data_b, (rows_b, cols_b)), shape=(max(m_hubs, 1), n))
-    t = (a @ b).tolil()
-    t.setdiag(0.0)
-    t = t.tocsr()
-    t.eliminate_zeros()
+    # Hubs are numbered by first appearance (by proposition, then in node
+    # order). This fixes the order in which the product sums the terms of
+    # each entry, and with it the operator's last bits.
+    seen, first = np.unique(out.indices, return_index=True)
+    hubs = seen[np.argsort(first)]
+    column = np.zeros(walk.shape[0], dtype=np.int64)
+    column[hubs] = np.arange(len(hubs))
+    to_hub = sp.csr_matrix((out.data, column[out.indices], out.indptr), shape=(n, len(hubs)))
+    to_hub.sort_indices()
+    two_step = (to_hub @ walk[hubs][:, rows]).tocoo()
+    off = two_step.row != two_step.col
+    t = sp.csr_matrix((two_step.data[off], (two_step.row[off], two_step.col[off])), shape=(n, n))
     return TransitionMatrix(_renormalize_rows(t))
 
 
@@ -312,34 +278,36 @@ def extract_subgraph(
         raise ValueError("seed set must be non-empty")
     if size_limit < len(seeds):
         raise ValueError(f"size limit {size_limit} below seed count {len(seeds)}")
+    if seeds[0] < 0 or seeds[-1] >= len(graph.propositions):
+        raise UnknownNodeError(f"unknown proposition among seeds {seeds}")
+    seed_rows = np.add(seeds, graph.proposition_rows.start)
+    dist = ppr(graph.uniform_transition, seed_rows.tolist(), params)
 
-    seed_nodes = [proposition_id(i) for i in seeds]
-    seed_global = [graph.global_index(node) for node in seed_nodes]
-    dist = ppr(graph.uniform_transition, seed_global, params)
-
-    included: set[NodeId] = set(seed_nodes)
-    for node in seed_nodes:
-        included.add(graph.propositions[node.index].passage)
+    # admitting a node admits what it brings: a proposition its passage,
+    # any other node only itself
+    brings = np.arange(graph.node_count)
+    brings[graph.proposition_rows] = graph.proposition_passages
+    included = np.zeros(graph.node_count, dtype=bool)
+    included[seed_rows] = included[brings[seed_rows]] = True
+    count = int(included.sum())
 
     degrees = graph.global_degrees
-    order = graph.node_order
     scores = np.divide(
         dist.probabilities,
         degrees,
         out=np.zeros_like(dist.probabilities),
         where=degrees > 0,
     )
-    ranking = np.lexsort((np.arange(len(order)), -scores))
-    for gi in ranking:
-        if len(included) >= size_limit:
+    ranking = np.lexsort((np.arange(graph.node_count), -scores))
+    for gi in ranking.tolist():
+        if count >= size_limit:
             break
-        node = order[int(gi)]
-        if node in included:
+        if included[gi]:
             continue
-        included.add(node)
-        if node.kind is NodeKind.PROPOSITION:
-            included.add(graph.propositions[node.index].passage)
-    return Subgraph(graph, included)
+        extra = brings[gi]
+        count += 1 + (extra != gi and not included[extra])
+        included[gi] = included[extra] = True
+    return Subgraph(graph, np.flatnonzero(included))
 
 
 def query_aware_transition(
@@ -355,10 +323,6 @@ def query_aware_transition(
     """
     if structural is None:
         structural = build_structural_transition(view)
-    if isinstance(view, Subgraph):
-        embeddings = view.proposition_embeddings()
-    else:
-        embeddings = view.proposition_embeddings
-    sims = embeddings.astype(np.float64) @ np.asarray(query_vec, dtype=np.float64)
+    sims = view.proposition_embeddings.astype(np.float64) @ np.asarray(query_vec, dtype=np.float64)
     semantic = build_semantic_transition(structural, sims, params)
     return blend(structural, semantic, params.lambda_)

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from propgraph.community import leiden_levels, modularity
+from propgraph.community import leiden_levels
 
 
 def two_cliques(size=20):
@@ -34,7 +34,7 @@ def test_partition_beats_trivial_modularity():
     graph, _, _ = two_cliques()
     top = leiden_levels(graph, seed=0)[-1]
     trivial = [set(graph.nodes())]
-    assert modularity(graph, top) >= modularity(graph, trivial)
+    assert nx.algorithms.community.modularity(graph, top) >= nx.algorithms.community.modularity(graph, trivial)
     # independent oracle: networkx's own modularity agrees the split is strong
     assert nx.algorithms.community.modularity(graph, top) > 0.4
 

@@ -194,6 +194,68 @@ def test_load_count_mismatch_is_corrupt(tmp_path):
         g.load(tmp_path / "g")
 
 
+def _retarget_entity_edge(root, orphan: bool) -> None:
+    """Point one proposition-entity line of edges.txt at another entity.
+
+    With ``orphan`` the line chosen is its entity's only edge, so the edit
+    leaves that entity without edges; otherwise the entity keeps others.
+    """
+    path = root / "edges.txt"
+    pairs = [line.split("\t") for line in path.read_text().splitlines()]
+    degree = {}
+    for a, b in pairs:
+        for tag in (a, b):
+            degree[tag] = degree.get(tag, 0) + 1
+    entities = sorted({b for _, b in pairs if b.startswith("entity:")})
+    for i, (prop, ent) in enumerate(pairs):
+        if not ent.startswith("entity:") or (degree[ent] == 1) != orphan:
+            continue
+        others = [e for e in entities if e != ent and [prop, e] not in pairs]
+        if others:
+            pairs[i] = [prop, others[0]]
+            path.write_text("".join(f"{a}\t{b}\n" for a, b in pairs))
+            return
+    raise AssertionError("no proposition-entity edge to retarget")
+
+
+@pytest.mark.parametrize("orphan", [False, True])
+def test_load_edges_disagreeing_with_records_is_corrupt(tmp_path, orphan):
+    graph = build_random_graph(np.random.default_rng(13), 10)
+    g.save(graph, tmp_path / "g")
+    _retarget_entity_edge(tmp_path / "g", orphan)
+    with pytest.raises(CorruptFileError):
+        g.load(tmp_path / "g")
+
+
+@pytest.mark.parametrize("field, value", [("passage", 99), ("passage", -1), ("entities", [99]), ("entities", [-1])])
+def test_load_out_of_range_record_ids_are_corrupt(tmp_path, field, value):
+    graph = build_random_graph(np.random.default_rng(13), 10)
+    g.save(graph, tmp_path / "g")
+    path = tmp_path / "g" / "propositions.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[0][field] = value
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    with pytest.raises(CorruptFileError):
+        g.load(tmp_path / "g")
+
+
+def test_finalized_arrays_are_read_only():
+    graph = build_random_graph(np.random.default_rng(29), 8)
+    walk = graph.uniform_transition
+    arrays = [
+        walk.data,
+        walk.indices,
+        walk.indptr,
+        graph.global_degrees,
+        graph.proposition_passages,
+        graph.proposition_embeddings,
+        graph.entity_embeddings,
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
 def test_node_id_ordering_and_tags():
     a = NodeId(NodeKind.PASSAGE, 3)
     b = NodeId(NodeKind.PROPOSITION, 0)

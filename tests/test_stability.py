@@ -1,0 +1,70 @@
+"""Guards that reach beyond one run of the current code.
+
+The acceptance suite compares two runs of the same code. The digests
+below pin the c10 fixture's outputs themselves, so a change to how a
+graph is stored or walked that alters a single byte of the saved graph
+or of a local-mode trace fails here. A deliberate format change must
+re-record them and say why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from propgraph.cli import main
+from propgraph.llm import MockRule
+
+from conftest import TWO_HOP_PASSAGES, TWO_HOP_QUESTION, two_hop_rules
+from test_cli import EVAL_RULES, rules_as_json
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+PINNED_GRAPH = {
+    "edges.txt": "3ec4ac7e8c0a2a4886ce7221399a28b9e6cb1297801ffd8d63a99d2caafbc65b",
+    "entities.jsonl": "dfa991556132816f2167bbc61d34c982291cfc83aea00fe995a0a290b7522d34",
+    "entity_embeddings.bin": "43538bcd1196f0bcc7acf77a2aca4ebd41aa4d81e3b68ea489436d8caf08a157",
+    "manifest.json": "635360f682f9c8c60d69c5bf2db647793b9fb9f007cf6f154c623a0f0957ead2",
+    "passages.jsonl": "848f3c5fc8950174449d4ebb3988ca3e95418995be0de5c8c4511812ac1c7360",
+    "proposition_embeddings.bin": "5f8ed9567a61167d60c21aa9e8b39a05925887fff9b1bcab8c14418ee0a67272",
+    "propositions.jsonl": "15a9792b46f8637c0d4937d5a730d645a13f79414b0a23716e88a0d1d1472ddb",
+}
+PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_c10_fixture_outputs_match_pinned_digests(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, (text, _, _) in enumerate(TWO_HOP_PASSAGES):
+        (corpus / f"{i:02d}.txt").write_text(text)
+    rules = two_hop_rules()
+    for question, answer in EVAL_RULES:
+        rules.append(MockRule(template="FinalAnswer", slot_equals={"question": question}, response=answer))
+    (tmp_path / "rules.json").write_text(json.dumps(rules_as_json(rules)))
+    config = {
+        "top_k": 5,
+        "chat_backend": {"kind": "mock", "script": "rules.json"},
+        "embed_backend": {"kind": "mock", "dimension": 256},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    graph_dir, trace = tmp_path / "graph", tmp_path / "trace.jsonl"
+    assert main(["index", "--config", str(tmp_path / "config.json"), "--corpus", str(corpus), "--out", str(graph_dir)]) == 0
+    assert main([
+        "query", "--config", str(tmp_path / "config.json"), "--graph", str(graph_dir),
+        "--mode", "local", "--trace", str(trace), TWO_HOP_QUESTION,
+    ]) == 0
+    assert {p.name: _sha256(p) for p in sorted(graph_dir.iterdir())} == PINNED_GRAPH
+    assert _sha256(trace) == PINNED_LOCAL_TRACE
+
+
+def test_bench_span_boundaries_resolve(monkeypatch):
+    # the traced benchmark run rebinds each (owner, attr); a rename in the
+    # library must fail here rather than break `bench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    missing = [name for owner, attr, name in spans.BOUNDARIES if not callable(getattr(owner, attr, None))]
+    assert not missing

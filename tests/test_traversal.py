@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from propgraph.graph import HeteroGraph, proposition_id
+from propgraph.graph import HeteroGraph, NodeKind, proposition_id
 from propgraph.traversal import (
     Subgraph,
     TransitionMatrix,
@@ -71,7 +71,7 @@ def test_structural_entity_clique_uniform():
     # passages each off-diagonal entry must be 1/3
     graph = graph_from_links([["hub"], ["hub"], ["hub"], ["hub"]])
     hub = [e.id for e in graph.entities if e.canonical_name == "hub"][0]
-    sub = Subgraph(graph, [p.id for p in graph.propositions] + [hub])
+    sub = Subgraph(graph, [graph.global_index(n) for n in [p.id for p in graph.propositions] + [hub]])
     ts = build_structural_transition(sub).matrix.toarray()
     expected = np.full((4, 4), 1.0 / 3.0)
     np.fill_diagonal(expected, 0.0)
@@ -87,6 +87,57 @@ def test_structural_rows_stochastic_zero_diag_on_random_graphs():
         for i in range(ts.size):
             assert sums[i] == pytest.approx(1.0, abs=1e-9) or sums[i] == 0.0
         assert np.all(ts.matrix.diagonal() == 0.0)
+
+
+def loop_structural_reference(graph, nodes) -> sp.csr_matrix:
+    """The two-hop operator over the nodes ``nodes``, built edge by edge.
+
+    Hubs take columns in order of first appearance (ascending proposition,
+    then sorted neighbors), which fixes the summation order of the product.
+    """
+    kept = set(nodes)
+    nbrs = {node: [m for m in graph.neighbors(node) if m in kept] for node in kept}
+    props = sorted(node.index for node in kept if node.kind is NodeKind.PROPOSITION)
+    row = {p: r for r, p in enumerate(props)}
+    hub_col: dict = {}
+    ra, ca, da = [], [], []
+    for p in props:
+        near = nbrs[proposition_id(p)]
+        for hub in near:
+            ra.append(row[p])
+            ca.append(hub_col.setdefault(hub, len(hub_col)))
+            da.append(1.0 / len(near))
+    rb, cb, db = [], [], []
+    for hub, col in hub_col.items():
+        for other in nbrs[hub]:
+            rb.append(col)
+            cb.append(row[other.index])
+            db.append(1.0 / len(nbrs[hub]))
+    n, m = len(props), max(len(hub_col), 1)
+    t = (sp.csr_matrix((da, (ra, ca)), shape=(n, m)) @ sp.csr_matrix((db, (rb, cb)), shape=(m, n))).tolil()
+    t.setdiag(0.0)
+    t = t.tocsr()
+    t.eliminate_zeros()
+    sums = np.asarray(t.sum(axis=1)).ravel()
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 1e-15)
+    return sp.diags(inv).dot(t).tocsr()
+
+
+def test_structural_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(37)
+    for _ in range(15):
+        graph = build_random_graph(rng, int(rng.integers(2, 40)))
+        views = [(graph, graph.node_order)]
+        for limit in (4, 10, 25):
+            seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=2)})
+            if limit >= len(seeds):
+                sub = extract_subgraph(graph, seeds, limit, WalkParams())
+                views.append((sub, [graph.node_order[i] for i in sub.nodes]))
+        for view, nodes in views:
+            got = build_structural_transition(view).matrix
+            want = loop_structural_reference(graph, nodes)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +354,8 @@ def test_ppr_permutation_invariance():
 def test_extract_whole_graph_when_limit_large():
     graph = graph_from_links([["e1"], ["e1", "e2"], ["e2"]])
     sub = extract_subgraph(graph, [0], graph.node_count, WalkParams())
-    assert sub.node_ids == frozenset(graph.node_order)
-    assert sorted(sub.edges()) == sorted(graph.edges())
+    assert [graph.node_order[i] for i in sub.nodes] == graph.node_order
+    assert (sub.uniform_transition != graph.uniform_transition).nnz == 0
 
 
 def test_extract_minimal_closure():
@@ -316,7 +367,7 @@ def test_extract_minimal_closure():
         graph.propositions[0].passage,
         graph.propositions[1].passage,
     }
-    assert sub.node_ids == frozenset(expected)
+    assert {graph.node_order[i] for i in sub.nodes} == expected
 
 
 def test_extract_includes_passage_of_every_chosen_proposition():
@@ -324,7 +375,7 @@ def test_extract_includes_passage_of_every_chosen_proposition():
     graph = build_random_graph(rng, 12)
     sub = extract_subgraph(graph, [0], 9, WalkParams())
     for idx in sub.proposition_indices:
-        assert graph.propositions[idx].passage in sub.node_ids
+        assert graph.propositions[idx].passage in {graph.node_order[i] for i in sub.nodes}
 
 
 def _chain_clique_graph():
