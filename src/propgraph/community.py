@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Hashable
 
-import networkx as nx
+import numpy as np
+import scipy.sparse as sp
 
 _GAIN_TOL = 1e-12
 
@@ -31,22 +31,21 @@ class _WorkGraph:
     two_m: float
 
 
-def _from_networkx(graph: nx.Graph) -> tuple[_WorkGraph, list[Hashable]]:
-    nodes = sorted(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
+def _from_csr(adjacency: sp.spmatrix) -> _WorkGraph:
+    # canonical form: duplicates summed and each row's columns sorted, which
+    # fixes the order in which neighbours are visited and queued
+    csr = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    indptr, indices, data = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+    n = csr.shape[0]
+    adj: list[dict[int, float]] = []
     self_loop = [0.0] * n
-    for u, v, data in graph.edges(data=True):
-        w = float(data.get("weight", 1.0))
-        iu, iv = index[u], index[v]
-        if iu == iv:
-            self_loop[iu] += w
-        else:
-            adj[iu][iv] = adj[iu].get(iv, 0.0) + w
-            adj[iv][iu] = adj[iv].get(iu, 0.0) + w
+    for v in range(n):
+        row = dict(zip(indices[indptr[v] : indptr[v + 1]], data[indptr[v] : indptr[v + 1]]))
+        self_loop[v] = row.pop(v, 0.0)
+        adj.append(row)
     deg = [sum(adj[v].values()) + 2.0 * self_loop[v] for v in range(n)]
-    return _WorkGraph(n, adj, self_loop, deg, sum(deg)), nodes
+    return _WorkGraph(n, adj, self_loop, deg, sum(deg))
 
 
 def _local_move(work: _WorkGraph, init: list[int], resolution: float, rng: random.Random) -> list[int]:
@@ -160,27 +159,29 @@ def _aggregate(
 
 
 def leiden_levels(
-    graph: nx.Graph, resolution: float = 1.0, seed: int = 0, max_levels: int = 64
-) -> list[list[set]]:
+    adjacency: sp.spmatrix, resolution: float = 1.0, seed: int = 0, max_levels: int = 64
+) -> list[list[set[int]]]:
     """Run the full Leiden cycle and report the partition at every level.
 
+    ``adjacency`` is a symmetric sparse matrix of edge weights over nodes
+    ``0..n-1``; a diagonal entry ``w`` is a self loop of weight ``w``.
     Level 0 is the finest partition (first local-moving pass); deeper
-    levels are coarser. Each partition is a list of node sets over the
-    original graph nodes and covers the graph exactly.
+    levels are coarser. Each partition is a list of sets of node indices
+    and covers the graph exactly.
     """
-    if graph.number_of_nodes() == 0:
+    if adjacency.shape[0] == 0:
         return []
-    work, nodes = _from_networkx(graph)
-    node_sets = [{node} for node in nodes]
+    work = _from_csr(adjacency)
+    node_sets = [{v} for v in range(work.n)]
     if work.two_m == 0.0:
         return [[set(s) for s in node_sets]]
 
     rng = random.Random(seed)
     init = list(range(work.n))
-    levels: list[list[set]] = []
+    levels: list[list[set[int]]] = []
     for _ in range(max_levels):
         membership = _local_move(work, init, resolution, rng)
-        partition: dict[int, set] = defaultdict(set)
+        partition: dict[int, set[int]] = defaultdict(set)
         for v in range(work.n):
             partition[membership[v]] |= node_sets[v]
         levels.append([partition[c] for c in sorted(partition)])
@@ -191,4 +192,3 @@ def leiden_levels(
             break  # refinement kept all singletons: aggregation would not shrink
         work, node_sets, init = _aggregate(work, refined, membership, node_sets)
     return levels
-

@@ -127,6 +127,10 @@ def load_config(path: str | Path) -> RunConfig:
         cfg.reconciliation_policy()
         if cfg.eval_workers < 1:
             raise ValueError("eval_workers must be >= 1")
+        # a carving must hold its seeds: a selection of top_k, or a global
+        # partition, which never has more members than top_k
+        if cfg.subgraph_max_size < cfg.top_k:
+            raise ValueError(f"subgraph_max_size {cfg.subgraph_max_size} is below top_k {cfg.top_k}")
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return cfg

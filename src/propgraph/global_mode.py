@@ -11,11 +11,13 @@ strongest material at the edges of the final context before synthesis.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence, TypeVar
 
-import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 
 from .community import leiden_levels
 from .encoding import EmbedBackend
@@ -94,7 +96,7 @@ class QueryState:
     n_sources: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Community:
     id: int
     nodes: frozenset[NodeId]
@@ -256,27 +258,45 @@ def detect_communities(
     max_size: int = 150,
     seed: int = 0,
     resolution: float = 1.0,
-) -> list[Community]:
+) -> tuple[Community, ...]:
     """Leiden communities over the whole graph, all levels, size-filtered.
 
+    Leiden runs on the walk matrix's pattern with unit edge weights.
     Identical node sets appearing at several levels are reported once.
     Ids are assigned in (level, lowest-node) order so they are stable for
     a fixed graph and seed.
     """
-    nxg = nx.Graph()
-    nxg.add_nodes_from(graph.node_order)
-    nxg.add_edges_from(graph.edges())
+    walk = graph.uniform_transition
+    adjacency = sp.csr_matrix((np.ones(walk.nnz), walk.indices, walk.indptr), shape=walk.shape)
+    order = graph.node_order
     communities: list[Community] = []
-    seen: set[frozenset[NodeId]] = set()
-    for level, partition in enumerate(leiden_levels(nxg, resolution=resolution, seed=seed)):
+    seen: set[frozenset[int]] = set()
+    for level, partition in enumerate(leiden_levels(adjacency, resolution=resolution, seed=seed)):
         for nodes in sorted(partition, key=min):
             block = frozenset(nodes)
             if block in seen:
                 continue
             seen.add(block)
             if min_size <= len(block) <= max_size:
-                communities.append(Community(len(communities), block, level))
-    return communities
+                communities.append(Community(len(communities), frozenset(order[i] for i in block), level))
+    return tuple(communities)
+
+
+# Communities depend on the graph and the Leiden settings, never on the
+# question: computed once per frozen graph and key, and dropped with the graph.
+_COMMUNITIES: "weakref.WeakKeyDictionary[HeteroGraph, dict[tuple, tuple[Community, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
+_COMMUNITIES_LOCK = threading.Lock()
+
+
+def _candidate_communities(graph: HeteroGraph, cfg: GlobalRunConfig) -> tuple[Community, ...]:
+    key = (cfg.min_community_size, cfg.max_community_size, cfg.leiden_seed, cfg.leiden_resolution)
+    with _COMMUNITIES_LOCK:  # held through a miss, so concurrent callers run Leiden once
+        per_graph = _COMMUNITIES.setdefault(graph, {})
+        if key not in per_graph:
+            per_graph[key] = detect_communities(graph, *key)
+        return per_graph[key]
 
 
 def select_communities(
@@ -398,23 +418,18 @@ def answer_global(
 ) -> GlobalResult:
     """End-to-end abstract-question answering.
 
-    Collect anchors, detect and select communities, generate one scored
-    partial answer per community chunk, then synthesize the final answer
-    from the ranked partial answers arranged best-at-the-edges. With no
-    eligible community the anchors' own texts serve as the context.
+    Collect anchors, select communities (detected once per graph and
+    Leiden settings), generate one scored partial answer per community
+    chunk, then synthesize the final answer from the ranked partial
+    answers arranged best-at-the-edges. With no eligible community the
+    anchors' own texts serve as the context.
     """
     cfg = cfg or GlobalRunConfig()
     trace = Trace()
     collection = collect_anchors(q_start, graph, gateway, embedder, cfg, trace)
     anchor_ids = collection.pool.ids()
 
-    candidates = detect_communities(
-        graph,
-        cfg.min_community_size,
-        cfg.max_community_size,
-        seed=cfg.leiden_seed,
-        resolution=cfg.leiden_resolution,
-    )
+    candidates = _candidate_communities(graph, cfg)
     anchor_nodes = {proposition_id(i) for i in anchor_ids}
     chosen = select_communities(anchor_nodes, candidates, cfg.node_budget) if candidates else []
     trace.log(

@@ -184,27 +184,23 @@ def build_semantic_transition(
 
     boosted = np.where(similarities >= params.theta, np.exp(similarities / params.tau), 0.0)
     base = structural.matrix
-    indptr = base.indptr
-    indices = base.indices
-    out = sp.lil_matrix((n, n), dtype=np.float64)
-    fallback: set[int] = set()
-    for i in range(n):
-        cols = indices[indptr[i] : indptr[i + 1]]
-        if cols.size == 0:
-            continue
-        weights = boosted[cols]
-        total = weights.sum()
-        if total > 0.0:
-            out.rows[i] = [int(c) for c in cols]
-            out.data[i] = list(weights / total)
-        else:
-            row = base.getrow(i)
-            out.rows[i] = [int(c) for c in row.indices]
-            out.data[i] = [float(v) for v in row.data]
-            fallback.add(i)
-    csr = out.tocsr()
+    lengths = np.diff(base.indptr)
+    weights = boosted[base.indices]
+    # Each row's total must be the very float that summing the row alone
+    # gives. numpy sums a contiguous run pairwise, and a (rows, L) gather
+    # reduced along its last axis sums each row the same way, so rows are
+    # grouped by length (np.add.reduceat would sum sequentially instead).
+    totals = np.zeros(n)
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        totals[rows] = weights[base.indptr[rows, None] + np.arange(length)].sum(axis=1)
+    fallback = np.flatnonzero((lengths > 0) & ~(totals > 0.0))
+    row_totals = np.repeat(totals, lengths)
+    data = np.divide(weights, row_totals, out=base.data.astype(np.float64), where=row_totals > 0.0)
+    # eliminate_zeros compacts the index arrays in place: give it copies
+    csr = sp.csr_matrix((data, base.indices.copy(), base.indptr.copy()), shape=(n, n))
     csr.eliminate_zeros()
-    return TransitionMatrix(csr, frozenset(fallback))
+    return TransitionMatrix(csr, frozenset(fallback.tolist()))
 
 
 def blend(structural: TransitionMatrix, semantic: TransitionMatrix, lambda_: float) -> TransitionMatrix:

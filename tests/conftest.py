@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from propgraph.community import leiden_levels
 from propgraph.encoding import HashedNgramEmbedder, normalize
 from propgraph.graph import HeteroGraph
 from propgraph.indexing import CorpusDocument, index_corpus
@@ -13,6 +16,16 @@ from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return normalize(rng.normal(size=dim))
+
+
+def leiden_on_networkx(graph: nx.Graph, **kwargs) -> list[list[set]]:
+    """``leiden_levels`` over a networkx graph, with node labels in the result.
+
+    Nodes take indices in sorted order; edge weights default to 1.
+    """
+    nodes = sorted(graph)
+    adjacency = nx.to_scipy_sparse_array(graph, nodelist=nodes) if nodes else sp.csr_matrix((0, 0))
+    return [[{nodes[i] for i in block} for block in part] for part in leiden_levels(adjacency, **kwargs)]
 
 
 def build_random_graph(rng: np.random.Generator, n_props: int, dim: int = 8) -> HeteroGraph:

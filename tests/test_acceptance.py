@@ -14,7 +14,6 @@ import scipy.sparse as sp
 
 from propgraph import graph as graph_io
 from propgraph.cli import main
-from propgraph.community import leiden_levels
 from propgraph.encoding import HashedNgramEmbedder
 from propgraph.global_mode import WalkRecord, compute_queries
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
@@ -35,6 +34,7 @@ from conftest import (
     TWO_HOP_HOP2,
     TWO_HOP_QUESTION,
     build_random_graph,
+    leiden_on_networkx,
     random_unit,
     two_hop_rules,
 )
@@ -234,7 +234,7 @@ def test_c09_leiden_two_clique_fixture():
                 graph.add_edge(block[i], block[j])
     graph.add_edge(left[0], right[0])
 
-    levels = leiden_levels(graph, seed=0)
+    levels = leiden_on_networkx(graph, seed=0)
     planted = sorted([frozenset(left), frozenset(right)])
     assert any(sorted(map(frozenset, part)) == planted for part in levels)
 

@@ -235,3 +235,31 @@ def test_query_global_mode_runs_end_to_end(workspace, capsys):
     events = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert events[0]["event"] == "decompose"
     assert events[-1]["event"] == "result"
+
+
+def write_sized_config(ws: Path, top_k: int, subgraph_max_size: int) -> Path:
+    config = json.loads((ws / "config.json").read_text())
+    config.update(top_k=top_k, subgraph_max_size=subgraph_max_size)
+    path = ws / f"sized_{top_k}_{subgraph_max_size}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_carving_smaller_than_top_k_is_a_config_error(workspace, capsys):
+    graph_dir = run_index(workspace)
+    capsys.readouterr()
+    config = write_sized_config(workspace, 60, 50)
+    code = main(["query", "--config", str(config), "--graph", str(graph_dir), "--mode", "local", TWO_HOP_QUESTION])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: subgraph_max_size 50 is below top_k 60" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_carving_equal_to_top_k_runs(workspace, mode):
+    graph_dir = run_index(workspace)
+    config = write_sized_config(workspace, 5, 5)
+    trace = workspace / f"trace_{mode}.jsonl"
+    args = ["query", "--config", str(config), "--graph", str(graph_dir), "--mode", mode, "--trace", str(trace)]
+    assert main([*args, TWO_HOP_QUESTION]) == 0

@@ -55,6 +55,13 @@ def test_out_of_range_values_rejected_at_load(tmp_path):
         load_config(write_config(tmp_path, {"min_community_size": 20, "max_community_size": 10}))
 
 
+def test_carving_smaller_than_top_k_rejected_at_load(tmp_path):
+    with pytest.raises(ConfigError, match="subgraph_max_size 50 is below top_k 60"):
+        load_config(write_config(tmp_path, {"top_k": 60, "subgraph_max_size": 50}))
+    cfg = load_config(write_config(tmp_path, {"top_k": 60, "subgraph_max_size": 60}))
+    assert (cfg.top_k, cfg.subgraph_max_size) == (60, 60)
+
+
 def test_malformed_file_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

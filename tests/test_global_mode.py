@@ -1,7 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from propgraph.encoding import normalize
+from propgraph import global_mode
+from propgraph.encoding import HashedNgramEmbedder, normalize
 from propgraph.global_mode import (
     Community,
     GlobalRunConfig,
@@ -21,7 +26,7 @@ from propgraph.suggest import PropositionPool, SuggestConfig
 from propgraph.tokens import estimate_tokens
 from propgraph.trace import Trace
 
-from conftest import random_unit
+from conftest import build_random_graph, random_unit
 from test_traversal import graph_from_links
 
 
@@ -229,7 +234,7 @@ def test_detect_communities_recovers_blobs():
 
 def test_detect_communities_size_filter_can_empty():
     graph = two_blob_graph()
-    assert detect_communities(graph, min_size=11, max_size=12) == []
+    assert detect_communities(graph, min_size=11, max_size=12) == ()
 
 
 def test_detect_communities_deterministic():
@@ -237,6 +242,85 @@ def test_detect_communities_deterministic():
     first = detect_communities(graph, 2, 150, seed=0)
     second = detect_communities(graph, 2, 150, seed=0)
     assert [(c.id, c.nodes, c.level) for c in first] == [(c.id, c.nodes, c.level) for c in second]
+
+
+def counting_detect(monkeypatch, delay=0.0):
+    """Replace ``global_mode.detect_communities`` by a wrapper that counts its calls."""
+    calls = []
+    original = global_mode.detect_communities
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        time.sleep(delay)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(global_mode, "detect_communities", counted)
+    return calls
+
+
+def test_cached_communities_equal_fresh_detection(monkeypatch):
+    graph = build_random_graph(np.random.default_rng(5), 120)
+    calls = counting_detect(monkeypatch)
+    cfg = small_cfg(min_community_size=2, max_community_size=40)
+    cached = global_mode._candidate_communities(graph, cfg)
+    assert cached == detect_communities(graph, 2, 40, seed=0, resolution=1.0)
+    assert global_mode._candidate_communities(graph, cfg) is cached
+    assert len(calls) == 1
+
+
+def test_community_cache_misses_on_other_settings(monkeypatch):
+    graph = two_blob_graph()
+    calls = counting_detect(monkeypatch)
+    base = dict(min_community_size=2, max_community_size=50)
+    variants = [
+        small_cfg(**base),
+        small_cfg(**base, leiden_seed=3),
+        small_cfg(**base, leiden_resolution=0.5),
+        small_cfg(min_community_size=3, max_community_size=50),
+    ]
+    for expected_calls, cfg in enumerate(variants, start=1):
+        got = global_mode._candidate_communities(graph, cfg)
+        assert len(calls) == expected_calls
+        assert got == detect_communities(
+            graph, cfg.min_community_size, cfg.max_community_size, seed=cfg.leiden_seed, resolution=cfg.leiden_resolution
+        )
+    for cfg in variants:
+        global_mode._candidate_communities(graph, cfg)
+    assert len(calls) == len(variants)
+    # another graph with the same content is another key
+    global_mode._candidate_communities(two_blob_graph(), variants[0])
+    assert len(calls) == len(variants) + 1
+
+
+def test_concurrent_global_answers_share_one_detection(monkeypatch):
+    graph = two_blob_graph()
+    # the delay holds the first caller inside detection while the others arrive
+    calls = counting_detect(monkeypatch, delay=0.05)
+    cfg = small_cfg(breadth_m=2, min_facts=6, max_iter=2, min_community_size=10, max_community_size=10)
+    results: dict[int, object] = {}
+
+    def ask(slot: int) -> None:
+        results[slot] = answer_global(
+            "what do the blobs say", graph, global_fixture_gateway(), HashedNgramEmbedder(dim=8), cfg
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert len(calls) == 1
+    first = results[0]
+    for result in results.values():
+        assert result.answer == first.answer
+        assert result.trace.events == first.trace.events
 
 
 # ----------------------------------------------------------------------

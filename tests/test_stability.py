@@ -3,12 +3,15 @@
 The acceptance suite compares two runs of the same code. The digests
 below pin the c10 fixture's outputs themselves, so a change to how a
 graph is stored or walked that alters a single byte of the saved graph
-or of a local-mode trace fails here. A deliberate format change must
-re-record them and say why.
+or of a local- or global-mode trace fails here. A deliberate format
+change must re-record them and say why.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from propgraph.cli import main
@@ -29,6 +32,7 @@ PINNED_GRAPH = {
     "propositions.jsonl": "15a9792b46f8637c0d4937d5a730d645a13f79414b0a23716e88a0d1d1472ddb",
 }
 PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
+PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e8a71642"
 
 
 def _sha256(path: Path) -> str:
@@ -56,8 +60,14 @@ def test_c10_fixture_outputs_match_pinned_digests(tmp_path):
         "query", "--config", str(tmp_path / "config.json"), "--graph", str(graph_dir),
         "--mode", "local", "--trace", str(trace), TWO_HOP_QUESTION,
     ]) == 0
+    global_trace = tmp_path / "global_trace.jsonl"
+    assert main([
+        "query", "--config", str(tmp_path / "config.json"), "--graph", str(graph_dir),
+        "--mode", "global", "--trace", str(global_trace), TWO_HOP_QUESTION,
+    ]) == 0
     assert {p.name: _sha256(p) for p in sorted(graph_dir.iterdir())} == PINNED_GRAPH
     assert _sha256(trace) == PINNED_LOCAL_TRACE
+    assert _sha256(global_trace) == PINNED_GLOBAL_TRACE
 
 
 def test_bench_span_boundaries_resolve(monkeypatch):
@@ -68,3 +78,13 @@ def test_bench_span_boundaries_resolve(monkeypatch):
 
     missing = [name for owner, attr, name in spans.BOUNDARIES if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+def test_library_imports_without_networkx():
+    # networkx is a test oracle only; every library module must import without it
+    code = (
+        "import sys, pkgutil, importlib; sys.modules['networkx'] = None; import propgraph; "
+        "[importlib.import_module(m.name) for m in pkgutil.iter_modules(propgraph.__path__, 'propgraph.')]"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})

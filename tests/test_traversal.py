@@ -206,6 +206,61 @@ def test_semantic_matches_dense_oracle():
         assert tn.fallback_rows == frozenset(fallback)
 
 
+def loop_semantic_reference(structural, similarities, params) -> TransitionMatrix:
+    """The query-aware operator built row by row in a ``lil_matrix``."""
+    n = structural.size
+    similarities = np.asarray(similarities, dtype=np.float64).ravel()
+    boosted = np.where(similarities >= params.theta, np.exp(similarities / params.tau), 0.0)
+    base = structural.matrix
+    indptr = base.indptr
+    indices = base.indices
+    out = sp.lil_matrix((n, n), dtype=np.float64)
+    fallback: set[int] = set()
+    for i in range(n):
+        cols = indices[indptr[i] : indptr[i + 1]]
+        if cols.size == 0:
+            continue
+        weights = boosted[cols]
+        total = weights.sum()
+        if total > 0.0:
+            out.rows[i] = [int(c) for c in cols]
+            out.data[i] = list(weights / total)
+        else:
+            row = base.getrow(i)
+            out.rows[i] = [int(c) for c in row.indices]
+            out.data[i] = [float(v) for v in row.data]
+            fallback.add(i)
+    csr = out.tocsr()
+    csr.eliminate_zeros()
+    return TransitionMatrix(csr, frozenset(fallback))
+
+
+def test_semantic_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(43)
+    # rows of 299 entries take numpy's blocked pairwise summation path
+    hub = graph_from_links([["hub"]] * 300, rng=rng)
+    views = [hub]
+    for _ in range(12):
+        graph = build_random_graph(rng, int(rng.integers(2, 60)))
+        views.append(graph)
+        for limit in (6, 15, 40):
+            seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=2)})
+            if limit >= len(seeds):
+                views.append(extract_subgraph(graph, seeds, limit, WalkParams()))
+    # theta 1.0 leaves every row below the floor; -1.0 masks nothing
+    for theta in (-1.0, 0.0, 0.4, 0.9, 1.0):
+        params = WalkParams(theta=theta, tau=float(rng.choice([0.05, 0.1, 1.0])))
+        for view in views:
+            structural = build_structural_transition(view)
+            sims = view.proposition_embeddings.astype(np.float64) @ random_unit(rng, view.proposition_embeddings.shape[1])
+            got = build_semantic_transition(structural, sims, params)
+            want = loop_semantic_reference(structural, sims, params)
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got.matrix, attr), getattr(want.matrix, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+            assert got.fallback_rows == want.fallback_rows
+
+
 def test_semantic_rejects_bad_inputs():
     ts = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     with pytest.raises(ValueError):
