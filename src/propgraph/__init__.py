@@ -6,12 +6,13 @@ suggestion-selection cycles, in three modes: naive (similarity only),
 local (multi-hop walks) and global (community-grounded synthesis).
 """
 
+from .config import RunConfig
 from .encoding import HashedNgramEmbedder, OpenAICompatEmbedder, cosine, top_k_similar
 from .graph import HeteroGraph, NodeId, NodeKind, load, save
 from .indexing import CorpusDocument, graph_stats, index_corpus
 from .llm import LLMGateway, MockChatBackend, OpenAICompatChatBackend
-from .local_mode import LocalRunConfig, answer_local, answer_naive
-from .global_mode import GlobalRunConfig, answer_global
+from .local_mode import answer_local, answer_naive
+from .global_mode import answer_global
 from .suggest import PropositionPool, SuggestConfig, suggest_global, suggest_local, suggest_naive
 from .traversal import WalkParams
 
@@ -19,17 +20,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusDocument",
-    "GlobalRunConfig",
     "HashedNgramEmbedder",
     "HeteroGraph",
     "LLMGateway",
-    "LocalRunConfig",
     "MockChatBackend",
     "NodeId",
     "NodeKind",
     "OpenAICompatChatBackend",
     "OpenAICompatEmbedder",
     "PropositionPool",
+    "RunConfig",
     "SuggestConfig",
     "WalkParams",
     "answer_global",

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import graph as graph_io
-from .config import build_chat_backend, build_embed_backend, load_config
+from .config import RunConfig, build_chat_backend, build_embed_backend, load_config
+from .encoding import EmbedBackend
 from .errors import PropGraphError
-from .evaluation import load_dataset, run_eval
+from .evaluation import MODES, answer_question, load_dataset, run_eval
 from .indexing import graph_stats, index_corpus, load_corpus
-from .evaluation import answer_question
 from .llm import LLMGateway
 from .usage import UsageLedger
 
@@ -29,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="answer one question against an indexed graph")
     p_query.add_argument("--config", required=True)
     p_query.add_argument("--graph", required=True, help="graph directory from `index`")
-    p_query.add_argument("--mode", choices=("naive", "local", "global"), default="naive")
+    p_query.add_argument("--mode", choices=MODES, default="naive")
     p_query.add_argument("--max-iter", type=int, default=None, help="override config max_iter")
     p_query.add_argument("--trace", default="trace.jsonl", help="where to write the run trace")
     p_query.add_argument("question")
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--graph", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--mode", choices=("naive", "local", "global"), default="naive")
+    p_eval.add_argument("--mode", choices=MODES, default="naive")
     p_eval.add_argument("--out", required=True, help="directory for report.json and questions.jsonl")
 
     p_stats = sub.add_parser("stats", help="print node/edge counts of a graph directory")
@@ -46,14 +47,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _backends(args: argparse.Namespace, config: RunConfig, ledger: UsageLedger) -> tuple[LLMGateway, EmbedBackend]:
+    """The gateway and embedder ``config`` names; a mock script path is relative to the config file."""
+    chat = build_chat_backend(config, Path(args.config).parent)
+    return LLMGateway(chat, ledger=ledger, max_subquestions=config.max_subquestions), build_embed_backend(config)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    gateway = LLMGateway(
-        build_chat_backend(config, Path(args.config).parent),
-        ledger=UsageLedger(),
-        max_subquestions=config.max_subquestions,
-    )
-    embedder = build_embed_backend(config)
+    gateway, embedder = _backends(args, config, UsageLedger())
     docs = load_corpus(args.corpus)
     graph = index_corpus(
         docs, gateway, embedder, config.chunking_policy(), config.reconciliation_policy()
@@ -65,15 +67,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.max_iter is not None:
-        config.max_iter = args.max_iter
+    if args.max_iter is not None:  # checked like a value from the file
+        config = dataclasses.replace(config, max_iter=args.max_iter)
     graph = graph_io.load(args.graph)
-    gateway = LLMGateway(
-        build_chat_backend(config, Path(args.config).parent),
-        ledger=UsageLedger(),
-        max_subquestions=config.max_subquestions,
-    )
-    embedder = build_embed_backend(config)
+    gateway, embedder = _backends(args, config, UsageLedger())
     result = answer_question(args.question, args.mode, graph, gateway, embedder, config)
     result.trace.write_jsonl(args.trace)
     print(result.answer)
@@ -85,12 +82,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     graph = graph_io.load(args.graph)
     ledger = UsageLedger()
-    gateway = LLMGateway(
-        build_chat_backend(config, Path(args.config).parent),
-        ledger=ledger,
-        max_subquestions=config.max_subquestions,
-    )
-    embedder = build_embed_backend(config)
+    gateway, embedder = _backends(args, config, ledger)
     records = load_dataset(args.dataset)
     report = run_eval(
         records, graph, gateway, embedder, config,
@@ -114,10 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PropGraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (PropGraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -9,24 +9,43 @@ rejected so typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .encoding import DEFAULT_MOCK_DIM, EmbedBackend, HashedNgramEmbedder, OpenAICompatEmbedder
 from .errors import ConfigError
-from .global_mode import GlobalRunConfig
 from .indexing import ChunkingPolicy, ReconciliationPolicy
 from .llm import ChatBackend, MockChatBackend, OpenAICompatChatBackend
-from .local_mode import LocalRunConfig
 from .suggest import SuggestConfig
 from .traversal import WalkParams
 
 # file key -> attribute (only where they differ)
 _KEY_ALIASES = {"lambda": "lambda_"}
+_FILE_KEYS = {attr: key for key, attr in _KEY_ALIASES.items()}
+
+# field annotation -> what a value of that field must be
+_EXPECTED = {"int": "an integer", "float": "a finite number", "dict": "an object"}
+
+
+def _has_type(annotation: str, value) -> bool:
+    if annotation == "dict":
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return False
+    if annotation == "int":
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 @dataclass
 class RunConfig:
+    """Every run-level knob with its default, shared by all answer modes.
+
+    Construction checks every value, types first, then ranges, then the
+    backend specs, and raises ``ConfigError`` on the first bad one.
+    """
+
     # walk
     lambda_: float = 0.5
     damping: float = 0.85
@@ -62,6 +81,40 @@ class RunConfig:
     chat_backend: dict = field(default_factory=lambda: {"kind": "mock"})
     embed_backend: dict = field(default_factory=lambda: {"kind": "mock", "dimension": DEFAULT_MOCK_DIM})
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(f.type, value):
+                raise ConfigError(f"{_FILE_KEYS.get(f.name, f.name)} must be {_EXPECTED[f.type]}, got {value!r}")
+        try:  # the walk, suggestion and indexing layers check their own inputs
+            self.walk_params()
+            self.suggest_config()
+            self.chunking_policy()
+            self.reconciliation_policy()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        for f in fields(self):  # every integer but the seed and the overlap counts something
+            if f.type == "int" and f.name not in ("leiden_seed", "chunk_overlap_tokens") and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
+        if self.min_community_size > self.max_community_size:
+            raise ConfigError("community size bounds out of order")
+        if min(self.rocchio_alpha, self.rocchio_beta, self.rocchio_gamma) < 0:
+            raise ConfigError("feedback coefficients must be non-negative")
+        if self.leiden_resolution <= 0:
+            raise ConfigError("leiden_resolution must be positive")
+        # a carving must hold its seeds: a selection of top_k, or a global
+        # partition, which never has more members than top_k
+        if self.subgraph_max_size < self.top_k:
+            raise ConfigError(f"subgraph_max_size {self.subgraph_max_size} is below top_k {self.top_k}")
+        for name in ("chat_backend", "embed_backend"):
+            spec = getattr(self, name)
+            kind = spec.get("kind", "mock")
+            if kind not in ("mock", "openai"):
+                raise ConfigError(f"unknown {name} kind {kind!r}")
+            missing = [key for key in ("base_url", "model") if kind == "openai" and key not in spec]
+            if missing:
+                raise ConfigError(f"{name} of kind 'openai' needs {' and '.join(missing)}")
+
     def walk_params(self) -> WalkParams:
         return WalkParams(
             lambda_=self.lambda_,
@@ -74,28 +127,6 @@ class RunConfig:
 
     def suggest_config(self) -> SuggestConfig:
         return SuggestConfig(k=self.top_k, subgraph_size=self.subgraph_max_size, walk=self.walk_params())
-
-    def local_config(self) -> LocalRunConfig:
-        return LocalRunConfig(max_iter=self.max_iter, suggest=self.suggest_config())
-
-    def global_config(self) -> GlobalRunConfig:
-        return GlobalRunConfig(
-            breadth_m=self.breadth_m,
-            min_facts=self.min_facts,
-            max_iter=self.max_iter,
-            node_budget=self.node_budget,
-            min_community_size=self.min_community_size,
-            max_community_size=self.max_community_size,
-            rocchio_alpha=self.rocchio_alpha,
-            rocchio_beta=self.rocchio_beta,
-            rocchio_gamma=self.rocchio_gamma,
-            max_tokens_report=self.max_tokens_report,
-            passage_token_limit=self.passage_token_limit,
-            max_tokens_community_chunks=self.max_tokens_community_chunks,
-            leiden_seed=self.leiden_seed,
-            leiden_resolution=self.leiden_resolution,
-            suggest=self.suggest_config(),
-        )
 
     def chunking_policy(self) -> ChunkingPolicy:
         return ChunkingPolicy(self.chunk_target_tokens, self.chunk_overlap_tokens)
@@ -118,22 +149,7 @@ def load_config(path: str | Path) -> RunConfig:
         if attr not in known:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[attr] = value
-    cfg = RunConfig(**kwargs)
-    try:  # surface range errors at load time, not first use
-        cfg.walk_params()
-        cfg.suggest_config()
-        cfg.global_config()
-        cfg.chunking_policy()
-        cfg.reconciliation_policy()
-        if cfg.eval_workers < 1:
-            raise ValueError("eval_workers must be >= 1")
-        # a carving must hold its seeds: a selection of top_k, or a global
-        # partition, which never has more members than top_k
-        if cfg.subgraph_max_size < cfg.top_k:
-            raise ValueError(f"subgraph_max_size {cfg.subgraph_max_size} is below top_k {cfg.top_k}")
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def build_chat_backend(cfg: RunConfig, base_dir: Path | None = None) -> ChatBackend:

@@ -8,21 +8,14 @@ targets stay well below the scale where approximate indexes pay off.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
-import time
 from typing import Iterable, Sequence
 
 import numpy as np
 import requests
 
 from .errors import BackendUnavailable, DimensionMismatchError
-
-log = logging.getLogger(__name__)
-
-
-class _RetryableHTTP(Exception):
-    """Transient server-side condition worth another attempt."""
+from .http_json import post_json
 
 NORM_TOL = 1e-6
 
@@ -173,31 +166,22 @@ class OpenAICompatEmbedder(EmbedBackend):
         return out
 
     def _embed_batch(self, batch: list[str]) -> list[np.ndarray]:
-        if not batch:
-            return []
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        payload = {"model": self.model, "input": batch}
-        last_err: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                resp = self._session.post(
-                    f"{self.base_url}/embeddings", json=payload, headers=headers, timeout=self.timeout
+        def parse(body) -> list[np.ndarray]:
+            data = body["data"]
+            vectors = [normalize(item["embedding"]) for item in sorted(data, key=lambda d: d["index"])]
+            if len(vectors) != len(batch):
+                raise BackendUnavailable(
+                    f"embeddings endpoint returned {len(vectors)} vectors for {len(batch)} inputs"
                 )
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise _RetryableHTTP(f"status {resp.status_code}")
-                if resp.status_code >= 400:  # permanent: bad request/auth, do not retry
-                    raise BackendUnavailable(f"embeddings endpoint returned {resp.status_code}")
-                data = resp.json()["data"]
-                vectors = [normalize(item["embedding"]) for item in sorted(data, key=lambda d: d["index"])]
-                if len(vectors) != len(batch):
-                    raise BackendUnavailable(
-                        f"embeddings endpoint returned {len(vectors)} vectors for {len(batch)} inputs"
-                    )
-                return vectors
-            except (_RetryableHTTP, requests.RequestException, KeyError, ValueError) as err:
-                last_err = err
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff * 2.0**attempt)
-        raise BackendUnavailable(f"embeddings request failed after {self.max_retries} attempts: {last_err}")
+            return vectors
+
+        return post_json(
+            self._session,
+            f"{self.base_url}/embeddings",
+            {"model": self.model, "input": batch},
+            parse,
+            api_key=self._api_key,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            backoff=self.backoff,
+        )

@@ -51,3 +51,7 @@ class PromptParseError(PropGraphError):
 
 class ConfigError(PropGraphError):
     """A configuration file is malformed or contains unknown keys."""
+
+
+class InputFileError(PropGraphError, ValueError):
+    """A corpus or dataset file has a row that is not valid input."""

@@ -15,14 +15,17 @@ from pathlib import Path
 
 from .config import RunConfig
 from .encoding import EmbedBackend
+from .errors import InputFileError
 from .graph import HeteroGraph
+from .indexing import read_jsonl
 from .llm import LLMGateway
 from .local_mode import answer_local, answer_naive
 from .global_mode import answer_global
 from .metrics import exact_match, f1
 from .usage import UsageLedger
 
-MODES = ("naive", "local", "global")
+_ANSWER = {"naive": answer_naive, "local": answer_local, "global": answer_global}
+MODES = tuple(_ANSWER)
 
 
 @dataclass
@@ -34,18 +37,17 @@ class QARecord:
 
 def load_dataset(path: str | Path) -> list[QARecord]:
     records: list[QARecord] = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            mode = obj.get("mode")
-            if mode is not None and mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r} in dataset")
-            answers = list(obj["answers"])
-            if not answers:
-                raise ValueError(f"record {obj['question']!r} has no gold answers")
-            records.append(QARecord(obj["question"], answers, mode))
+    for where, obj in read_jsonl(path):
+        question, answers, mode = obj.get("question"), obj.get("answers"), obj.get("mode")
+        if not isinstance(question, str):
+            raise InputFileError(f"{where}: question must be a string")
+        if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+            raise InputFileError(f"{where}: answers must be a list of strings")
+        if not answers:
+            raise InputFileError(f"{where}: record {question!r} has no gold answers")
+        if mode is not None and mode not in MODES:
+            raise InputFileError(f"{where}: unknown mode {mode!r} in dataset")
+        records.append(QARecord(question, answers, mode))
     return records
 
 
@@ -57,13 +59,7 @@ def answer_question(
     embedder: EmbedBackend,
     config: RunConfig,
 ):
-    if mode == "naive":
-        return answer_naive(question, graph, gateway, embedder, config.suggest_config())
-    if mode == "local":
-        return answer_local(question, graph, gateway, embedder, config.local_config())
-    if mode == "global":
-        return answer_global(question, graph, gateway, embedder, config.global_config())
-    raise ValueError(f"unknown mode {mode!r}")
+    return _ANSWER[mode](question, graph, gateway, embedder, config)
 
 
 def run_eval(

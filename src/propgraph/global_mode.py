@@ -20,52 +20,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .community import leiden_levels
+from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph, NodeId, NodeKind, proposition_id
 from .llm import LLMGateway
-from .suggest import PropositionPool, SuggestConfig, select, suggest_global, suggest_naive
+from .suggest import PropositionPool, select, suggest_global, suggest_naive
 from .tokens import estimate_tokens, truncate_to_tokens
 from .trace import Trace
 
 T = TypeVar("T")
-
-
-@dataclass
-class GlobalRunConfig:
-    breadth_m: int = 10
-    min_facts: int = 200
-    max_iter: int = 3
-    node_budget: int = 8000
-    min_community_size: int = 10
-    max_community_size: int = 150
-    rocchio_alpha: float = 1.0
-    rocchio_beta: float = 0.7
-    rocchio_gamma: float = 0.15
-    max_tokens_report: int = 8000
-    passage_token_limit: int = 500
-    max_tokens_community_chunks: int = 8000
-    leiden_seed: int = 0
-    leiden_resolution: float = 1.0
-    suggest: SuggestConfig = field(default_factory=SuggestConfig)
-
-    def __post_init__(self) -> None:
-        for name in (
-            "breadth_m",
-            "min_facts",
-            "max_iter",
-            "node_budget",
-            "min_community_size",
-            "max_community_size",
-            "max_tokens_report",
-            "passage_token_limit",
-            "max_tokens_community_chunks",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.min_community_size > self.max_community_size:
-            raise ValueError("community size bounds out of order")
-        if min(self.rocchio_alpha, self.rocchio_beta, self.rocchio_gamma) < 0:
-            raise ValueError("feedback coefficients must be non-negative")
 
 
 @dataclass
@@ -126,7 +89,7 @@ def compute_queries(
     pool: PropositionPool,
     records: dict[int, list["WalkRecord"]],
     graph: HeteroGraph,
-    cfg: GlobalRunConfig,
+    cfg: RunConfig,
 ) -> dict[int, QueryState]:
     """Refine one query vector per pooled proposition from walk feedback.
 
@@ -138,10 +101,10 @@ def compute_queries(
     - gamma*negative is renormalized to unit length for downstream cosine.
     """
     states: dict[int, QueryState] = {}
-    embeddings = graph.proposition_embeddings.astype(np.float64)
+    embeddings = graph.proposition_embeddings
     dim = embeddings.shape[1]
     for prop in pool:
-        q_positive = embeddings[prop]
+        q_positive = embeddings[prop].astype(np.float64)
         origin_parts: list[np.ndarray] = []
         negative_parts: list[np.ndarray] = []
         for rec in records.get(prop, []):
@@ -152,7 +115,7 @@ def compute_queries(
                 best = int(np.argmax(visits))  # ties resolve to the lowest walker index
                 origin_parts.append(np.asarray(rec.queries[best], dtype=np.float64))
             if rec.pruned:
-                negative_parts.append(embeddings[rec.pruned].mean(axis=0))
+                negative_parts.append(embeddings[rec.pruned].astype(np.float64).mean(axis=0))
             else:
                 negative_parts.append(np.zeros(dim))
         if origin_parts:
@@ -181,7 +144,7 @@ def collect_anchors(
     graph: HeteroGraph,
     gateway: LLMGateway,
     embedder: EmbedBackend,
-    cfg: GlobalRunConfig,
+    cfg: RunConfig,
     trace: Trace | None = None,
 ) -> AnchorCollection:
     """Iterative breadth-first anchor gathering.
@@ -192,6 +155,7 @@ def collect_anchors(
     or a round keeps nothing (an empty pool cannot seed further walks).
     """
     trace = trace if trace is not None else Trace()
+    suggest_cfg = cfg.suggest_config()
     subqueries = gateway.decompose(q_start, cfg.breadth_m)
     trace.log("decompose", questions=subqueries)
 
@@ -200,7 +164,7 @@ def collect_anchors(
     records: dict[int, list[WalkRecord]] = {}
     for q_index, question in enumerate(subqueries):
         q_vec = np.asarray(embedder.embed_one(question), dtype=np.float64)
-        suggested = suggest_naive(q_vec, graph, cfg.suggest)
+        suggested = suggest_naive(q_vec, graph, suggest_cfg)
         kept = select(question, suggested, graph, gateway)
         kept_set = set(kept)
         rec = WalkRecord([q_vec], None, suggested, kept, [c for c in suggested if c not in kept_set])
@@ -222,7 +186,7 @@ def collect_anchors(
             if not part:
                 continue
             walk_queries = [(prop, states[prop].q) for prop in part]
-            suggested, walker_pis = suggest_global(walk_queries, graph, cfg.suggest, exclude=s_glb.ids())
+            suggested, walker_pis = suggest_global(walk_queries, graph, suggest_cfg, exclude=s_glb.ids())
             kept = select(q_start, suggested, graph, gateway) if suggested else []
             kept_set = set(kept)
             rec = WalkRecord(
@@ -290,7 +254,7 @@ _COMMUNITIES: "weakref.WeakKeyDictionary[HeteroGraph, dict[tuple, tuple[Communit
 _COMMUNITIES_LOCK = threading.Lock()
 
 
-def _candidate_communities(graph: HeteroGraph, cfg: GlobalRunConfig) -> tuple[Community, ...]:
+def _candidate_communities(graph: HeteroGraph, cfg: RunConfig) -> tuple[Community, ...]:
     key = (cfg.min_community_size, cfg.max_community_size, cfg.leiden_seed, cfg.leiden_resolution)
     with _COMMUNITIES_LOCK:  # held through a miss, so concurrent callers run Leiden once
         per_graph = _COMMUNITIES.setdefault(graph, {})
@@ -330,7 +294,7 @@ def select_communities(
 
 
 def build_reports(
-    chosen: Sequence[Community], graph: HeteroGraph, cfg: GlobalRunConfig
+    chosen: Sequence[Community], graph: HeteroGraph, cfg: RunConfig
 ) -> list[str]:
     """Render chosen communities to text and split into token-bounded chunks.
 
@@ -414,7 +378,7 @@ def answer_global(
     graph: HeteroGraph,
     gateway: LLMGateway,
     embedder: EmbedBackend,
-    cfg: GlobalRunConfig | None = None,
+    cfg: RunConfig | None = None,
 ) -> GlobalResult:
     """End-to-end abstract-question answering.
 
@@ -424,7 +388,7 @@ def answer_global(
     answers arranged best-at-the-edges. With no eligible community the
     anchors' own texts serve as the context.
     """
-    cfg = cfg or GlobalRunConfig()
+    cfg = cfg or RunConfig()
     trace = Trace()
     collection = collect_anchors(q_start, graph, gateway, embedder, cfg, trace)
     anchor_ids = collection.pool.ids()

@@ -257,9 +257,6 @@ class HeteroGraph:
             raise UnknownNodeError(f"unknown entity {node}")
         return self.entities[node.index]
 
-    def proposition_text(self, index: int) -> str:
-        return self.propositions[index].text
-
     def proposition_texts(self, indices) -> list[str]:
         return [self.propositions[i].text for i in indices]
 

@@ -13,11 +13,12 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .encoding import EmbedBackend, cosine
-from .errors import EmptyTextError, ExtractionFailed
+from .errors import EmptyTextError, ExtractionFailed, InputFileError
 from .graph import HeteroGraph, NodeId, entity_id
 from .llm import LLMGateway
 from .tokens import estimate_tokens
@@ -241,6 +242,22 @@ def graph_stats(graph: HeteroGraph) -> GraphStats:
     )
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """The objects of a JSONL file, each with its ``path:line``; blank lines are skipped."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise InputFileError(f"{where}: {err}") from err
+            if not isinstance(obj, dict):
+                raise InputFileError(f"{where}: expected a JSON object")
+            yield where, obj
+
+
 def load_corpus(path: str | Path) -> list[CorpusDocument]:
     """Read a corpus from a directory of .txt files or a JSONL file.
 
@@ -254,10 +271,8 @@ def load_corpus(path: str | Path) -> list[CorpusDocument]:
             docs.append(CorpusDocument(f.name, f.read_text()))
         return docs
     docs = []
-    with open(p) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            docs.append(CorpusDocument(str(obj["doc_id"]), obj["text"]))
+    for where, obj in read_jsonl(p):
+        if "doc_id" not in obj or not isinstance(obj.get("text"), str):
+            raise InputFileError(f"{where}: a corpus row needs a doc_id and a text string")
+        docs.append(CorpusDocument(str(obj["doc_id"]), obj["text"]))
     return docs

@@ -15,14 +15,14 @@ import logging
 import os
 import re
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import requests
 
-from .errors import BackendUnavailable, ExtractionFailed, PromptParseError
+from .errors import ExtractionFailed, PromptParseError
+from .http_json import post_json
 from .prompts import PromptInstance, TemplateId, numbered, render
 from .tokens import TokenEstimator, estimate_tokens
 from .usage import UsageLedger
@@ -41,10 +41,6 @@ _STAGE: dict[TemplateId, str] = {
     TemplateId.INTERMEDIARY_ANSWER: "answer",
     TemplateId.COMBINE_ANSWERS: "answer",
 }
-
-class _RetryableHTTP(Exception):
-    """Transient server-side condition worth another attempt."""
-
 
 _STOPWORDS = frozenset(
     """a an the is are was were be been am do does did have has had having of in on at to for from
@@ -202,31 +198,22 @@ class OpenAICompatChatBackend(ChatBackend):
         return self.model
 
     def complete(self, prompt: PromptInstance) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt.rendered}],
             "temperature": self.temperature,
         }
-        last_err: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                with self._gate:
-                    resp = self._session.post(
-                        f"{self.base_url}/chat/completions", json=payload, headers=headers, timeout=self.timeout
-                    )
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise _RetryableHTTP(f"status {resp.status_code}")
-                if resp.status_code >= 400:  # permanent: bad request/auth, do not retry
-                    raise BackendUnavailable(f"chat endpoint returned {resp.status_code}")
-                return resp.json()["choices"][0]["message"]["content"]
-            except (_RetryableHTTP, requests.RequestException, KeyError, IndexError, ValueError) as err:
-                last_err = err
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff * 2.0**attempt)
-        raise BackendUnavailable(f"chat request failed after {self.max_retries} attempts: {last_err}")
+        return post_json(
+            self._session,
+            f"{self.base_url}/chat/completions",
+            payload,
+            lambda body: body["choices"][0]["message"]["content"],
+            api_key=self._api_key,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            backoff=self.backoff,
+            gate=self._gate,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -9,23 +9,14 @@ is recorded on a trace so runs are auditable and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PoolEntry, PropositionPool, SuggestConfig, select, suggest_local, suggest_naive
+from .suggest import PoolEntry, PropositionPool, select, suggest_local, suggest_naive
 from .trace import Trace
-
-
-@dataclass
-class LocalRunConfig:
-    max_iter: int = 3
-    suggest: SuggestConfig = field(default_factory=SuggestConfig)
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -41,12 +32,12 @@ def answer_naive(
     graph: HeteroGraph,
     gateway: LLMGateway,
     embedder: EmbedBackend,
-    cfg: SuggestConfig | None = None,
+    cfg: RunConfig | None = None,
 ) -> LocalResult:
     """Answer from top-k similar propositions; no graph, no selection."""
-    cfg = cfg or SuggestConfig()
+    suggest_cfg = (cfg or RunConfig()).suggest_config()
     trace = Trace()
-    suggested = suggest_naive(embedder.embed_one(q_start), graph, cfg)
+    suggested = suggest_naive(embedder.embed_one(q_start), graph, suggest_cfg)
     trace.log("seed", query=q_start, suggested=suggested, kept=suggested)
     answer = gateway.final_answer(q_start, graph.proposition_texts(suggested))
     trace.log("result", answer=answer, failed=False, exhausted=False, iterations=0)
@@ -59,7 +50,7 @@ def answer_local(
     graph: HeteroGraph,
     gateway: LLMGateway,
     embedder: EmbedBackend,
-    cfg: LocalRunConfig | None = None,
+    cfg: RunConfig | None = None,
 ) -> LocalResult:
     """Suggestion-selection cycles with sufficiency checks and follow-ups.
 
@@ -71,10 +62,11 @@ def answer_local(
     iteration budget runs out a best-effort answer is still produced from
     the collected facts, flagged as exhausted on the trace.
     """
-    cfg = cfg or LocalRunConfig()
+    cfg = cfg or RunConfig()
+    suggest_cfg = cfg.suggest_config()
     trace = Trace()
 
-    seeded = suggest_naive(embedder.embed_one(q_start), graph, cfg.suggest)
+    seeded = suggest_naive(embedder.embed_one(q_start), graph, suggest_cfg)
     seed_kept = select(q_start, seeded, graph, gateway)
     trace.log("seed", query=q_start, suggested=seeded, kept=seed_kept)
 
@@ -97,7 +89,7 @@ def answer_local(
             break
         judged_this_iter: set[int] = set(s_pool_new.ids())
         for q_index, question in enumerate(questions):
-            suggested = suggest_local(embedder.embed_one(question), graph, s_pool, cfg.suggest)
+            suggested = suggest_local(embedder.embed_one(question), graph, s_pool, suggest_cfg)
             candidates = [c for c in suggested if c not in judged_this_iter]
             judged_this_iter.update(candidates)
             kept = select(question, candidates, graph, gateway) if candidates else []

@@ -79,23 +79,12 @@ class TransitionMatrix:
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    def dangling_mask(self) -> np.ndarray:
-        return self.row_sums() <= _DANGLING_EPS
-
 
 @dataclass
 class StationaryDistribution:
     """PPR output: one probability per proposition row."""
 
     probabilities: np.ndarray
-
-    def ranked(self) -> list[int]:
-        """Row indices by descending probability, ties by ascending index."""
-        p = self.probabilities
-        return [int(i) for i in np.lexsort((np.arange(p.shape[0]), -p))]
-
-    def __getitem__(self, row: int) -> float:
-        return float(self.probabilities[row])
 
 
 class Subgraph:

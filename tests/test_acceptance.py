@@ -14,10 +14,11 @@ import scipy.sparse as sp
 
 from propgraph import graph as graph_io
 from propgraph.cli import main
+from propgraph.config import RunConfig
 from propgraph.encoding import HashedNgramEmbedder
 from propgraph.global_mode import WalkRecord, compute_queries
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
-from propgraph.local_mode import LocalRunConfig, answer_local
+from propgraph.local_mode import answer_local
 from propgraph.metrics import exact_match, f1
 from propgraph.suggest import PropositionPool, SuggestConfig, suggest_local, suggest_naive
 from propgraph.traversal import (
@@ -190,7 +191,7 @@ def test_c07_two_hop_local_beats_naive(two_hop_graph, embedder):
     assert TWO_HOP_HOP2 not in naive_top5
 
     gateway = LLMGateway(MockChatBackend(two_hop_rules()))
-    cfg = LocalRunConfig(max_iter=1, suggest=SuggestConfig(k=5, subgraph_size=500))
+    cfg = RunConfig(max_iter=1, top_k=5, subgraph_max_size=500)
     result = answer_local(TWO_HOP_QUESTION, two_hop_graph, gateway, embedder, cfg)
     assert TWO_HOP_HOP2 in result.collected
     assert result.collected.entry(TWO_HOP_HOP2).iteration == 1

@@ -263,3 +263,50 @@ def test_carving_equal_to_top_k_runs(workspace, mode):
     trace = workspace / f"trace_{mode}.jsonl"
     args = ["query", "--config", str(config), "--graph", str(graph_dir), "--mode", mode, "--trace", str(trace)]
     assert main([*args, TWO_HOP_QUESTION]) == 0
+
+
+def assert_reported(code: int, err: str, message: str) -> None:
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_max_iter_override_is_checked(workspace, capsys):
+    graph_dir = run_index(workspace)
+    capsys.readouterr()
+    args = ["query", "--config", str(workspace / "config.json"), "--graph", str(graph_dir), "--mode", "local"]
+    code = main([*args, "--max-iter", "0", TWO_HOP_QUESTION])
+    assert_reported(code, capsys.readouterr().err, "max_iter must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ('{"question": "q", "answers": ["a"], "mode": "turbo"}', "bad.jsonl:2: unknown mode 'turbo'"),
+        ('{"question": "q"}', "bad.jsonl:2: answers must be a list of strings"),
+        ('["q", ["a"]]', "bad.jsonl:2: expected a JSON object"),
+        ("{not json", "bad.jsonl:2: "),
+    ],
+)
+def test_malformed_dataset_row_is_reported(workspace, capsys, row, message):
+    graph_dir = run_index(workspace)
+    capsys.readouterr()
+    (workspace / "bad.jsonl").write_text(json.dumps(DATASET[0]) + "\n" + row + "\n")
+    code = main(
+        [
+            "eval",
+            "--config", str(workspace / "config.json"),
+            "--graph", str(graph_dir),
+            "--dataset", str(workspace / "bad.jsonl"),
+            "--out", str(workspace / "bad_run"),
+        ]
+    )
+    assert_reported(code, capsys.readouterr().err, message)
+
+
+def test_corpus_row_without_doc_id_is_reported(workspace, capsys):
+    corpus = workspace / "corpus.jsonl"
+    corpus.write_text('{"doc_id": "d0", "text": "Ulm is a city."}\n\n{"text": "no id here"}\n')
+    args = ["index", "--config", str(workspace / "config.json"), "--corpus", str(corpus), "--out", str(workspace / "g")]
+    code = main(args)
+    assert_reported(code, capsys.readouterr().err, "corpus.jsonl:3: a corpus row needs a doc_id and a text string")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -20,13 +21,12 @@ def test_defaults_match_documented_values():
     assert (walk.lambda_, walk.damping, walk.theta, walk.tau) == (0.5, 0.85, 0.4, 0.1)
     suggest = cfg.suggest_config()
     assert (suggest.k, suggest.subgraph_size) == (20, 500)
-    glob = cfg.global_config()
-    assert (glob.breadth_m, glob.node_budget) == (10, 8000)
-    assert (glob.min_community_size, glob.max_community_size) == (10, 150)
-    assert (glob.rocchio_alpha, glob.rocchio_beta, glob.rocchio_gamma) == (1.0, 0.7, 0.15)
-    assert glob.max_tokens_report == 8000
-    assert glob.passage_token_limit == 500
-    assert glob.max_tokens_community_chunks == 8000
+    assert (cfg.breadth_m, cfg.node_budget) == (10, 8000)
+    assert (cfg.min_community_size, cfg.max_community_size) == (10, 150)
+    assert (cfg.rocchio_alpha, cfg.rocchio_beta, cfg.rocchio_gamma) == (1.0, 0.7, 0.15)
+    assert cfg.max_tokens_report == 8000
+    assert cfg.passage_token_limit == 500
+    assert cfg.max_tokens_community_chunks == 8000
 
 
 def test_lambda_key_maps_through_to_walk_params(tmp_path):
@@ -35,8 +35,8 @@ def test_lambda_key_maps_through_to_walk_params(tmp_path):
     assert walk.lambda_ == 0.9
     assert walk.damping == 0.5
     assert cfg.suggest_config().k == 7
-    assert cfg.local_config().suggest.walk.lambda_ == 0.9
-    assert cfg.global_config().suggest.walk.damping == 0.5
+    assert cfg.suggest_config().walk.lambda_ == 0.9
+    assert cfg.suggest_config().walk.damping == 0.5
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -53,6 +53,39 @@ def test_out_of_range_values_rejected_at_load(tmp_path):
         load_config(write_config(tmp_path, {"eval_workers": 0}))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"min_community_size": 20, "max_community_size": 10}))
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"top_k": "20"}, "top_k must be an integer, got '20'"),
+        ({"top_k": 20.0}, "top_k must be an integer, got 20.0"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"lambda": None}, "lambda must be a finite number, got None"),
+        ({"damping": False}, "damping must be a finite number, got False"),
+        ({"temperature": float("nan")}, "temperature must be a finite number, got nan"),
+        ({"leiden_resolution": float("inf")}, "leiden_resolution must be a finite number, got inf"),
+        ({"rocchio_beta": [0.7]}, r"rocchio_beta must be a finite number, got \[0.7\]"),
+        ({"chat_backend": "mock"}, "chat_backend must be an object, got 'mock'"),
+        ({"embed_backend": None}, "embed_backend must be an object, got None"),
+        ({"chat_backend": {"kind": "openai"}}, "chat_backend of kind 'openai' needs base_url and model"),
+        ({"embed_backend": {"kind": "openai", "base_url": "http://srv/v1"}}, "embed_backend of kind 'openai' needs model"),
+        ({"embed_backend": {"kind": "quantum"}}, "unknown embed_backend kind 'quantum'"),
+        ({"max_subquestions": 0}, "max_subquestions must be >= 1"),
+        ({"leiden_resolution": 0}, "leiden_resolution must be positive"),
+    ],
+)
+def test_wrong_types_and_backend_specs_rejected_at_load(tmp_path, payload, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path, payload))
+
+
+def test_construction_and_replace_run_every_check():
+    with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+        RunConfig(max_iter=0)
+    with pytest.raises(ConfigError, match="subgraph_max_size 500 is below top_k 600"):
+        dataclasses.replace(RunConfig(), top_k=600)
+    assert dataclasses.replace(RunConfig(), max_iter=1).max_iter == 1
 
 
 def test_carving_smaller_than_top_k_rejected_at_load(tmp_path):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from propgraph import global_mode
+from propgraph.config import RunConfig
 from propgraph.encoding import HashedNgramEmbedder, normalize
 from propgraph.global_mode import (
     Community,
-    GlobalRunConfig,
     WalkRecord,
     answer_global,
     build_reports,
@@ -22,7 +22,7 @@ from propgraph.global_mode import (
 )
 from propgraph.graph import HeteroGraph, NodeKind, passage_id, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
-from propgraph.suggest import PropositionPool, SuggestConfig
+from propgraph.suggest import PropositionPool
 from propgraph.tokens import estimate_tokens
 from propgraph.trace import Trace
 
@@ -53,10 +53,11 @@ def small_cfg(**overrides):
         node_budget=50,
         min_community_size=2,
         max_community_size=50,
-        suggest=SuggestConfig(k=5, subgraph_size=200),
+        top_k=5,
+        subgraph_max_size=200,
     )
     defaults.update(overrides)
-    return GlobalRunConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 # ----------------------------------------------------------------------

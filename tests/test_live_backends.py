@@ -19,8 +19,10 @@ from propgraph.prompts import TemplateId, render
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "fake"
-    fail_first = 0  # 500s served before succeeding
+    fail_first = 0  # failures served before succeeding
     always_fail = False
+    fail_status = 500
+    reply: bytes | None = None  # served in place of a well-formed 200 body
     seen: list[dict] = []
 
     def log_message(self, *args):  # keep test output quiet
@@ -31,10 +33,12 @@ class _Handler(BaseHTTPRequestHandler):
         type(self).seen.append({"path": self.path, "body": body, "auth": self.headers.get("Authorization")})
         if type(self).always_fail or type(self).fail_first > 0:
             type(self).fail_first -= 1
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
-        if self.path.endswith("/embeddings"):
+        if type(self).reply is not None:
+            payload = None
+        elif self.path.endswith("/embeddings"):
             data = [
                 {"index": i, "embedding": [float(i + 1), 1.0, 0.0]}
                 for i in range(len(body["input"]))
@@ -42,7 +46,7 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"data": data}
         else:
             payload = {"choices": [{"message": {"content": f"echo: {body['messages'][0]['content'][:20]}"}}]}
-        raw = json.dumps(payload).encode()
+        raw = type(self).reply if payload is None else json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -54,6 +58,8 @@ class _Handler(BaseHTTPRequestHandler):
 def fake_server():
     _Handler.fail_first = 0
     _Handler.always_fail = False
+    _Handler.fail_status = 500
+    _Handler.reply = None
     _Handler.seen = []
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
@@ -113,3 +119,38 @@ def test_chat_backend_surfaces_outage(fake_server):
     backend = OpenAICompatChatBackend(base_url, model="m", max_retries=2, backoff=0.0)
     with pytest.raises(BackendUnavailable):
         backend.complete(render(TemplateId.FINAL_ANSWER, question="q", context="c"))
+
+
+def _call(kind, base_url, **kwargs):
+    """One request through the chat or the embeddings client."""
+    if kind == "chat":
+        backend = OpenAICompatChatBackend(base_url, model="m", backoff=0.0, **kwargs)
+        return backend.complete(render(TemplateId.FINAL_ANSWER, question="q", context="c"))
+    return OpenAICompatEmbedder(base_url, model="m", backoff=0.0, **kwargs).embed(["hello"])
+
+
+def test_chat_backend_retries_transient_errors(fake_server):
+    base_url, handler = fake_server
+    handler.fail_first = 2
+    assert _call("chat", base_url, max_retries=3).startswith("echo: ")
+    assert len(handler.seen) == 3  # two 500s then success
+
+
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+def test_client_error_is_not_retried(fake_server, kind):
+    base_url, handler = fake_server
+    handler.always_fail = True
+    handler.fail_status = 400
+    with pytest.raises(BackendUnavailable, match="returned 400"):
+        _call(kind, base_url, max_retries=3)
+    assert len(handler.seen) == 1
+
+
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+@pytest.mark.parametrize("reply", [b"null", b"[1, 2]", b"{}"])
+def test_malformed_body_is_retried_then_unavailable(fake_server, kind, reply):
+    base_url, handler = fake_server
+    handler.reply = reply
+    with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+        _call(kind, base_url, max_retries=3)
+    assert len(handler.seen) == 3

@@ -1,6 +1,6 @@
+from propgraph.config import RunConfig
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
-from propgraph.local_mode import LocalRunConfig, answer_local, answer_naive
-from propgraph.suggest import SuggestConfig
+from propgraph.local_mode import answer_local, answer_naive
 
 from conftest import (
     TWO_HOP_GOLD,
@@ -29,7 +29,7 @@ class CountingGateway(LLMGateway):
 
 
 def local_cfg(max_iter=1, k=5):
-    return LocalRunConfig(max_iter=max_iter, suggest=SuggestConfig(k=k, subgraph_size=500))
+    return RunConfig(max_iter=max_iter, top_k=k, subgraph_max_size=500)
 
 
 def test_early_exit_when_seeding_suffices(two_hop_graph, embedder):
@@ -141,14 +141,14 @@ def test_answer_naive_bypasses_selection(two_hop_graph, embedder):
     ]
     backend = MockChatBackend(rules)
     gateway = CountingGateway(backend)
-    result = answer_naive("Where was Albert Einstein born?", two_hop_graph, gateway, embedder, SuggestConfig(k=5))
+    result = answer_naive("Where was Albert Einstein born?", two_hop_graph, gateway, embedder, RunConfig(top_k=5))
     assert result.answer == "Ulm"
     assert gateway.eval_calls == 0  # no selection, no sufficiency checks
     assert len(result.trace.of_kind("seed")[0]["suggested"]) == 5
 
 
 def test_naive_misses_bridge_while_local_catches_it(two_hop_graph, two_hop_gateway, embedder):
-    naive = answer_naive(TWO_HOP_QUESTION, two_hop_graph, two_hop_gateway, embedder, SuggestConfig(k=5))
+    naive = answer_naive(TWO_HOP_QUESTION, two_hop_graph, two_hop_gateway, embedder, RunConfig(top_k=5))
     assert TWO_HOP_HOP2 not in naive.collected
     local = answer_local(TWO_HOP_QUESTION, two_hop_graph, two_hop_gateway, embedder, local_cfg(max_iter=1))
     assert TWO_HOP_HOP2 in local.collected
