@@ -114,6 +114,9 @@ class RunConfig:
             missing = [key for key in ("base_url", "model") if kind == "openai" and key not in spec]
             if missing:
                 raise ConfigError(f"{name} of kind 'openai' needs {' and '.join(missing)}")
+        dimension = self.embed_backend.get("dimension", DEFAULT_MOCK_DIM)
+        if not _has_type("int", dimension) or dimension < 2:
+            raise ConfigError(f"embed_backend dimension must be an integer >= 2, got {dimension!r}")
 
     def walk_params(self) -> WalkParams:
         return WalkParams(

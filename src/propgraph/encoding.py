@@ -68,7 +68,7 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
         raise DimensionMismatchError(
             f"dimension mismatch: query {query.shape[0]} vs candidates {candidates.shape[1]}"
         )
-    scores = candidates.astype(np.float64) @ query
+    scores = np.asarray(candidates, dtype=np.float64) @ query
     n = scores.shape[0]
     order = np.lexsort((np.arange(n), -scores))
     return [(int(i), float(scores[i])) for i in order[:k]]

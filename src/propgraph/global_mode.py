@@ -27,6 +27,7 @@ from .llm import LLMGateway
 from .suggest import PropositionPool, select, suggest_global, suggest_naive
 from .tokens import estimate_tokens, truncate_to_tokens
 from .trace import Trace
+from .traversal import extract_subgraphs
 
 T = TypeVar("T")
 
@@ -104,7 +105,7 @@ def compute_queries(
     embeddings = graph.proposition_embeddings
     dim = embeddings.shape[1]
     for prop in pool:
-        q_positive = embeddings[prop].astype(np.float64)
+        q_positive = embeddings[prop]
         origin_parts: list[np.ndarray] = []
         negative_parts: list[np.ndarray] = []
         for rec in records.get(prop, []):
@@ -115,7 +116,7 @@ def compute_queries(
                 best = int(np.argmax(visits))  # ties resolve to the lowest walker index
                 origin_parts.append(np.asarray(rec.queries[best], dtype=np.float64))
             if rec.pruned:
-                negative_parts.append(embeddings[rec.pruned].astype(np.float64).mean(axis=0))
+                negative_parts.append(embeddings[rec.pruned].mean(axis=0))
             else:
                 negative_parts.append(np.zeros(dim))
         if origin_parts:
@@ -153,6 +154,8 @@ def collect_anchors(
     queries, partition the pool, walk each partition, select - until
     ``min_facts`` anchors are collected, the iteration budget is spent,
     or a round keeps nothing (an empty pool cannot seed further walks).
+    A round's partitions are fixed before it starts, so their subgraphs
+    are carved together in one block walk.
     """
     trace = trace if trace is not None else Trace()
     suggest_cfg = cfg.suggest_config()
@@ -182,11 +185,12 @@ def collect_anchors(
         history.query_states.append(states)
         s_pool_new = PropositionPool()
         new_records: dict[int, list[WalkRecord]] = {}
-        for part_index, part in enumerate(partition_pool(s_pool, cfg.breadth_m)):
-            if not part:
-                continue
+        # a round-robin split leaves any empty parts at the end
+        parts = [part for part in partition_pool(s_pool, cfg.breadth_m) if part]
+        carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, suggest_cfg.walk)
+        for part_index, (part, sub) in enumerate(zip(parts, carved)):
             walk_queries = [(prop, states[prop].q) for prop in part]
-            suggested, walker_pis = suggest_global(walk_queries, graph, suggest_cfg, exclude=s_glb.ids())
+            suggested, walker_pis = suggest_global(walk_queries, sub, suggest_cfg, exclude=s_glb.ids())
             kept = select(q_start, suggested, graph, gateway) if suggested else []
             kept_set = set(kept)
             rec = WalkRecord(

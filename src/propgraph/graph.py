@@ -108,7 +108,8 @@ class HeteroGraph:
     edge. Finalizing builds the frozen structure from them in one global
     integer space, passages then propositions then entities, which is also
     the ``NodeId`` order: the uniform walk matrix, whose pattern is the
-    adjacency, each node's degree and each proposition's passage.
+    adjacency, its transpose, each node's degree and each proposition's
+    passage. Work that depends only on the frozen graph is done there once.
     """
 
     def __init__(self) -> None:
@@ -122,6 +123,7 @@ class HeteroGraph:
         self._entity_embeddings: np.ndarray | None = None
         self._node_order: list[NodeId] | None = None
         self._uniform_csr: sp.csr_matrix | None = None
+        self._transposed_csr: sp.csr_matrix | None = None
         self._degrees: np.ndarray | None = None
         self._prop_passage: np.ndarray | None = None
 
@@ -314,15 +316,21 @@ class HeteroGraph:
 
     def _build_caches(self) -> None:
         dim = self._embedding_dim or 0
-        self._prop_embeddings = _frozen_stack([p.embedding for p in self.propositions], dim)
-        self._entity_embeddings = _frozen_stack([e.embedding for e in self.entities], dim)
+        # every similarity is computed in float64; the stored vectors stay float32
+        self._prop_embeddings = _frozen_stack([p.embedding for p in self.propositions], dim, np.float64)
+        self._entity_embeddings = _frozen_stack([e.embedding for e in self.entities], dim, np.float32)
         walk, self._node_order = self._structure()
         self._degrees = np.diff(walk.indptr).astype(np.float64)
         # each proposition's first neighbor is its passage, as passages come first
         self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
-        for array in (walk.data, walk.indices, walk.indptr, self._degrees, self._prop_passage):
-            array.flags.writeable = False
-        self._uniform_csr = walk
+        # The adjacency is symmetric, so the transpose has the walk's pattern,
+        # and entry (i, j) is 1/deg(j): the same floats a transpose would give.
+        transposed = sp.csr_matrix((1.0 / self._degrees[walk.indices], walk.indices, walk.indptr), shape=walk.shape)
+        for matrix in (walk, transposed):
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
+        self._degrees.flags.writeable = self._prop_passage.flags.writeable = False
+        self._uniform_csr, self._transposed_csr = walk, transposed
 
     def _require_finalized(self) -> None:
         if not self._finalized:
@@ -330,6 +338,7 @@ class HeteroGraph:
 
     @property
     def proposition_embeddings(self) -> np.ndarray:
+        """One row per proposition: the exact float64 values of its float32 vector."""
         self._require_finalized()
         return self._prop_embeddings
 
@@ -352,6 +361,12 @@ class HeteroGraph:
         """
         self._require_finalized()
         return self._uniform_csr
+
+    @property
+    def transposed_transition(self) -> sp.csr_matrix:
+        """:attr:`uniform_transition` transposed, the operator a walk's distribution steps by."""
+        self._require_finalized()
+        return self._transposed_csr
 
     @property
     def global_degrees(self) -> np.ndarray:
@@ -399,8 +414,8 @@ def _edge_pairs(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return rows[upper], walk.indices[upper]
 
 
-def _frozen_stack(vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    matrix = np.stack(vectors).astype(np.float32) if vectors else np.zeros((0, dim), dtype=np.float32)
+def _frozen_stack(vectors: list[np.ndarray], dim: int, dtype) -> np.ndarray:
+    matrix = np.array(vectors, dtype=dtype) if vectors else np.zeros((0, dim), dtype=dtype)
     matrix.flags.writeable = False
     return matrix
 

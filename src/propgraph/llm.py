@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .errors import ExtractionFailed, PromptParseError
+from .errors import ConfigError, ExtractionFailed, PromptParseError
 from .http_json import post_json
 from .prompts import PromptInstance, TemplateId, numbered, render
 from .tokens import TokenEstimator, estimate_tokens
@@ -111,7 +111,12 @@ class MockChatBackend(ChatBackend):
     @classmethod
     def from_file(cls, path: str | Path) -> "MockChatBackend":
         """Load scripting rules from a JSON list of rule objects."""
-        entries = json.loads(Path(path).read_text())
+        try:
+            entries = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ConfigError(f"cannot read mock script {path}: {err}") from err
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ConfigError(f"mock script {path} must be a JSON list of rule objects")
         rules = [
             MockRule(
                 response=e.get("response"),

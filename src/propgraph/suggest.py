@@ -4,8 +4,8 @@ Three suggestion flavors share one contract: return at most ``k`` fresh
 proposition ids, ranked, never re-proposing seeds or caller-excluded ids.
 ``suggest_naive`` is pure similarity search; ``suggest_local`` walks a
 seed-anchored subgraph with one blended operator; ``suggest_global`` runs
-one walk per pool member inside a shared subgraph and aggregates the
-stationary distributions.
+one walk per pool member inside a subgraph carved around them all and
+aggregates the stationary distributions.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .encoding import top_k_similar
 from .graph import HeteroGraph
 from .llm import LLMGateway
 from .traversal import (
+    Subgraph,
     WalkParams,
     build_structural_transition,
     extract_subgraph,
@@ -144,22 +145,22 @@ def suggest_local(
 
 def suggest_global(
     queries: Sequence[tuple[int, np.ndarray]],
-    graph: HeteroGraph,
+    sub: Subgraph,
     cfg: SuggestConfig,
     exclude: Iterable[int] = (),
 ) -> tuple[list[int], list[dict[int, float]]]:
-    """One walk per pool member over a shared subgraph, aggregated.
+    """One walk per pool member over the members' carved subgraph, aggregated.
 
     ``queries`` pairs each partition member with its per-member query
-    vector. Each member restarts its own walk at itself under its own
-    blended operator; the summed stationary distributions rank candidates.
-    Returns the top-k fresh ids plus each walker's visit probabilities
-    keyed by proposition id (needed for downstream query refinement).
+    vector, and ``sub`` is the subgraph carved around all members. Each
+    member restarts its own walk at itself under its own blended operator;
+    the summed stationary distributions rank candidates. Returns the top-k
+    fresh ids plus each walker's visit probabilities keyed by proposition
+    id (needed for downstream query refinement).
     """
     if not queries:
         raise ValueError("partition must be non-empty")
     members = [prop for prop, _ in queries]
-    sub = extract_subgraph(graph, sorted(set(members)), cfg.subgraph_size, cfg.walk)
     row_props = sub.proposition_indices
     row_of = {p: r for r, p in enumerate(row_props)}
     structural = build_structural_transition(sub)

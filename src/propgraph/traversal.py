@@ -4,7 +4,7 @@ Builds the proposition-to-proposition transition operators (a structural
 one from graph connectivity, a query-aware one from embedding similarity,
 and their convex blend), runs personalized PageRank over them, and carves
 bounded subgraphs around seed sets with a degree-corrected random walk
-with restart.
+with restart, one walk for several seed sets at once.
 
 Conventions used throughout:
 
@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .encoding import NORM_TOL
 from .errors import UnknownNodeError
 from .graph import HeteroGraph
 
@@ -53,6 +54,10 @@ class WalkParams:
             raise ValueError(f"damping must be in (0, 1), got {self.damping}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        # the largest cosine of two unit vectors, normalized within NORM_TOL
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.exp(np.array([(1.0 + NORM_TOL) / self.tau]))).all():
+                raise ValueError(f"tau {self.tau} is too small: exp(similarity / tau) overflows")
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [-1, 1], got {self.theta}")
         if self.ppr_epsilon <= 0.0:
@@ -93,8 +98,8 @@ class Subgraph:
     ``nodes`` holds the retained nodes' global indices in ascending order.
     The subgraph exposes the same view interface as the parent graph:
     ``uniform_transition`` is the uniform walk over the induced adjacency,
-    with rows and columns in ``nodes`` order, and ``proposition_rows`` its
-    proposition block.
+    with rows and columns in ``nodes`` order, ``proposition_rows`` its
+    proposition block and ``proposition_embeddings`` their vectors.
     """
 
     def __init__(self, parent: HeteroGraph, nodes: Sequence[int] | np.ndarray):
@@ -108,14 +113,11 @@ class Subgraph:
         lo, hi = np.searchsorted(self.nodes, [first.start, first.stop])
         self.proposition_rows = slice(int(lo), int(hi))
         self.proposition_indices: list[int] = (self.nodes[lo:hi] - first.start).tolist()
+        self.proposition_embeddings = parent.proposition_embeddings[self.proposition_indices]
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    @property
-    def proposition_embeddings(self) -> np.ndarray:
-        return self.parent.proposition_embeddings[self.proposition_indices]
 
 
 def build_structural_transition(view: HeteroGraph | Subgraph) -> TransitionMatrix:
@@ -242,57 +244,120 @@ def ppr(
     return StationaryDistribution(pi)
 
 
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """Each column's sum, added pairwise as for a 1-d array (``sum(axis=0)`` adds row by row)."""
+    return np.array([block[:, column].sum() for column in range(block.shape[1])])
+
+
+def _carving_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams) -> np.ndarray:
+    """The uniform walk's PPR restarting at each of ``seed_rows``, one column each.
+
+    All walks run as one block: a step is one sparse product over the
+    columns still running. Each column does what :func:`ppr` does for it
+    alone, with the same floats, and stops at its own step, so it is bit
+    for bit ``ppr``'s result.
+    """
+    transposed = graph.transposed_transition
+    dangling = np.flatnonzero(graph.global_degrees == 0)
+    d = params.damping
+    # Away from every seed the restart terms are exact zeros, and a step
+    # is d * (M^T pi) alone; the full update runs on the seed rows only.
+    seeds = np.unique(np.concatenate(seed_rows))
+    restart = np.zeros((len(seeds), len(seed_rows)))
+    for column, rows in enumerate(seed_rows):
+        restart[np.searchsorted(seeds, rows), column] = 1.0 / len(rows)
+    teleport = (1.0 - d) * restart
+    pi = np.zeros((graph.node_count, len(seed_rows)))
+    pi[seeds] = restart
+    done = np.empty_like(pi)
+    running = np.arange(len(seed_rows))
+    for _ in range(params.ppr_max_iters):
+        nxt = transposed @ pi
+        at_seeds = d * (nxt[seeds] + _column_sums(pi[dangling]) * restart) + teleport
+        nxt *= d
+        nxt[seeds] = at_seeds
+        converged = _column_sums(np.abs(nxt - pi)) < params.ppr_epsilon
+        pi = nxt
+        if converged.any():
+            done[:, running[converged]] = pi[:, converged]
+            running, pi = running[~converged], pi[:, ~converged]
+            restart, teleport = restart[:, ~converged], teleport[:, ~converged]
+            if not len(running):
+                break
+    done[:, running] = pi
+    return done
+
+
+def extract_subgraphs(
+    graph: HeteroGraph,
+    seed_sets: Sequence[Sequence[int]],
+    size_limit: int,
+    params: WalkParams,
+) -> list[Subgraph]:
+    """Carve a bounded neighborhood around each set of seed propositions.
+
+    For each set, runs a random walk with restart over the full graph
+    (uniform neighbor transitions, restart to the seeds with probability
+    1 - damping), then ranks non-seed nodes by visit probability divided
+    by degree. Dividing by degree keeps high-degree hubs from crowding out
+    genuinely close nodes. Nodes are admitted in rank order until
+    ``size_limit`` is reached; every admitted proposition drags its
+    passage along, and seeds with their passages are always present no
+    matter how small the limit. The walks of all sets run as one block.
+    """
+    seed_rows: list[np.ndarray] = []
+    for seed_props in seed_sets:
+        seeds = sorted(set(seed_props))
+        if not seeds:
+            raise ValueError("seed set must be non-empty")
+        if size_limit < len(seeds):
+            raise ValueError(f"size limit {size_limit} below seed count {len(seeds)}")
+        if seeds[0] < 0 or seeds[-1] >= len(graph.propositions):
+            raise UnknownNodeError(f"unknown proposition among seeds {seeds}")
+        seed_rows.append(np.add(seeds, graph.proposition_rows.start))
+    if not seed_rows:
+        return []
+    visits = _carving_walks(graph, seed_rows, params)
+
+    # admitting a node admits what it brings: a proposition its passage,
+    # any other node only itself
+    brings = np.arange(graph.node_count)
+    brings[graph.proposition_rows] = graph.proposition_passages
+    degrees = graph.global_degrees
+    carved: list[Subgraph] = []
+    for column, rows in enumerate(seed_rows):
+        included = np.zeros(graph.node_count, dtype=bool)
+        included[rows] = included[brings[rows]] = True
+        count = int(included.sum())
+        probabilities = visits[:, column]
+        scores = np.divide(probabilities, degrees, out=np.zeros_like(probabilities), where=degrees > 0)
+        # The loop reads an entry only while fewer than size_limit nodes are
+        # in, and every entry ranked above it is in: it reads at most the
+        # first size_limit entries, which rank among the nodes scoring at
+        # least the size_limit-th highest score.
+        kth = graph.node_count - min(size_limit, graph.node_count)
+        head = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+        ranking = head[np.lexsort((head, -scores[head]))]
+        for gi in ranking.tolist():
+            if count >= size_limit:
+                break
+            if included[gi]:
+                continue
+            extra = brings[gi]
+            count += 1 + (extra != gi and not included[extra])
+            included[gi] = included[extra] = True
+        carved.append(Subgraph(graph, np.flatnonzero(included)))
+    return carved
+
+
 def extract_subgraph(
     graph: HeteroGraph,
     seed_props: Sequence[int],
     size_limit: int,
     params: WalkParams,
 ) -> Subgraph:
-    """Carve a bounded neighborhood around seed propositions.
-
-    Runs a random walk with restart over the full graph (uniform neighbor
-    transitions, restart to the seeds with probability 1 - damping), then
-    ranks non-seed nodes by visit probability divided by degree. Dividing
-    by degree keeps high-degree hubs from crowding out genuinely close
-    nodes. Nodes are admitted in rank order until ``size_limit`` is
-    reached; every admitted proposition drags its passage along, and seeds
-    with their passages are always present no matter how small the limit.
-    """
-    seeds = sorted(set(seed_props))
-    if not seeds:
-        raise ValueError("seed set must be non-empty")
-    if size_limit < len(seeds):
-        raise ValueError(f"size limit {size_limit} below seed count {len(seeds)}")
-    if seeds[0] < 0 or seeds[-1] >= len(graph.propositions):
-        raise UnknownNodeError(f"unknown proposition among seeds {seeds}")
-    seed_rows = np.add(seeds, graph.proposition_rows.start)
-    dist = ppr(graph.uniform_transition, seed_rows.tolist(), params)
-
-    # admitting a node admits what it brings: a proposition its passage,
-    # any other node only itself
-    brings = np.arange(graph.node_count)
-    brings[graph.proposition_rows] = graph.proposition_passages
-    included = np.zeros(graph.node_count, dtype=bool)
-    included[seed_rows] = included[brings[seed_rows]] = True
-    count = int(included.sum())
-
-    degrees = graph.global_degrees
-    scores = np.divide(
-        dist.probabilities,
-        degrees,
-        out=np.zeros_like(dist.probabilities),
-        where=degrees > 0,
-    )
-    ranking = np.lexsort((np.arange(graph.node_count), -scores))
-    for gi in ranking.tolist():
-        if count >= size_limit:
-            break
-        if included[gi]:
-            continue
-        extra = brings[gi]
-        count += 1 + (extra != gi and not included[extra])
-        included[gi] = included[extra] = True
-    return Subgraph(graph, np.flatnonzero(included))
+    """The carving of :func:`extract_subgraphs` for one seed set."""
+    return extract_subgraphs(graph, [seed_props], size_limit, params)[0]
 
 
 def query_aware_transition(
@@ -308,6 +373,6 @@ def query_aware_transition(
     """
     if structural is None:
         structural = build_structural_transition(view)
-    sims = view.proposition_embeddings.astype(np.float64) @ np.asarray(query_vec, dtype=np.float64)
+    sims = view.proposition_embeddings @ np.asarray(query_vec, dtype=np.float64)
     semantic = build_semantic_transition(structural, sims, params)
     return blend(structural, semantic, params.lambda_)

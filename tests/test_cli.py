@@ -304,6 +304,26 @@ def test_malformed_dataset_row_is_reported(workspace, capsys, row, message):
     assert_reported(code, capsys.readouterr().err, message)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"embed_backend": {"kind": "mock", "dimension": 1}}, "embed_backend dimension must be an integer >= 2, got 1"),
+        ({"chat_backend": {"kind": "mock", "script": "broken.json"}}, "cannot read mock script "),
+        ({"chat_backend": {"kind": "mock", "script": "absent.json"}}, "cannot read mock script "),
+    ],
+)
+def test_unusable_backend_spec_is_reported(workspace, capsys, change, message):
+    (workspace / "broken.json").write_text('[{"template": "Eval", ')
+    config = json.loads((workspace / "config.json").read_text())
+    (workspace / "config.json").write_text(json.dumps({**config, **change}))
+    args = ["index", "--config", str(workspace / "config.json"), "--corpus", str(workspace / "corpus"), "--out", str(workspace / "g")]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert_reported(code, err, message)
+    script = change.get("chat_backend", {}).get("script")
+    assert script is None or str(workspace / script) in err
+
+
 def test_corpus_row_without_doc_id_is_reported(workspace, capsys):
     corpus = workspace / "corpus.jsonl"
     corpus.write_text('{"doc_id": "d0", "text": "Ulm is a city."}\n\n{"text": "no id here"}\n')

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from propgraph.config import RunConfig, build_chat_backend, build_embed_backend, load_config
-from propgraph.encoding import HashedNgramEmbedder, OpenAICompatEmbedder
+from propgraph.encoding import NORM_TOL, HashedNgramEmbedder, OpenAICompatEmbedder
 from propgraph.errors import ConfigError
 from propgraph.llm import MockChatBackend, OpenAICompatChatBackend
+from propgraph.traversal import build_structural_transition, query_aware_transition
+
+from conftest import build_random_graph
 
 
 def write_config(tmp_path, payload):
@@ -73,6 +77,15 @@ def test_out_of_range_values_rejected_at_load(tmp_path):
         ({"embed_backend": {"kind": "quantum"}}, "unknown embed_backend kind 'quantum'"),
         ({"max_subquestions": 0}, "max_subquestions must be >= 1"),
         ({"leiden_resolution": 0}, "leiden_resolution must be positive"),
+        ({"temperature": 1e-3}, "tau 0.001 is too small: exp"),
+        ({"embed_backend": {"kind": "mock", "dimension": 1}}, "embed_backend dimension must be an integer >= 2, got 1"),
+        ({"embed_backend": {"kind": "mock", "dimension": "256"}}, "dimension must be an integer >= 2, got '256'"),
+        ({"embed_backend": {"kind": "mock", "dimension": None}}, "dimension must be an integer >= 2, got None"),
+        ({"embed_backend": {"kind": "mock", "dimension": True}}, "dimension must be an integer >= 2, got True"),
+        (
+            {"embed_backend": {"kind": "openai", "base_url": "http://srv/v1", "model": "m", "dimension": 0}},
+            "dimension must be an integer >= 2, got 0",
+        ),
     ],
 )
 def test_wrong_types_and_backend_specs_rejected_at_load(tmp_path, payload, message):
@@ -123,6 +136,38 @@ def test_backend_builders(tmp_path):
     cfg.embed_backend = {"kind": "quantum"}
     with pytest.raises(ConfigError):
         build_embed_backend(cfg)
+
+
+def test_smallest_temperatures_keep_the_semantic_weights_finite():
+    # exp(c / tau) of the largest cosine must stay finite: accepted just
+    # above the bound, rejected just below it
+    bound = (1.0 + NORM_TOL) / np.log(np.finfo(np.float64).max)
+    cfg = RunConfig(temperature=bound * (1 + 1e-9))
+    with pytest.raises(ConfigError, match="too small"):
+        RunConfig(temperature=bound * (1 - 1e-9))
+    graph = build_random_graph(np.random.default_rng(8), 30)
+    structural = build_structural_transition(graph)
+    for prop in range(len(graph.propositions)):  # a query equal to each proposition in turn
+        query = graph.proposition_embeddings[prop]
+        t = query_aware_transition(graph, query, cfg.walk_params(), structural=structural)
+        assert np.isfinite(t.matrix.data).all()
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("{not json", "cannot read mock script .*rules.json"),
+        ('{"template": "Eval"}', "mock script .*rules.json must be a JSON list of rule objects"),
+        ('["Eval"]', "mock script .*rules.json must be a JSON list of rule objects"),
+        (None, "cannot read mock script .*rules.json"),
+    ],
+)
+def test_unusable_mock_script_is_a_config_error(tmp_path, script, message):
+    if script is not None:
+        (tmp_path / "rules.json").write_text(script)
+    cfg = RunConfig(chat_backend={"kind": "mock", "script": "rules.json"})
+    with pytest.raises(ConfigError, match=message):
+        build_chat_backend(cfg, tmp_path)
 
 
 def test_mock_script_resolved_relative_to_config(tmp_path):

@@ -3,7 +3,8 @@
 Config dicts are drawn over every ``RunConfig`` key with in-range,
 boundary, out-of-range and wrong-type values. Configs that load must
 answer in every mode on a small random graph with mock backends, where
-any failure must be a ``PropGraphError``.
+any failure must be a ``PropGraphError``, and their walk operators must
+hold finite numbers only.
 """
 
 import json
@@ -16,13 +17,16 @@ from hypothesis import strategies as st
 
 from propgraph import evaluation
 from propgraph.config import RunConfig, load_config
-from propgraph.encoding import HashedNgramEmbedder
+from propgraph.encoding import NORM_TOL, HashedNgramEmbedder
 from propgraph.errors import ConfigError, PropGraphError
 from propgraph.llm import LLMGateway, MockChatBackend
+from propgraph.traversal import build_structural_transition, query_aware_transition
 
 from conftest import build_random_graph
 
 DIM = 8
+# below this temperature exp(cosine / temperature) overflows
+SMALLEST_TEMPERATURE = (1.0 + NORM_TOL) / np.log(np.finfo(np.float64).max)
 
 # In-range values for every key, boundaries included, and small enough
 # that answering on a 24-proposition graph stays fast. Each key is drawn on
@@ -33,7 +37,7 @@ IN_RANGE = {
     "lambda": st.floats(0.0, 1.0),
     "damping": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "cosine_threshold": st.floats(-1.0, 1.0),
-    "temperature": st.floats(1e-6, 10.0),
+    "temperature": st.floats(SMALLEST_TEMPERATURE * (1 + 1e-9), 10.0),
     "ppr_epsilon": st.floats(1e-12, 1.0),
     "ppr_max_iters": st.integers(1, 50),
     "top_k": st.integers(1, 12),
@@ -76,6 +80,8 @@ BAD_SPEC = st.sampled_from(
 
 def any_value(key):
     extra = BAD_SPEC if key.endswith("_backend") else OUT_OF_RANGE
+    if key == "temperature":
+        extra |= st.floats(1e-6, SMALLEST_TEMPERATURE * (1 - 1e-9))
     return IN_RANGE[key] | WRONG_TYPE | extra
 
 
@@ -121,6 +127,11 @@ def test_accepted_configs_run_in_every_mode(cfg_path, graph, raw):
         cfg = load(cfg_path, raw)
     except ConfigError:
         reject()
+    # a query equal to a proposition's vector puts the largest cosines in play
+    structural = build_structural_transition(graph)
+    for query in graph.proposition_embeddings:
+        walk = query_aware_transition(graph, query, cfg.walk_params(), structural=structural)
+        assert np.isfinite(walk.matrix.data).all()
     gateway = LLMGateway(MockChatBackend(), max_subquestions=cfg.max_subquestions)
     embedder = HashedNgramEmbedder(dim=DIM)
     for mode in evaluation.MODES:

@@ -241,11 +241,14 @@ def test_load_out_of_range_record_ids_are_corrupt(tmp_path, field, value):
 
 def test_finalized_arrays_are_read_only():
     graph = build_random_graph(np.random.default_rng(29), 8)
-    walk = graph.uniform_transition
+    walk, transposed = graph.uniform_transition, graph.transposed_transition
     arrays = [
         walk.data,
         walk.indices,
         walk.indptr,
+        transposed.data,
+        transposed.indices,
+        transposed.indptr,
         graph.global_degrees,
         graph.proposition_passages,
         graph.proposition_embeddings,

@@ -14,10 +14,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-from propgraph.cli import main
-from propgraph.llm import MockRule
+import numpy as np
+import pytest
 
-from conftest import TWO_HOP_PASSAGES, TWO_HOP_QUESTION, two_hop_rules
+from propgraph import RunConfig
+from propgraph.cli import main
+from propgraph.encoding import HashedNgramEmbedder
+from propgraph.global_mode import answer_global
+from propgraph.llm import LLMGateway, MockChatBackend, MockRule
+from propgraph.local_mode import answer_local
+
+from conftest import TWO_HOP_PASSAGES, TWO_HOP_QUESTION, build_random_graph, two_hop_rules
 from test_cli import EVAL_RULES, rules_as_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -33,6 +40,17 @@ PINNED_GRAPH = {
 }
 PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
 PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e8a71642"
+
+# The c10 graph is smaller than any carving, so those traces cannot see
+# which nodes a carving admits. This seeded graph is seven times the
+# carving size, and the default mock selection keeps every candidate, so
+# each carving's node set reaches the trace.
+CARVED_GRAPH_SEED = 11
+CARVED_QUESTION = "Which proposition number links entity number 7 to passage number 3?"
+PINNED_CARVED_TRACES = {
+    "local": "0e96e2a2ab95121a5225c1743fbe885ef546833f7fa45861c9391254548f5236",
+    "global": "d3840c89f753f857995c46786623ba43522cc83c77036ff3d36fe572775f0812",
+}
 
 
 def _sha256(path: Path) -> str:
@@ -68,6 +86,19 @@ def test_c10_fixture_outputs_match_pinned_digests(tmp_path):
     assert {p.name: _sha256(p) for p in sorted(graph_dir.iterdir())} == PINNED_GRAPH
     assert _sha256(trace) == PINNED_LOCAL_TRACE
     assert _sha256(global_trace) == PINNED_GLOBAL_TRACE
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_carving_trace_matches_pinned_digest(tmp_path, mode):
+    graph = build_random_graph(np.random.default_rng(CARVED_GRAPH_SEED), 240, dim=16)
+    cfg = RunConfig(
+        top_k=6, subgraph_max_size=40, breadth_m=3, min_facts=60, embed_backend={"kind": "mock", "dimension": 16}
+    )
+    assert graph.node_count >= 7 * cfg.subgraph_max_size
+    answer = {"local": answer_local, "global": answer_global}[mode]
+    result = answer(CARVED_QUESTION, graph, LLMGateway(MockChatBackend()), HashedNgramEmbedder(dim=16), cfg)
+    result.trace.write_jsonl(tmp_path / "trace.jsonl")
+    assert _sha256(tmp_path / "trace.jsonl") == PINNED_CARVED_TRACES[mode]
 
 
 def test_bench_span_boundaries_resolve(monkeypatch):

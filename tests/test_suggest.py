@@ -13,7 +13,7 @@ from propgraph.suggest import (
     suggest_local,
     suggest_naive,
 )
-from propgraph.traversal import WalkParams
+from propgraph.traversal import WalkParams, extract_subgraph
 
 from conftest import build_random_graph, random_unit
 from test_traversal import dense_ppr_oracle, dense_semantic_oracle, graph_from_links
@@ -172,12 +172,17 @@ def test_local_prefix_property():
 # ----------------------------------------------------------------------
 
 
+def carved(graph, queries, cfg):
+    """The subgraph a global round carves around a partition's members."""
+    return extract_subgraph(graph, [prop for prop, _ in queries], cfg.subgraph_size, cfg.walk)
+
+
 def test_global_singleton_partition_equals_local():
     graph = two_chain_graph()
     cfg = SuggestConfig(k=4, subgraph_size=100)
     query = basis(0)
     local = suggest_local(query, graph, [0], cfg)
-    global_ids, walker_pis = suggest_global([(0, query)], graph, cfg)
+    global_ids, walker_pis = suggest_global([(0, query)], carved(graph, [(0, query)], cfg), cfg)
     assert global_ids == local
     assert len(walker_pis) == 1 and walker_pis[0]
 
@@ -191,7 +196,8 @@ def test_global_symmetric_members_tie_break_by_index():
     graph = graph_from_links(links, embeddings=[shared, shared, tail, tail])
     query = basis(0)
     cfg = SuggestConfig(k=2, subgraph_size=100)
-    got, _ = suggest_global([(0, query), (1, query)], graph, cfg)
+    members = [(0, query), (1, query)]
+    got, _ = suggest_global(members, carved(graph, members, cfg), cfg)
     assert got == [2, 3]
 
 
@@ -204,7 +210,7 @@ def test_global_fallback_rows_reduce_to_structural_walk():
     cfg = SuggestConfig(k=6, subgraph_size=100, walk=params)
     query = basis(7) * -1.0  # orthogonal-ish to all planted embeddings
     members = [(0, query)]
-    got, _ = suggest_global(members, graph, cfg, exclude=())
+    got, _ = suggest_global(members, carved(graph, members, cfg), cfg, exclude=())
     expected = dense_local_oracle(graph, query, [0], params, 6)
     assert got == expected
     structural_only = dense_local_oracle(graph, query, [0], WalkParams(lambda_=1.0, theta=0.95), 6)
@@ -214,14 +220,15 @@ def test_global_fallback_rows_reduce_to_structural_walk():
 def test_global_excludes_members_and_caller_set():
     graph = two_chain_graph()
     cfg = SuggestConfig(k=7, subgraph_size=100)
-    got, _ = suggest_global([(0, basis(0))], graph, cfg, exclude=[1, 4])
+    members = [(0, basis(0))]
+    got, _ = suggest_global(members, carved(graph, members, cfg), cfg, exclude=[1, 4])
     assert 0 not in got and 1 not in got and 4 not in got
 
 
 def test_global_requires_nonempty_partition():
     graph = two_chain_graph()
     with pytest.raises(ValueError):
-        suggest_global([], graph, SuggestConfig())
+        suggest_global([], extract_subgraph(graph, [0], 100, WalkParams()), SuggestConfig())
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dataclasses import replace
+
+from propgraph.encoding import top_k_similar
+from propgraph.errors import UnknownNodeError
 from propgraph.graph import HeteroGraph, NodeKind, proposition_id
 from propgraph.traversal import (
     Subgraph,
     TransitionMatrix,
     WalkParams,
+    _carving_walks,
+    _column_sums,
     blend,
     build_semantic_transition,
     build_structural_transition,
     extract_subgraph,
+    extract_subgraphs,
     ppr,
 )
 
@@ -489,3 +496,198 @@ def test_extract_validates_inputs():
         extract_subgraph(graph, [], 5, WalkParams())
     with pytest.raises(ValueError):
         extract_subgraph(graph, [0], 0, WalkParams())
+
+
+# ----------------------------------------------------------------------
+# carving walks as one block
+# ----------------------------------------------------------------------
+
+
+def graph_with_lonely_passages(rng, n_props, dim=8):
+    """A random graph whose last two passages hold no proposition: dangling walk rows."""
+    graph = HeteroGraph()
+    passages = [graph.add_passage(f"passage {i}", "d", (0, 5)) for i in range(n_props // 3 + 3)]
+    entities = [graph.add_entity(f"entity {i}", random_unit(rng, dim)) for i in range(n_props // 2 + 1)]
+    for i in range(n_props):
+        refs = rng.choice(len(entities), size=int(rng.integers(0, 3)), replace=False)
+        passage = passages[int(rng.integers(0, len(passages) - 2))]
+        graph.add_proposition(f"prop {i}", passage, [entities[int(j)] for j in refs], random_unit(rng, dim))
+    graph.finalize()
+    assert (graph.global_degrees == 0).sum() >= 2
+    return graph
+
+
+def random_seed_sets(rng, graph, count):
+    """``count`` seed sets of one to three propositions each."""
+    n = len(graph.propositions)
+    return [rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False).tolist() for _ in range(count)]
+
+
+def seed_rows(graph, seed_sets):
+    return [np.add(sorted(set(seeds)), graph.proposition_rows.start) for seeds in seed_sets]
+
+
+def random_rows(rng, graph, count):
+    """``count`` sets of one to three rows of any kind, dangling ones included.
+
+    Carving seeds only propositions, and from propositions alone every walk
+    on the bipartite graph converges at the same rate; mixed kinds make
+    walks stop at different steps and put mass on dangling rows.
+    """
+    return [np.unique(rng.integers(0, graph.node_count, size=int(rng.integers(1, 4)))) for _ in range(count)]
+
+
+def single_extract_subgraph(graph, seed_props, size_limit, params) -> Subgraph:
+    """The carving as it was before carvings shared a walk: one full-graph ``ppr`` per seed set."""
+    seeds = sorted(set(seed_props))
+    seed_rows = np.add(seeds, graph.proposition_rows.start)
+    dist = ppr(graph.uniform_transition, seed_rows.tolist(), params)
+    brings = np.arange(graph.node_count)
+    brings[graph.proposition_rows] = graph.proposition_passages
+    included = np.zeros(graph.node_count, dtype=bool)
+    included[seed_rows] = included[brings[seed_rows]] = True
+    count = int(included.sum())
+    degrees = graph.global_degrees
+    scores = np.divide(dist.probabilities, degrees, out=np.zeros_like(dist.probabilities), where=degrees > 0)
+    for gi in np.lexsort((np.arange(graph.node_count), -scores)).tolist():
+        if count >= size_limit:
+            break
+        if included[gi]:
+            continue
+        extra = brings[gi]
+        count += 1 + (extra != gi and not included[extra])
+        included[gi] = included[extra] = True
+    return Subgraph(graph, np.flatnonzero(included))
+
+
+def ppr_steps(graph, rows, params) -> int:
+    """The step at which ``ppr`` from ``rows`` stops: the least budget giving its full result."""
+    full = ppr(graph.uniform_transition, rows, params).probabilities
+    lo, hi = 1, params.ppr_max_iters
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.array_equal(ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=mid)).probabilities, full):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_column_sums_add_like_a_1d_sum():
+    # a walk's L1 change and dangling mass are 1-d sums (pairwise); summing
+    # a block along axis 0 adds row by row and gives other last bits
+    block = np.random.default_rng(67).random((1000, 6))
+    got = _column_sums(block)
+    assert all(got[j] == np.ascontiguousarray(block[:, j]).sum() for j in range(6))
+    assert not np.array_equal(got, block.sum(axis=0))
+
+
+def assert_columns_are_ppr(graph, rows, params):
+    block = _carving_walks(graph, rows, params)
+    assert block.shape == (graph.node_count, len(rows))
+    for column, seeds in enumerate(rows):
+        want = ppr(graph.uniform_transition, seeds.tolist(), params).probabilities
+        assert block[:, column].tobytes() == want.tobytes(), column
+
+
+def test_block_walk_columns_are_ppr_bitwise():
+    rng = np.random.default_rng(71)
+    params = [WalkParams(), WalkParams(damping=0.5, ppr_epsilon=1e-12), WalkParams(damping=0.95, ppr_max_iters=7)]
+    for trial in range(16):
+        n_props = int(rng.integers(2, 40))
+        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
+        count = int(rng.integers(1, 7))
+        for rows in (seed_rows(graph, random_seed_sets(rng, graph, count)), random_rows(rng, graph, count)):
+            for p in params:
+                assert_columns_are_ppr(graph, rows, p)
+
+
+def test_block_walk_columns_stop_at_their_own_step():
+    rng = np.random.default_rng(73)
+    graph = graph_with_lonely_passages(rng, 60)
+    params = WalkParams(damping=0.9)
+    lonely = np.flatnonzero(graph.global_degrees == 0)
+    rows = random_rows(rng, graph, 8) + [lonely[:1], np.array([lonely[1], graph.proposition_rows.start])]
+    steps = [ppr_steps(graph, r.tolist(), params) for r in rows]
+    assert len(set(steps)) > 2
+    assert_columns_are_ppr(graph, rows, params)
+    # a budget that some columns run out of while others have stopped
+    budget = sorted(set(steps))[1]
+    assert min(steps) < budget < max(steps)
+    assert_columns_are_ppr(graph, rows, replace(params, ppr_max_iters=budget))
+    assert_columns_are_ppr(graph, rows, replace(params, ppr_max_iters=1))
+
+
+def test_extract_subgraphs_equal_single_carvings():
+    rng = np.random.default_rng(79)
+    for trial in range(14):
+        n_props = int(rng.integers(2, 80))
+        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
+        seed_sets = random_seed_sets(rng, graph, int(rng.integers(1, 6)))
+        for limit in (3, 8, 25, graph.node_count):
+            params = WalkParams(damping=float(rng.choice([0.5, 0.85])))
+            carved = extract_subgraphs(graph, seed_sets, limit, params)
+            assert len(carved) == len(seed_sets)
+            for seeds, got in zip(seed_sets, carved):
+                want = single_extract_subgraph(graph, seeds, limit, params)
+                assert np.array_equal(got.nodes, want.nodes)
+                assert got.proposition_indices == want.proposition_indices
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got.uniform_transition, attr), getattr(want.uniform_transition, attr))
+                assert extract_subgraph(graph, seeds, limit, params).nodes.tobytes() == got.nodes.tobytes()
+
+
+def test_extract_subgraphs_on_a_graph_many_times_the_limit():
+    rng = np.random.default_rng(83)
+    graph = build_random_graph(rng, 300)
+    seed_sets = random_seed_sets(rng, graph, 10)
+    carved = extract_subgraphs(graph, seed_sets, 30, WalkParams())
+    for seeds, got in zip(seed_sets, carved):
+        assert got.node_count <= 31  # the last proposition admitted may bring its passage
+        assert np.array_equal(got.nodes, single_extract_subgraph(graph, seeds, 30, WalkParams()).nodes)
+
+
+def test_extract_subgraphs_validates_every_set():
+    graph = graph_from_links([["e"], ["e"]])
+    assert extract_subgraphs(graph, [], 5, WalkParams()) == []
+    with pytest.raises(ValueError, match="non-empty"):
+        extract_subgraphs(graph, [[0], []], 5, WalkParams())
+    with pytest.raises(ValueError, match="below seed count"):
+        extract_subgraphs(graph, [[0], [0, 1]], 1, WalkParams())
+    with pytest.raises(UnknownNodeError):
+        extract_subgraphs(graph, [[0], [2]], 5, WalkParams())
+
+
+# ----------------------------------------------------------------------
+# conversions done once per frozen graph
+# ----------------------------------------------------------------------
+
+
+def test_transposed_transition_is_the_transpose_bitwise():
+    rng = np.random.default_rng(89)
+    for trial in range(10):
+        n_props = int(rng.integers(1, 40))
+        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
+        want = graph.uniform_transition.T.tocsr()
+        got = graph.transposed_transition
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_embeddings_are_exact_float64_values_and_scores_unchanged():
+    rng = np.random.default_rng(97)
+    graph = build_random_graph(rng, 50, dim=16)
+    stored = np.stack([p.embedding for p in graph.propositions])
+    assert stored.dtype == np.float32
+    assert graph.proposition_embeddings.dtype == np.float64
+    assert np.array_equal(graph.proposition_embeddings, stored.astype(np.float64))
+    for _ in range(5):
+        query = random_unit(rng, 16)
+        got = top_k_similar(query, graph.proposition_embeddings, 50)
+        # the float32 vectors converted on every call, as before
+        scores = stored.astype(np.float64) @ query.astype(np.float64)
+        want = [(int(i), float(scores[i])) for i in np.lexsort((np.arange(50), -scores))]
+        assert got == want
+        assert top_k_similar(query, stored, 50) == want
+    sub = extract_subgraph(graph, [0, 1], 20, WalkParams())
+    assert np.array_equal(sub.proposition_embeddings, stored[sub.proposition_indices].astype(np.float64))
