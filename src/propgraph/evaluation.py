@@ -9,13 +9,14 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .config import RunConfig
 from .encoding import EmbedBackend
-from .errors import InputFileError
+from .errors import InputFileError, PropGraphError
 from .graph import HeteroGraph
 from .indexing import read_jsonl
 from .llm import LLMGateway
@@ -23,6 +24,8 @@ from .local_mode import answer_local, answer_naive
 from .global_mode import answer_global
 from .metrics import exact_match, f1
 from .usage import UsageLedger
+
+log = logging.getLogger(__name__)
 
 _ANSWER = {"naive": answer_naive, "local": answer_local, "global": answer_global}
 MODES = tuple(_ANSWER)
@@ -72,17 +75,24 @@ def run_eval(
     out_dir: str | Path | None = None,
     ledger: UsageLedger | None = None,
 ) -> dict:
-    """Answer every record, aggregate mean EM/F1, optionally write artifacts."""
+    """Answer every record, aggregate mean EM/F1, optionally write artifacts.
+
+    A question that raises a ``PropGraphError`` (a backend still down after
+    its retries, say) does not stop the eval: its row is failed, scores 0
+    and names the exception type under ``error``.
+    """
 
     def run_one(index_record):
         index, record = index_record
         mode = record.mode or default_mode
-        result = answer_question(record.question, mode, graph, gateway, embedder, config)
+        row = {"index": index, "question": record.question, "gold_answers": record.gold_answers, "mode": mode}
+        try:
+            result = answer_question(record.question, mode, graph, gateway, embedder, config)
+        except PropGraphError as err:
+            log.warning("question %d failed: %s: %s", index, type(err).__name__, err)
+            return {**row, "answer": "", "failed": True, "em": 0, "f1": 0.0, "error": type(err).__name__}
         return {
-            "index": index,
-            "question": record.question,
-            "gold_answers": record.gold_answers,
-            "mode": mode,
+            **row,
             "answer": result.answer,
             "failed": result.failed,
             "em": exact_match(result.answer, record.gold_answers),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from propgraph.encoding import normalize
-from propgraph.errors import EmptyTextError
+from propgraph.encoding import cosine, normalize
+from propgraph.errors import BackendUnavailable, DimensionMismatchError, EmptyTextError
 from propgraph.indexing import (
     ChunkingPolicy,
     CorpusDocument,
+    EntityRegistry,
     ReconciliationPolicy,
     chunk,
     graph_stats,
@@ -16,7 +17,7 @@ from propgraph.indexing import (
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.tokens import estimate_tokens
 
-from conftest import NILE_COUNTS, extraction_rules
+from conftest import NILE_COUNTS, extraction_rules, random_unit
 
 
 def test_chunk_short_document_single_passage():
@@ -106,6 +107,162 @@ def test_reconcile_case_insensitive_exact_match_short_circuits():
     assert mapping == {"Paris": 0, "PARIS": 0}
 
 
+class LoopEntityRegistry:
+    """Reference reconciliation: ``cosine`` against every founder, in id order."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self._names = []
+        self._embeddings = []
+        self._surface_to_id = {}
+
+    def resolve(self, surface, embedding):
+        key = surface.lower()
+        if key in self._surface_to_id:
+            return self._surface_to_id[key], False
+        for idx, emb in enumerate(self._embeddings):
+            if cosine(embedding, emb) >= self.policy.synonym_threshold:
+                self._surface_to_id[key] = idx
+                return idx, False
+        idx = len(self._names)
+        self._names.append(surface)
+        self._embeddings.append(np.asarray(embedding))
+        self._surface_to_id[key] = idx
+        return idx, True
+
+
+def resolve_all(registry, stream):
+    return [registry.resolve(surface, emb) for surface, emb in stream]
+
+
+def paraphrase_stream(rng, threshold, dim, size=2000, clusters=40):
+    """Surfaces of planted clusters whose pairwise cosines straddle ``threshold``.
+
+    Two members normalize(c + s*g) of one cluster have a cosine near
+    1/(1 + s^2), so s is drawn around the value that puts it at the
+    threshold; a tenth are exact copies of the centre. A third of the
+    surfaces repeat an earlier one, with its case varied, under an
+    unrelated vector that the name match must win over.
+    """
+    target = np.sqrt(1.0 / threshold - 1.0) if threshold > 0 else 4.0
+    centres = [rng.normal(size=dim) for _ in range(clusters)]
+    stream = []
+    for k in range(size):
+        if stream and rng.random() < 1 / 3:
+            surface = stream[int(rng.integers(len(stream)))][0]
+            stream.append((rng.choice([surface.upper(), surface.lower(), surface.swapcase()]), random_unit(rng, dim)))
+            continue
+        c = int(rng.integers(clusters))
+        s = 0.0 if rng.random() < 0.1 else max(target, 1e-7) * float(np.exp(rng.normal(0.0, 0.3)))
+        g = rng.normal(size=dim)
+        vec = centres[c] / np.linalg.norm(centres[c]) + s * g / np.linalg.norm(g)
+        stream.append((f"Cluster{c} Form{k}", normalize(vec)))
+    return stream
+
+
+@pytest.mark.parametrize("dim", [256, 37])
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0])
+def test_registry_matches_loop_reference_on_paraphrase_streams(threshold, dim):
+    stream = paraphrase_stream(np.random.default_rng(int(threshold * 10) + dim), threshold, dim)
+    policy = ReconciliationPolicy(threshold)
+    expected = resolve_all(LoopEntityRegistry(policy), stream)
+    assert resolve_all(EntityRegistry(policy), stream) == expected
+    keys_seen, similarity_joins = set(), 0
+    for (surface, _), (_, founded) in zip(stream, expected):
+        similarity_joins += not founded and surface.lower() not in keys_seen
+        keys_seen.add(surface.lower())
+    founders = sum(founded for _, founded in expected)
+    assert similarity_joins > 0 and founders > 1  # both outcomes occur
+
+
+def test_registry_matches_loop_reference_on_unnormalized_vectors():
+    rng = np.random.default_rng(3)
+    stream = [(s, emb.astype(np.float64) * 10.0 ** rng.uniform(-3, 3)) for s, emb in paraphrase_stream(rng, 0.5, 64, size=1000)]
+    for threshold in (0.0, 0.5, 1.0):
+        policy = ReconciliationPolicy(threshold)
+        assert resolve_all(EntityRegistry(policy), stream) == resolve_all(LoopEntityRegistry(policy), stream)
+
+
+def near_threshold_cases(scale, dim=256, n=16, seed=0):
+    """Founders and queries whose mat-vec score and ``cosine`` differ.
+
+    The founders are orthogonal and of norm ``scale``; each query meets
+    founder i at a dot product in [0.5, 0.95] and is orthogonal to the
+    rest, however large the vectors. Yields (founders, query, i, dot,
+    mat-vec score) for each query where the two scores differ.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, n + 1)))
+        founders = np.ascontiguousarray(scale * basis[:, :n].T)
+        i = int(rng.integers(n))
+        query = scale * basis[:, n] + rng.uniform(0.5, 0.95) / scale * basis[:, i]
+        dot = cosine(query, founders[i])
+        score = float((founders @ query)[i])
+        if dot != score:
+            yield founders, query, i, dot, score
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+def test_registry_takes_cosines_decision_at_the_threshold(scale):
+    # With the threshold set to one of the two scores, the mat-vec and
+    # cosine disagree on the decisive founder; cosine's decision must win.
+    below = above = 0
+    for founders, query, i, dot, score in near_threshold_cases(scale):
+        threshold = max(dot, score)
+        registry = EntityRegistry(ReconciliationPolicy(threshold))
+        for k, founder in enumerate(founders):
+            assert registry.resolve(f"founder {k}", founder) == (k, True)
+        expected = (i, False) if dot >= threshold else (len(founders), True)
+        assert registry.resolve("query", query) == expected
+        below += score < dot
+        above += score > dot
+    assert below >= 5 and above >= 5
+
+
+def test_registry_dimension_mismatch_raises_like_the_loop():
+    for registry in (EntityRegistry(), LoopEntityRegistry(ReconciliationPolicy())):
+        assert registry.resolve("Paris", basis(0, dim=8)) == (0, True)
+        with pytest.raises(DimensionMismatchError):
+            registry.resolve("Tokyo", basis(0, dim=4))
+        assert registry.resolve("PARIS", basis(0, dim=4)) == (0, False)  # the name match never compares
+
+
+def test_registry_rejects_embeddings_that_are_not_vectors():
+    with pytest.raises(DimensionMismatchError):
+        EntityRegistry().resolve("Paris", np.ones((2, 4)))
+
+
+def test_registry_first_surface_never_compares():
+    for emb in (np.full(8, np.nan), np.zeros(0), np.zeros(3), np.full(5, np.inf)):
+        assert EntityRegistry().resolve("first", emb) == (0, True)
+
+
+def test_registry_nan_embeddings_match_the_loop():
+    nan = np.full(8, np.nan)
+    stream = [("nan founder", nan), ("a", basis(0)), ("nan again", nan), ("b", basis(0)), ("c", -basis(1))]
+    for threshold in (0.0, 0.9):
+        policy = ReconciliationPolicy(threshold)
+        results = resolve_all(EntityRegistry(policy), stream)
+        assert results == resolve_all(LoopEntityRegistry(policy), stream)
+        assert results[:4] == [(0, True), (1, True), (2, True), (1, False)]  # never joined, never joining
+
+
+def test_registry_extreme_vectors_match_the_loop():
+    rng = np.random.default_rng(9)
+    specials = [np.nan, np.inf, -np.inf, 0.0, 1e-200, 1e200, 1e-320]
+    stream = []
+    for k in range(300):
+        vec = rng.normal(size=6) * 10.0 ** rng.integers(-200, 200)
+        if rng.random() < 0.3:
+            vec[int(rng.integers(6))] = specials[int(rng.integers(len(specials)))]
+        stream.append((f"s{k}", vec))
+    for threshold in (0.0, 0.5, 1.0):
+        policy = ReconciliationPolicy(threshold)
+        with np.errstate(all="ignore"):
+            assert resolve_all(EntityRegistry(policy), stream) == resolve_all(LoopEntityRegistry(policy), stream)
+
+
 def test_index_empty_corpus():
     gateway = LLMGateway(MockChatBackend())
     from propgraph.encoding import HashedNgramEmbedder
@@ -153,6 +310,21 @@ def test_index_extraction_failure_keeps_bare_passage(embedder):
     assert len(graph.passages) == 2  # failed passage retained, bare
     assert len(graph.propositions) == 1
     assert graph.degree(graph.passages[0].id) == 0
+
+
+def test_index_fails_fast_on_a_backend_outage_naming_the_passage(embedder):
+    def outage(prompt):
+        raise BackendUnavailable("chat endpoint failed after 3 attempts")
+
+    rules = [
+        MockRule(template="NER", contains="bad passage", respond=outage),
+        MockRule(template="NER", response="1. Alpha"),
+        MockRule(template="Propositions", response="1. Alpha exists. | Alpha"),
+    ]
+    docs = [CorpusDocument("d0", "good passage here."), CorpusDocument("d1", "First. Then a bad passage here.")]
+    with pytest.raises(BackendUnavailable, match=r"while indexing d1 \(0, 31\): chat endpoint failed") as info:
+        index_corpus(docs, LLMGateway(MockChatBackend(rules)), embedder)
+    assert str(info.value.__cause__) == "chat endpoint failed after 3 attempts"
 
 
 def test_index_validates_graph_invariants(two_hop_graph):

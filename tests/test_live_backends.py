@@ -11,10 +11,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from propgraph.encoding import OpenAICompatEmbedder, is_normalized
+from propgraph.encoding import HashedNgramEmbedder, OpenAICompatEmbedder, is_normalized
 from propgraph.errors import BackendUnavailable
-from propgraph.llm import OpenAICompatChatBackend
+from propgraph.indexing import CorpusDocument, index_corpus
+from propgraph.llm import LLMGateway, MockChatBackend, OpenAICompatChatBackend
 from propgraph.prompts import TemplateId, render
+
+from conftest import NILE_PASSAGES, extraction_rules
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -154,3 +157,20 @@ def test_malformed_body_is_retried_then_unavailable(fake_server, kind, reply):
     with pytest.raises(BackendUnavailable, match="after 3 attempts"):
         _call(kind, base_url, max_retries=3)
     assert len(handler.seen) == 3
+
+
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+def test_index_fails_fast_naming_the_passage(fake_server, kind):
+    base_url, handler = fake_server
+    handler.always_fail = True
+    if kind == "chat":
+        backend = OpenAICompatChatBackend(base_url, model="m", max_retries=2, backoff=0.0)
+        embedder = HashedNgramEmbedder()
+    else:
+        backend = MockChatBackend(extraction_rules(NILE_PASSAGES))
+        embedder = OpenAICompatEmbedder(base_url, model="m", max_retries=2, backoff=0.0)
+    text = NILE_PASSAGES[0][0]
+    with pytest.raises(BackendUnavailable, match=rf"while indexing nile \(0, {len(text)}\): .*after 2 attempts") as info:
+        index_corpus([CorpusDocument("nile", text)], LLMGateway(backend), embedder)
+    assert isinstance(info.value.__cause__, BackendUnavailable)
+    assert len(handler.seen) == 2  # the first request's retries, then nothing more

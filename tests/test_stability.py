@@ -2,8 +2,9 @@
 
 The acceptance suite compares two runs of the same code. The digests
 below pin the c10 fixture's outputs themselves, so a change to how a
-graph is stored or walked that alters a single byte of the saved graph
-or of a local- or global-mode trace fails here. A deliberate format
+graph is stored or walked that alters a single byte of the saved graph,
+of a local- or global-mode trace or of a clean eval's report and
+per-question log fails here. A deliberate format
 change must re-record them and say why.
 """
 
@@ -25,7 +26,7 @@ from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local
 
 from conftest import TWO_HOP_PASSAGES, TWO_HOP_QUESTION, build_random_graph, two_hop_rules
-from test_cli import EVAL_RULES, rules_as_json
+from test_cli import DATASET, EVAL_RULES, rules_as_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,6 +38,10 @@ PINNED_GRAPH = {
     "passages.jsonl": "848f3c5fc8950174449d4ebb3988ca3e95418995be0de5c8c4511812ac1c7360",
     "proposition_embeddings.bin": "5f8ed9567a61167d60c21aa9e8b39a05925887fff9b1bcab8c14418ee0a67272",
     "propositions.jsonl": "15a9792b46f8637c0d4937d5a730d645a13f79414b0a23716e88a0d1d1472ddb",
+}
+PINNED_EVAL = {
+    "questions.jsonl": "2bbd0c8ce119eeb1abdfc63d5508e8a76c65b119bff64271197c61a1626d797f",
+    "report.json": "511ff8a5f2c91831514d69abfac3dff8a124ee6ff302482a3568755bc30efe97",
 }
 PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
 PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e8a71642"
@@ -86,6 +91,14 @@ def test_c10_fixture_outputs_match_pinned_digests(tmp_path):
     assert {p.name: _sha256(p) for p in sorted(graph_dir.iterdir())} == PINNED_GRAPH
     assert _sha256(trace) == PINNED_LOCAL_TRACE
     assert _sha256(global_trace) == PINNED_GLOBAL_TRACE
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps({**row, "mode": mode}) + "\n" for row in DATASET for mode in ("naive", "local")))
+    eval_dir = tmp_path / "eval"
+    assert main([
+        "eval", "--config", str(tmp_path / "config.json"), "--graph", str(graph_dir),
+        "--dataset", str(dataset), "--out", str(eval_dir),
+    ]) == 0
+    assert {p.name: _sha256(p) for p in sorted(eval_dir.iterdir())} == PINNED_EVAL
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])
