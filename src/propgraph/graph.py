@@ -86,19 +86,21 @@ class PassageRecord:
 
 @dataclass
 class PropositionRecord:
+    """A proposition's text and edges; its vector is row ``id.index`` of the graph's store."""
+
     id: NodeId
     text: str
     passage: NodeId
     entity_refs: list[NodeId]
-    embedding: np.ndarray
 
 
 @dataclass
 class EntityRecord:
+    """An entity's names; its vector is row ``id.index`` of the graph's store."""
+
     id: NodeId
     canonical_name: str
     aliases: list[str] = field(default_factory=list)
-    embedding: np.ndarray | None = None
 
 
 class HeteroGraph:
@@ -110,6 +112,11 @@ class HeteroGraph:
     the ``NodeId`` order: the uniform walk matrix, whose pattern is the
     adjacency, its transpose, each node's degree and each proposition's
     passage. Work that depends only on the frozen graph is done there once.
+
+    Records carry no vectors. The graph holds one vector store per embedded
+    kind, row i for the record with index i: a list while the graph is
+    mutable, then one read-only matrix, float64 for propositions and
+    float32 for entities.
     """
 
     def __init__(self) -> None:
@@ -118,9 +125,9 @@ class HeteroGraph:
         self.entities: list[EntityRecord] = []
         self._finalized = False
         self._embedding_dim: int | None = None
+        self._prop_embeddings: list[np.ndarray] | np.ndarray = []
+        self._entity_embeddings: list[np.ndarray] | np.ndarray = []
         # caches built at finalize
-        self._prop_embeddings: np.ndarray | None = None
-        self._entity_embeddings: np.ndarray | None = None
         self._node_order: list[NodeId] | None = None
         self._uniform_csr: sp.csr_matrix | None = None
         self._transposed_csr: sp.csr_matrix | None = None
@@ -164,9 +171,9 @@ class HeteroGraph:
         self._check_mutable()
         if not canonical_name:
             raise EmptyTextError("entity name must be non-empty")
-        embedding = self._check_embedding(embedding)
+        self._entity_embeddings.append(self._check_embedding(embedding))
         node = entity_id(len(self.entities))
-        self.entities.append(EntityRecord(node, canonical_name, list(aliases), embedding))
+        self.entities.append(EntityRecord(node, canonical_name, list(aliases)))
         return node
 
     def add_entity_alias(self, entity: NodeId, surface: str) -> None:
@@ -193,9 +200,9 @@ class HeteroGraph:
                 raise UnknownNodeError(f"unknown entity {ent}")
             if ent not in deduped:
                 deduped.append(ent)
-        embedding = self._check_embedding(embedding)
+        self._prop_embeddings.append(self._check_embedding(embedding))
         node = proposition_id(len(self.propositions))
-        self.propositions.append(PropositionRecord(node, text, passage, deduped, embedding))
+        self.propositions.append(PropositionRecord(node, text, passage, deduped))
         return node
 
     # ------------------------------------------------------------------
@@ -275,6 +282,10 @@ class HeteroGraph:
         if self._finalized:
             return self
         self.validate()
+        # the build-time lists, or the matrices load read, become one matrix each
+        dim = self.embedding_dim
+        self._prop_embeddings = np.asarray(self._prop_embeddings, dtype=np.float64).reshape(len(self.propositions), dim)
+        self._entity_embeddings = np.asarray(self._entity_embeddings, dtype=np.float32).reshape(len(self.entities), dim)
         self._remove_orphan_entities()
         self._build_caches()
         self._finalized = True
@@ -287,6 +298,7 @@ class HeteroGraph:
             return
         remap = (np.cumsum(used) - 1).tolist()
         self.entities = [rec for rec, keep in zip(self.entities, used.tolist()) if keep]
+        self._entity_embeddings = self._entity_embeddings[used]
         for new_index, rec in enumerate(self.entities):
             rec.id = entity_id(new_index)
         for prop in self.propositions:
@@ -307,18 +319,18 @@ class HeteroGraph:
         dup = np.flatnonzero(np.diff(pairs) == 0)
         if dup.size:
             raise ValueError(f"{self.propositions[pairs[dup[0]] // width].id} has duplicate entity refs")
-        embedded = [rec for rec in (*self.propositions, *self.entities) if rec.embedding is not None]
-        if embedded:
-            norms = np.linalg.norm(np.array([rec.embedding for rec in embedded], dtype=np.float64), axis=1)
-            bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-            if bad.size:
-                raise NotNormalizedError(f"{embedded[bad[0]].id} embedding is not unit length")
+        stores = {NodeKind.PROPOSITION: self._prop_embeddings, NodeKind.ENTITY: self._entity_embeddings}
+        for kind, vectors in stores.items():
+            records = self._records(kind)
+            if len(vectors) != len(records):
+                raise ValueError(f"{len(vectors)} {kind.value} embeddings for {len(records)} records")
+            if len(vectors):
+                norms = np.linalg.norm(np.asarray(vectors, dtype=np.float64), axis=1)
+                bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+                if bad.size:
+                    raise NotNormalizedError(f"{records[bad[0]].id} embedding is not unit length")
 
     def _build_caches(self) -> None:
-        dim = self._embedding_dim or 0
-        # every similarity is computed in float64; the stored vectors stay float32
-        self._prop_embeddings = _frozen_stack([p.embedding for p in self.propositions], dim, np.float64)
-        self._entity_embeddings = _frozen_stack([e.embedding for e in self.entities], dim, np.float32)
         walk, self._node_order = self._structure()
         self._degrees = np.diff(walk.indptr).astype(np.float64)
         # each proposition's first neighbor is its passage, as passages come first
@@ -329,7 +341,8 @@ class HeteroGraph:
         for matrix in (walk, transposed):
             for array in (matrix.data, matrix.indices, matrix.indptr):
                 array.flags.writeable = False
-        self._degrees.flags.writeable = self._prop_passage.flags.writeable = False
+        for array in (self._degrees, self._prop_passage, self._prop_embeddings, self._entity_embeddings):
+            array.flags.writeable = False
         self._uniform_csr, self._transposed_csr = walk, transposed
 
     def _require_finalized(self) -> None:
@@ -414,12 +427,6 @@ def _edge_pairs(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return rows[upper], walk.indices[upper]
 
 
-def _frozen_stack(vectors: list[np.ndarray], dim: int, dtype) -> np.ndarray:
-    matrix = np.array(vectors, dtype=dtype) if vectors else np.zeros((0, dim), dtype=dtype)
-    matrix.flags.writeable = False
-    return matrix
-
-
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
@@ -428,7 +435,7 @@ def _frozen_stack(vectors: list[np.ndarray], dim: int, dtype) -> np.ndarray:
 def _write_embeddings(path: Path, matrix: np.ndarray) -> None:
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(_EMBEDDING_HEADER.pack(matrix.shape[0], matrix.shape[1] if matrix.ndim == 2 else 0))
+        fh.write(_EMBEDDING_HEADER.pack(*matrix.shape))
         fh.write(matrix.tobytes())
 
 
@@ -440,8 +447,23 @@ def _read_embeddings(path: Path) -> np.ndarray:
     expected = _EMBEDDING_HEADER.size + rows * dim * 4
     if len(raw) != expected:
         raise CorruptFileError(f"{path.name}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_EMBEDDING_HEADER.size)
-    return data.reshape(int(rows), int(dim)).copy()
+    return np.frombuffer(raw, dtype="<f4", offset=_EMBEDDING_HEADER.size).reshape(int(rows), int(dim))
+
+
+def _counts(graph: HeteroGraph) -> dict[str, int]:
+    """The manifest's ``counts`` of a finalized graph."""
+    return {
+        "passages": len(graph.passages),
+        "propositions": len(graph.propositions),
+        "entities": len(graph.entities),
+        "edges": graph.edge_count,
+    }
+
+
+def _write_records(path: Path, rows) -> None:
+    """One JSON object per line, keys sorted; line i holds the record whose id is i."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 def save(graph: HeteroGraph, path: str | Path) -> None:
@@ -452,52 +474,33 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
     manifest = {
         "format": GRAPH_FORMAT,
         "format_version": GRAPH_FORMAT_VERSION,
-        "counts": {
-            "passages": len(graph.passages),
-            "propositions": len(graph.propositions),
-            "entities": len(graph.entities),
-            "edges": graph.edge_count,
-        },
+        "counts": _counts(graph),
         "embedding_dim": graph.embedding_dim,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    with open(root / "passages.jsonl", "w") as fh:
-        for rec in graph.passages:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id.index,
-                        "text": rec.text,
-                        "source_doc": rec.source_doc,
-                        "char_span": list(rec.char_span),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(root / "propositions.jsonl", "w") as fh:
-        for rec in graph.propositions:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id.index,
-                        "text": rec.text,
-                        "passage": rec.passage.index,
-                        "entities": [e.index for e in rec.entity_refs],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(root / "entities.jsonl", "w") as fh:
-        for rec in graph.entities:
-            fh.write(
-                json.dumps(
-                    {"id": rec.id.index, "name": rec.canonical_name, "aliases": rec.aliases},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_records(
+        root / "passages.jsonl",
+        (
+            {"id": rec.id.index, "text": rec.text, "source_doc": rec.source_doc, "char_span": list(rec.char_span)}
+            for rec in graph.passages
+        ),
+    )
+    _write_records(
+        root / "propositions.jsonl",
+        (
+            {
+                "id": rec.id.index,
+                "text": rec.text,
+                "passage": rec.passage.index,
+                "entities": [e.index for e in rec.entity_refs],
+            }
+            for rec in graph.propositions
+        ),
+    )
+    _write_records(
+        root / "entities.jsonl",
+        ({"id": rec.id.index, "name": rec.canonical_name, "aliases": rec.aliases} for rec in graph.entities),
+    )
     tags = [node.tag() for node in graph.node_order]
     with open(root / "edges.txt", "w") as fh:
         fh.writelines(f"{tags[a]}\t{tags[b]}\n" for a, b in zip(*(x.tolist() for x in _edge_pairs(graph.uniform_transition))))
@@ -524,8 +527,18 @@ def _parse_edge_file(path: Path, graph: HeteroGraph) -> tuple[np.ndarray, np.nda
     return a[order], b[order]
 
 
+def _read_records(path: Path):
+    """Each (line position, object) of a JSONL record file whose ``id`` is its line position."""
+    with open(path) as fh:
+        for position, line in enumerate(fh):
+            obj = json.loads(line)
+            if obj["id"] != position:
+                raise CorruptFileError(f"{path.name}: line {position + 1} has id {obj['id']!r}")
+            yield position, obj
+
+
 def load(path: str | Path) -> HeteroGraph:
-    """Load a graph directory written by :func:`save` and finalize it."""
+    """Load and finalize a graph directory written by :func:`save`; any inconsistency is a ``CorruptFileError``."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -545,51 +558,36 @@ def load(path: str | Path) -> HeteroGraph:
 
     graph = HeteroGraph()
     try:
-        prop_embs = _read_embeddings(root / "proposition_embeddings.bin")
-        ent_embs = _read_embeddings(root / "entity_embeddings.bin")
-        with open(root / "passages.jsonl") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                graph.passages.append(
-                    PassageRecord(
-                        passage_id(obj["id"]), obj["text"], obj["source_doc"], tuple(obj["char_span"])
-                    )
-                )
-        with open(root / "propositions.jsonl") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                graph.propositions.append(
-                    PropositionRecord(
-                        proposition_id(obj["id"]),
-                        obj["text"],
-                        passage_id(obj["passage"]),
-                        [entity_id(i) for i in obj["entities"]],
-                        prop_embs[obj["id"]],
-                    )
-                )
-        with open(root / "entities.jsonl") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                graph.entities.append(
-                    EntityRecord(entity_id(obj["id"]), obj["name"], list(obj["aliases"]), ent_embs[obj["id"]])
-                )
-        graph.validate()
+        graph._prop_embeddings = props = _read_embeddings(root / "proposition_embeddings.bin")
+        graph._entity_embeddings = ents = _read_embeddings(root / "entity_embeddings.bin")
+        dims = [props.shape[1], ents.shape[1], manifest.get("embedding_dim", props.shape[1])]
+        if dims.count(dims[0]) != 3:
+            raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")
+        graph._embedding_dim = props.shape[1]
+        graph.passages = [
+            PassageRecord(passage_id(i), obj["text"], obj["source_doc"], tuple(obj["char_span"]))
+            for i, obj in _read_records(root / "passages.jsonl")
+        ]
+        graph.propositions = [
+            PropositionRecord(
+                proposition_id(i), obj["text"], passage_id(obj["passage"]), [entity_id(e) for e in obj["entities"]]
+            )
+            for i, obj in _read_records(root / "propositions.jsonl")
+        ]
+        graph.entities = [
+            EntityRecord(entity_id(i), obj["name"], list(obj["aliases"]))
+            for i, obj in _read_records(root / "entities.jsonl")
+        ]
+        cited = len(graph.entities)
+        graph.finalize()
+        if len(graph.entities) != cited:
+            raise CorruptFileError(f"{root}: {cited - len(graph.entities)} entities are cited by no proposition")
         edges = _parse_edge_file(root / "edges.txt", graph)
-    except (KeyError, ValueError, IndexError, json.JSONDecodeError) as err:
+    except (KeyError, ValueError, IndexError, TypeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
 
-    observed = {
-        "passages": len(graph.passages),
-        "propositions": len(graph.propositions),
-        "entities": len(graph.entities),
-        "edges": len(edges[0]),
-    }
-    if counts != observed:
-        raise CorruptFileError(f"{root}: manifest counts {counts} != files {observed}")
-    if prop_embs.shape[0] != len(graph.propositions) or ent_embs.shape[0] != len(graph.entities):
-        raise CorruptFileError(f"{root}: embedding row count mismatch")
-    derived = _edge_pairs(graph._structure()[0])
-    if not all(np.array_equal(x, y) for x, y in zip(edges, derived)):
+    if counts != _counts(graph):
+        raise CorruptFileError(f"{root}: manifest counts {counts} != graph {_counts(graph)}")
+    if not all(np.array_equal(x, y) for x, y in zip(edges, _edge_pairs(graph.uniform_transition))):
         raise CorruptFileError(f"{root}: edges.txt does not match the propositions' passages and entities")
-    graph._embedding_dim = int(manifest.get("embedding_dim", prop_embs.shape[1]))
-    return graph.finalize()
+    return graph

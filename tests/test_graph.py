@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,16 +229,109 @@ def test_load_edges_disagreeing_with_records_is_corrupt(tmp_path, orphan):
         g.load(tmp_path / "g")
 
 
-@pytest.mark.parametrize("field, value", [("passage", 99), ("passage", -1), ("entities", [99]), ("entities", [-1])])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("passage", 99),
+        ("passage", -1),
+        ("entities", [99]),
+        ("entities", [-1]),
+        ("passages.id", -1),
+        ("propositions.id", -1),
+        ("entities.id", -1),
+        ("propositions.id", 1),
+    ],
+)
 def test_load_out_of_range_record_ids_are_corrupt(tmp_path, field, value):
+    # "<file>.<key>" edits the first record of that file; a bare key edits the first proposition
     graph = build_random_graph(np.random.default_rng(13), 10)
     g.save(graph, tmp_path / "g")
-    path = tmp_path / "g" / "propositions.jsonl"
+    name, _, key = field.rpartition(".")
+    path = tmp_path / "g" / f"{name or 'propositions'}.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[0][field] = value
+    records[0][key] = value
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     with pytest.raises(CorruptFileError):
         g.load(tmp_path / "g")
+
+
+def test_load_swapped_record_lines_are_corrupt(tmp_path):
+    # twins share a passage and entities, so swapping their lines leaves every edge as it was
+    graph = build_random_graph(np.random.default_rng(5), 30)
+    twins = [(p.passage, sorted(p.entity_refs)) for p in graph.propositions[1:5:3]]
+    assert twins[0] == twins[1]
+    g.save(graph, tmp_path / "g")
+    path = tmp_path / "g" / "propositions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1], lines[4] = lines[4], lines[1]
+    path.write_text("".join(lines))
+    with pytest.raises(CorruptFileError):
+        g.load(tmp_path / "g")
+
+
+@pytest.mark.parametrize("mismatch", ["manifest", "entity_embeddings.bin"])
+def test_load_embedding_dimension_mismatch_is_corrupt(tmp_path, mismatch):
+    graph = build_random_graph(np.random.default_rng(13), 10, dim=8)
+    g.save(graph, tmp_path / "g")
+    if mismatch == "manifest":
+        manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+        manifest["embedding_dim"] = 5
+        (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
+    else:  # still unit vectors, one column wider
+        g._write_embeddings(tmp_path / "g" / mismatch, np.pad(graph.entity_embeddings, ((0, 0), (0, 1))))
+    with pytest.raises(CorruptFileError):
+        g.load(tmp_path / "g")
+
+
+def test_load_orphan_entity_is_corrupt(tmp_path):
+    # save never writes an entity no proposition cites; finalize would drop it silently
+    graph = build_random_graph(np.random.default_rng(5), 30)
+    root = tmp_path / "g"
+    g.save(graph, root)
+    with open(root / "entities.jsonl", "a") as fh:
+        fh.write(json.dumps({"aliases": [], "id": len(graph.entities), "name": "Orphan"}, sort_keys=True) + "\n")
+    g._write_embeddings(root / "entity_embeddings.bin", np.vstack([graph.entity_embeddings, unit(8)]))
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["counts"]["entities"] += 1
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptFileError, match="cited by no proposition"):
+        g.load(root)
+
+
+def _graph_of_dim(dim: int) -> HeteroGraph:
+    """2,000 propositions over 50 passages and 200 entities, wired the same way for every ``dim``."""
+    graph = HeteroGraph()
+    passages = [graph.add_passage(f"passage {i}", "d", (0, 9)) for i in range(50)]
+    entities = [graph.add_entity(f"entity {i}", unit(dim, i % dim)) for i in range(200)]
+    for i in range(2000):
+        graph.add_proposition(f"fact {i}", passages[i % 50], [entities[i % 200]], unit(dim, i % dim))
+    return graph.finalize()
+
+
+def _retained_bytes(make) -> int:
+    """Bytes allocated by ``make()`` that are still held while its result lives."""
+    make()  # first-call caches are not the result's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = make()  # held until the measurement below
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frozen_graph_retains_one_copy_of_the_vectors(tmp_path):
+    # the two graphs differ only in dimension, so everything else cancels
+    small, large = 16, 144
+    for dim in (small, large):
+        g.save(_graph_of_dim(dim), tmp_path / str(dim))
+    extra = large - small
+    one_copy = extra * (2000 * 8 + 200 * 4)  # float64 propositions, float32 entities
+    float32_props = extra * 2000 * 4
+    for make in (_graph_of_dim, lambda dim: g.load(tmp_path / str(dim))):
+        grown = _retained_bytes(lambda: make(large)) - _retained_bytes(lambda: make(small))
+        assert abs(grown - one_copy) < float32_props / 2, (grown, one_copy)
 
 
 def test_finalized_arrays_are_read_only():

@@ -22,6 +22,7 @@ from propgraph import RunConfig
 from propgraph.cli import main
 from propgraph.encoding import HashedNgramEmbedder
 from propgraph.global_mode import answer_global
+from propgraph.graph import load, save
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local
 
@@ -89,6 +90,8 @@ def test_c10_fixture_outputs_match_pinned_digests(tmp_path):
         "--mode", "global", "--trace", str(global_trace), TWO_HOP_QUESTION,
     ]) == 0
     assert {p.name: _sha256(p) for p in sorted(graph_dir.iterdir())} == PINNED_GRAPH
+    save(load(graph_dir), tmp_path / "resaved")
+    assert {p.name: _sha256(p) for p in sorted((tmp_path / "resaved").iterdir())} == PINNED_GRAPH
     assert _sha256(trace) == PINNED_LOCAL_TRACE
     assert _sha256(global_trace) == PINNED_GLOBAL_TRACE
     dataset = tmp_path / "dataset.jsonl"

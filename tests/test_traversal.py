@@ -676,8 +676,10 @@ def test_transposed_transition_is_the_transpose_bitwise():
 
 def test_embeddings_are_exact_float64_values_and_scores_unchanged():
     rng = np.random.default_rng(97)
-    graph = build_random_graph(rng, 50, dim=16)
-    stored = np.stack([p.embedding for p in graph.propositions])
+    links = [[f"e{int(j)}" for j in rng.choice(20, size=int(rng.integers(0, 4)), replace=False)] for _ in range(50)]
+    added = [random_unit(rng, 16) for _ in links]
+    graph = graph_from_links(links, rng, added, dim=16)
+    stored = np.stack(added)
     assert stored.dtype == np.float32
     assert graph.proposition_embeddings.dtype == np.float64
     assert np.array_equal(graph.proposition_embeddings, stored.astype(np.float64))
