@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import requests
@@ -20,6 +20,8 @@ from .http_json import post_json
 NORM_TOL = 1e-6
 
 DEFAULT_MOCK_DIM = 256
+
+_GRAM_CACHE_SIZE = 1 << 16
 
 
 def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -87,6 +89,29 @@ class EmbedBackend:
         return self.embed([text])[0]
 
 
+class _GramCodes(dict):
+    """Each gram's hashed bucket and sign in ``dim`` dimensions, hashed on first lookup.
+
+    A gram's code is its bucket, plus ``dim`` when its sign is negative. At
+    most ``_GRAM_CACHE_SIZE`` grams are held: when full, the map is emptied
+    and refills from the grams that come next. Threads may share one map:
+    every writer stores the same code for a gram, and a lookup returns the
+    code it found or computed, so a race costs at most one more hash.
+    """
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self._dim = dim
+
+    def __missing__(self, gram: str) -> int:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
+        code = int.from_bytes(digest[:8], "little") % self._dim + digest[8] % 2 * self._dim
+        if len(self) >= _GRAM_CACHE_SIZE:
+            self.clear()
+        self[gram] = code
+        return code
+
+
 class HashedNgramEmbedder(EmbedBackend):
     """Deterministic offline encoder hashing character 3-grams.
 
@@ -94,6 +119,13 @@ class HashedNgramEmbedder(EmbedBackend):
     stable across processes) to a bucket and a sign; lexically overlapping
     texts therefore land close in cosine while unrelated texts stay near
     orthogonal. Byte-identical inputs produce byte-identical vectors.
+
+    Each instance hashes a gram once and keeps its bucket and sign in a map
+    of at most 2**16 grams, emptied when full: about 10 MB at worst (grams of
+    three non-BMP characters), 0.23 MB for the 2,684 distinct grams of the
+    benchmark's index. A vector is a sum of +1.0 and -1.0 terms, exact
+    integers in float64 whatever the order of addition, so it has the same
+    bits as when every gram was hashed on every call.
     """
 
     def __init__(self, dim: int = DEFAULT_MOCK_DIM, ngram: int = 3):
@@ -101,6 +133,7 @@ class HashedNgramEmbedder(EmbedBackend):
             raise ValueError("dim must be >= 2")
         self._dim = dim
         self._n = ngram
+        self._codes = _GramCodes(dim)
 
     def dimension(self) -> int:
         return self._dim
@@ -111,16 +144,11 @@ class HashedNgramEmbedder(EmbedBackend):
     def _encode(self, text: str) -> np.ndarray:
         lowered = text.lower()
         if len(lowered) < self._n:
-            grams: Iterable[str] = [lowered]
+            grams = [lowered]
         else:
-            grams = (lowered[i : i + self._n] for i in range(len(lowered) - self._n + 1))
-        vec = np.zeros(self._dim, dtype=np.float64)
-        for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
-            bucket = int.from_bytes(digest[:8], "little") % self._dim
-            sign = 1.0 if digest[8] % 2 == 0 else -1.0
-            vec[bucket] += sign
-        return normalize(vec)
+            grams = [lowered[i : i + self._n] for i in range(len(lowered) - self._n + 1)]
+        counts = np.bincount([self._codes[gram] for gram in grams], minlength=2 * self._dim)
+        return normalize((counts[: self._dim] - counts[self._dim :]).astype(np.float64))
 
 
 class OpenAICompatEmbedder(EmbedBackend):

@@ -223,12 +223,12 @@ class HeteroGraph:
         offset = {NodeKind.PASSAGE: 0, NodeKind.PROPOSITION: n_pass, NodeKind.ENTITY: n_pass + n_prop}[node.kind]
         return offset + node.index
 
-    def _structure(self) -> tuple[sp.csr_matrix, list[NodeId]]:
-        """The walk matrix and node order; built from the records until finalized."""
+    def _structure(self, incidence: tuple | None = None) -> tuple[sp.csr_matrix, list[NodeId]]:
+        """The walk matrix and node order; built from the records (or their ``incidence``) until finalized."""
         if self._finalized:
             return self._uniform_csr, self._node_order
         order = [rec.id for rec in (*self.passages, *self.propositions, *self.entities)]
-        return _uniform_walk(self), order
+        return _uniform_walk(self, _incidence(self) if incidence is None else incidence), order
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         walk, order = self._structure()
@@ -281,32 +281,40 @@ class HeteroGraph:
         """Validate all invariants, drop orphan entities and freeze the graph."""
         if self._finalized:
             return self
-        self.validate()
+        incidence = _incidence(self)
+        self._check_structure(incidence)
         # the build-time lists, or the matrices load read, become one matrix each
-        dim = self.embedding_dim
-        self._prop_embeddings = np.asarray(self._prop_embeddings, dtype=np.float64).reshape(len(self.propositions), dim)
-        self._entity_embeddings = np.asarray(self._entity_embeddings, dtype=np.float32).reshape(len(self.entities), dim)
-        self._remove_orphan_entities()
-        self._build_caches()
+        self._prop_embeddings, self._entity_embeddings = self._vector_matrices()
+        incidence = self._remove_orphan_entities(incidence)
+        self._build_caches(incidence)
         self._finalized = True
         return self
 
-    def _remove_orphan_entities(self) -> None:
+    def _remove_orphan_entities(self, incidence: tuple) -> tuple:
+        """Drop the entities no proposition cites; returns ``incidence`` with its refs renumbered."""
+        passage, counts, refs = incidence
         used = np.zeros(len(self.entities), dtype=bool)
-        used[_incidence(self)[2]] = True
+        used[refs] = True
         if used.all():
-            return
-        remap = (np.cumsum(used) - 1).tolist()
+            return incidence
+        remap = np.cumsum(used) - 1
         self.entities = [rec for rec, keep in zip(self.entities, used.tolist()) if keep]
         self._entity_embeddings = self._entity_embeddings[used]
         for new_index, rec in enumerate(self.entities):
             rec.id = entity_id(new_index)
+        renumbered = remap.tolist()
         for prop in self.propositions:
-            prop.entity_refs = [entity_id(remap[e.index]) for e in prop.entity_refs]
+            prop.entity_refs = [entity_id(renumbered[e.index]) for e in prop.entity_refs]
+        return passage, counts, remap[refs]
 
     def validate(self) -> None:
         """Raise if any structural invariant is violated."""
-        passage, counts, refs = _incidence(self)
+        self._check_structure(_incidence(self))
+        self._vector_matrices()
+
+    def _check_structure(self, incidence: tuple) -> None:
+        """Raise unless every passage and entity ref of ``incidence`` exists and no ref repeats."""
+        passage, counts, refs = incidence
         props = np.repeat(np.arange(len(self.propositions)), counts)
         bad = np.flatnonzero((passage < 0) | (passage >= len(self.passages)))
         if bad.size:
@@ -319,19 +327,29 @@ class HeteroGraph:
         dup = np.flatnonzero(np.diff(pairs) == 0)
         if dup.size:
             raise ValueError(f"{self.propositions[pairs[dup[0]] // width].id} has duplicate entity refs")
-        stores = {NodeKind.PROPOSITION: self._prop_embeddings, NodeKind.ENTITY: self._entity_embeddings}
-        for kind, vectors in stores.items():
+
+    def _vector_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two vector stores as float64 and float32 matrices; raises unless each row is a unit vector."""
+        matrices = []
+        for kind, vectors, dtype in (
+            (NodeKind.PROPOSITION, self._prop_embeddings, np.float64),
+            (NodeKind.ENTITY, self._entity_embeddings, np.float32),
+        ):
             records = self._records(kind)
             if len(vectors) != len(records):
                 raise ValueError(f"{len(vectors)} {kind.value} embeddings for {len(records)} records")
-            if len(vectors):
-                norms = np.linalg.norm(np.asarray(vectors, dtype=np.float64), axis=1)
-                bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-                if bad.size:
-                    raise NotNormalizedError(f"{records[bad[0]].id} embedding is not unit length")
+            matrix = np.asarray(vectors, dtype=dtype).reshape(len(records), self.embedding_dim)
+            rows = matrix.astype(np.float64, copy=False)
+            # one dot product per row, as is_normalized takes a vector's norm, with no temporary matrix
+            norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+            bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+            if bad.size:
+                raise NotNormalizedError(f"{records[bad[0]].id} embedding is not unit length")
+            matrices.append(matrix)
+        return matrices[0], matrices[1]
 
-    def _build_caches(self) -> None:
-        walk, self._node_order = self._structure()
+    def _build_caches(self, incidence: tuple) -> None:
+        walk, self._node_order = self._structure(incidence)
         self._degrees = np.diff(walk.indptr).astype(np.float64)
         # each proposition's first neighbor is its passage, as passages come first
         self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
@@ -402,9 +420,9 @@ def _incidence(graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return passage, counts, refs
 
 
-def _uniform_walk(graph: HeteroGraph) -> sp.csr_matrix:
-    """Uniform walk matrix over the global order, with sorted column indices."""
-    passage, counts, refs = _incidence(graph)
+def _uniform_walk(graph: HeteroGraph, incidence: tuple) -> sp.csr_matrix:
+    """Uniform walk matrix over the global order, with sorted column indices, from ``graph``'s :func:`_incidence`."""
+    passage, counts, refs = incidence
     n_pass, n_prop = len(graph.passages), len(graph.propositions)
     props = n_pass + np.arange(n_prop)
     side_a = np.concatenate([props, np.repeat(props, counts)])

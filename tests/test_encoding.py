@@ -1,6 +1,12 @@
+import hashlib
+import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from propgraph import encoding
 from propgraph.encoding import (
     HashedNgramEmbedder,
     cosine,
@@ -117,3 +123,97 @@ def test_mock_embed_unit_norm_on_random_strings():
 def test_normalize_zero_vector_is_deterministic_basis():
     vec = normalize(np.zeros(5))
     assert vec[0] == 1.0 and is_normalized(vec)
+
+
+def reference_counts(text, dim, n=3):
+    """The embedder's unnormalized vector, hashing every gram with its own blake2b call."""
+    lowered = text.lower()
+    grams = [lowered] if len(lowered) < n else [lowered[i : i + n] for i in range(len(lowered) - n + 1)]
+    vec = np.zeros(dim, dtype=np.float64)
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
+        bucket = int.from_bytes(digest[:8], "little") % dim
+        sign = 1.0 if digest[8] % 2 == 0 else -1.0
+        vec[bucket] += sign
+    return vec
+
+
+def assert_matches_reference(embedder, texts):
+    vectors = embedder.embed(texts)
+    assert len(vectors) == len(texts)
+    for text, vec in zip(texts, vectors):
+        assert vec.dtype == np.float32 and vec.shape == (embedder.dimension(),)
+        assert vec.tobytes() == normalize(reference_counts(text, embedder.dimension())).tobytes(), text
+
+
+def random_texts(rng, count, alphabet="abcdefghijklmnopqrstuvwxyzABCZ .,'-0123456789éß"):
+    return ["".join(rng.choice(list(alphabet), size=int(rng.integers(0, 80)))) for _ in range(count)]
+
+
+EDGE_TEXTS = [
+    "",
+    "a",
+    "Ab",
+    "abc",
+    "İ",  # lowercases to two code points
+    "İİ",
+    "İstanbul",
+    "ẞtraße",
+    "東京都の人口",
+    "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 🙂🙃",
+    "x" * 5000,
+    "Wien " * 1000,
+]
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16, 256])
+def test_mock_embed_matches_per_gram_reference(dim):
+    embedder = HashedNgramEmbedder(dim=dim)
+    texts = random_texts(np.random.default_rng(dim), 300) + EDGE_TEXTS
+    assert_matches_reference(embedder, texts)
+    assert_matches_reference(embedder, texts[::-1])  # again, with every gram known
+
+
+def test_mock_embed_cancelling_signs_map_to_first_basis_vector():
+    candidates = ("".join(chars) for chars in itertools.product("abcdefgh", repeat=4))
+    text = next(t for t in candidates if not reference_counts(t, 2).any())
+    vec = HashedNgramEmbedder(dim=2).embed_one(text)
+    assert vec.tobytes() == np.array([1.0, 0.0], dtype=np.float32).tobytes()
+
+
+def test_mock_embedders_of_different_dims_do_not_share_buckets():
+    small, large = HashedNgramEmbedder(dim=7), HashedNgramEmbedder(dim=16)
+    texts = random_texts(np.random.default_rng(11), 50) + EDGE_TEXTS
+    for text in texts:
+        assert_matches_reference(small, [text])
+        assert_matches_reference(large, [text])
+
+
+def test_mock_embed_of_no_texts_is_empty():
+    assert HashedNgramEmbedder().embed([]) == []
+
+
+def test_mock_embed_matches_reference_when_gram_map_overflows(monkeypatch):
+    monkeypatch.setattr(encoding, "_GRAM_CACHE_SIZE", 8)
+    embedder = HashedNgramEmbedder(dim=16)
+    texts = random_texts(np.random.default_rng(13), 40)
+    assert_matches_reference(embedder, texts)
+    assert_matches_reference(embedder, texts)
+    assert 0 < len(embedder._codes) <= 8
+
+
+def test_mock_embed_shared_across_threads_matches_serial_run():
+    texts = random_texts(np.random.default_rng(17), 200) + EDGE_TEXTS
+    serial = HashedNgramEmbedder().embed(texts)
+    shared = HashedNgramEmbedder()  # cold: the threads fill its gram map together
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            orders = [texts, texts[::-1], texts[1::2] + texts[::2], texts]
+            futures = [pool.submit(lambda order=order: dict(zip(order, shared.embed(order)))) for order in orders]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert all(result[text].tobytes() == vec.tobytes() for text, vec in zip(texts, serial))

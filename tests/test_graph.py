@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from propgraph import graph as g
+from propgraph.encoding import NORM_TOL, is_normalized
 from propgraph.errors import (
     CorruptFileError,
     EmptyTextError,
@@ -118,6 +119,79 @@ def test_orphan_entity_removed_and_reindexed():
     assert graph.entities[0].id == g.entity_id(0)  # dense reindex
     assert graph.propositions[0].entity_refs == [g.entity_id(0)]
     assert graph.entity_embeddings.shape[0] == 1
+
+
+def _three_facts(dim=8):
+    """An unfinalized graph of two passages, six entities (three uncited) and three propositions."""
+    graph = HeteroGraph()
+    passages = [graph.add_passage(f"passage {i}", "d", (0, 9)) for i in range(2)]
+    entities = [graph.add_entity(f"e{i}", unit(dim, i)) for i in range(6)]
+    for i, refs in enumerate([[1, 3], [3], [5, 1]]):
+        graph.add_proposition(f"fact {i}", passages[i % 2], [entities[j] for j in refs], unit(dim, i))
+    return graph
+
+
+def test_finalize_and_load_derive_the_incidence_once(tmp_path, monkeypatch):
+    calls = []
+    incidence = g._incidence
+    monkeypatch.setattr(g, "_incidence", lambda graph: calls.append(graph) or incidence(graph))
+    graph = _three_facts().finalize()
+    assert len(calls) == 1
+    assert [rec.canonical_name for rec in graph.entities] == ["e1", "e3", "e5"]
+    # the walk built from the renumbered incidence is the walk of the renumbered records
+    rebuilt = g._uniform_walk(graph, incidence(graph))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(graph.uniform_transition, attr), getattr(rebuilt, attr))
+    g.save(graph, tmp_path / "g")
+    calls.clear()
+    g.load(tmp_path / "g")
+    assert len(calls) == 1
+
+
+def test_finalize_rejects_a_bad_vector_store_and_stays_mutable():
+    # add_* checks each vector, so the stores are edited behind the API
+    graph = _three_facts()
+    graph._prop_embeddings[1] = graph._prop_embeddings[1] * 2
+    with pytest.raises(NotNormalizedError, match=r"PROPOSITION.*index=1\) embedding is not unit length"):
+        graph.finalize()
+    assert not graph.finalized
+    graph._entity_embeddings.pop()
+    with pytest.raises(NotNormalizedError):  # propositions are checked before entities
+        graph.finalize()
+    graph._prop_embeddings[1] = unit(8, 1)
+    graph._prop_embeddings.pop()
+    # the count check comes before the reshape, which would raise its own ValueError
+    with pytest.raises(ValueError, match="^2 proposition embeddings for 3 records$"):
+        graph.finalize()
+    graph._prop_embeddings.append(unit(8, 7))
+    with pytest.raises(ValueError, match="^5 entity embeddings for 6 records$"):
+        graph.validate()
+    graph._entity_embeddings.append(unit(8, 7))
+    graph._entity_embeddings[0] = graph._entity_embeddings[0] * 0.5
+    with pytest.raises(NotNormalizedError, match=r"ENTITY.*index=0\) embedding"):
+        graph.finalize()
+    graph._entity_embeddings[0] = unit(8, 0)
+    assert len(graph.finalize().entities) == 3
+
+
+def test_finalize_accepts_exactly_the_vectors_is_normalized_accepts():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for scale in np.concatenate([1.0 + NORM_TOL * np.linspace(0.9, 1.1, 41), 1.0 - NORM_TOL * np.linspace(0.9, 1.1, 41)]):
+        graph = HeteroGraph()
+        passage = graph.add_passage("text", "d", (0, 4))
+        graph.add_proposition("fact", passage, [graph.add_entity("E", unit(8))], unit(8))
+        direction = rng.normal(size=8)
+        row = (direction / np.linalg.norm(direction) * scale).astype(np.float32)
+        graph._prop_embeddings[0] = row
+        try:
+            graph.finalize()
+            accepted = True
+        except NotNormalizedError:
+            accepted = False
+        assert accepted == is_normalized(row), scale
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
 
 
 def test_finalized_graph_is_frozen():
