@@ -8,6 +8,7 @@ targets stay well below the scale where approximate indexes pay off.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from typing import Sequence
 
@@ -33,7 +34,9 @@ def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
+    # np.linalg.norm of a real 1-d vector is this square root of its dot
+    # product with itself; taking it directly skips the dispatch
+    norm = math.sqrt(vec.dot(vec))
     if norm == 0.0:
         out = np.zeros(vec.shape[0], dtype=np.float32)
         out[0] = 1.0

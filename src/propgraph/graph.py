@@ -110,8 +110,9 @@ class HeteroGraph:
     edge. Finalizing builds the frozen structure from them in one global
     integer space, passages then propositions then entities, which is also
     the ``NodeId`` order: the uniform walk matrix, whose pattern is the
-    adjacency, its transpose, each node's degree and each proposition's
-    passage. Work that depends only on the frozen graph is done there once.
+    adjacency, its transpose, each node's degree, each proposition's
+    passage and each node's twin class. Work that depends only on the
+    frozen graph is done there once.
 
     Records carry no vectors. The graph holds one vector store per embedded
     kind, row i for the record with index i: a list while the graph is
@@ -133,6 +134,7 @@ class HeteroGraph:
         self._transposed_csr: sp.csr_matrix | None = None
         self._degrees: np.ndarray | None = None
         self._prop_passage: np.ndarray | None = None
+        self._twins: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -353,13 +355,14 @@ class HeteroGraph:
         self._degrees = np.diff(walk.indptr).astype(np.float64)
         # each proposition's first neighbor is its passage, as passages come first
         self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
+        self._twins = _twin_classes(walk)
         # The adjacency is symmetric, so the transpose has the walk's pattern,
         # and entry (i, j) is 1/deg(j): the same floats a transpose would give.
         transposed = sp.csr_matrix((1.0 / self._degrees[walk.indices], walk.indices, walk.indptr), shape=walk.shape)
         for matrix in (walk, transposed):
             for array in (matrix.data, matrix.indices, matrix.indptr):
                 array.flags.writeable = False
-        for array in (self._degrees, self._prop_passage, self._prop_embeddings, self._entity_embeddings):
+        for array in (self._degrees, self._prop_passage, self._twins, self._prop_embeddings, self._entity_embeddings):
             array.flags.writeable = False
         self._uniform_csr, self._transposed_csr = walk, transposed
 
@@ -410,6 +413,12 @@ class HeteroGraph:
         self._require_finalized()
         return self._prop_passage
 
+    @property
+    def twin_classes(self) -> np.ndarray:
+        """Each node's twin class: the least index of the nodes whose neighbor list equals its own."""
+        self._require_finalized()
+        return self._twins
+
 
 def _incidence(graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each proposition's passage index and entity-ref count, and all refs in order."""
@@ -436,6 +445,41 @@ def _uniform_walk(graph: HeteroGraph, incidence: tuple) -> sp.csr_matrix:
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     degrees = np.diff(indptr).astype(np.float64)
     return sp.csr_matrix((1.0 / degrees[rows], cols, indptr), shape=(n, n))
+
+
+def _twin_classes(walk: sp.csr_matrix, keys: np.ndarray | None = None) -> np.ndarray:
+    """Each row's twin class under :attr:`HeteroGraph.twin_classes`, from ``walk``'s pattern.
+
+    A neighbor list is hashed as the wrapping sum of one 64-bit key per
+    neighbor (``keys``, seeded random by default). Rows of equal degree
+    and hash are then compared entry by entry, and a group whose rows
+    differ is split exactly, so a collision never joins two classes.
+    """
+    n = walk.shape[0]
+    indptr, indices = walk.indptr, walk.indices
+    degrees = np.diff(indptr)
+    if keys is None:
+        keys = np.random.default_rng(0).integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
+    hashes = np.zeros(n, dtype=np.uint64)
+    filled = np.flatnonzero(degrees)
+    if filled.size:
+        hashes[filled] = np.add.reduceat(keys[indices], indptr[filled])
+    order = np.lexsort((np.arange(n), hashes, degrees))
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (degrees[order[1:]] != degrees[order[:-1]]) | (hashes[order[1:]] != hashes[order[:-1]])
+    group = np.cumsum(starts) - 1
+    classes = np.empty(n, dtype=np.int64)
+    classes[order] = order[starts][group]
+    # every row against the first row of its group, entry by entry
+    rows = np.flatnonzero(classes != np.arange(n))
+    lengths = degrees[rows]
+    step = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    differ = indices[np.repeat(indptr[rows], lengths) + step] != indices[np.repeat(indptr[classes[rows]], lengths) + step]
+    for leader in np.unique(classes[rows[np.repeat(np.arange(len(rows)), lengths)[differ]]]).tolist():
+        first: dict[tuple, int] = {}
+        for row in np.flatnonzero(classes == leader).tolist():
+            classes[row] = first.setdefault(tuple(indices[indptr[row] : indptr[row + 1]].tolist()), row)
+    return classes
 
 
 def _edge_pairs(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,13 @@ from .errors import UnknownNodeError
 from .graph import HeteroGraph
 
 _DANGLING_EPS = 1e-15
+# How far a carving walk's bracket must narrow, from step 4 or from a check
+# that found no positive gap, before a certificate check runs (see
+# _Admission). On the seed-7 and seed-31 bench graphs the bracket narrows
+# about 0.79-fold per step, so 256-fold takes about 23 steps, and a
+# carving's gap first turned positive at step 30 in the median (quartiles
+# 26 and 36).
+_NARROWING = 256.0
 
 
 @dataclass
@@ -100,10 +107,23 @@ class Subgraph:
     ``uniform_transition`` is the uniform walk over the induced adjacency,
     with rows and columns in ``nodes`` order, ``proposition_rows`` its
     proposition block and ``proposition_embeddings`` their vectors.
+
+    A carved subgraph records the walk that chose its nodes: ``walk_steps``,
+    the steps it ran, and ``walk_stop``, why it stopped: ``"certificate"``
+    (its node set was proven), ``"convergence"`` or ``"budget"``
+    (``ppr_max_iters`` ran out). Both are ``None`` for any other subgraph.
     """
 
-    def __init__(self, parent: HeteroGraph, nodes: Sequence[int] | np.ndarray):
+    def __init__(
+        self,
+        parent: HeteroGraph,
+        nodes: Sequence[int] | np.ndarray,
+        walk_steps: int | None = None,
+        walk_stop: str | None = None,
+    ):
         self.parent = parent
+        self.walk_steps = walk_steps
+        self.walk_stop = walk_stop
         self.nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         adjacency = parent.uniform_transition[self.nodes][:, self.nodes]
         degrees = np.diff(adjacency.indptr)
@@ -249,13 +269,172 @@ def _column_sums(block: np.ndarray) -> np.ndarray:
     return np.array([block[:, column].sum() for column in range(block.shape[1])])
 
 
-def _carving_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams) -> np.ndarray:
+def _admit(scores: np.ndarray, included: np.ndarray, brings: np.ndarray, size_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes the admission loop reads, in order, and how many nodes each read adds.
+
+    The loop reads nodes by descending score, ties by ascending index, and
+    admits each one not yet in along with what it brings, until at least
+    ``size_limit`` nodes are in; ``included`` marks the nodes in from the
+    start. A read adds the members of its (node, brought) pair that are
+    neither in from the start nor in an earlier pair, so the gains are
+    first appearances in the list of pairs, and the loop reads up to the
+    first read at which the running count reaches the limit.
+    """
+    count = int(included.sum())
+    if count >= size_limit:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # The loop reads an entry only while fewer than size_limit nodes are
+    # in, and every entry ranked above it is in: it reads at most the
+    # first size_limit entries, which rank among the nodes scoring at
+    # least the size_limit-th highest score.
+    kth = len(scores) - min(size_limit, len(scores))
+    head = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+    ranking = head[np.lexsort((head, -scores[head]))]
+    pairs = np.column_stack((ranking, brings[ranking])).ravel()
+    first = np.zeros(len(pairs), dtype=bool)
+    first[np.unique(pairs, return_index=True)[1]] = True
+    gains = (first & ~included[pairs]).reshape(-1, 2).sum(axis=1)
+    full = np.flatnonzero(count + np.cumsum(gains) >= size_limit)
+    end = int(full[0]) + 1 if full.size else len(ranking)
+    return ranking[:end], gains[:end]
+
+
+class _Admission:
+    """The admission rule of a block of carvings, and the certificate that stops their walks early.
+
+    The walk of a carving from propositions can stop before it converges,
+    once its node set is proven. The graph is bipartite, with propositions
+    on one side, so x_t = (M^T)^t r lies on the propositions at even steps
+    t and on the other side at odd ones, and pi_t = (1 - d) sum_(s<t) d^s
+    x_s + d^t x_t. At an even step, with y = pi / deg:
+
+    * b = min(pi_(t-1), pi_t) / deg is the truncated series (1 - d)
+      sum_(s<t) d^s x_s / deg, since pi_t - pi_(t-1) = d^t (x_t - x_(t-1))
+      is d^t x_t >= 0 on the propositions and -d^t x_(t-1) <= 0 elsewhere;
+    * w = max (pi_t - pi_(t-1)) / deg over the propositions is d^t max x_t
+      / deg;
+    * every later score pi_T / deg, the converged one included, lies in
+      [b, b + w], because a uniform walk step cannot raise max x / deg
+      (each entry is the mean of its neighbours' x / deg), so the rest of
+      the series adds at most w.
+
+    The admission loop run on y_t then takes the converged walk's node set
+    when, for its last admitted node's twin class U (nodes with one
+    neighbour list, whose scores are equal floats at every step and are
+    read in index order, :attr:`HeteroGraph.twin_classes`), every node it
+    admitted before U has b above U's b + w, and U's b is above b + w of
+    every node that could still be read before U and change the count:
+    each one not in from the start, not admitted before U, not brought in
+    by such a node, and not in U. The gap is the smallest of those
+    separations, and it must exceed w plus a rounding margin (see
+    :meth:`__init__`). A seed in U is in from the start, so it never
+    counts.
+
+    w is read off the propositions' slice at every fourth step: over a
+    wide block a read costs about half a step, and w narrows about 2.6-fold
+    in four steps. A full check ranks the nodes and costs about two steps
+    of one column, so it runs only once the bracket could be narrow
+    enough: the first when w has fallen ``_NARROWING``-fold since step 4,
+    each later one when w is below the gap the last check measured, as
+    gaps change little once positive, or has fallen ``_NARROWING``-fold
+    again after a check that found no positive gap.
+    """
+
+    def __init__(self, graph: HeteroGraph, seed_rows: list[np.ndarray], size_limit: int, damping: float):
+        self.graph = graph
+        self.size_limit = size_limit
+        # admitting a node admits what it brings: a proposition its passage,
+        # any other node only itself
+        self.brings = np.arange(graph.node_count)
+        self.brings[graph.proposition_rows] = graph.proposition_passages
+        self.initial = []
+        for rows in seed_rows:
+            included = np.zeros(graph.node_count, dtype=bool)
+            included[rows] = included[self.brings[rows]] = True
+            self.initial.append(included)
+        # Rounding margin. Let u = 2^-53 and K the longest row. A step sums
+        # at most K nonnegative products per entry, scales by d and may add
+        # a teleport term, so each computed entry is the exact step of the
+        # computed previous vector off by a relative (K + 3)u at most. The
+        # exact step contracts L1 differences by d and the walk holds mass
+        # 1, so every computed pi_t is within E = (K + 3)u / (1 - d) of the
+        # exact one in L1, hence in every entry; dividing by a degree (at
+        # least 1) adds u. So b is within E + u, w within 2E + 2u (a
+        # difference of two steps) and the converged score the admission
+        # reads within E + u of exact, and the float restart weight scales
+        # the tail by at most 1 + 2u: a gap above w + 6E + 8u, plus 2u for
+        # rounding the gap and the sum, is a certificate. 6(K + 3) + 10 is
+        # below 8(K + 4), which also leaves room for second order terms.
+        longest = float(graph.global_degrees.max())
+        self.margin = 8.0 * (longest + 4.0) * (np.finfo(np.float64).eps / 2) / (1.0 - damping)
+        self.steps = np.zeros(len(seed_rows), dtype=np.int64)
+        self.stops = np.full(len(seed_rows), "budget", dtype=object)
+        self.check_below = np.full(len(seed_rows), np.nan)
+
+    def nodes(self, column: int, visits: np.ndarray) -> np.ndarray:
+        """The carving of ``column`` from its walk's ``visits``: the nodes the admission loop takes."""
+        included = self.initial[column].copy()
+        read, _ = _admit(self._scores(visits), included, self.brings, self.size_limit)
+        included[read] = included[self.brings[read]] = True
+        return np.flatnonzero(included)
+
+    def _scores(self, visits: np.ndarray) -> np.ndarray:
+        degrees = self.graph.global_degrees
+        return np.divide(visits, degrees, out=np.zeros_like(visits), where=degrees > 0)
+
+    def certify(
+        self, columns: np.ndarray, previous: np.ndarray, current: np.ndarray, moved: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        """Which block columns are proven at an even step, ``current``, after ``previous``.
+
+        ``moved`` is ``|current - previous|``; on the propositions it is the
+        step change itself, but for rounding, which its absolute value only
+        widens. ``columns`` names the carving of each block column, and only
+        the ``candidates`` are checked. Records the stop of each proven one.
+        """
+        props = self.graph.proposition_rows
+        widths = (moved[props] / self.graph.global_degrees[props, None]).max(axis=0) + self.margin
+        fresh = np.isnan(self.check_below[columns])
+        self.check_below[columns[fresh]] = widths[fresh] / _NARROWING
+        proven = np.zeros(len(columns), dtype=bool)
+        for k in np.flatnonzero(candidates & (widths < self.check_below[columns])).tolist():
+            column, width = columns[k], widths[k]
+            gap = self._gap(column, self._scores(current[:, k]), self._scores(np.minimum(previous[:, k], current[:, k])))
+            proven[k] = gap > width
+            self.check_below[column] = gap if gap > 0 else width / _NARROWING
+        self.stops[columns[proven]] = "certificate"
+        return proven
+
+    def _gap(self, column: int, scores: np.ndarray, base: np.ndarray) -> float:
+        """The smallest separation in ``base`` between the last unit the admission loop takes on ``scores`` and the nodes that must stay on either side of it."""
+        read, gains = _admit(scores, self.initial[column], self.brings, self.size_limit)
+        if not len(read) or self.size_limit >= self.graph.node_count:
+            # the seeds fill the limit, or every node is taken: order does not matter
+            return np.inf
+        last = read[-1]
+        twins = self.graph.twin_classes
+        unit = twins == twins[last]
+        before = read[:-1][gains[:-1] > 0]
+        before = before[~unit[before]]
+        out = ~self.initial[column]
+        out[before] = out[self.brings[before]] = False
+        out[unit] = False
+        above = float(base[before].min()) - base[last] if before.size else np.inf
+        below = base[last] - float(base[out].max()) if out.any() else np.inf
+        return min(above, below)
+
+
+def _carving_walks(
+    graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams, admission: _Admission | None = None
+) -> np.ndarray:
     """The uniform walk's PPR restarting at each of ``seed_rows``, one column each.
 
     All walks run as one block: a step is one sparse product over the
     columns still running. Each column does what :func:`ppr` does for it
     alone, with the same floats, and stops at its own step, so it is bit
-    for bit ``ppr``'s result.
+    for bit ``ppr``'s result. Given the ``admission`` of proposition seed
+    sets, a column also stops once its carving is proven, at a step before
+    convergence; ``admission`` records each column's steps and stop.
     """
     transposed = graph.transposed_transition
     dangling = np.flatnonzero(graph.global_degrees == 0)
@@ -271,17 +450,27 @@ def _carving_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: Walk
     pi[seeds] = restart
     done = np.empty_like(pi)
     running = np.arange(len(seed_rows))
-    for _ in range(params.ppr_max_iters):
+    for step in range(1, params.ppr_max_iters + 1):
+        mass = _column_sums(pi[dangling])
         nxt = transposed @ pi
-        at_seeds = d * (nxt[seeds] + _column_sums(pi[dangling]) * restart) + teleport
+        at_seeds = d * (nxt[seeds] + mass * restart) + teleport
         nxt *= d
         nxt[seeds] = at_seeds
-        converged = _column_sums(np.abs(nxt - pi)) < params.ppr_epsilon
+        moved = nxt - pi
+        np.abs(moved, out=moved)
+        stopped = _column_sums(moved) < params.ppr_epsilon
+        if admission is not None:
+            admission.steps[running] = step
+            admission.stops[running[stopped]] = "convergence"
+            if step % 4 == 0:
+                # Degree-0 rows have no in-edges, so a walk from propositions
+                # leaves them no mass and the bound needs no dangling term.
+                stopped |= admission.certify(running, pi, nxt, moved, ~stopped & (mass == 0.0))
         pi = nxt
-        if converged.any():
-            done[:, running[converged]] = pi[:, converged]
-            running, pi = running[~converged], pi[:, ~converged]
-            restart, teleport = restart[:, ~converged], teleport[:, ~converged]
+        if stopped.any():
+            done[:, running[stopped]] = pi[:, stopped]
+            running, pi = running[~stopped], pi[:, ~stopped]
+            restart, teleport = restart[:, ~stopped], teleport[:, ~stopped]
             if not len(running):
                 break
     done[:, running] = pi
@@ -303,7 +492,9 @@ def extract_subgraphs(
     genuinely close nodes. Nodes are admitted in rank order until
     ``size_limit`` is reached; every admitted proposition drags its
     passage along, and seeds with their passages are always present no
-    matter how small the limit. The walks of all sets run as one block.
+    matter how small the limit. The walks of all sets run as one block,
+    and each stops as soon as its node set is proven (see
+    :class:`_Admission`); each carving records its walk's steps and stop.
     """
     seed_rows: list[np.ndarray] = []
     for seed_props in seed_sets:
@@ -317,37 +508,12 @@ def extract_subgraphs(
         seed_rows.append(np.add(seeds, graph.proposition_rows.start))
     if not seed_rows:
         return []
-    visits = _carving_walks(graph, seed_rows, params)
-
-    # admitting a node admits what it brings: a proposition its passage,
-    # any other node only itself
-    brings = np.arange(graph.node_count)
-    brings[graph.proposition_rows] = graph.proposition_passages
-    degrees = graph.global_degrees
-    carved: list[Subgraph] = []
-    for column, rows in enumerate(seed_rows):
-        included = np.zeros(graph.node_count, dtype=bool)
-        included[rows] = included[brings[rows]] = True
-        count = int(included.sum())
-        probabilities = visits[:, column]
-        scores = np.divide(probabilities, degrees, out=np.zeros_like(probabilities), where=degrees > 0)
-        # The loop reads an entry only while fewer than size_limit nodes are
-        # in, and every entry ranked above it is in: it reads at most the
-        # first size_limit entries, which rank among the nodes scoring at
-        # least the size_limit-th highest score.
-        kth = graph.node_count - min(size_limit, graph.node_count)
-        head = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
-        ranking = head[np.lexsort((head, -scores[head]))]
-        for gi in ranking.tolist():
-            if count >= size_limit:
-                break
-            if included[gi]:
-                continue
-            extra = brings[gi]
-            count += 1 + (extra != gi and not included[extra])
-            included[gi] = included[extra] = True
-        carved.append(Subgraph(graph, np.flatnonzero(included)))
-    return carved
+    admission = _Admission(graph, seed_rows, size_limit, params.damping)
+    visits = _carving_walks(graph, seed_rows, params, admission)
+    return [
+        Subgraph(graph, admission.nodes(column, visits[:, column]), int(admission.steps[column]), admission.stops[column])
+        for column in range(len(seed_rows))
+    ]
 
 
 def extract_subgraph(

@@ -125,6 +125,29 @@ def test_normalize_zero_vector_is_deterministic_basis():
     assert vec[0] == 1.0 and is_normalized(vec)
 
 
+def reference_normalize(values):
+    """``normalize`` as it was with ``np.linalg.norm``."""
+    vec = np.asarray(values, dtype=np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        out = np.zeros(vec.shape[0], dtype=np.float32)
+        out[0] = 1.0
+        return out
+    return (vec / norm).astype(np.float32)
+
+
+def test_normalize_matches_linalg_norm_reference_bitwise():
+    rng = np.random.default_rng(101)
+    vectors = [rng.normal(size=int(rng.integers(1, 300))) * 10.0 ** int(rng.integers(-30, 31)) for _ in range(2000)]
+    vectors += [rng.integers(-3, 4, size=256).astype(np.float64) for _ in range(200)]  # embedder counts
+    vectors += [np.zeros(1), np.zeros(256), np.array([-0.0, 0.0]), np.array([5e-324, 0.0]), np.array([1e-200, -3e-190])]
+    vectors += [np.array([1e200, -2e200]), np.array([1.7e308, 1.7e308]), np.array([np.inf, 1.0]), np.array([np.nan, 1.0])]
+    vectors += [[3, 4], (0.0, 0.0, 2.5)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for values in vectors:
+            assert normalize(values).tobytes() == reference_normalize(values).tobytes(), values
+
+
 def reference_counts(text, dim, n=3):
     """The embedder's unnormalized vector, hashing every gram with its own blake2b call."""
     lowered = text.lower()

@@ -17,7 +17,7 @@ from propgraph.errors import (
 )
 from propgraph.graph import HeteroGraph, NodeId, NodeKind
 
-from conftest import build_random_graph
+from conftest import build_random_graph, random_unit
 
 
 def unit(dim=4, axis=0):
@@ -433,3 +433,39 @@ def test_node_id_ordering_and_tags():
     b = NodeId(NodeKind.PROPOSITION, 0)
     assert a < b
     assert NodeId.from_tag(a.tag()) == a
+
+
+def loop_twin_classes(graph):
+    """Each node's twin class, by comparing neighbor lists one node at a time."""
+    walk = graph.uniform_transition
+    first: dict[tuple, int] = {}
+    return np.array(
+        [first.setdefault(tuple(walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()), i) for i in range(graph.node_count)],
+        dtype=np.int64,
+    )
+
+
+def test_twin_classes_match_neighbor_lists(tmp_path):
+    rng = np.random.default_rng(109)
+    planted = HeteroGraph()
+    passage = planted.add_passage("passage", "d", (0, 5))
+    other = planted.add_passage("other passage", "d", (0, 5))
+    hubs = [planted.add_entity(f"entity {i}", random_unit(rng, 8)) for i in range(3)]
+    # two propositions with one passage and one entity set, entities 0 and
+    # 1 cited by the same propositions, and entity 2 cited only where the
+    # other passage is: twins of every kind, across kinds too
+    for text, where, refs in [("a", passage, hubs[:2]), ("b", passage, hubs[:2]), ("c", other, hubs)]:
+        planted.add_proposition(text, where, refs, random_unit(rng, 8))
+    planted.finalize()
+    assert planted.twin_classes.tolist() == [0, 1, 2, 2, 4, 5, 5, 1]
+    graphs = [planted] + [build_random_graph(rng, int(rng.integers(1, 80))) for _ in range(30)]
+    for graph in graphs:
+        want = loop_twin_classes(graph)
+        assert graph.twin_classes.dtype == np.int64 and np.array_equal(graph.twin_classes, want)
+        assert not graph.twin_classes.flags.writeable
+        walk = graph.uniform_transition
+        # hashes that collide for every pair of rows of one degree, or often
+        for keys in (np.zeros(walk.shape[0], np.uint64), np.arange(walk.shape[0], dtype=np.uint64) % 3):
+            assert np.array_equal(g._twin_classes(walk, keys), want)
+    g.save(graphs[1], tmp_path / "g")
+    assert np.array_equal(g.load(tmp_path / "g").twin_classes, graphs[1].twin_classes)
