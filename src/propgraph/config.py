@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 from .encoding import DEFAULT_MOCK_DIM, EmbedBackend, HashedNgramEmbedder, OpenAICompatEmbedder
 from .errors import ConfigError
@@ -36,6 +37,37 @@ def _has_type(annotation: str, value) -> bool:
     if annotation == "int":
         return isinstance(value, int)
     return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+# a backend spec value's requirement, and the check that it meets it
+_NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
+_SECONDS = ("a finite number > 0", lambda v: _has_type("float", v) and v > 0)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _has_type("float", v) and v >= 0)
+_COUNT = ("an integer >= 1", lambda v: _has_type("int", v) and v >= 1)
+_DIMENSION = ("an integer >= 2", lambda v: _has_type("int", v) and v >= 2)
+
+_OPENAI_KEYS = {
+    "base_url": ("base_url", _NAME),
+    "model": ("model", _NAME),
+    "api_key_env": ("api_key_env", _NAME),
+    "timeout": ("timeout", _SECONDS),
+}
+
+# (spec, kind) -> the constructor it builds, and for each accepted key
+# besides "kind", the constructor parameter it feeds and its check
+BACKEND_SPECS = {
+    ("chat_backend", "mock"): (MockChatBackend.from_file, {"script": ("path", _PATH)}),
+    ("chat_backend", "openai"): (
+        OpenAICompatChatBackend,
+        {**_OPENAI_KEYS, "temperature": ("temperature", _NON_NEGATIVE), "max_concurrency": ("max_concurrency", _COUNT)},
+    ),
+    ("embed_backend", "mock"): (HashedNgramEmbedder, {"dimension": ("dim", _DIMENSION)}),
+    ("embed_backend", "openai"): (
+        OpenAICompatEmbedder,
+        {**_OPENAI_KEYS, "dimension": ("dim", _DIMENSION), "batch_size": ("batch_size", _COUNT)},
+    ),
+}
 
 
 @dataclass
@@ -107,16 +139,7 @@ class RunConfig:
         if self.subgraph_max_size < self.top_k:
             raise ConfigError(f"subgraph_max_size {self.subgraph_max_size} is below top_k {self.top_k}")
         for name in ("chat_backend", "embed_backend"):
-            spec = getattr(self, name)
-            kind = spec.get("kind", "mock")
-            if kind not in ("mock", "openai"):
-                raise ConfigError(f"unknown {name} kind {kind!r}")
-            missing = [key for key in ("base_url", "model") if kind == "openai" and key not in spec]
-            if missing:
-                raise ConfigError(f"{name} of kind 'openai' needs {' and '.join(missing)}")
-        dimension = self.embed_backend.get("dimension", DEFAULT_MOCK_DIM)
-        if not _has_type("int", dimension) or dimension < 2:
-            raise ConfigError(f"embed_backend dimension must be an integer >= 2, got {dimension!r}")
+            _backend_arguments(name, getattr(self, name))
 
     def walk_params(self) -> WalkParams:
         return WalkParams(
@@ -155,41 +178,41 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def build_chat_backend(cfg: RunConfig, base_dir: Path | None = None) -> ChatBackend:
-    spec = cfg.chat_backend
+def _backend_arguments(name: str, spec: dict) -> tuple[Callable, dict]:
+    """Check the ``name`` spec against its table, raising ``ConfigError`` on a fault.
+
+    Returns its constructor and the arguments of the keys present only, so
+    each default lives in its constructor.
+    """
     kind = spec.get("kind", "mock")
-    if kind == "mock":
-        script = spec.get("script")
-        if script:
-            script_path = Path(script)
-            if base_dir is not None and not script_path.is_absolute():
-                script_path = base_dir / script_path
-            return MockChatBackend.from_file(script_path)
+    if not isinstance(kind, str) or (name, kind) not in BACKEND_SPECS:
+        raise ConfigError(f"unknown {name} kind {kind!r}")
+    build, keys = BACKEND_SPECS[name, kind]
+    missing = [key for key in ("base_url", "model") if key in keys and key not in spec]
+    if missing:
+        raise ConfigError(f"{name} of kind {kind!r} needs {' and '.join(missing)}")
+    arguments = {}
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        if key not in keys:
+            raise ConfigError(f"{name} of kind {kind!r} has unknown key {key!r}")
+        parameter, (requirement, ok) = keys[key]
+        if not ok(value):
+            raise ConfigError(f"{name} {key} must be {requirement}, got {value!r}")
+        arguments[parameter] = value
+    return build, arguments
+
+
+def build_chat_backend(cfg: RunConfig, base_dir: Path | None = None) -> ChatBackend:
+    build, arguments = _backend_arguments("chat_backend", cfg.chat_backend)
+    if build is OpenAICompatChatBackend:
+        return build(**arguments)
+    if not arguments.get("path"):
         return MockChatBackend()
-    if kind == "openai":
-        return OpenAICompatChatBackend(
-            base_url=spec["base_url"],
-            model=spec["model"],
-            api_key_env=spec.get("api_key_env", "OPENAI_API_KEY"),
-            temperature=spec.get("temperature", 0.0),
-            timeout=spec.get("timeout", 120.0),
-            max_concurrency=spec.get("max_concurrency", 4),
-        )
-    raise ConfigError(f"unknown chat backend kind {kind!r}")
+    return MockChatBackend.from_file((base_dir or Path()) / arguments["path"])
 
 
 def build_embed_backend(cfg: RunConfig) -> EmbedBackend:
-    spec = cfg.embed_backend
-    kind = spec.get("kind", "mock")
-    if kind == "mock":
-        return HashedNgramEmbedder(dim=spec.get("dimension", DEFAULT_MOCK_DIM))
-    if kind == "openai":
-        return OpenAICompatEmbedder(
-            base_url=spec["base_url"],
-            model=spec["model"],
-            api_key_env=spec.get("api_key_env", "OPENAI_API_KEY"),
-            dim=spec.get("dimension"),
-            batch_size=spec.get("batch_size", 64),
-            timeout=spec.get("timeout", 60.0),
-        )
-    raise ConfigError(f"unknown embed backend kind {kind!r}")
+    build, arguments = _backend_arguments("embed_backend", cfg.embed_backend)
+    return build(**arguments)

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import BackendUnavailable, DimensionMismatchError
-from .http_json import post_json
+from .http_json import OpenAICompatClient
 
 NORM_TOL = 1e-6
 
@@ -159,7 +157,8 @@ class OpenAICompatEmbedder(EmbedBackend):
 
     Sends batched inputs and returns one vector per input, in order.
     Responses are re-normalized locally since not every served model
-    guarantees unit vectors.
+    guarantees unit vectors. A served vector of another length than ``dim``
+    (given, or once probed) raises ``DimensionMismatchError``, not retried.
     """
 
     def __init__(
@@ -174,15 +173,9 @@ class OpenAICompatEmbedder(EmbedBackend):
         max_retries: int = 3,
         backoff: float = 1.0,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self._api_key = api_key or os.environ.get(api_key_env, "")
+        self.client = OpenAICompatClient(base_url, model, api_key, api_key_env, timeout, max_retries, backoff)
         self._dim = dim
         self.batch_size = batch_size
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self._session = requests.Session()
 
     def dimension(self) -> int:
         if self._dim is None:
@@ -193,26 +186,14 @@ class OpenAICompatEmbedder(EmbedBackend):
         out: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = list(texts[start : start + self.batch_size])
-            out.extend(self._embed_batch(batch))
+            out.extend(self.client.post("embeddings", {"input": batch}, lambda body: self._parse(body, len(batch))))
         return out
 
-    def _embed_batch(self, batch: list[str]) -> list[np.ndarray]:
-        def parse(body) -> list[np.ndarray]:
-            data = body["data"]
-            vectors = [normalize(item["embedding"]) for item in sorted(data, key=lambda d: d["index"])]
-            if len(vectors) != len(batch):
-                raise BackendUnavailable(
-                    f"embeddings endpoint returned {len(vectors)} vectors for {len(batch)} inputs"
-                )
-            return vectors
-
-        return post_json(
-            self._session,
-            f"{self.base_url}/embeddings",
-            {"model": self.model, "input": batch},
-            parse,
-            api_key=self._api_key,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-        )
+    def _parse(self, body, n_inputs: int) -> list[np.ndarray]:
+        vectors = [normalize(item["embedding"]) for item in sorted(body["data"], key=lambda d: d["index"])]
+        if len(vectors) != n_inputs:
+            raise BackendUnavailable(f"embeddings endpoint returned {len(vectors)} vectors for {n_inputs} inputs")
+        for vec in vectors:
+            if self._dim is not None and vec.shape[0] != self._dim:
+                raise DimensionMismatchError(f"embeddings endpoint served a {vec.shape[0]}-d vector, expected {self._dim}-d")
+        return vectors

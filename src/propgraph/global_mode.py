@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 import numpy as np
@@ -75,7 +75,6 @@ class Community:
 class AnchorCollection:
     pool: PropositionPool
     iterations: int
-    query_states: list[dict[int, QueryState]] = field(default_factory=list)
 
 
 @dataclass
@@ -177,12 +176,10 @@ def collect_anchors(
             records.setdefault(prop, []).append(rec)
         trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=kept)
 
-    history = AnchorCollection(s_glb, 0)
     iteration = 0
     while len(s_glb) < cfg.min_facts and iteration < cfg.max_iter and len(s_pool) > 0:
         iteration += 1
         states = compute_queries(s_pool, records, graph, cfg)
-        history.query_states.append(states)
         s_pool_new = PropositionPool()
         new_records: dict[int, list[WalkRecord]] = {}
         # a round-robin split leaves any empty parts at the end
@@ -216,8 +213,7 @@ def collect_anchors(
         s_pool = s_pool_new
         records = new_records
         trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
-    history.iterations = iteration
-    return history
+    return AnchorCollection(s_glb, iteration)
 
 
 def detect_communities(

@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import requests
-
 from .errors import ConfigError, ExtractionFailed, PromptParseError
-from .http_json import post_json
+from .http_json import OpenAICompatClient
 from .prompts import PromptInstance, TemplateId, numbered, render
 from .tokens import TokenEstimator, estimate_tokens
 from .usage import UsageLedger
@@ -110,23 +106,26 @@ class MockChatBackend(ChatBackend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockChatBackend":
-        """Load scripting rules from a JSON list of rule objects."""
+        """Load scripting rules from a JSON list of rule objects, raising ``ConfigError`` on a bad one."""
         try:
             entries = json.loads(Path(path).read_text())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read mock script {path}: {err}") from err
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError(f"mock script {path} must be a JSON list of rule objects")
-        rules = [
-            MockRule(
-                response=e.get("response"),
-                template=e.get("template"),
-                contains=e.get("contains"),
-                slot_equals=e.get("slot_equals"),
-            )
-            for e in entries
-        ]
-        return cls(rules)
+        templates = [t.value for t in TemplateId]
+        for index, entry in enumerate(entries):
+            where = f"mock script {path} rule {index}"
+            for key, value in entry.items():
+                if key not in ("response", "template", "contains", "slot_equals"):
+                    raise ConfigError(f"{where} has unknown key {key!r}")
+                if key == "slot_equals" and not isinstance(value, dict):
+                    raise ConfigError(f"{where} slot_equals must be an object, got {value!r}")
+                if key != "slot_equals" and not (value is None or isinstance(value, str)):
+                    raise ConfigError(f"{where} {key} must be a string or null, got {value!r}")
+            if entry.get("template") not in (None, *templates):
+                raise ConfigError(f"{where} template must be one of {', '.join(templates)}, got {entry['template']!r}")
+        return cls([MockRule(**entry) for entry in entries])
 
     def model_name(self) -> str:
         return "mock"
@@ -189,35 +188,17 @@ class OpenAICompatChatBackend(ChatBackend):
         backoff: float = 1.0,
         max_concurrency: int = 4,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self._api_key = api_key or os.environ.get(api_key_env, "")
+        self.client = OpenAICompatClient(base_url, model, api_key, api_key_env, timeout, max_retries, backoff, max_concurrency)
         self.temperature = temperature
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self._gate = threading.Semaphore(max_concurrency)
-        self._session = requests.Session()
 
     def model_name(self) -> str:
-        return self.model
+        return self.client.model
 
     def complete(self, prompt: PromptInstance) -> str:
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt.rendered}],
-            "temperature": self.temperature,
-        }
-        return post_json(
-            self._session,
-            f"{self.base_url}/chat/completions",
-            payload,
+        return self.client.post(
+            "chat/completions",
+            {"messages": [{"role": "user", "content": prompt.rendered}], "temperature": self.temperature},
             lambda body: body["choices"][0]["message"]["content"],
-            api_key=self._api_key,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            gate=self._gate,
         )
 
 

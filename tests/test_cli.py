@@ -310,6 +310,14 @@ def test_malformed_dataset_row_is_reported(workspace, capsys, row, message):
         ({"embed_backend": {"kind": "mock", "dimension": 1}}, "embed_backend dimension must be an integer >= 2, got 1"),
         ({"chat_backend": {"kind": "mock", "script": "broken.json"}}, "cannot read mock script "),
         ({"chat_backend": {"kind": "mock", "script": "absent.json"}}, "cannot read mock script "),
+        (
+            {"chat_backend": {"kind": "openai", "base_url": "http://127.0.0.1:9/v1", "model": "m", "max_concurrency": 0}},
+            "chat_backend max_concurrency must be an integer >= 1, got 0",
+        ),
+        (
+            {"embed_backend": {"kind": "openai", "base_url": "http://127.0.0.1:9/v1", "model": "m", "batch_size": 0}},
+            "embed_backend batch_size must be an integer >= 1, got 0",
+        ),
     ],
 )
 def test_unusable_backend_spec_is_reported(workspace, capsys, change, message):

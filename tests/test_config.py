@@ -1,16 +1,20 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from propgraph.config import RunConfig, build_chat_backend, build_embed_backend, load_config
+from propgraph.config import BACKEND_SPECS, RunConfig, build_chat_backend, build_embed_backend, load_config
 from propgraph.encoding import NORM_TOL, HashedNgramEmbedder, OpenAICompatEmbedder
 from propgraph.errors import ConfigError
 from propgraph.llm import MockChatBackend, OpenAICompatChatBackend
 from propgraph.traversal import build_structural_transition, query_aware_transition
 
 from conftest import build_random_graph
+
+
+OPENAI = {"kind": "openai", "base_url": "http://srv/v1", "model": "m"}
 
 
 def write_config(tmp_path, payload):
@@ -86,6 +90,19 @@ def test_out_of_range_values_rejected_at_load(tmp_path):
             {"embed_backend": {"kind": "openai", "base_url": "http://srv/v1", "model": "m", "dimension": 0}},
             "dimension must be an integer >= 2, got 0",
         ),
+        ({"chat_backend": {**OPENAI, "max_concurrency": 0}}, "chat_backend max_concurrency must be an integer >= 1, got 0"),
+        ({"chat_backend": {**OPENAI, "max_concurrency": -1}}, "chat_backend max_concurrency must be an integer >= 1, got -1"),
+        ({"embed_backend": {**OPENAI, "batch_size": 0}}, "embed_backend batch_size must be an integer >= 1, got 0"),
+        ({"chat_backend": {**OPENAI, "timeout": "60"}}, "chat_backend timeout must be a finite number > 0, got '60'"),
+        ({"embed_backend": {**OPENAI, "timeout": 0}}, "embed_backend timeout must be a finite number > 0, got 0"),
+        ({"chat_backend": {**OPENAI, "temperature": "hot"}}, "chat_backend temperature must be a finite number >= 0, got 'hot'"),
+        ({"chat_backend": {**OPENAI, "model": ""}}, "chat_backend model must be a non-empty string, got ''"),
+        ({"chat_backend": {"kind": "mock", "script": 5}}, "chat_backend script must be a string or null, got 5"),
+        ({"chat_backend": {"kind": ["mock"]}}, r"unknown chat_backend kind \['mock'\]"),
+        ({"chat_backend": {"kind": "mock", "timeuot": 60}}, "chat_backend of kind 'mock' has unknown key 'timeuot'"),
+        ({"chat_backend": {**OPENAI, "timeuot": 60}}, "chat_backend of kind 'openai' has unknown key 'timeuot'"),
+        ({"embed_backend": {"kind": "mock", "timeuot": 60}}, "embed_backend of kind 'mock' has unknown key 'timeuot'"),
+        ({"embed_backend": {**OPENAI, "timeuot": 60}}, "embed_backend of kind 'openai' has unknown key 'timeuot'"),
     ],
 )
 def test_wrong_types_and_backend_specs_rejected_at_load(tmp_path, payload, message):
@@ -138,6 +155,20 @@ def test_backend_builders(tmp_path):
         build_embed_backend(cfg)
 
 
+def test_minimal_openai_specs_build_with_the_constructor_defaults():
+    cfg = RunConfig(chat_backend=dict(OPENAI), embed_backend=dict(OPENAI))
+    chat, embed = build_chat_backend(cfg), build_embed_backend(cfg)
+    assert (chat.client.timeout, chat.temperature, chat.client.max_retries) == (120.0, 0.0, 3)
+    assert (embed.client.timeout, embed.batch_size) == (60.0, 64)
+
+
+def test_every_spec_key_names_a_parameter_of_its_constructor():
+    for (name, kind), (build, keys) in BACKEND_SPECS.items():
+        parameters = inspect.signature(build).parameters
+        for key, (parameter, _) in keys.items():
+            assert parameter in parameters, f"{name} {kind} key {key!r} feeds no parameter of {build.__qualname__}"
+
+
 def test_smallest_temperatures_keep_the_semantic_weights_finite():
     # exp(c / tau) of the largest cosine must stay finite: accepted just
     # above the bound, rejected just below it
@@ -160,6 +191,10 @@ def test_smallest_temperatures_keep_the_semantic_weights_finite():
         ('{"template": "Eval"}', "mock script .*rules.json must be a JSON list of rule objects"),
         ('["Eval"]', "mock script .*rules.json must be a JSON list of rule objects"),
         (None, "cannot read mock script .*rules.json"),
+        ('[{"response": 5}]', "mock script .*rules.json rule 0 response must be a string or null, got 5"),
+        ('[{}, {"slot_equals": "x"}]', "mock script .*rules.json rule 1 slot_equals must be an object, got 'x'"),
+        ('[{"respnose": "KEEP: 1"}]', "mock script .*rules.json rule 0 has unknown key 'respnose'"),
+        ('[{"template": "Slect"}]', "mock script .*rules.json rule 0 template must be one of NER, .*, got 'Slect'"),
     ],
 )
 def test_unusable_mock_script_is_a_config_error(tmp_path, script, message):
