@@ -15,7 +15,7 @@ from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PoolEntry, PropositionPool, select, suggest_local, suggest_naive
+from .suggest import PoolEntry, PropositionPool, carve_local, select, suggest_local, suggest_naive
 from .trace import Trace
 
 
@@ -56,11 +56,12 @@ def answer_local(
 
     Seeding: similarity search for the starting question, pruned by
     selection, checked once for sufficiency before any walk. Each
-    iteration then walks from the current pool once per active question,
-    prunes, folds the survivors into the collected set, and re-checks
-    sufficiency; follow-up questions steer the next iteration. When the
-    iteration budget runs out a best-effort answer is still produced from
-    the collected facts, flagged as exhausted on the trace.
+    iteration then carves one subgraph around the current pool and walks
+    it once per active question, prunes, folds the survivors into the
+    collected set, and re-checks sufficiency; follow-up questions steer the
+    next iteration. When the iteration budget runs out a best-effort answer
+    is still produced from the collected facts, flagged as exhausted on the
+    trace.
     """
     cfg = cfg or RunConfig()
     suggest_cfg = cfg.suggest_config()
@@ -88,8 +89,9 @@ def answer_local(
             trace.log("pool_empty", iteration=iteration)
             break
         judged_this_iter: set[int] = set(s_pool_new.ids())
+        carved = carve_local(graph, s_pool, suggest_cfg)
         for q_index, question in enumerate(questions):
-            suggested = suggest_local(embedder.embed_one(question), graph, s_pool, suggest_cfg)
+            suggested = suggest_local(embedder.embed_one(question), graph, s_pool, suggest_cfg, carved)
             candidates = [c for c in suggested if c not in judged_this_iter]
             judged_this_iter.update(candidates)
             kept = select(question, candidates, graph, gateway) if candidates else []

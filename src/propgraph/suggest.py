@@ -20,6 +20,7 @@ from .graph import HeteroGraph
 from .llm import LLMGateway
 from .traversal import (
     Subgraph,
+    TransitionMatrix,
     WalkParams,
     build_structural_transition,
     extract_subgraph,
@@ -120,25 +121,41 @@ def _rank_new(
     return out
 
 
+def carve_local(
+    graph: HeteroGraph, seeds: PropositionPool | Sequence[int], cfg: SuggestConfig
+) -> tuple[Subgraph, TransitionMatrix]:
+    """The subgraph that :func:`suggest_local` carves around ``seeds``, and its structural transition.
+
+    Neither depends on the query, so walks for several queries from the
+    same seeds can share them.
+    """
+    seed_ids = sorted(set(seeds.ids() if isinstance(seeds, PropositionPool) else seeds))
+    if not seed_ids:
+        raise ValueError("seed set must be non-empty")
+    sub = extract_subgraph(graph, seed_ids, cfg.subgraph_size, cfg.walk)
+    return sub, build_structural_transition(sub)
+
+
 def suggest_local(
     query_vec: np.ndarray,
     graph: HeteroGraph,
     seeds: PropositionPool | Sequence[int],
     cfg: SuggestConfig,
+    carved: tuple[Subgraph, TransitionMatrix] | None = None,
 ) -> list[int]:
     """Walk a seed-anchored subgraph, biased toward the query.
 
     Extracts a bounded subgraph around the seeds, builds the blended
     transition operator there, runs PPR restarting at the seeds, and
     returns the top-k visited propositions outside the seed set.
+    ``carved`` is :func:`carve_local` of the same seeds, when the caller
+    has it already.
     """
     seed_ids = sorted(set(seeds.ids() if isinstance(seeds, PropositionPool) else seeds))
-    if not seed_ids:
-        raise ValueError("seed set must be non-empty")
-    sub = extract_subgraph(graph, seed_ids, cfg.subgraph_size, cfg.walk)
+    sub, structural = carved or carve_local(graph, seed_ids, cfg)
     row_props = sub.proposition_indices
     row_of = {p: r for r, p in enumerate(row_props)}
-    blended = query_aware_transition(sub, query_vec, cfg.walk)
+    blended = query_aware_transition(sub, query_vec, cfg.walk, structural=structural)
     dist = ppr(blended, [row_of[p] for p in seed_ids], cfg.walk)
     return _rank_new(dist.probabilities, row_props, set(seed_ids), cfg.k)
 

@@ -124,20 +124,43 @@ class Subgraph:
         self.parent = parent
         self.walk_steps = walk_steps
         self.walk_stop = walk_stop
-        self.nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        adjacency = parent.uniform_transition[self.nodes][:, self.nodes]
-        degrees = np.diff(adjacency.indptr)
-        adjacency.data = 1.0 / np.repeat(degrees, degrees)
-        self.uniform_transition = adjacency
+        self.nodes = np.array(nodes, dtype=np.int64)
+        if not (self.nodes[1:] > self.nodes[:-1]).all():
+            self.nodes = np.unique(self.nodes)
+        self.uniform_transition = _induced_walk(parent.uniform_transition, self.nodes)
         first = parent.proposition_rows
         lo, hi = np.searchsorted(self.nodes, [first.start, first.stop])
         self.proposition_rows = slice(int(lo), int(hi))
-        self.proposition_indices: list[int] = (self.nodes[lo:hi] - first.start).tolist()
-        self.proposition_embeddings = parent.proposition_embeddings[self.proposition_indices]
+        indices = self.nodes[lo:hi] - first.start
+        self.proposition_indices: list[int] = indices.tolist()
+        self.proposition_embeddings = parent.proposition_embeddings[indices]
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+
+def _induced_walk(walk: sp.csr_matrix, nodes: np.ndarray) -> sp.csr_matrix:
+    """The uniform walk over the subgraph of ``walk``'s graph induced by the ascending ``nodes``.
+
+    One gather takes each node's row entries whose column is a node, in
+    row order, which keeps the columns ascending, as a row slice and then
+    a column slice would.
+    """
+    starts = walk.indptr[nodes]
+    lengths = walk.indptr[nodes + 1] - starts
+    bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    entries = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)
+    local = np.full(walk.shape[0], -1, dtype=walk.indices.dtype)
+    local[nodes] = np.arange(len(nodes))
+    columns = local[walk.indices[entries]]
+    kept = columns >= 0
+    kept_before = np.zeros(len(kept) + 1, dtype=walk.indptr.dtype)
+    np.cumsum(kept, out=kept_before[1:])
+    indptr = kept_before[bounds]
+    degrees = np.diff(indptr)
+    return sp.csr_matrix((1.0 / np.repeat(degrees, degrees), columns[kept], indptr), shape=(len(nodes), len(nodes)))
 
 
 def build_structural_transition(view: HeteroGraph | Subgraph) -> TransitionMatrix:
@@ -280,7 +303,7 @@ def _admit(scores: np.ndarray, included: np.ndarray, brings: np.ndarray, size_li
     first appearances in the list of pairs, and the loop reads up to the
     first read at which the running count reaches the limit.
     """
-    count = int(included.sum())
+    count = np.count_nonzero(included)
     if count >= size_limit:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # The loop reads an entry only while fewer than size_limit nodes are
@@ -291,9 +314,11 @@ def _admit(scores: np.ndarray, included: np.ndarray, brings: np.ndarray, size_li
     head = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
     ranking = head[np.lexsort((head, -scores[head]))]
     pairs = np.column_stack((ranking, brings[ranking])).ravel()
-    first = np.zeros(len(pairs), dtype=bool)
-    first[np.unique(pairs, return_index=True)[1]] = True
-    gains = (first & ~included[pairs]).reshape(-1, 2).sum(axis=1)
+    # each node's first position in the pairs
+    appears = np.full(len(scores), len(pairs))
+    np.minimum.at(appears, pairs, np.arange(len(pairs)))
+    fresh = (appears[pairs] == np.arange(len(pairs))) & ~included[pairs]
+    gains = np.add(fresh[0::2], fresh[1::2], dtype=np.int64)
     full = np.flatnonzero(count + np.cumsum(gains) >= size_limit)
     end = int(full[0]) + 1 if full.size else len(ranking)
     return ranking[:end], gains[:end]
@@ -331,13 +356,13 @@ class _Admission:
     counts.
 
     w is read off the propositions' slice at every fourth step: over a
-    wide block a read costs about half a step, and w narrows about 2.6-fold
-    in four steps. A full check ranks the nodes and costs about two steps
-    of one column, so it runs only once the bracket could be narrow
-    enough: the first when w has fallen ``_NARROWING``-fold since step 4,
-    each later one when w is below the gap the last check measured, as
-    gaps change little once positive, or has fallen ``_NARROWING``-fold
-    again after a check that found no positive gap.
+    block of six columns a read costs about a third of a step, and w
+    narrows about 2.6-fold in four steps. A full check ranks the nodes and
+    costs about two steps of one column, so it runs only once the bracket
+    could be narrow enough: the first when w has fallen ``_NARROWING``-fold
+    since step 4, each later one when w is below the gap the last check
+    measured, as gaps change little once positive, or has fallen
+    ``_NARROWING``-fold again after a check that found no positive gap.
     """
 
     def __init__(self, graph: HeteroGraph, seed_rows: list[np.ndarray], size_limit: int, damping: float):
@@ -347,6 +372,9 @@ class _Admission:
         # any other node only itself
         self.brings = np.arange(graph.node_count)
         self.brings[graph.proposition_rows] = graph.proposition_passages
+        # a walk from propositions leaves degree-0 rows at exactly 0, which
+        # dividing by 1 keeps: a score is a plain division
+        self.degrees = np.maximum(graph.global_degrees, 1.0)
         self.initial = []
         for rows in seed_rows:
             included = np.zeros(graph.node_count, dtype=bool)
@@ -370,44 +398,56 @@ class _Admission:
         self.steps = np.zeros(len(seed_rows), dtype=np.int64)
         self.stops = np.full(len(seed_rows), "budget", dtype=object)
         self.check_below = np.full(len(seed_rows), np.nan)
+        # the nodes the admission loop read at the step that proved a column
+        self.proven_reads: dict[int, np.ndarray] = {}
 
     def nodes(self, column: int, visits: np.ndarray) -> np.ndarray:
-        """The carving of ``column`` from its walk's ``visits``: the nodes the admission loop takes."""
+        """The carving of ``column`` from its walk's ``visits``: the nodes the admission loop takes.
+
+        A proven column's walk stopped at the step its proof read, so the
+        loop is not run again.
+        """
         included = self.initial[column].copy()
-        read, _ = _admit(self._scores(visits), included, self.brings, self.size_limit)
+        read = self.proven_reads.get(column)
+        if read is None:
+            read, _ = _admit(self._scores(visits), included, self.brings, self.size_limit)
         included[read] = included[self.brings[read]] = True
         return np.flatnonzero(included)
 
     def _scores(self, visits: np.ndarray) -> np.ndarray:
-        degrees = self.graph.global_degrees
-        return np.divide(visits, degrees, out=np.zeros_like(visits), where=degrees > 0)
+        return visits / self.degrees
 
-    def certify(
-        self, columns: np.ndarray, previous: np.ndarray, current: np.ndarray, moved: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
+    def certify(self, columns: np.ndarray, previous: np.ndarray, current: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Which block columns are proven at an even step, ``current``, after ``previous``.
 
-        ``moved`` is ``|current - previous|``; on the propositions it is the
-        step change itself, but for rounding, which its absolute value only
-        widens. ``columns`` names the carving of each block column, and only
-        the ``candidates`` are checked. Records the stop of each proven one.
+        w is read from the step change on the propositions alone, as
+        ``|current - previous|`` there: the change itself, but for
+        rounding, which its absolute value only widens. ``columns`` names
+        the carving of each block column, and only the ``candidates`` are
+        checked. Records the stop of each proven one.
         """
         props = self.graph.proposition_rows
-        widths = (moved[props] / self.graph.global_degrees[props, None]).max(axis=0) + self.margin
+        # column-major, as a max along the rows of a narrow row-major block is slow
+        moved = np.subtract(current[props], previous[props], order="F")
+        np.abs(moved, out=moved)
+        np.divide(moved, self.graph.global_degrees[props, None], out=moved)
+        widths = moved.max(axis=0) + self.margin
         fresh = np.isnan(self.check_below[columns])
         self.check_below[columns[fresh]] = widths[fresh] / _NARROWING
         proven = np.zeros(len(columns), dtype=bool)
         for k in np.flatnonzero(candidates & (widths < self.check_below[columns])).tolist():
             column, width = columns[k], widths[k]
-            gap = self._gap(column, self._scores(current[:, k]), self._scores(np.minimum(previous[:, k], current[:, k])))
+            read, gains = _admit(self._scores(current[:, k]), self.initial[column], self.brings, self.size_limit)
+            gap = self._gap(column, read, gains, self._scores(np.minimum(previous[:, k], current[:, k])))
             proven[k] = gap > width
+            if proven[k]:
+                self.proven_reads[column] = read
             self.check_below[column] = gap if gap > 0 else width / _NARROWING
         self.stops[columns[proven]] = "certificate"
         return proven
 
-    def _gap(self, column: int, scores: np.ndarray, base: np.ndarray) -> float:
-        """The smallest separation in ``base`` between the last unit the admission loop takes on ``scores`` and the nodes that must stay on either side of it."""
-        read, gains = _admit(scores, self.initial[column], self.brings, self.size_limit)
+    def _gap(self, column: int, read: np.ndarray, gains: np.ndarray, base: np.ndarray) -> float:
+        """The smallest separation in ``base`` between the last unit of the admission loop's ``read`` and the nodes that must stay on either side of it."""
         if not len(read) or self.size_limit >= self.graph.node_count:
             # the seeds fill the limit, or every node is taken: order does not matter
             return np.inf
@@ -420,8 +460,32 @@ class _Admission:
         out[before] = out[self.brings[before]] = False
         out[unit] = False
         above = float(base[before].min()) - base[last] if before.size else np.inf
-        below = base[last] - float(base[out].max()) if out.any() else np.inf
+        below = base[last] - float(np.max(base, where=out, initial=-np.inf))
         return min(above, below)
+
+
+def _first_testable_step(graph: HeteroGraph, params: WalkParams) -> int:
+    """The first step at which a walk from propositions can pass the convergence test of :func:`ppr`.
+
+    The graph is bipartite with propositions on one side, so the walk's
+    change pi_t - pi_(t-1) = d^t (x_t - x_(t-1)) is two terms on disjoint
+    supports, and its exact L1 norm is 2 d^t: no mass reaches a degree-0
+    row, as these have no in-edges. Each computed pi_t lies within E =
+    (K + 3)u / (1 - d) of the exact one in L1, for u = 2^-53 and K the
+    longest row (see :class:`_Admission`), and the computed differences
+    and their sum lose at most a factor 1 - gamma_n, for n rows. So the
+    test reads at least (2 d^t - 2E)(1 - gamma_n), and cannot pass while
+    that is at least ``ppr_epsilon``. E is doubled below, for second order
+    terms and for evaluating the bound itself in floats.
+    """
+    u = np.finfo(np.float64).eps / 2
+    d = params.damping
+    error = 2.0 * (float(graph.global_degrees.max(initial=0.0)) + 3.0) * u / (1.0 - d)
+    shrink = 1.0 - (graph.node_count + 1) * u / (1.0 - (graph.node_count + 1) * u)
+    step = 1
+    while step <= params.ppr_max_iters and (2.0 * d**step - 2.0 * error) * shrink >= params.ppr_epsilon:
+        step += 1
+    return step
 
 
 def _carving_walks(
@@ -432,9 +496,12 @@ def _carving_walks(
     All walks run as one block: a step is one sparse product over the
     columns still running. Each column does what :func:`ppr` does for it
     alone, with the same floats, and stops at its own step, so it is bit
-    for bit ``ppr``'s result. Given the ``admission`` of proposition seed
-    sets, a column also stops once its carving is proven, at a step before
-    convergence; ``admission`` records each column's steps and stop.
+    for bit ``ppr``'s result. A block seeded at propositions alone leaves
+    out what cannot change a float or a stop: the dangling mass, an exact
+    zero, and the convergence test before :func:`_first_testable_step`.
+    Given the ``admission`` of proposition seed sets, a column also stops
+    once its carving is proven, at a step before convergence;
+    ``admission`` records each column's steps and stop.
     """
     transposed = graph.transposed_transition
     dangling = np.flatnonzero(graph.global_degrees == 0)
@@ -446,26 +513,34 @@ def _carving_walks(
     for column, rows in enumerate(seed_rows):
         restart[np.searchsorted(seeds, rows), column] = 1.0 / len(rows)
     teleport = (1.0 - d) * restart
+    props = graph.proposition_rows
+    # A walk from propositions puts no mass on degree-0 rows, as these have
+    # no in-edges: its dangling term is an exact 0, and d * (x + 0.0) is d * x.
+    from_props = props.start <= seeds[0] and seeds[-1] < props.stop
+    first_test = _first_testable_step(graph, params) if from_props else 1
     pi = np.zeros((graph.node_count, len(seed_rows)))
     pi[seeds] = restart
     done = np.empty_like(pi)
     running = np.arange(len(seed_rows))
     for step in range(1, params.ppr_max_iters + 1):
-        mass = _column_sums(pi[dangling])
         nxt = transposed @ pi
-        at_seeds = d * (nxt[seeds] + mass * restart) + teleport
+        if from_props:
+            at_seeds = d * nxt[seeds] + teleport
+        else:
+            at_seeds = d * (nxt[seeds] + _column_sums(pi[dangling]) * restart) + teleport
         nxt *= d
         nxt[seeds] = at_seeds
-        moved = nxt - pi
-        np.abs(moved, out=moved)
-        stopped = _column_sums(moved) < params.ppr_epsilon
+        if step >= first_test:
+            moved = nxt - pi
+            np.abs(moved, out=moved)
+            stopped = _column_sums(moved) < params.ppr_epsilon
+        else:
+            stopped = np.zeros(len(running), dtype=bool)
         if admission is not None:
             admission.steps[running] = step
             admission.stops[running[stopped]] = "convergence"
-            if step % 4 == 0:
-                # Degree-0 rows have no in-edges, so a walk from propositions
-                # leaves them no mass and the bound needs no dangling term.
-                stopped |= admission.certify(running, pi, nxt, moved, ~stopped & (mass == 0.0))
+            if from_props and step % 4 == 0:
+                stopped |= admission.certify(running, pi, nxt, ~stopped)
         pi = nxt
         if stopped.any():
             done[:, running[stopped]] = pi[:, stopped]

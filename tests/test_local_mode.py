@@ -1,3 +1,4 @@
+from propgraph import local_mode, suggest
 from propgraph.config import RunConfig
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local, answer_naive
@@ -153,3 +154,32 @@ def test_naive_misses_bridge_while_local_catches_it(two_hop_graph, two_hop_gatew
     local = answer_local(TWO_HOP_QUESTION, two_hop_graph, two_hop_gateway, embedder, local_cfg(max_iter=1))
     assert TWO_HOP_HOP2 in local.collected
     assert local.answer == TWO_HOP_GOLD
+
+
+def test_one_carving_per_iteration_serves_every_question(two_hop_graph, embedder, tmp_path, monkeypatch):
+    # NextQ asks two questions, so iteration 2 walks twice from the same pool
+    rules = [r for r in two_hop_rules() if r.template != "Eval"] + [
+        MockRule(
+            template="NextQ",
+            response="1. Which country is Ulm located in?\n2. Where is the city of Ulm?",
+        ),
+    ]
+    carvings = []
+    extract = suggest.extract_subgraph
+    monkeypatch.setattr(suggest, "extract_subgraph", lambda *a: carvings.append(a[1]) or extract(*a))
+
+    def run(path):
+        carvings.clear()
+        result = answer_local(TWO_HOP_QUESTION, two_hop_graph, LLMGateway(MockChatBackend(rules)), embedder, local_cfg(max_iter=2))
+        result.trace.write_jsonl(path)
+        return result, list(carvings)
+
+    shared, shared_carvings = run(tmp_path / "shared.jsonl")
+    walks = shared.trace.of_kind("suggest")
+    assert [e["iteration"] for e in walks] == [1, 2, 2]
+    assert len(shared_carvings) == 2
+    # each question carving its own subgraph, as suggest_local does when given none
+    monkeypatch.setattr(local_mode, "carve_local", lambda *a: None)
+    unshared, unshared_carvings = run(tmp_path / "unshared.jsonl")
+    assert unshared_carvings == [shared_carvings[e["iteration"] - 1] for e in walks]
+    assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "unshared.jsonl").read_bytes()

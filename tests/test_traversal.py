@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from propgraph import traversal
 from propgraph.encoding import top_k_similar
 from propgraph.errors import UnknownNodeError
 from propgraph.graph import HeteroGraph, NodeKind, proposition_id
@@ -15,6 +16,7 @@ from propgraph.traversal import (
     WalkParams,
     _carving_walks,
     _column_sums,
+    _first_testable_step,
     blend,
     build_semantic_transition,
     build_structural_transition,
@@ -660,6 +662,44 @@ def test_extract_subgraphs_validates_every_set():
         extract_subgraphs(graph, [[0], [2]], 5, WalkParams())
 
 
+def two_slice_induced_walk(parent, nodes) -> sp.csr_matrix:
+    """The induced walk as a row slice and then a column slice of the parent's walk, degrees renormalized."""
+    adjacency = parent.uniform_transition[nodes][:, nodes]
+    degrees = np.diff(adjacency.indptr)
+    adjacency.data = 1.0 / np.repeat(degrees, degrees)
+    return adjacency
+
+
+def test_subgraph_walk_equals_two_slices_bitwise():
+    rng = np.random.default_rng(109)
+    for trial in range(12):
+        n_props = int(rng.integers(1, 60))
+        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
+        n = graph.node_count
+        props = np.arange(graph.proposition_rows.start, graph.proposition_rows.stop)
+        lonely = np.flatnonzero(graph.global_degrees == 0)
+        node_sets = [
+            np.array([int(rng.integers(0, n))]),
+            np.arange(n),
+            # propositions are never adjacent, and a lonely passage has no neighbour
+            np.sort(rng.choice(props, size=min(len(props), 4), replace=False)),
+            np.sort(np.concatenate([props[:1], lonely])),
+            np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)),
+        ]
+        for nodes in node_sets:
+            got = Subgraph(graph, nodes).uniform_transition
+            want = two_slice_induced_walk(graph, nodes)
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        # unsorted input with repeats is taken as its sorted set
+        shuffled = rng.permutation(np.concatenate([node_sets[-1], node_sets[-1][:2]]))
+        sub = Subgraph(graph, shuffled.tolist())
+        assert np.array_equal(sub.nodes, node_sets[-1])
+        assert sub.uniform_transition.data.tobytes() == two_slice_induced_walk(graph, node_sets[-1]).data.tobytes()
+
+
 # ----------------------------------------------------------------------
 # conversions done once per frozen graph
 # ----------------------------------------------------------------------
@@ -915,6 +955,67 @@ def test_carvings_record_their_walks():
     assert (budget.walk_steps, budget.walk_stop) == (3, "budget")
     plain = Subgraph(graph, carved[0].nodes)
     assert (plain.walk_steps, plain.walk_stop) == (None, None)
+
+
+# ----------------------------------------------------------------------
+# the convergence test of a walk from propositions
+# ----------------------------------------------------------------------
+
+
+def ppr_changes(graph, rows, params) -> list[float]:
+    """The L1 change that ``ppr`` from ``rows`` tests at each step it runs, from a copy of its loop."""
+    walk = graph.uniform_transition
+    restart = np.zeros(graph.node_count)
+    restart[rows] = 1.0 / len(rows)
+    dangling = np.asarray(walk.sum(axis=1)).ravel() <= 1e-15
+    mt = walk.T.tocsr()
+    d = params.damping
+    pi, changes = restart.copy(), []
+    for _ in range(params.ppr_max_iters):
+        nxt = d * (mt @ pi + float(pi[dangling].sum()) * restart) + (1.0 - d) * restart
+        changes.append(float(np.abs(nxt - pi).sum()))
+        pi = nxt
+        if changes[-1] < params.ppr_epsilon:
+            break
+    assert pi.tobytes() == ppr(walk, rows, params).probabilities.tobytes()
+    return changes
+
+
+def test_convergence_test_is_skipped_only_where_it_cannot_pass():
+    rng = np.random.default_rng(113)
+    tight = 0
+    for trial in range(10):
+        n_props = int(rng.integers(2, 40))
+        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
+        rows = seed_rows(graph, random_seed_sets(rng, graph, int(rng.integers(1, 5))))
+        for damping in (0.5, 0.85, 0.95):
+            for epsilon in (1e-8, 1e-12):
+                for budget in (1, 7, 40, 3000):
+                    params = WalkParams(damping=damping, ppr_epsilon=epsilon, ppr_max_iters=budget)
+                    first = _first_testable_step(graph, params)
+                    for seeds in rows:
+                        changes = ppr_changes(graph, seeds.tolist(), params)
+                        assert all(change >= epsilon for change in changes[: first - 1])
+                        tight += len(changes) == first
+                    # without a certificate, the block's columns stay ppr's
+                    assert_columns_are_ppr(graph, rows, params)
+    # the floor is tight: in some walks the first step tested is the one at which ppr stops
+    assert tight > 0
+
+
+def test_carvings_certified_early_sum_no_columns(monkeypatch):
+    calls = []
+    monkeypatch.setattr(traversal, "_column_sums", lambda block: calls.append(block.shape) or _column_sums(block))
+    graph = build_random_graph(np.random.default_rng(127), 200)
+    params = WalkParams()
+    seed_sets = random_seed_sets(np.random.default_rng(131), graph, 6)
+    carved = extract_subgraphs(graph, seed_sets, 40, params)
+    assert all(sub.walk_stop == "certificate" for sub in carved)
+    assert max(sub.walk_steps for sub in carved) < _first_testable_step(graph, params)
+    assert calls == []
+    # a walk from any rows still takes the exact test from the first step
+    _carving_walks(graph, random_rows(np.random.default_rng(137), graph, 2), params)
+    assert calls
 
 
 def test_threads_carving_one_fresh_graph_match_a_serial_run():
