@@ -72,8 +72,12 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
             f"dimension mismatch: query {query.shape[0]} vs candidates {candidates.shape[1]}"
         )
     scores = np.asarray(candidates, dtype=np.float64) @ query
-    n = scores.shape[0]
-    order = np.lexsort((np.arange(n), -scores))
+    negated = -scores
+    kth = min(k, len(scores)) - 1
+    # Only rows scoring at least the k-th highest score can rank in the
+    # first k. A NaN there (fewer than k scores are numbers) keeps every row.
+    head = np.flatnonzero(~(negated > np.partition(negated, kth)[kth]))
+    order = head[np.lexsort((head, negated[head]))]
     return [(int(i), float(scores[i])) for i in order[:k]]
 
 
@@ -157,7 +161,9 @@ class OpenAICompatEmbedder(EmbedBackend):
 
     Sends batched inputs and returns one vector per input, in order.
     Responses are re-normalized locally since not every served model
-    guarantees unit vectors. A served vector of another length than ``dim``
+    guarantees unit vectors; a served vector that does not normalize to unit
+    length (non-finite entries, or a norm that overflows) is a malformed
+    body and is retried. A served vector of another length than ``dim``
     (given, or once probed) raises ``DimensionMismatchError``, not retried.
     """
 
@@ -194,6 +200,8 @@ class OpenAICompatEmbedder(EmbedBackend):
         if len(vectors) != n_inputs:
             raise BackendUnavailable(f"embeddings endpoint returned {len(vectors)} vectors for {n_inputs} inputs")
         for vec in vectors:
+            if not is_normalized(vec):
+                raise ValueError("embeddings endpoint served a vector that does not normalize to unit length")
             if self._dim is not None and vec.shape[0] != self._dim:
                 raise DimensionMismatchError(f"embeddings endpoint served a {vec.shape[0]}-d vector, expected {self._dim}-d")
         return vectors

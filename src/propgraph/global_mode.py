@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +42,6 @@ class WalkRecord:
 
     queries: list[np.ndarray]
     walker_pis: list[dict[int, float]] | None
-    suggested: list[int]
     kept: list[int]
     pruned: list[int]
 
@@ -64,7 +63,6 @@ class QueryState:
 class Community:
     id: int
     nodes: frozenset[NodeId]
-    level: int
 
     @property
     def size(self) -> int:
@@ -131,11 +129,11 @@ def compute_queries(
     return states
 
 
-def partition_pool(pool: PropositionPool | Sequence[int], m: int) -> list[list[int]]:
+def partition_pool(pool: Iterable[int], m: int) -> list[list[int]]:
     """Round-robin split by insertion order into m parts (sizes differ by <= 1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    ids = pool.ids() if isinstance(pool, PropositionPool) else list(pool)
+    ids = list(pool)
     return [ids[j::m] for j in range(m)]
 
 
@@ -169,10 +167,10 @@ def collect_anchors(
         suggested = suggest_naive(q_vec, graph, suggest_cfg)
         kept = select(question, suggested, graph, gateway)
         kept_set = set(kept)
-        rec = WalkRecord([q_vec], None, suggested, kept, [c for c in suggested if c not in kept_set])
+        rec = WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
         for prop in kept:
-            s_pool.add_id(prop, seed_round=True, query_index=q_index)
-            s_glb.add_id(prop, seed_round=True, query_index=q_index)
+            s_pool.add(prop)
+            s_glb.add(prop)
             records.setdefault(prop, []).append(rec)
         trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=kept)
 
@@ -193,12 +191,11 @@ def collect_anchors(
             rec = WalkRecord(
                 [states[prop].q for prop in part],
                 walker_pis,
-                suggested,
                 kept,
                 [c for c in suggested if c not in kept_set],
             )
             for prop in kept:
-                s_pool_new.add_id(prop, iteration=iteration, query_index=part_index)
+                s_pool_new.add(prop)
                 new_records.setdefault(prop, []).append(rec)
             trace.log(
                 "explore",
@@ -209,7 +206,7 @@ def collect_anchors(
                 kept=kept,
             )
         for prop in s_pool_new:
-            s_glb.add(s_pool_new.entry(prop))
+            s_glb.add(prop)
         s_pool = s_pool_new
         records = new_records
         trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
@@ -235,14 +232,14 @@ def detect_communities(
     order = graph.node_order
     communities: list[Community] = []
     seen: set[frozenset[int]] = set()
-    for level, partition in enumerate(leiden_levels(adjacency, resolution=resolution, seed=seed)):
+    for partition in leiden_levels(adjacency, resolution=resolution, seed=seed):
         for nodes in sorted(partition, key=min):
             block = frozenset(nodes)
             if block in seen:
                 continue
             seen.add(block)
             if min_size <= len(block) <= max_size:
-                communities.append(Community(len(communities), frozenset(order[i] for i in block), level))
+                communities.append(Community(len(communities), frozenset(order[i] for i in block)))
     return tuple(communities)
 
 
@@ -276,19 +273,17 @@ def select_communities(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    coverable = anchors & set().union(*(c.nodes for c in candidates)) if candidates else set()
+    held = {c: c.nodes & anchors for c in candidates}  # no pick changes these
+    coverable = set().union(*held.values())
     covered: set[NodeId] = set()
     remaining = list(candidates)
     chosen: list[Community] = []
     used = 0
     while covered != coverable and used < budget and remaining:
-        best = max(
-            remaining,
-            key=lambda c: (len((c.nodes & anchors) - covered) / c.size, -c.size, -c.id),
-        )
+        best = max(remaining, key=lambda c: (len(held[c] - covered) / c.size, -c.size, -c.id))
         remaining.remove(best)
         chosen.append(best)
-        covered |= best.nodes & anchors
+        covered |= held[best]
         used += best.size
     return chosen
 

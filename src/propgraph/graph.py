@@ -58,11 +58,6 @@ class NodeId:
     def tag(self) -> str:
         return f"{self.kind.value}:{self.index}"
 
-    @staticmethod
-    def from_tag(tag: str) -> "NodeId":
-        kind_name, _, idx = tag.partition(":")
-        return NodeId(NodeKind(kind_name), int(idx))
-
 
 def passage_id(index: int) -> NodeId:
     return NodeId(NodeKind.PASSAGE, index)
@@ -225,30 +220,10 @@ class HeteroGraph:
         offset = {NodeKind.PASSAGE: 0, NodeKind.PROPOSITION: n_pass, NodeKind.ENTITY: n_pass + n_prop}[node.kind]
         return offset + node.index
 
-    def _structure(self, incidence: tuple | None = None) -> tuple[sp.csr_matrix, list[NodeId]]:
-        """The walk matrix and node order; built from the records (or their ``incidence``) until finalized."""
-        if self._finalized:
-            return self._uniform_csr, self._node_order
-        order = [rec.id for rec in (*self.passages, *self.propositions, *self.entities)]
-        return _uniform_walk(self, _incidence(self) if incidence is None else incidence), order
-
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        walk, order = self._structure()
-        i = self.global_index(node)
-        return [order[j] for j in walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()]
-
-    def degree(self, node: NodeId) -> int:
-        indptr = self._structure()[0].indptr
-        i = self.global_index(node)
-        return int(indptr[i + 1] - indptr[i])
-
-    def edges(self) -> list[tuple[NodeId, NodeId]]:
-        walk, order = self._structure()
-        return [(order[a], order[b]) for a, b in zip(*(x.tolist() for x in _edge_pairs(walk)))]
-
     @property
     def edge_count(self) -> int:
-        return self._structure()[0].nnz // 2
+        # one passage edge per proposition, one edge per entity ref; orphan removal drops no edge
+        return len(self.propositions) + sum(len(p.entity_refs) for p in self.propositions)
 
     @property
     def node_count(self) -> int:
@@ -274,10 +249,6 @@ class HeteroGraph:
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
 
     def finalize(self) -> "HeteroGraph":
         """Validate all invariants, drop orphan entities and freeze the graph."""
@@ -351,7 +322,8 @@ class HeteroGraph:
         return matrices[0], matrices[1]
 
     def _build_caches(self, incidence: tuple) -> None:
-        walk, self._node_order = self._structure(incidence)
+        walk = _uniform_walk(self, incidence)
+        self._node_order = [rec.id for rec in (*self.passages, *self.propositions, *self.entities)]
         self._degrees = np.diff(walk.indptr).astype(np.float64)
         # each proposition's first neighbor is its passage, as passages come first
         self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]

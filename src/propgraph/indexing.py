@@ -233,18 +233,6 @@ class EntityRegistry:
         self._count += 1
 
 
-def reconcile_entities(
-    entities: list[tuple[str, np.ndarray]], policy: ReconciliationPolicy = ReconciliationPolicy()
-) -> dict[str, int]:
-    """Map each surface form to a canonical entity id via streaming merge."""
-    registry = EntityRegistry(policy)
-    mapping: dict[str, int] = {}
-    for surface, embedding in entities:
-        idx, _ = registry.resolve(surface, embedding)
-        mapping.setdefault(surface, idx)
-    return mapping
-
-
 def index_corpus(
     docs: list[CorpusDocument],
     gateway: LLMGateway,

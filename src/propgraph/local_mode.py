@@ -15,7 +15,7 @@ from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PoolEntry, PropositionPool, carve_local, select, suggest_local, suggest_naive
+from .suggest import PropositionPool, carve_local, select, suggest_local, suggest_naive
 from .trace import Trace
 
 
@@ -41,8 +41,7 @@ def answer_naive(
     trace.log("seed", query=q_start, suggested=suggested, kept=suggested)
     answer = gateway.final_answer(q_start, graph.proposition_texts(suggested))
     trace.log("result", answer=answer, failed=False, exhausted=False, iterations=0)
-    pool = PropositionPool(PoolEntry(p, seed_round=True) for p in suggested)
-    return LocalResult(answer, False, trace, pool)
+    return LocalResult(answer, False, trace, PropositionPool(suggested))
 
 
 def answer_local(
@@ -71,7 +70,7 @@ def answer_local(
     seed_kept = select(q_start, seeded, graph, gateway)
     trace.log("seed", query=q_start, suggested=seeded, kept=seed_kept)
 
-    s_pool = PropositionPool(PoolEntry(p, seed_round=True) for p in seed_kept)
+    s_pool = PropositionPool(seed_kept)
     s_loc = s_pool.copy()
 
     verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc.ids()))
@@ -96,7 +95,7 @@ def answer_local(
             judged_this_iter.update(candidates)
             kept = select(question, candidates, graph, gateway) if candidates else []
             for prop in kept:
-                s_pool_new.add_id(prop, iteration=iteration, query_index=q_index)
+                s_pool_new.add(prop)
             trace.log(
                 "suggest",
                 iteration=iteration,
@@ -107,7 +106,7 @@ def answer_local(
                 kept=kept,
             )
         for prop in s_pool_new:
-            s_loc.add(s_pool_new.entry(prop))
+            s_loc.add(prop)
         s_pool = s_pool_new
         s_pool_new = PropositionPool()
 

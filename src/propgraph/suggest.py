@@ -29,53 +29,33 @@ from .traversal import (
 )
 
 
-@dataclass
-class PoolEntry:
-    """Provenance of one pooled proposition."""
-
-    prop: int
-    seed_round: bool = False
-    iteration: int = 0
-    query_index: int = 0
-
-
 class PropositionPool:
-    """Ordered, duplicate-free set of proposition ids with provenance."""
+    """Ordered, duplicate-free set of proposition ids, in insertion order."""
 
-    def __init__(self, entries: Iterable[PoolEntry] = ()):
-        self._entries: dict[int, PoolEntry] = {}
-        for entry in entries:
-            self.add(entry)
+    def __init__(self, props: Iterable[int] = ()):
+        self._ids: dict[int, None] = dict.fromkeys(props)
 
-    def add(self, entry: PoolEntry) -> bool:
-        """Insert unless present; the first provenance wins. Returns True if added."""
-        if entry.prop in self._entries:
+    def add(self, prop: int) -> bool:
+        """Insert unless present. Returns True if added."""
+        if prop in self._ids:
             return False
-        self._entries[entry.prop] = entry
+        self._ids[prop] = None
         return True
 
-    def add_id(self, prop: int, **provenance) -> bool:
-        return self.add(PoolEntry(prop, **provenance))
-
     def ids(self) -> list[int]:
-        return list(self._entries.keys())
-
-    def entry(self, prop: int) -> PoolEntry:
-        return self._entries[prop]
+        return list(self._ids)
 
     def copy(self) -> "PropositionPool":
-        clone = PropositionPool()
-        clone._entries = dict(self._entries)
-        return clone
+        return PropositionPool(self._ids)
 
     def __contains__(self, prop: int) -> bool:
-        return prop in self._entries
+        return prop in self._ids
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._entries.keys())
+        return iter(self._ids)
 
 
 @dataclass
@@ -122,14 +102,14 @@ def _rank_new(
 
 
 def carve_local(
-    graph: HeteroGraph, seeds: PropositionPool | Sequence[int], cfg: SuggestConfig
+    graph: HeteroGraph, seeds: Iterable[int], cfg: SuggestConfig
 ) -> tuple[Subgraph, TransitionMatrix]:
     """The subgraph that :func:`suggest_local` carves around ``seeds``, and its structural transition.
 
     Neither depends on the query, so walks for several queries from the
     same seeds can share them.
     """
-    seed_ids = sorted(set(seeds.ids() if isinstance(seeds, PropositionPool) else seeds))
+    seed_ids = sorted(set(seeds))
     if not seed_ids:
         raise ValueError("seed set must be non-empty")
     sub = extract_subgraph(graph, seed_ids, cfg.subgraph_size, cfg.walk)
@@ -139,7 +119,7 @@ def carve_local(
 def suggest_local(
     query_vec: np.ndarray,
     graph: HeteroGraph,
-    seeds: PropositionPool | Sequence[int],
+    seeds: Iterable[int],
     cfg: SuggestConfig,
     carved: tuple[Subgraph, TransitionMatrix] | None = None,
 ) -> list[int]:
@@ -151,13 +131,13 @@ def suggest_local(
     ``carved`` is :func:`carve_local` of the same seeds, when the caller
     has it already.
     """
-    seed_ids = sorted(set(seeds.ids() if isinstance(seeds, PropositionPool) else seeds))
+    seed_ids = sorted(set(seeds))
     sub, structural = carved or carve_local(graph, seed_ids, cfg)
     row_props = sub.proposition_indices
     row_of = {p: r for r, p in enumerate(row_props)}
     blended = query_aware_transition(sub, query_vec, cfg.walk, structural=structural)
-    dist = ppr(blended, [row_of[p] for p in seed_ids], cfg.walk)
-    return _rank_new(dist.probabilities, row_props, set(seed_ids), cfg.k)
+    pi = ppr(blended, [row_of[p] for p in seed_ids], cfg.walk)
+    return _rank_new(pi, row_props, set(seed_ids), cfg.k)
 
 
 def suggest_global(
@@ -186,11 +166,9 @@ def suggest_global(
     walker_pis: list[dict[int, float]] = []
     for prop, q_vec in queries:
         blended = query_aware_transition(sub, q_vec, cfg.walk, structural=structural)
-        dist = ppr(blended, [row_of[prop]], cfg.walk)
-        aggregate += dist.probabilities
-        walker_pis.append(
-            {row_props[r]: float(p) for r, p in enumerate(dist.probabilities) if p > 0.0}
-        )
+        pi = ppr(blended, [row_of[prop]], cfg.walk)
+        aggregate += pi
+        walker_pis.append({row_props[r]: float(p) for r, p in enumerate(pi) if p > 0.0})
     excluded = set(members) | set(exclude)
     return _rank_new(aggregate, row_props, excluded, cfg.k), walker_pis
 

@@ -88,16 +88,6 @@ class TransitionMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-
-@dataclass
-class StationaryDistribution:
-    """PPR output: one probability per proposition row."""
-
-    probabilities: np.ndarray
-
 
 class Subgraph:
     """Induced subgraph over a node subset of a parent graph.
@@ -252,8 +242,8 @@ def ppr(
     transition: TransitionMatrix | sp.csr_matrix,
     seeds: Sequence[int],
     params: WalkParams,
-) -> StationaryDistribution:
-    """Personalized PageRank with restarts uniform over ``seeds``.
+) -> np.ndarray:
+    """Personalized PageRank with restarts uniform over ``seeds``: one probability per row.
 
     Power iteration on ``pi <- d * (M^T pi + dangling_mass * r) + (1-d) * r``
     until the L1 change drops below ``ppr_epsilon`` or the iteration budget
@@ -271,8 +261,7 @@ def ppr(
     restart = np.zeros(n, dtype=np.float64)
     restart[sorted(set(seeds))] = 1.0 / len(set(seeds))
 
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    dangling = row_sums <= _DANGLING_EPS
+    dangling = np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_EPS
     mt = matrix.T.tocsr()
     d = params.damping
 
@@ -284,7 +273,7 @@ def ppr(
         pi = nxt
         if err < params.ppr_epsilon:
             break
-    return StationaryDistribution(pi)
+    return pi
 
 
 def _column_sums(block: np.ndarray) -> np.ndarray:

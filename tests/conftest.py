@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from propgraph.community import leiden_levels
 from propgraph.encoding import HashedNgramEmbedder, normalize
-from propgraph.graph import HeteroGraph
+from propgraph.graph import HeteroGraph, NodeId
 from propgraph.indexing import CorpusDocument, index_corpus
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 
@@ -26,6 +26,21 @@ def leiden_on_networkx(graph: nx.Graph, **kwargs) -> list[list[set]]:
     nodes = sorted(graph)
     adjacency = nx.to_scipy_sparse_array(graph, nodelist=nodes) if nodes else sp.csr_matrix((0, 0))
     return [[{nodes[i] for i in block} for block in part] for part in leiden_levels(adjacency, **kwargs)]
+
+
+def neighbors(graph: HeteroGraph, node: NodeId) -> list[NodeId]:
+    """``node``'s neighbours in a finalized graph, in global order, read from its walk matrix."""
+    walk, i = graph.uniform_transition, graph.global_index(node)
+    return [graph.node_order[j] for j in walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()]
+
+
+def degree(graph: HeteroGraph, node: NodeId) -> int:
+    return len(neighbors(graph, node))
+
+
+def edges(graph: HeteroGraph) -> list[tuple[NodeId, NodeId]]:
+    """Each edge of a finalized graph once, as (a, b) with a before b in the global order, ascending."""
+    return [(a, b) for a in graph.node_order for b in neighbors(graph, a) if a < b]
 
 
 def build_random_graph(rng: np.random.Generator, n_props: int, dim: int = 8) -> HeteroGraph:

@@ -59,7 +59,7 @@ def test_c01_matrix_properties():
         tn = build_semantic_transition(ts, sims, params)
         mixed = blend(ts, tn, params.lambda_)
         for matrix in (ts, tn, mixed):
-            sums = matrix.row_sums()
+            sums = np.asarray(matrix.matrix.sum(axis=1)).ravel()
             for value in sums:
                 assert abs(value - 1.0) <= 1e-9 or value == 0.0
             assert np.all(matrix.matrix.diagonal() == 0.0)
@@ -82,16 +82,16 @@ def test_c02_ppr_oracle_equivalence():
         n = int(rng.integers(2, 51))
         matrix = random_transition(rng, n)
         seeds = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False).tolist())
-        dist = ppr(matrix, seeds, params)
+        pi = ppr(matrix, seeds, params)
         oracle = dense_ppr_oracle(matrix.matrix.toarray(), seeds, params.damping)
-        assert np.abs(dist.probabilities - oracle).sum() < 1e-6
+        assert np.abs(pi - oracle).sum() < 1e-6
 
     d = 0.85
     swap = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    dist = ppr(swap, [0], WalkParams(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
+    pi = ppr(swap, [0], WalkParams(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
     closed0 = (1 - d) / (1 - d**2)
-    assert abs(dist.probabilities[0] - closed0) < 1e-9
-    assert abs(dist.probabilities[1] - d * closed0) < 1e-9
+    assert abs(pi[0] - closed0) < 1e-9
+    assert abs(pi[1] - d * closed0) < 1e-9
     _ok(2, "sparse walk matches dense oracle within 1e-6 L1 on 50 instances; 2-node closed form within 1e-9")
 
 
@@ -164,13 +164,12 @@ def test_c06_feedback_identity():
     embeddings = [random_unit(rng, 8) for _ in range(6)]
     graph = graph_from_links([["e"]] * 6, embeddings=embeddings)
     dense = graph.proposition_embeddings.astype(np.float64)
-    pool = PropositionPool()
-    pool.add_id(4)
+    pool = PropositionPool([4])
     qa, qb = np.asarray(random_unit(rng, 8), np.float64), np.asarray(random_unit(rng, 8), np.float64)
     records = {
         4: [
-            WalkRecord([qa, qb], [{4: 0.2}, {4: 0.7}], [4, 1], [4], [1]),
-            WalkRecord([qa], [{4: 0.5}], [4, 2, 3], [4], [2, 3]),
+            WalkRecord([qa, qb], [{4: 0.2}, {4: 0.7}], [4], [1]),
+            WalkRecord([qa], [{4: 0.5}], [4], [2, 3]),
         ]
     }
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
@@ -194,7 +193,8 @@ def test_c07_two_hop_local_beats_naive(two_hop_graph, embedder):
     cfg = RunConfig(max_iter=1, top_k=5, subgraph_max_size=500)
     result = answer_local(TWO_HOP_QUESTION, two_hop_graph, gateway, embedder, cfg)
     assert TWO_HOP_HOP2 in result.collected
-    assert result.collected.entry(TWO_HOP_HOP2).iteration == 1
+    first_kept = next(e for e in result.trace.of_kind("suggest") if TWO_HOP_HOP2 in e["kept"])
+    assert first_kept["iteration"] == 1
     assert result.answer == TWO_HOP_GOLD
     assert exact_match(result.answer, [TWO_HOP_GOLD]) == 1
     _ok(7, "similarity-only top-5 misses the bridging fact; one walk iteration collects it and answers correctly")

@@ -9,7 +9,7 @@ import pytest
 from propgraph.community import _aggregate, _local_move, _refine, _WorkGraph, leiden_levels
 from propgraph.global_mode import Community, detect_communities
 
-from conftest import build_random_graph, leiden_on_networkx
+from conftest import build_random_graph, edges, leiden_on_networkx
 
 
 def two_cliques(size=20):
@@ -141,24 +141,24 @@ def reference_leiden_levels(graph: nx.Graph, resolution=1.0, seed=0, max_levels=
 def reference_detect_communities(graph, min_size, max_size, seed, resolution) -> list[Community]:
     nxg = nx.Graph()
     nxg.add_nodes_from(graph.node_order)
-    nxg.add_edges_from(graph.edges())
+    nxg.add_edges_from(edges(graph))
     communities: list[Community] = []
     seen: set = set()
-    for level, partition in enumerate(reference_leiden_levels(nxg, resolution=resolution, seed=seed)):
+    for partition in reference_leiden_levels(nxg, resolution=resolution, seed=seed):
         for nodes in sorted(partition, key=min):
             block = frozenset(nodes)
             if block in seen:
                 continue
             seen.add(block)
             if min_size <= len(block) <= max_size:
-                communities.append(Community(len(communities), block, level))
+                communities.append(Community(len(communities), block))
     return communities
 
 
 def assert_matches_reference(graph, seed=0, resolution=1.0):
     nxg = nx.Graph()
     nxg.add_nodes_from(graph.node_order)
-    nxg.add_edges_from(graph.edges())
+    nxg.add_edges_from(edges(graph))
     walk = graph.uniform_transition
     unit = walk.copy()
     unit.data = np.ones(walk.nnz)

@@ -66,6 +66,16 @@ def test_top_k_matches_full_sort_oracle():
     assert [(i, pytest.approx(s, abs=1e-12)) for s, i in expected] == [
         (i, pytest.approx(s, abs=1e-12)) for i, s in got
     ]
+    # heavily tied scores: rows drawn from a few distinct vectors, so ties
+    # straddle the k-th score and only the index tie-break orders them
+    for trial in range(40):
+        distinct = np.stack([random_unit(rng, 4) for _ in range(int(rng.integers(1, 5)))])
+        tied = distinct[rng.integers(0, len(distinct), size=int(rng.integers(1, 60)))]
+        query = distinct[0] if trial % 2 else random_unit(rng, 4)
+        scores = tied.astype(np.float64) @ query.astype(np.float64)
+        for k in (1, 3, 20, 80):
+            expected = sorted(range(len(tied)), key=lambda i: (-scores[i], i))[:k]
+            assert [i for i, _ in top_k_similar(query, tied, k)] == expected
 
 
 def test_top_k_prefix_property():

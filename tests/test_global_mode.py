@@ -73,10 +73,9 @@ def refinement_graph():
 
 def test_compute_queries_simple_feedback_degenerates_to_origin():
     graph = refinement_graph()
-    pool = PropositionPool()
-    pool.add_id(2, seed_round=True)
+    pool = PropositionPool([2])
     origin = normalize(np.arange(1.0, 9.0))
-    records = {2: [WalkRecord([np.asarray(origin, np.float64)], None, [2], [2], [])]}
+    records = {2: [WalkRecord([np.asarray(origin, np.float64)], None, [2], [])]}
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.0, rocchio_gamma=0.0)
     state = compute_queries(pool, records, graph, cfg)[2]
     assert np.array_equal(state.q_raw, np.asarray(origin, np.float64))
@@ -85,10 +84,9 @@ def test_compute_queries_simple_feedback_degenerates_to_origin():
 
 def test_compute_queries_single_walker_arithmetic():
     graph = refinement_graph()
-    pool = PropositionPool()
-    pool.add_id(1)
+    pool = PropositionPool([1])
     origin = np.asarray(normalize(np.ones(8)), np.float64)
-    records = {1: [WalkRecord([origin], [{1: 0.9}], [1], [1], [])]}
+    records = {1: [WalkRecord([origin], [{1: 0.9}], [1], [])]}
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
     state = compute_queries(pool, records, graph, cfg)[1]
     positive = graph.proposition_embeddings.astype(np.float64)[1]
@@ -99,13 +97,12 @@ def test_compute_queries_single_walker_arithmetic():
 def test_compute_queries_two_partitions_hand_computed():
     graph = refinement_graph()
     embeddings = graph.proposition_embeddings.astype(np.float64)
-    pool = PropositionPool()
-    pool.add_id(2)
+    pool = PropositionPool([2])
     qa = np.asarray(normalize(np.eye(8)[0] + 0.2 * np.eye(8)[3]), np.float64)
     qb = np.asarray(normalize(np.eye(8)[1]), np.float64)
     qc = np.asarray(normalize(np.eye(8)[2] - 0.5 * np.eye(8)[5]), np.float64)
-    rec1 = WalkRecord([qa, qb], [{2: 0.3}, {2: 0.5}], [2, 3], [2], [3])
-    rec2 = WalkRecord([qc], [{2: 0.2}], [2], [2], [])
+    rec1 = WalkRecord([qa, qb], [{2: 0.3}, {2: 0.5}], [2], [3])
+    rec2 = WalkRecord([qc], [{2: 0.2}], [2], [])
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
     state = compute_queries(pool, {2: [rec1, rec2]}, graph, cfg)[2]
 
@@ -123,9 +120,7 @@ def test_compute_queries_two_partitions_hand_computed():
 
 
 def test_partition_singletons():
-    pool = PropositionPool()
-    for i in range(10):
-        pool.add_id(i)
+    pool = PropositionPool(range(10))
     parts = partition_pool(pool, 10)
     assert parts == [[i] for i in range(10)]
 
@@ -242,7 +237,7 @@ def test_detect_communities_deterministic():
     graph = two_blob_graph()
     first = detect_communities(graph, 2, 150, seed=0)
     second = detect_communities(graph, 2, 150, seed=0)
-    assert [(c.id, c.nodes, c.level) for c in first] == [(c.id, c.nodes, c.level) for c in second]
+    assert [(c.id, c.nodes) for c in first] == [(c.id, c.nodes) for c in second]
 
 
 def counting_detect(monkeypatch, delay=0.0):
@@ -329,10 +324,10 @@ def test_concurrent_global_answers_share_one_detection(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def community_of(anchor_indices, filler_count, cid, level=0):
+def community_of(anchor_indices, filler_count, cid):
     nodes = {proposition_id(i) for i in anchor_indices}
     nodes |= {passage_id(1000 * cid + j) for j in range(filler_count)}
-    return Community(cid, frozenset(nodes), level)
+    return Community(cid, frozenset(nodes))
 
 
 def test_select_single_covering_community():
@@ -405,7 +400,7 @@ def test_select_matches_stepwise_argmax_oracle():
 
 def test_build_reports_single_community_sections():
     graph = two_blob_graph()
-    community = Community(0, frozenset({passage_id(0), proposition_id(0), graph.entities[0].id}), 0)
+    community = Community(0, frozenset({passage_id(0), proposition_id(0), graph.entities[0].id}))
     cfg = small_cfg()
     chunks = build_reports([community], graph, cfg)
     assert len(chunks) == 1
@@ -423,7 +418,7 @@ def test_build_reports_truncates_long_passages():
     prop = graph.add_proposition("a fact.", passage, [hub], normalize(np.eye(4)[0]))
     graph.finalize()
     cfg = small_cfg(passage_token_limit=26)
-    chunks = build_reports([Community(0, frozenset({passage, prop, hub}), 0)], graph, cfg)
+    chunks = build_reports([Community(0, frozenset({passage, prop, hub}))], graph, cfg)
     passage_line = [line for chunk in chunks for line in chunk.splitlines() if line.startswith("- w0")][0]
     assert estimate_tokens(passage_line) <= 26 + 2  # "- " prefix adds one word
 
@@ -441,7 +436,7 @@ def test_build_reports_splits_into_token_bounded_chunks():
     graph.finalize()
     limit = 110
     cfg = small_cfg(max_tokens_community_chunks=limit, min_community_size=2)
-    community = Community(0, frozenset({passage, *props}), 0)
+    community = Community(0, frozenset({passage, *props}))
     chunks = build_reports([community], graph, cfg)
     total = sum(estimate_tokens(line) for chunk in chunks for line in chunk.splitlines())
     assert total > 2 * limit  # content genuinely exceeds two chunks

@@ -17,7 +17,7 @@ from propgraph.errors import (
 )
 from propgraph.graph import HeteroGraph, NodeId, NodeKind
 
-from conftest import build_random_graph, random_unit
+from conftest import build_random_graph, degree, edges, neighbors, random_unit
 
 
 def unit(dim=4, axis=0):
@@ -45,8 +45,9 @@ def test_proposition_degree_counts_edges():
     e2 = graph.add_entity("Beta", unit(axis=1))
     two = graph.add_proposition("two entities", p, [e1, e2], unit(axis=2))
     none = graph.add_proposition("no entities", p, [], unit(axis=3))
-    assert graph.degree(two) == 3
-    assert graph.degree(none) == 1
+    graph.finalize()
+    assert degree(graph, two) == 3
+    assert degree(graph, none) == 1
 
 
 def test_duplicate_entity_ref_collapses_to_one_edge():
@@ -54,7 +55,8 @@ def test_duplicate_entity_ref_collapses_to_one_edge():
     p = graph.add_passage("text", "d", (0, 4))
     e = graph.add_entity("Alpha", unit(axis=0))
     prop = graph.add_proposition("dup entity", p, [e, e], unit(axis=1))
-    assert graph.degree(prop) == 2  # passage + single entity edge
+    graph.finalize()
+    assert degree(graph, prop) == 2  # passage + single entity edge
     assert graph.propositions[prop.index].entity_refs == [e]
 
 
@@ -76,24 +78,27 @@ def test_neighbors_sorted_and_validated():
     p = graph.add_passage("text", "d", (0, 4))
     e = graph.add_entity("Alpha", unit(axis=0))
     prop = graph.add_proposition("fact", p, [e], unit(axis=1))
-    assert graph.neighbors(prop) == [p, e]  # passages sort before entities
-    assert graph.neighbors(p) == [prop]
+    graph.finalize()
+    assert neighbors(graph, prop) == [p, e]  # passages sort before entities
+    assert neighbors(graph, p) == [prop]
     with pytest.raises(UnknownNodeError):
-        graph.neighbors(g.proposition_id(5))
+        graph.global_index(g.proposition_id(5))
 
 
 def test_passage_with_three_propositions():
     graph = HeteroGraph()
     p = graph.add_passage("text", "d", (0, 4))
     props = [graph.add_proposition(f"fact {i}", p, [], unit(axis=i)) for i in range(3)]
-    assert graph.neighbors(p) == props
+    graph.finalize()
+    assert neighbors(graph, p) == props
 
 
 def test_edge_kind_invariant_on_random_graphs():
     rng = np.random.default_rng(11)
     for _ in range(20):
         graph = build_random_graph(rng, int(rng.integers(1, 12)))
-        for a, b in graph.edges():
+        assert graph.edge_count == len(edges(graph))
+        for a, b in edges(graph):
             kinds = {a.kind, b.kind}
             assert kinds in (
                 {NodeKind.PROPOSITION, NodeKind.ENTITY},
@@ -101,10 +106,10 @@ def test_edge_kind_invariant_on_random_graphs():
             )
             assert a != b
         for prop in graph.propositions:
-            passage_nbrs = [n for n in graph.neighbors(prop.id) if n.kind is NodeKind.PASSAGE]
+            passage_nbrs = [n for n in neighbors(graph, prop.id) if n.kind is NodeKind.PASSAGE]
             assert len(passage_nbrs) == 1
         for ent in graph.entities:
-            assert graph.degree(ent.id) > 0  # orphans removed at finalize
+            assert degree(graph, ent.id) > 0  # orphans removed at finalize
 
 
 def test_orphan_entity_removed_and_reindexed():
@@ -113,7 +118,9 @@ def test_orphan_entity_removed_and_reindexed():
     graph.add_entity("Orphan", unit(axis=0))
     kept = graph.add_entity("Kept", unit(axis=1))
     graph.add_proposition("fact", p, [kept], unit(axis=2))
+    assert graph.edge_count == 2
     graph.finalize()
+    assert graph.edge_count == 2  # orphan removal drops no edge
     assert len(graph.entities) == 1
     assert graph.entities[0].canonical_name == "Kept"
     assert graph.entities[0].id == g.entity_id(0)  # dense reindex
@@ -154,7 +161,7 @@ def test_finalize_rejects_a_bad_vector_store_and_stays_mutable():
     graph._prop_embeddings[1] = graph._prop_embeddings[1] * 2
     with pytest.raises(NotNormalizedError, match=r"PROPOSITION.*index=1\) embedding is not unit length"):
         graph.finalize()
-    assert not graph.finalized
+    graph.add_passage("still mutable", "d", (0, 13))
     graph._entity_embeddings.pop()
     with pytest.raises(NotNormalizedError):  # propositions are checked before entities
         graph.finalize()
@@ -204,7 +211,7 @@ def test_finalized_graph_is_frozen():
 
 def _structurally_equal(a: HeteroGraph, b: HeteroGraph) -> bool:
     """Independent equality oracle: sorted edge lists, record fields, raw bytes."""
-    if sorted(e for e in a.edges()) != sorted(e for e in b.edges()):
+    if sorted(edges(a)) != sorted(edges(b)):
         return False
     if [(p.text, p.source_doc, p.char_span) for p in a.passages] != [
         (p.text, p.source_doc, p.char_span) for p in b.passages
@@ -432,7 +439,7 @@ def test_node_id_ordering_and_tags():
     a = NodeId(NodeKind.PASSAGE, 3)
     b = NodeId(NodeKind.PROPOSITION, 0)
     assert a < b
-    assert NodeId.from_tag(a.tag()) == a
+    assert a.tag() == "passage:3" and b.tag() == "proposition:0"
 
 
 def loop_twin_classes(graph):

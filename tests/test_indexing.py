@@ -12,12 +12,11 @@ from propgraph.indexing import (
     graph_stats,
     index_corpus,
     load_corpus,
-    reconcile_entities,
 )
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.tokens import estimate_tokens
 
-from conftest import NILE_COUNTS, extraction_rules, random_unit
+from conftest import NILE_COUNTS, degree, edges, extraction_rules, random_unit
 
 
 def test_chunk_short_document_single_passage():
@@ -80,8 +79,9 @@ def basis(axis, dim=8):
 
 
 def test_reconcile_exact_duplicate_surfaces():
-    mapping = reconcile_entities([("Paris", basis(0)), ("Paris", basis(1))])
-    assert mapping == {"Paris": 0}
+    registry = EntityRegistry()
+    assert registry.resolve("Paris", basis(0)) == (0, True)
+    assert registry.resolve("Paris", basis(1)) == (0, False)
 
 
 def test_reconcile_merges_above_threshold():
@@ -92,19 +92,22 @@ def test_reconcile_merges_above_threshold():
     v1 = normalize(e1)
     v2 = normalize(0.95 * e1 + np.sqrt(1 - 0.95**2) * e2)
     assert float(np.dot(v1.astype(np.float64), v2.astype(np.float64))) == pytest.approx(0.95, abs=1e-6)
-    mapping = reconcile_entities([("NYC", v1), ("New York City", v2)], ReconciliationPolicy(0.9))
-    assert mapping["NYC"] == mapping["New York City"] == 0
+    registry = EntityRegistry(ReconciliationPolicy(0.9))
+    assert registry.resolve("NYC", v1) == (0, True)
+    assert registry.resolve("New York City", v2) == (0, False)
 
 
 def test_reconcile_orthogonal_stay_separate():
-    mapping = reconcile_entities([("Paris", basis(0)), ("Tokyo", basis(1))])
-    assert mapping == {"Paris": 0, "Tokyo": 1}
+    registry = EntityRegistry()
+    assert registry.resolve("Paris", basis(0)) == (0, True)
+    assert registry.resolve("Tokyo", basis(1)) == (1, True)
 
 
 def test_reconcile_case_insensitive_exact_match_short_circuits():
     # same lowercase surface joins its entity even with an orthogonal vector
-    mapping = reconcile_entities([("Paris", basis(0)), ("PARIS", basis(1))])
-    assert mapping == {"Paris": 0, "PARIS": 0}
+    registry = EntityRegistry()
+    assert registry.resolve("Paris", basis(0)) == (0, True)
+    assert registry.resolve("PARIS", basis(1)) == (0, False)
 
 
 class LoopEntityRegistry:
@@ -287,7 +290,7 @@ def test_index_is_deterministic(nile_corpus, embedder):
     first = index_corpus(nile_corpus, LLMGateway(MockChatBackend(extraction_rules(NILE_PASSAGES))), embedder)
     second = index_corpus(nile_corpus, LLMGateway(MockChatBackend(extraction_rules(NILE_PASSAGES))), embedder)
     assert [p.text for p in first.propositions] == [p.text for p in second.propositions]
-    assert first.edges() == second.edges()
+    assert edges(first) == edges(second)
     assert first.proposition_embeddings.tobytes() == second.proposition_embeddings.tobytes()
 
 
@@ -296,7 +299,7 @@ def test_index_entity_reconciliation_shares_nodes(nile_graph):
     assert names == ["Aswan Dam", "Cairo", "Egypt", "Nile"]
     # "Egypt" appears in all three passages but is a single node
     egypt = [e for e in nile_graph.entities if e.canonical_name == "Egypt"][0]
-    assert nile_graph.degree(egypt.id) == 3
+    assert degree(nile_graph, egypt.id) == 3
 
 
 def test_index_extraction_failure_keeps_bare_passage(embedder):
@@ -309,7 +312,7 @@ def test_index_extraction_failure_keeps_bare_passage(embedder):
     graph = index_corpus(docs, LLMGateway(MockChatBackend(rules)), embedder)
     assert len(graph.passages) == 2  # failed passage retained, bare
     assert len(graph.propositions) == 1
-    assert graph.degree(graph.passages[0].id) == 0
+    assert degree(graph, graph.passages[0].id) == 0
 
 
 def test_index_fails_fast_on_a_backend_outage_naming_the_passage(embedder):
@@ -330,7 +333,7 @@ def test_index_fails_fast_on_a_backend_outage_naming_the_passage(embedder):
 def test_index_validates_graph_invariants(two_hop_graph):
     two_hop_graph.validate()
     for ent in two_hop_graph.entities:
-        assert two_hop_graph.degree(ent.id) > 0
+        assert degree(two_hop_graph, ent.id) > 0
 
 
 def test_load_corpus_directory_and_jsonl(tmp_path):

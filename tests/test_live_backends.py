@@ -150,7 +150,17 @@ def test_client_error_is_not_retried(fake_server, kind):
 
 
 @pytest.mark.parametrize("kind", ["chat", "embed"])
-@pytest.mark.parametrize("reply", [b"null", b"[1, 2]", b"{}"])
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"null",
+        b"[1, 2]",
+        b"{}",
+        # vectors that normalize to no unit vector: a NaN entry, and a norm that overflows
+        b'{"data": [{"index": 0, "embedding": [NaN, 1.0]}]}',
+        b'{"data": [{"index": 0, "embedding": [1e200, 1e200]}]}',
+    ],
+)
 def test_malformed_body_is_retried_then_unavailable(fake_server, kind, reply):
     base_url, handler = fake_server
     handler.reply = reply

@@ -59,7 +59,8 @@ def test_two_hop_fixture_answers_after_one_iteration(two_hop_graph, two_hop_gate
     assert TWO_HOP_HOP1 in seed["kept"]
     assert TWO_HOP_HOP2 not in seed["suggested"]  # top-5 misses the bridge fact
     assert TWO_HOP_HOP2 in result.collected
-    assert result.collected.entry(TWO_HOP_HOP2).iteration == 1
+    first_kept = next(e for e in result.trace.of_kind("suggest") if TWO_HOP_HOP2 in e["kept"])
+    assert first_kept["iteration"] == 1
     evals = result.trace.of_kind("eval")
     assert [e["sufficient"] for e in evals] == [False, True]
 

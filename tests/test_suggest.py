@@ -5,7 +5,6 @@ from propgraph.encoding import normalize
 from propgraph.graph import NodeKind, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.suggest import (
-    PoolEntry,
     PropositionPool,
     SuggestConfig,
     select,
@@ -15,7 +14,7 @@ from propgraph.suggest import (
 )
 from propgraph.traversal import WalkParams, extract_subgraph
 
-from conftest import build_random_graph, random_unit
+from conftest import build_random_graph, neighbors, random_unit
 from test_traversal import dense_ppr_oracle, dense_semantic_oracle, graph_from_links
 
 
@@ -96,12 +95,12 @@ def dense_local_oracle(graph, query_vec, seeds, params, k):
     other_col = {node: j for j, node in enumerate(others)}
     a = np.zeros((n, len(others)))
     for i in range(n):
-        nbrs = graph.neighbors(proposition_id(i))
+        nbrs = neighbors(graph, proposition_id(i))
         for node in nbrs:
             a[i, other_col[node]] = 1.0 / len(nbrs)
     b = np.zeros((len(others), n))
     for node, j in other_col.items():
-        nbrs = graph.neighbors(node)
+        nbrs = neighbors(graph, node)
         for p in nbrs:
             b[j, p.index] = 1.0 / len(nbrs)
     ts = a @ b
@@ -254,9 +253,12 @@ def test_select_scripted_distractor_prune(two_hop_graph):
 
 def test_pool_preserves_order_and_dedupes():
     pool = PropositionPool()
-    assert pool.add(PoolEntry(3, seed_round=True))
-    assert not pool.add(PoolEntry(3, iteration=2))
-    pool.add_id(1, iteration=1, query_index=0)
-    assert pool.ids() == [3, 1]
-    assert pool.entry(3).seed_round  # first provenance wins
+    assert pool.add(3)
+    assert not pool.add(3)
+    pool.add(1)
+    assert pool.ids() == [3, 1] == list(pool)
     assert 3 in pool and len(pool) == 2
+    clone = pool.copy()
+    clone.add(7)
+    assert pool.ids() == [3, 1] and clone.ids() == [3, 1, 7]
+    assert PropositionPool([5, 2, 5]).ids() == [5, 2]

@@ -25,7 +25,7 @@ from propgraph.traversal import (
     ppr,
 )
 
-from conftest import build_random_graph, random_unit
+from conftest import build_random_graph, edges, neighbors, random_unit
 
 
 def graph_from_links(links, rng=None, embeddings=None, dim=8):
@@ -94,7 +94,7 @@ def test_structural_rows_stochastic_zero_diag_on_random_graphs():
     for _ in range(25):
         graph = build_random_graph(rng, int(rng.integers(2, 20)))
         ts = build_structural_transition(graph)
-        sums = ts.row_sums()
+        sums = np.asarray(ts.matrix.sum(axis=1)).ravel()
         for i in range(ts.size):
             assert sums[i] == pytest.approx(1.0, abs=1e-9) or sums[i] == 0.0
         assert np.all(ts.matrix.diagonal() == 0.0)
@@ -107,7 +107,7 @@ def loop_structural_reference(graph, nodes) -> sp.csr_matrix:
     then sorted neighbors), which fixes the summation order of the product.
     """
     kept = set(nodes)
-    nbrs = {node: [m for m in graph.neighbors(node) if m in kept] for node in kept}
+    nbrs = {node: [m for m in neighbors(graph, node) if m in kept] for node in kept}
     props = sorted(node.index for node in kept if node.kind is NodeKind.PROPOSITION)
     row = {p: r for r, p in enumerate(props)}
     hub_col: dict = {}
@@ -319,7 +319,7 @@ def test_blend_rows_remain_stochastic():
         ts = random_transition(rng, n)
         tn = build_semantic_transition(ts, rng.uniform(-1, 1, size=n), WalkParams())
         mixed = blend(ts, tn, 0.5)
-        for i, total in enumerate(mixed.row_sums()):
+        for i, total in enumerate(np.asarray(mixed.matrix.sum(axis=1)).ravel()):
             assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
         assert np.all(mixed.matrix.diagonal() == 0.0)
 
@@ -352,7 +352,7 @@ def dense_ppr_oracle(m_dense, seeds, damping, iters=5000, tol=1e-13):
 def test_ppr_single_node():
     m = TransitionMatrix(sp.csr_matrix((1, 1)))
     dist = ppr(m, [0], WalkParams())
-    assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-12)
+    assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ppr_two_node_closed_form():
@@ -361,8 +361,8 @@ def test_ppr_two_node_closed_form():
     m = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     dist = ppr(m, [0], WalkParams(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
     pi0 = (1 - d) / (1 - d**2)
-    assert dist.probabilities[0] == pytest.approx(pi0, abs=1e-9)
-    assert dist.probabilities[1] == pytest.approx(d * pi0, abs=1e-9)
+    assert dist[0] == pytest.approx(pi0, abs=1e-9)
+    assert dist[1] == pytest.approx(d * pi0, abs=1e-9)
 
 
 def test_ppr_matches_dense_oracle():
@@ -374,7 +374,7 @@ def test_ppr_matches_dense_oracle():
         seeds = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         dist = ppr(m, seeds, params)
         oracle = dense_ppr_oracle(m.matrix.toarray(), seeds, params.damping)
-        assert np.abs(dist.probabilities - oracle).sum() < 1e-6
+        assert np.abs(dist - oracle).sum() < 1e-6
 
 
 def test_ppr_is_distribution():
@@ -383,8 +383,8 @@ def test_ppr_is_distribution():
         n = int(rng.integers(2, 12))
         m = random_transition(rng, n)
         dist = ppr(m, [0], WalkParams())
-        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
-        assert np.all(dist.probabilities >= 0.0)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-8)
+        assert np.all(dist >= 0.0)
 
 
 def test_ppr_rejects_empty_or_out_of_range_seeds():
@@ -404,11 +404,11 @@ def test_ppr_permutation_invariance():
         n = 8
         m = random_transition(rng, n)
         seeds = [1, 4]
-        base = ppr(m, seeds, params).probabilities
+        base = ppr(m, seeds, params)
         perm = rng.permutation(n)
         dense = m.matrix.toarray()[np.ix_(perm, perm)]
         new_seeds = [int(np.flatnonzero(perm == s)[0]) for s in seeds]
-        permuted = ppr(TransitionMatrix(sp.csr_matrix(dense)), new_seeds, params).probabilities
+        permuted = ppr(TransitionMatrix(sp.csr_matrix(dense)), new_seeds, params)
         assert np.abs(permuted - base[perm]).sum() < 2 * params.ppr_epsilon
 
 
@@ -474,7 +474,7 @@ def test_extract_chain_outranks_distant_clique():
     gi = {node: i for i, node in enumerate(order)}
     n = len(order)
     adj = np.zeros((n, n))
-    for a, b in graph.edges():
+    for a, b in edges(graph):
         adj[gi[a], gi[b]] = 1.0
         adj[gi[b], gi[a]] = 1.0
     deg = adj.sum(axis=1)
@@ -552,7 +552,7 @@ def single_extract_subgraph(graph, seed_props, size_limit, params) -> Subgraph:
     included[seed_rows] = included[brings[seed_rows]] = True
     count = int(included.sum())
     degrees = graph.global_degrees
-    scores = np.divide(dist.probabilities, degrees, out=np.zeros_like(dist.probabilities), where=degrees > 0)
+    scores = np.divide(dist, degrees, out=np.zeros_like(dist), where=degrees > 0)
     for gi in np.lexsort((np.arange(graph.node_count), -scores)).tolist():
         if count >= size_limit:
             break
@@ -566,11 +566,11 @@ def single_extract_subgraph(graph, seed_props, size_limit, params) -> Subgraph:
 
 def ppr_steps(graph, rows, params) -> int:
     """The step at which ``ppr`` from ``rows`` stops: the least budget giving its full result."""
-    full = ppr(graph.uniform_transition, rows, params).probabilities
+    full = ppr(graph.uniform_transition, rows, params)
     lo, hi = 1, params.ppr_max_iters
     while lo < hi:
         mid = (lo + hi) // 2
-        if np.array_equal(ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=mid)).probabilities, full):
+        if np.array_equal(ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=mid)), full):
             hi = mid
         else:
             lo = mid + 1
@@ -590,7 +590,7 @@ def assert_columns_are_ppr(graph, rows, params):
     block = _carving_walks(graph, rows, params)
     assert block.shape == (graph.node_count, len(rows))
     for column, seeds in enumerate(rows):
-        want = ppr(graph.uniform_transition, seeds.tolist(), params).probabilities
+        want = ppr(graph.uniform_transition, seeds.tolist(), params)
         assert block[:, column].tobytes() == want.tobytes(), column
 
 
@@ -828,8 +828,8 @@ def certificate_holds(graph, seed_props, size_limit, params, step) -> bool:
     """
     rows = np.add(sorted(set(seed_props)), graph.proposition_rows.start).tolist()
     walk = graph.uniform_transition
-    earlier = ppr(walk, rows, replace(params, ppr_max_iters=step - 1)).probabilities
-    now = ppr(walk, rows, replace(params, ppr_max_iters=step)).probabilities
+    earlier = ppr(walk, rows, replace(params, ppr_max_iters=step - 1))
+    now = ppr(walk, rows, replace(params, ppr_max_iters=step))
     n = graph.node_count
     degree = graph.global_degrees
     score = [now[i] / degree[i] if degree[i] else 0.0 for i in range(n)]
@@ -877,9 +877,9 @@ def assert_walk_record(graph, seed_props, size_limit, params, carved, exact=None
         assert certificate_holds(graph, seed_props, size_limit, params, carved.walk_steps)
         return
     assert carved.walk_steps == exact
-    last = ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=exact)).probabilities
+    last = ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=exact))
     if exact > 1:
-        before = ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=exact - 1)).probabilities
+        before = ppr(graph.uniform_transition, rows, replace(params, ppr_max_iters=exact - 1))
     else:
         before = np.zeros(graph.node_count)
         before[rows] = 1.0 / len(rows)
@@ -977,7 +977,7 @@ def ppr_changes(graph, rows, params) -> list[float]:
         pi = nxt
         if changes[-1] < params.ppr_epsilon:
             break
-    assert pi.tobytes() == ppr(walk, rows, params).probabilities.tobytes()
+    assert pi.tobytes() == ppr(walk, rows, params).tobytes()
     return changes
 
 
