@@ -196,7 +196,10 @@ class OpenAICompatEmbedder(EmbedBackend):
         return out
 
     def _parse(self, body, n_inputs: int) -> list[np.ndarray]:
-        vectors = [normalize(item["embedding"]) for item in sorted(body["data"], key=lambda d: d["index"])]
+        # a served vector whose norm overflows, or that holds a NaN, is
+        # rejected below; it need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = [normalize(item["embedding"]) for item in sorted(body["data"], key=lambda d: d["index"])]
         if len(vectors) != n_inputs:
             raise BackendUnavailable(f"embeddings endpoint returned {len(vectors)} vectors for {n_inputs} inputs")
         for vec in vectors:

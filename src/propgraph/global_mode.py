@@ -11,6 +11,7 @@ strongest material at the edges of the final context before synthesis.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import weakref
 from dataclasses import dataclass
@@ -273,18 +274,27 @@ def select_communities(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    held = {c: c.nodes & anchors for c in candidates}  # no pick changes these
-    coverable = set().union(*held.values())
+    held = [c.nodes & anchors for c in candidates]  # no pick changes these
+    coverable = set().union(*held)
     covered: set[NodeId] = set()
-    remaining = list(candidates)
+    # Lazy greedy over negated keys, the best first: highest ratio, then
+    # smaller community, lower id, earlier candidate. A pick only covers
+    # more anchors, so a key can only fall: a popped key that is still
+    # current beats every other stale key, and so every current one.
+    heap = [(-len(nodes) / c.size, c.size, c.id, i) for i, (c, nodes) in enumerate(zip(candidates, held))]
+    heapq.heapify(heap)
     chosen: list[Community] = []
     used = 0
-    while covered != coverable and used < budget and remaining:
-        best = max(remaining, key=lambda c: (len(held[c] - covered) / c.size, -c.size, -c.id))
-        remaining.remove(best)
-        chosen.append(best)
-        covered |= held[best]
-        used += best.size
+    while covered != coverable and used < budget and heap:
+        _, size, cid, i = top = heap[0]
+        current = (-len(held[i] - covered) / size, size, cid, i)
+        if current != top:
+            heapq.heapreplace(heap, current)
+            continue
+        heapq.heappop(heap)
+        chosen.append(candidates[i])
+        covered |= held[i]
+        used += size
     return chosen
 
 

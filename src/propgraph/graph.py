@@ -105,7 +105,8 @@ class HeteroGraph:
     edge. Finalizing builds the frozen structure from them in one global
     integer space, passages then propositions then entities, which is also
     the ``NodeId`` order: the uniform walk matrix, whose pattern is the
-    adjacency, its transpose, each node's degree, each proposition's
+    adjacency, its transpose and the transpose's two blocks between the
+    sides of the bipartite graph, each node's degree, each proposition's
     passage and each node's twin class. Work that depends only on the
     frozen graph is done there once.
 
@@ -127,6 +128,7 @@ class HeteroGraph:
         self._node_order: list[NodeId] | None = None
         self._uniform_csr: sp.csr_matrix | None = None
         self._transposed_csr: sp.csr_matrix | None = None
+        self._sides: tuple[sp.csr_matrix, sp.csc_matrix] | None = None
         self._degrees: np.ndarray | None = None
         self._prop_passage: np.ndarray | None = None
         self._twins: np.ndarray | None = None
@@ -331,7 +333,8 @@ class HeteroGraph:
         # The adjacency is symmetric, so the transpose has the walk's pattern,
         # and entry (i, j) is 1/deg(j): the same floats a transpose would give.
         transposed = sp.csr_matrix((1.0 / self._degrees[walk.indices], walk.indices, walk.indptr), shape=walk.shape)
-        for matrix in (walk, transposed):
+        self._sides = _side_blocks(walk, self._degrees, self.proposition_rows)
+        for matrix in (walk, transposed, *self._sides):
             for array in (matrix.data, matrix.indices, matrix.indptr):
                 array.flags.writeable = False
         for array in (self._degrees, self._prop_passage, self._twins, self._prop_embeddings, self._entity_embeddings):
@@ -373,6 +376,20 @@ class HeteroGraph:
         """:attr:`uniform_transition` transposed, the operator a walk's distribution steps by."""
         self._require_finalized()
         return self._transposed_csr
+
+    @property
+    def side_transitions(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """The two blocks of :attr:`transposed_transition` that a step uses: propositions to hubs, hubs to propositions.
+
+        The graph is bipartite, propositions on one side and the hubs,
+        passages then entities in node order, on the other, so every other
+        block is empty, and a distribution on one side steps to the other
+        by one block. The second is column-major: a product then runs over
+        the few hubs rather than the many short proposition rows, in about
+        half the time.
+        """
+        self._require_finalized()
+        return self._sides
 
     @property
     def global_degrees(self) -> np.ndarray:
@@ -417,6 +434,21 @@ def _uniform_walk(graph: HeteroGraph, incidence: tuple) -> sp.csr_matrix:
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     degrees = np.diff(indptr).astype(np.float64)
     return sp.csr_matrix((1.0 / degrees[rows], cols, indptr), shape=(n, n))
+
+
+def _side_blocks(walk: sp.csr_matrix, degrees: np.ndarray, props: slice) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+    """:attr:`HeteroGraph.side_transitions` from the uniform ``walk``, its row ``degrees`` and the propositions' rows.
+
+    Both blocks have the pattern of the hub rows of ``walk``: entry (h, p)
+    of the walk is 1/deg(h), and entry (h, p) of its transpose 1/deg(p).
+    """
+    hubs = np.r_[0 : props.start, props.stop : walk.shape[0]]
+    rows = walk[hubs]
+    # hub rows hold proposition columns only, so renumbering them keeps them sorted
+    columns = rows.indices - props.start
+    shape = (len(hubs), props.stop - props.start)
+    to_hubs = sp.csr_matrix((1.0 / degrees[rows.indices], columns, rows.indptr), shape=shape)
+    return to_hubs, sp.csr_matrix((rows.data, columns, rows.indptr), shape=shape).T
 
 
 def _twin_classes(walk: sp.csr_matrix, keys: np.ndarray | None = None) -> np.ndarray:

@@ -322,11 +322,11 @@ class _Admission:
     t and on the other side at odd ones, and pi_t = (1 - d) sum_(s<t) d^s
     x_s + d^t x_t. At an even step, with y = pi / deg:
 
-    * b = min(pi_(t-1), pi_t) / deg is the truncated series (1 - d)
-      sum_(s<t) d^s x_s / deg, since pi_t - pi_(t-1) = d^t (x_t - x_(t-1))
-      is d^t x_t >= 0 on the propositions and -d^t x_(t-1) <= 0 elsewhere;
-    * w = max (pi_t - pi_(t-1)) / deg over the propositions is d^t max x_t
-      / deg;
+    * b, the truncated series (1 - d) sum_(s<t) d^s x_s / deg, is min(pi_(t-1),
+      pi_t) / deg, since pi_t - pi_(t-1) = d^t (x_t - x_(t-1)) is d^t x_t
+      >= 0 on the propositions and -d^t x_(t-1) <= 0 elsewhere;
+    * w = d^t max x_t / deg over the propositions is max (pi_t - pi_(t-1))
+      / deg there;
     * every later score pi_T / deg, the converged one included, lies in
       [b, b + w], because a uniform walk step cannot raise max x / deg
       (each entry is the mean of its neighbours' x / deg), so the rest of
@@ -342,10 +342,13 @@ class _Admission:
     by such a node, and not in U. The gap is the smallest of those
     separations, and it must exceed w plus a rounding margin (see
     :meth:`__init__`). A seed in U is in from the start, so it never
-    counts.
+    counts. A walk that steps the whole distribution (:func:`_carving_walks`)
+    reads b and w from pi_(t-1) and pi_t as above; the one-sided walk
+    (:func:`_one_sided_walks`) keeps b and x_t themselves, with a wider
+    margin and a relative spread for its own rounding.
 
     w is read off the propositions' slice at every fourth step: over a
-    block of six columns a read costs about a third of a step, and w
+    block of six columns a read costs about a third of a full step, and w
     narrows about 2.6-fold in four steps. A full check ranks the nodes and
     costs about two steps of one column, so it runs only once the bracket
     could be narrow enough: the first when w has fallen ``_NARROWING``-fold
@@ -382,19 +385,46 @@ class _Admission:
         # the tail by at most 1 + 2u: a gap above w + 6E + 8u, plus 2u for
         # rounding the gap and the sum, is a certificate. 6(K + 3) + 10 is
         # below 8(K + 4), which also leaves room for second order terms.
-        longest = float(graph.global_degrees.max())
-        self.margin = 8.0 * (longest + 4.0) * (np.finfo(np.float64).eps / 2) / (1.0 - damping)
+        u = np.finfo(np.float64).eps / 2
+        self.longest = float(graph.global_degrees.max())
+        self.margin = 8.0 * (self.longest + 4.0) * u / (1.0 - damping)
+        # The one-sided walk (see _one_sided_walks) proves a column from its
+        # own floats, and the proof must hold for the floats above too, the
+        # ones a walk stepping the whole distribution computes. Its b and w
+        # are within a relative error of the exact ones (see
+        # one_sided_spread), which its gap allows for; and where the exact
+        # gap exceeds the exact w by 4E + 4u more than the margin above,
+        # the gap of those floats, two b's each within E + u, exceeds their
+        # w, within 2E + 2u, by that margin.
+        self.one_sided_margin = self.margin + 4.0 * (self.longest + 3.0) * u / (1.0 - damping) + 4.0 * u
         self.steps = np.zeros(len(seed_rows), dtype=np.int64)
         self.stops = np.full(len(seed_rows), "budget", dtype=object)
         self.check_below = np.full(len(seed_rows), np.nan)
         # the nodes the admission loop read at the step that proved a column
         self.proven_reads: dict[int, np.ndarray] = {}
 
-    def nodes(self, column: int, visits: np.ndarray) -> np.ndarray:
+    def one_sided_spread(self, step: int) -> float:
+        """A bound on the relative error of each b and w entry that the one-sided walk computes at ``step``.
+
+        Every quantity of that walk is a sum of nonnegative terms, so its
+        rounding error is relative to each entry. A block step sums at most
+        K products of an entry rounded from 1/deg, each within a relative
+        (K + 1)u of exact, so x_t is within t(K + 1)u of (M^T)^t r. The
+        factor (1 - d) d^s, a running product, adds s + 2 roundings, the
+        scaled term one more, and b_t sums t terms, which adds t - 1: b_t
+        is within t(K + 3)u + 4u, and b_t / deg within t(K + 3)u + 5u. w
+        is d^t max x_t / deg, within t(K + 2)u + 3u. (t + 1)(K + 4)u covers
+        both, and doubling it covers second order terms and rounding the
+        gap, whose lower ends are scaled by 1 - spread and upper ends by 1
+        + spread.
+        """
+        return 2.0 * (step + 1) * (self.longest + 4.0) * np.finfo(np.float64).eps / 2
+
+    def nodes(self, column: int, visits: np.ndarray | None) -> np.ndarray:
         """The carving of ``column`` from its walk's ``visits``: the nodes the admission loop takes.
 
         A proven column's walk stopped at the step its proof read, so the
-        loop is not run again.
+        loop is not run again, and ``visits`` is not read.
         """
         included = self.initial[column].copy()
         read = self.proven_reads.get(column)
@@ -406,28 +436,23 @@ class _Admission:
     def _scores(self, visits: np.ndarray) -> np.ndarray:
         return visits / self.degrees
 
-    def certify(self, columns: np.ndarray, previous: np.ndarray, current: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Which block columns are proven at an even step, ``current``, after ``previous``.
+    def certify(self, columns: np.ndarray, widths: np.ndarray, candidates: np.ndarray, bracket, spread: float = 0.0) -> np.ndarray:
+        """Which block columns are proven at an even step whose bracket widths, margins included, are ``widths``.
 
-        w is read from the step change on the propositions alone, as
-        ``|current - previous|`` there: the change itself, but for
-        rounding, which its absolute value only widens. ``columns`` names
-        the carving of each block column, and only the ``candidates`` are
-        checked. Records the stop of each proven one.
+        ``columns`` names the carving of each block column, and only the
+        ``candidates`` are checked. ``bracket(k)`` gives block column k's
+        visits at this step and the lower end of their bracket, b, and the
+        gap scales b by ``1 -/+ spread`` (see :meth:`_gap`). Records the
+        stop of each proven one.
         """
-        props = self.graph.proposition_rows
-        # column-major, as a max along the rows of a narrow row-major block is slow
-        moved = np.subtract(current[props], previous[props], order="F")
-        np.abs(moved, out=moved)
-        np.divide(moved, self.graph.global_degrees[props, None], out=moved)
-        widths = moved.max(axis=0) + self.margin
         fresh = np.isnan(self.check_below[columns])
         self.check_below[columns[fresh]] = widths[fresh] / _NARROWING
         proven = np.zeros(len(columns), dtype=bool)
         for k in np.flatnonzero(candidates & (widths < self.check_below[columns])).tolist():
             column, width = columns[k], widths[k]
-            read, gains = _admit(self._scores(current[:, k]), self.initial[column], self.brings, self.size_limit)
-            gap = self._gap(column, read, gains, self._scores(np.minimum(previous[:, k], current[:, k])))
+            visits, low = bracket(k)
+            read, gains = _admit(self._scores(visits), self.initial[column], self.brings, self.size_limit)
+            gap = self._gap(column, read, gains, self._scores(low), spread)
             proven[k] = gap > width
             if proven[k]:
                 self.proven_reads[column] = read
@@ -435,8 +460,12 @@ class _Admission:
         self.stops[columns[proven]] = "certificate"
         return proven
 
-    def _gap(self, column: int, read: np.ndarray, gains: np.ndarray, base: np.ndarray) -> float:
-        """The smallest separation in ``base`` between the last unit of the admission loop's ``read`` and the nodes that must stay on either side of it."""
+    def _gap(self, column: int, read: np.ndarray, gains: np.ndarray, base: np.ndarray, spread: float) -> float:
+        """The smallest separation in ``base`` between the last unit of the admission loop's ``read`` and the nodes that must stay on either side of it.
+
+        Each separation takes the lower of its two entries down by a
+        relative ``spread`` and the higher one up by it.
+        """
         if not len(read) or self.size_limit >= self.graph.node_count:
             # the seeds fill the limit, or every node is taken: order does not matter
             return np.inf
@@ -448,8 +477,9 @@ class _Admission:
         out = ~self.initial[column]
         out[before] = out[self.brings[before]] = False
         out[unit] = False
-        above = float(base[before].min()) - base[last] if before.size else np.inf
-        below = base[last] - float(np.max(base, where=out, initial=-np.inf))
+        low, high = 1.0 - spread, 1.0 + spread
+        above = float(base[before].min()) * low - base[last] * high if before.size else np.inf
+        below = base[last] * low - float(np.max(base, where=out, initial=-np.inf)) * high
         return min(above, below)
 
 
@@ -478,7 +508,11 @@ def _first_testable_step(graph: HeteroGraph, params: WalkParams) -> int:
 
 
 def _carving_walks(
-    graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams, admission: _Admission | None = None
+    graph: HeteroGraph,
+    seed_rows: list[np.ndarray],
+    params: WalkParams,
+    admission: _Admission | None = None,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """The uniform walk's PPR restarting at each of ``seed_rows``, one column each.
 
@@ -490,11 +524,13 @@ def _carving_walks(
     zero, and the convergence test before :func:`_first_testable_step`.
     Given the ``admission`` of proposition seed sets, a column also stops
     once its carving is proven, at a step before convergence;
-    ``admission`` records each column's steps and stop.
+    ``admission`` records each column's steps and stop, under the carving
+    ``columns`` names (by default, its position).
     """
     transposed = graph.transposed_transition
     dangling = np.flatnonzero(graph.global_degrees == 0)
     d = params.damping
+    carvings = np.arange(len(seed_rows)) if columns is None else columns
     # Away from every seed the restart terms are exact zeros, and a step
     # is d * (M^T pi) alone; the full update runs on the seed rows only.
     seeds = np.unique(np.concatenate(seed_rows))
@@ -526,10 +562,20 @@ def _carving_walks(
         else:
             stopped = np.zeros(len(running), dtype=bool)
         if admission is not None:
-            admission.steps[running] = step
-            admission.stops[running[stopped]] = "convergence"
+            admission.steps[carvings[running]] = step
+            admission.stops[carvings[running[stopped]]] = "convergence"
             if from_props and step % 4 == 0:
-                stopped |= admission.certify(running, pi, nxt, ~stopped)
+                # w is read from the step change on the propositions alone,
+                # as |nxt - pi| there: the change itself, but for rounding,
+                # which its absolute value only widens; column-major, as a
+                # max along the rows of a narrow row-major block is slow
+                moved = np.subtract(nxt[props], pi[props], order="F")
+                np.abs(moved, out=moved)
+                np.divide(moved, graph.global_degrees[props, None], out=moved)
+                widths = moved.max(axis=0) + admission.margin
+                stopped |= admission.certify(
+                    carvings[running], widths, ~stopped, lambda k: (nxt[:, k], np.minimum(pi[:, k], nxt[:, k]))
+                )
         pi = nxt
         if stopped.any():
             done[:, running[stopped]] = pi[:, stopped]
@@ -539,6 +585,65 @@ def _carving_walks(
                 break
     done[:, running] = pi
     return done
+
+
+def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams, admission: _Admission) -> np.ndarray:
+    """Prove the carvings of proposition ``seed_rows`` that it can by stepping the newest term alone; returns the rest.
+
+    The graph is bipartite, so pi_t = (1 - d) sum_(s<t) d^s x_s + d^t x_t
+    with x_t = (M^T)^t r on one side only: the propositions at even t, the
+    hubs at odd t. The walk keeps x_t, one side long, and the truncated
+    series b = (1 - d) sum_(s<t) d^s x_s: a step adds (1 - d) d^(t-1)
+    x_(t-1) to b and multiplies x by one block of
+    :attr:`HeteroGraph.side_transitions`, half the entries of
+    :attr:`HeteroGraph.transposed_transition`. At a check, b / deg is the
+    bracket's lower end, w = d^t max x_t / deg over the propositions its
+    width, read straight from x_t, and b + d^t x_t the visits the
+    admission loop reads: the quantities of :class:`_Admission`, with the
+    one-sided margin and spread.
+
+    The walk runs while the convergence test of :func:`ppr` cannot pass,
+    up to the step before :func:`_first_testable_step` or to
+    ``ppr_max_iters``, so a proven column's step is one at which ``ppr``
+    has not stopped. It stops where every column is proven. The columns it
+    returns are not; their check schedule starts afresh.
+    """
+    to_hubs, to_props = graph.side_transitions
+    props = graph.proposition_rows
+    d = params.damping
+    term = np.zeros((to_props.shape[0], len(seed_rows)))
+    for column, rows in enumerate(seed_rows):
+        term[rows - props.start, column] = 1.0 / len(rows)
+    # b on the propositions, then on the hubs: passages before and entities after the propositions' rows
+    series = [np.zeros_like(term), np.zeros((to_hubs.shape[0], len(seed_rows)))]
+    degrees = graph.global_degrees[props, None]
+    running = np.arange(len(seed_rows))
+    scale = 1.0  # d^(step - 1)
+    for step in range(1, min(_first_testable_step(graph, params) - 1, params.ppr_max_iters) + 1):
+        series[(step - 1) % 2] += ((1.0 - d) * scale) * term
+        term = (to_hubs if step % 2 else to_props) @ term
+        scale *= d
+        admission.steps[running] = step
+        if step % 4:
+            continue
+        spread = admission.one_sided_spread(step)
+        widths = scale * np.divide(term, degrees, order="F").max(axis=0) * (1.0 + spread) + admission.one_sided_margin
+
+        def bracket(k: int) -> tuple[np.ndarray, np.ndarray]:
+            hubs = series[1][:, k]
+            low = np.concatenate((hubs[: props.start], series[0][:, k], hubs[props.start :]))
+            visits = low.copy()
+            visits[props] += scale * term[:, k]
+            return visits, low
+
+        proven = admission.certify(running, widths, np.ones(len(running), dtype=bool), bracket, spread)
+        if proven.any():
+            running, term = running[~proven], term[:, ~proven]
+            series = [block[:, ~proven] for block in series]
+            if not len(running):
+                break
+    admission.check_below[running] = np.nan
+    return running
 
 
 def extract_subgraphs(
@@ -557,8 +662,10 @@ def extract_subgraphs(
     ``size_limit`` is reached; every admitted proposition drags its
     passage along, and seeds with their passages are always present no
     matter how small the limit. The walks of all sets run as one block,
-    and each stops as soon as its node set is proven (see
-    :class:`_Admission`); each carving records its walk's steps and stop.
+    stepping the newest term alone, and each stops as soon as its node set
+    is proven (see :func:`_one_sided_walks`); a set not proven by the step
+    at which the walk could first converge is walked again in full, as
+    :func:`ppr` would. Each carving records its walk's steps and stop.
     """
     seed_rows: list[np.ndarray] = []
     for seed_props in seed_sets:
@@ -573,9 +680,13 @@ def extract_subgraphs(
     if not seed_rows:
         return []
     admission = _Admission(graph, seed_rows, size_limit, params.damping)
-    visits = _carving_walks(graph, seed_rows, params, admission)
+    pending = _one_sided_walks(graph, seed_rows, params, admission)
+    visits = {}
+    if len(pending):
+        walked = _carving_walks(graph, [seed_rows[c] for c in pending.tolist()], params, admission, pending)
+        visits = dict(zip(pending.tolist(), walked.T))
     return [
-        Subgraph(graph, admission.nodes(column, visits[:, column]), int(admission.steps[column]), admission.stops[column])
+        Subgraph(graph, admission.nodes(column, visits.get(column)), int(admission.steps[column]), admission.stops[column])
         for column in range(len(seed_rows))
     ]
 

@@ -393,6 +393,44 @@ def test_select_matches_stepwise_argmax_oracle():
         assert overshoot <= (chosen[-1].size if chosen else 0)
 
 
+def full_rescore_select(anchors, candidates, budget):
+    """The greedy as it was before the lazy heap: every remaining candidate re-scored at every pick."""
+    held = {c: c.nodes & anchors for c in candidates}
+    coverable = set().union(*held.values())
+    covered = set()
+    remaining = list(candidates)
+    chosen = []
+    used = 0
+    while covered != coverable and used < budget and remaining:
+        best = max(remaining, key=lambda c: (len(held[c] - covered) / c.size, -c.size, -c.id))
+        remaining.remove(best)
+        chosen.append(best)
+        covered |= held[best]
+        used += best.size
+    return chosen
+
+
+def test_lazy_select_matches_full_rescore_with_ties():
+    rng = np.random.default_rng(139)
+    ties = 0
+    for _ in range(400):
+        n_anchors = int(rng.integers(1, 16))
+        anchors = {proposition_id(i) for i in range(n_anchors)}
+        candidates = []
+        # few sizes, with anchor counts that repeat ratios (1/2 = 2/4 = 5/10) and sizes; ids out of list order
+        for cid in rng.permutation(int(rng.integers(1, 12))).tolist():
+            size = int(rng.choice([2, 4, 5, 10]))
+            inside = [int(i) for i in rng.choice(n_anchors, size=int(rng.integers(0, min(size, n_anchors) + 1)), replace=False)]
+            candidates.append(community_of(inside, size - len(inside), cid))
+        ratios = [len(c.nodes & anchors) / c.size for c in candidates]
+        ties += len(set(ratios)) < len(ratios)
+        budget = int(rng.integers(1, 60))
+        got = select_communities(anchors, candidates, budget)
+        want = full_rescore_select(anchors, candidates, budget)
+        assert [c.id for c in got] == [c.id for c in want]
+    assert ties > 100
+
+
 # ----------------------------------------------------------------------
 # report building and interleaving
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1036,3 +1037,127 @@ def test_threads_carving_one_fresh_graph_match_a_serial_run():
     finally:
         sys.setswitchinterval(previous)
     assert threaded == serial * 4
+
+
+# ----------------------------------------------------------------------
+# the one-sided walk: the newest term stepped alone
+# ----------------------------------------------------------------------
+
+
+def test_side_transitions_are_the_blocks_of_the_transpose():
+    rng = np.random.default_rng(149)
+    for trial in range(10):
+        n_props = int(rng.integers(1, 40))
+        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
+        props = graph.proposition_rows
+        hubs = np.r_[0 : props.start, props.stop : graph.node_count]
+        transposed = graph.transposed_transition
+        to_hubs, to_props = graph.side_transitions
+        # every entry of the transpose is in one of the blocks, with its very float
+        assert to_hubs.nnz + to_props.nnz == transposed.nnz
+        for block, rows, columns in ((to_hubs, hubs, props), (to_props, props, hubs)):
+            want = transposed[rows][:, columns].tocoo()
+            got = block.tocoo()
+            assert block.shape == want.shape
+            assert sorted(zip(got.row.tolist(), got.col.tolist(), got.data.tolist())) == sorted(
+                zip(want.row.tolist(), want.col.tolist(), want.data.tolist())
+            )
+            for array in (block.data, block.indices, block.indptr):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+
+
+def test_one_sided_carvings_pass_the_oracle_on_certificate_cases():
+    # seeds 0-199 of certificate_case: every node set is the single carving's,
+    # and every certified step passes the certificate on ppr's own floats
+    fallbacks, certified, mixed = 0, 0, 0
+    for seed in range(200):
+        graph, seed_sets, limit, params = certificate_case(seed)
+        carved = extract_subgraphs(graph, seed_sets, limit, params)
+        stops = set()
+        for seeds, got in zip(seed_sets, carved):
+            assert np.array_equal(got.nodes, single_extract_subgraph(graph, seeds, limit, params).nodes), seed
+            stops.add(got.walk_stop == "certificate")
+            if got.walk_stop == "certificate":
+                certified += 1
+                assert certificate_holds(graph, seeds, limit, params, got.walk_steps), seed
+            else:
+                fallbacks += 1
+        mixed += len(stops) == 2
+    assert certified > 300 and fallbacks > 50 and mixed > 0
+
+
+def test_uncertified_columns_fall_back_to_the_exact_walk(monkeypatch):
+    graph = build_random_graph(np.random.default_rng(151), 120)
+    seed_sets = random_seed_sets(np.random.default_rng(157), graph, 4)
+    walked = []
+    exact_walks = traversal._carving_walks
+    monkeypatch.setattr(
+        traversal, "_carving_walks", lambda graph, rows, params, *rest: walked.append(len(rows)) or exact_walks(graph, rows, params, *rest)
+    )
+    cases = [
+        # the budget ends before the first check, at step 4
+        WalkParams(ppr_max_iters=3),
+        # the convergence test can pass from step 9, before the bracket has narrowed enough to check
+        WalkParams(ppr_epsilon=0.5),
+    ]
+    for params in cases:
+        assert _first_testable_step(graph, params) <= 9 or params.ppr_max_iters < 4
+        walked.clear()
+        carved = extract_subgraphs(graph, seed_sets, 30, params)
+        assert walked == [len(seed_sets)]
+        for seeds, got in zip(seed_sets, carved):
+            assert got.walk_stop != "certificate"
+            assert np.array_equal(got.nodes, single_extract_subgraph(graph, seeds, 30, params).nodes)
+            # the steps and stop of ppr itself
+            assert_walk_record(graph, seeds, 30, params, got)
+    assert [sub.walk_stop for sub in carved] == ["convergence"] * len(seed_sets)
+
+
+def test_one_sided_brackets_are_within_their_spread_of_exact(monkeypatch):
+    # b and w of every check of the one-sided walk against the walk in exact rationals
+    u = Fraction(1, 2**53)
+    certify = traversal._Admission.certify
+    checks = []
+
+    def spy(self, columns, widths, candidates, bracket, spread=0.0):
+        if spread:
+            step = int(self.steps[columns[0]])
+            checks.append((step, columns.tolist(), widths.tolist(), [bracket(k)[1] for k in range(len(columns))], spread, self.one_sided_margin))
+        return certify(self, columns, widths, candidates, bracket, spread)
+
+    monkeypatch.setattr(traversal._Admission, "certify", spy)
+    rng = np.random.default_rng(163)
+    compared = 0
+    for family in (build_random_graph, graph_with_hub, graph_with_lonely_passages):
+        graph = family(rng, 24)
+        params = WalkParams(damping=0.9)
+        seed_sets = random_seed_sets(rng, graph, 2)
+        checks.clear()
+        extract_subgraphs(graph, seed_sets, 10, params)
+        walk = graph.uniform_transition
+        degree = [int(k) for k in graph.global_degrees]
+        props = range(graph.proposition_rows.start, graph.proposition_rows.stop)
+        d = Fraction(params.damping)
+        for column, rows in enumerate(seed_rows(graph, seed_sets)):
+            mine = [check for check in checks if column in check[1]]
+            if not mine:
+                continue
+            x = [Fraction(0)] * graph.node_count
+            for r in rows.tolist():
+                x[r] = Fraction(1, len(rows))
+            b = [Fraction(0)] * graph.node_count
+            for step in range(1, mine[-1][0] + 1):
+                b = [bi + (1 - d) * d ** (step - 1) * xi for bi, xi in zip(b, x)]
+                x = [sum((x[j] / degree[j] for j in walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()), Fraction(0)) for i in range(graph.node_count)]
+                for at, columns, widths, lows, spread, margin in mine:
+                    if at != step:
+                        continue
+                    k = columns.index(column)
+                    low = lows[k]
+                    assert all(abs(Fraction(low[i]) - b[i]) <= Fraction(spread) * b[i] for i in range(graph.node_count))
+                    w = d**step * max(x[i] / degree[i] for i in props)
+                    assert Fraction(widths[k]) >= (w + Fraction(margin)) * (1 - 2 * u)
+                    compared += 1
+    assert compared >= 6
