@@ -1,8 +1,10 @@
 """The one client of the OpenAI-compatible HTTP endpoints, and its retry policy.
 
 A POST is retried with exponential backoff on connection errors, 429 and
-5xx responses, and bodies that ``parse`` cannot read. Any other 4xx is a
-permanent fault (bad request, auth) and fails at once.
+5xx responses, and bodies that ``parse`` cannot read. A 429 or 503 that
+names a delay in seconds in its ``Retry-After`` header waits at least that
+long, and at most the client's timeout, before the next attempt. Any other
+4xx is a permanent fault (bad request, auth) and fails at once.
 """
 
 from __future__ import annotations
@@ -62,15 +64,29 @@ class OpenAICompatClient:
         body = {"model": self.model, **payload}
         last_err: Exception | None = None
         for attempt in range(self.max_retries):
+            delay = self.backoff * 2.0**attempt
             try:
                 with self._gate:
                     resp = self._session.post(url, json=body, headers=self._headers, timeout=self.timeout)
                 if 400 <= resp.status_code < 500 and resp.status_code != 429:  # permanent: bad request/auth
                     raise BackendUnavailable(f"{url} returned {resp.status_code}")
+                if resp.status_code in (429, 503):
+                    asked = _delay_seconds(resp.headers.get("Retry-After"))
+                    if asked is not None:
+                        delay = max(delay, min(asked, self.timeout))
                 resp.raise_for_status()  # 429 and 5xx are worth another attempt
                 return parse(resp.json())
             except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as err:
                 last_err = err
                 if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff * 2.0**attempt)
+                    time.sleep(delay)
         raise BackendUnavailable(f"{url} failed after {self.max_retries} attempts: {last_err}")
+
+
+def _delay_seconds(retry_after: str | None) -> float | None:
+    """The delay a ``Retry-After`` header asks for in its delta-seconds form, or None.
+
+    The HTTP-date form and anything unparseable give None.
+    """
+    value = (retry_after or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None

@@ -168,7 +168,8 @@ def suggest_global(
         blended = query_aware_transition(sub, q_vec, cfg.walk, structural=structural)
         pi = ppr(blended, [row_of[prop]], cfg.walk)
         aggregate += pi
-        walker_pis.append({row_props[r]: float(p) for r, p in enumerate(pi) if p > 0.0})
+        visited = np.flatnonzero(pi > 0.0)
+        walker_pis.append(dict(zip([row_props[r] for r in visited.tolist()], pi[visited].tolist())))
     excluded = set(members) | set(exclude)
     return _rank_new(aggregate, row_props, excluded, cfg.k), walker_pis
 

@@ -18,6 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,6 +89,62 @@ class TransitionMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _pattern(self) -> _Pattern:
+        """What every walk over this operator reuses of its pattern, built on first use.
+
+        The matrix must not change after that.
+        """
+        return _Pattern(self.matrix)
+
+
+class _Pattern:
+    """The per-row layout of a sparse matrix that each walker over it would otherwise recompute.
+
+    ``lengths`` is each row's entry count. ``gather`` lists the entries of
+    the nonempty rows grouped by length, ascending, row after row; ``rows``
+    names those rows in the same order, and ``blocks`` each group's start in
+    ``gather``, row count and length. ``ascending`` orders the entries by
+    row, then by column.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix):
+        indptr = matrix.indptr
+        self.lengths = np.diff(indptr)
+        rows = np.argsort(self.lengths, kind="stable")
+        self.rows = rows[self.lengths[rows] > 0]
+        self.gather, _ = _row_entries(indptr, self.rows)
+        sizes, counts = np.unique(self.lengths[self.rows], return_counts=True)
+        starts = np.concatenate(([0], np.cumsum(sizes * counts)[:-1]))
+        self.blocks = list(zip(starts.tolist(), counts.tolist(), sizes.tolist()))
+        # Each row reversed puts the descending rows that
+        # build_structural_transition stores in ascending order; other rows
+        # are sorted.
+        indices = matrix.indices
+        self.ascending = np.repeat(indptr[:-1] + indptr[1:] - 1, self.lengths) - np.arange(len(indices))
+        reversed_indices = indices[self.ascending]
+        rises = reversed_indices[1:] > reversed_indices[:-1]
+        # a row's first entry need not rise above the previous row's last
+        rises[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < len(indices))] - 1] = True
+        if not rises.all():
+            row_starts = np.repeat(np.arange(len(self.lengths), dtype=np.int64) * matrix.shape[1], self.lengths)
+            self.ascending = np.argsort(row_starts + indices, kind="stable")
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum of ``values``, one per entry, as numpy sums that row's values alone.
+
+        numpy sums a contiguous run pairwise, and a (rows, length) block
+        reduced along its last axis sums each row the same way, so rows are
+        summed a block of one length at a time (``np.add.reduceat`` sums a
+        run another way).
+        """
+        totals = np.zeros(len(self.lengths))
+        if self.blocks:
+            grouped = values[self.gather]
+            sums = [grouped[start : start + count * length].reshape(count, length).sum(axis=1) for start, count, length in self.blocks]
+            totals[self.rows] = np.concatenate(sums)
+        return totals
+
 
 class Subgraph:
     """Induced subgraph over a node subset of a parent graph.
@@ -137,11 +194,7 @@ def _induced_walk(walk: sp.csr_matrix, nodes: np.ndarray) -> sp.csr_matrix:
     row order, which keeps the columns ascending, as a row slice and then
     a column slice would.
     """
-    starts = walk.indptr[nodes]
-    lengths = walk.indptr[nodes + 1] - starts
-    bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    entries = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)
+    entries, bounds = _row_entries(walk.indptr, nodes)
     local = np.full(walk.shape[0], -1, dtype=walk.indices.dtype)
     local[nodes] = np.arange(len(nodes))
     columns = local[walk.indices[entries]]
@@ -153,6 +206,15 @@ def _induced_walk(walk: sp.csr_matrix, nodes: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((1.0 / np.repeat(degrees, degrees), columns[kept], indptr), shape=(len(nodes), len(nodes)))
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the entries of ``rows`` of a CSR matrix, row after row, and the bounds of each row's run among them."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths), bounds
+
+
 def build_structural_transition(view: HeteroGraph | Subgraph) -> TransitionMatrix:
     """Two-step proposition-to-proposition transition through shared hubs.
 
@@ -160,33 +222,54 @@ def build_structural_transition(view: HeteroGraph | Subgraph) -> TransitionMatri
     both hops uniform over the view-restricted neighbors: the product of
     the view's walk from its propositions to their hubs and back. The
     diagonal is then dropped and surviving rows renormalized so the
-    operator stays stochastic.
+    operator stays stochastic. Each row stores its columns in descending
+    order, the order in which a walker sums the row's query weights.
     """
     rows = view.proposition_rows
     walk = view.uniform_transition
-    out = walk[rows]
-    n = out.shape[0]
+    n = rows.stop - rows.start
     if n == 0:
         raise ValueError("view contains no propositions")
+    first, last = walk.indptr[rows.start], walk.indptr[rows.stop]
+    near = walk.indices[first:last]
     # Hubs are numbered by first appearance (by proposition, then in node
     # order). This fixes the order in which the product sums the terms of
     # each entry, and with it the operator's last bits.
-    seen, first = np.unique(out.indices, return_index=True)
-    hubs = seen[np.argsort(first)]
+    seen, first_seen = np.unique(near, return_index=True)
+    hubs = seen[np.argsort(first_seen)]
     column = np.zeros(walk.shape[0], dtype=np.int64)
     column[hubs] = np.arange(len(hubs))
-    to_hub = sp.csr_matrix((out.data, column[out.indices], out.indptr), shape=(n, len(hubs)))
+    # sorted in place below: a copy, as a frozen graph's walk is read-only
+    to_hub = sp.csr_matrix((walk.data[first:last].copy(), column[near], walk.indptr[rows.start : rows.stop + 1] - first), shape=(n, len(hubs)))
     to_hub.sort_indices()
-    two_step = (to_hub @ walk[hubs][:, rows]).tocoo()
-    off = two_step.row != two_step.col
-    t = sp.csr_matrix((two_step.data[off], (two_step.row[off], two_step.col[off])), shape=(n, n))
-    return TransitionMatrix(_renormalize_rows(t))
-
-
-def _renormalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    sums = np.asarray(matrix.sum(axis=1)).ravel()
+    # The graph is bipartite, so a hub's row of the walk holds propositions alone.
+    entries, bounds = _row_entries(walk.indptr, hubs)
+    back = sp.csr_matrix((walk.data[entries], walk.indices[entries] - rows.start, bounds), shape=(len(hubs), n))
+    two_step = to_hub @ back
+    two_step.sort_indices()
+    off = two_step.indices != np.repeat(np.arange(n, dtype=two_step.indices.dtype), np.diff(two_step.indptr))
+    columns, data = two_step.indices[off], two_step.data[off]
+    indptr = _kept_indptr(two_step.indptr, off)
+    # each row's sum is np.add.reduceat of its entries in ascending column
+    # order, as scipy's sum(axis=1) takes it
+    lengths = np.diff(indptr)
+    filled = np.flatnonzero(lengths)
+    sums = np.zeros(n)
+    if len(filled):
+        sums[filled] = np.add.reduceat(data, indptr[filled])
     inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > _DANGLING_EPS)
-    return sp.diags(inv).dot(matrix).tocsr()
+    data = np.repeat(inv, lengths) * data
+    nonzero = data != 0.0
+    kept = np.flatnonzero(nonzero)
+    indptr = _kept_indptr(indptr, nonzero)
+    # each row reversed, from its last entry to its first
+    order = kept[np.repeat(indptr[:-1] + indptr[1:] - 1, np.diff(indptr)) - np.arange(len(kept))]
+    return TransitionMatrix(sp.csr_matrix((data[order], columns[order], indptr), shape=(n, n)))
+
+
+def _kept_indptr(indptr: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The row pointers of a CSR matrix after only its entries where ``kept`` is true remain."""
+    return indptr - np.searchsorted(np.flatnonzero(~kept), indptr)
 
 
 def build_semantic_transition(
@@ -199,6 +282,18 @@ def build_semantic_transition(
     whose entire neighborhood falls below the floor keep their structural
     row so the walk never strands in a semantically dark region.
     """
+    data, fallback = _semantic_weights(structural, similarities, params)
+    base = structural.matrix
+    # eliminate_zeros compacts the index arrays in place: give it copies
+    csr = sp.csr_matrix((data, base.indices.copy(), base.indptr.copy()), shape=base.shape)
+    csr.eliminate_zeros()
+    return TransitionMatrix(csr, fallback)
+
+
+def _semantic_weights(
+    structural: TransitionMatrix, similarities: np.ndarray, params: WalkParams
+) -> tuple[np.ndarray, frozenset[int]]:
+    """The data of :func:`build_semantic_transition` on the structural pattern, a masked neighbor's 0.0 kept, and its fallback rows."""
     if params.tau <= 0:
         raise ValueError("tau must be positive")
     n = structural.size
@@ -208,23 +303,14 @@ def build_semantic_transition(
 
     boosted = np.where(similarities >= params.theta, np.exp(similarities / params.tau), 0.0)
     base = structural.matrix
-    lengths = np.diff(base.indptr)
+    pattern = structural._pattern
     weights = boosted[base.indices]
-    # Each row's total must be the very float that summing the row alone
-    # gives. numpy sums a contiguous run pairwise, and a (rows, L) gather
-    # reduced along its last axis sums each row the same way, so rows are
-    # grouped by length (np.add.reduceat would sum sequentially instead).
-    totals = np.zeros(n)
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        rows = np.flatnonzero(lengths == length)
-        totals[rows] = weights[base.indptr[rows, None] + np.arange(length)].sum(axis=1)
-    fallback = np.flatnonzero((lengths > 0) & ~(totals > 0.0))
-    row_totals = np.repeat(totals, lengths)
+    # each row's total is the very float that summing the row alone gives
+    totals = pattern.row_sums(weights)
+    fallback = np.flatnonzero((pattern.lengths > 0) & ~(totals > 0.0))
+    row_totals = np.repeat(totals, pattern.lengths)
     data = np.divide(weights, row_totals, out=base.data.astype(np.float64), where=row_totals > 0.0)
-    # eliminate_zeros compacts the index arrays in place: give it copies
-    csr = sp.csr_matrix((data, base.indices.copy(), base.indptr.copy()), shape=(n, n))
-    csr.eliminate_zeros()
-    return TransitionMatrix(csr, frozenset(fallback.tolist()))
+    return data, frozenset(fallback.tolist())
 
 
 def blend(structural: TransitionMatrix, semantic: TransitionMatrix, lambda_: float) -> TransitionMatrix:
@@ -261,15 +347,21 @@ def ppr(
     restart = np.zeros(n, dtype=np.float64)
     restart[sorted(set(seeds))] = 1.0 / len(set(seeds))
 
-    dangling = np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_EPS
-    mt = matrix.T.tocsr()
+    dangling = np.flatnonzero(np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_EPS)
+    # M^T pi by the CSC view of M^T: each entry adds its terms in ascending row order
+    mt = matrix.T
     d = params.damping
+    teleport = (1.0 - d) * restart
 
     pi = restart.copy()
     for _ in range(params.ppr_max_iters):
-        dangling_mass = float(pi[dangling].sum()) if dangling.any() else 0.0
-        nxt = d * (mt @ pi + dangling_mass * restart) + (1.0 - d) * restart
-        err = float(np.abs(nxt - pi).sum())
+        nxt = mt @ pi
+        if len(dangling):
+            nxt += float(pi[dangling].sum()) * restart
+        nxt *= d
+        nxt += teleport
+        change = nxt - pi
+        err = float(np.abs(change, out=change).sum())
         pi = nxt
         if err < params.ppr_epsilon:
             break
@@ -710,10 +802,21 @@ def query_aware_transition(
     """Build the blended walk operator for one query over ``view``.
 
     ``structural`` can be passed in when several queries share one view so
-    the two-hop product is computed only once.
+    the two-hop product and its row layout are computed only once. The
+    result is ``blend(structural, build_semantic_transition(...))``, array
+    for array, computed on the structural pattern: a masked neighbor adds
+    (1 - lambda) * 0.0 to its blended entry, so it needs no removing first.
     """
     if structural is None:
         structural = build_structural_transition(view)
     sims = view.proposition_embeddings @ np.asarray(query_vec, dtype=np.float64)
-    semantic = build_semantic_transition(structural, sims, params)
-    return blend(structural, semantic, params.lambda_)
+    semantic, fallback = _semantic_weights(structural, sims, params)
+    base = structural.matrix
+    mixed = params.lambda_ * base.data + (1.0 - params.lambda_) * semantic
+    # blend's sum stores each row in ascending column order, without zeros
+    ascending = structural._pattern.ascending
+    data, indices, indptr = mixed[ascending], base.indices[ascending], base.indptr.copy()
+    if not data.all():
+        nonzero = data != 0.0
+        data, indices, indptr = data[nonzero], indices[nonzero], _kept_indptr(indptr, nonzero)
+    return TransitionMatrix(sp.csr_matrix((data, indices, indptr), shape=base.shape), fallback)

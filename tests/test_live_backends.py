@@ -7,6 +7,7 @@ exercised end to end without any network dependency.
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -25,6 +26,7 @@ class _Handler(BaseHTTPRequestHandler):
     fail_first = 0  # failures served before succeeding
     always_fail = False
     fail_status = 500
+    retry_after: str | None = None  # the Retry-After header of each failure
     reply: bytes | None = None  # served in place of a well-formed 200 body
     seen: list[dict] = []
 
@@ -37,6 +39,8 @@ class _Handler(BaseHTTPRequestHandler):
         if type(self).always_fail or type(self).fail_first > 0:
             type(self).fail_first -= 1
             self.send_response(type(self).fail_status)
+            if type(self).retry_after is not None:
+                self.send_header("Retry-After", type(self).retry_after)
             self.end_headers()
             return
         if type(self).reply is not None:
@@ -62,6 +66,7 @@ def fake_server():
     _Handler.fail_first = 0
     _Handler.always_fail = False
     _Handler.fail_status = 500
+    _Handler.retry_after = None
     _Handler.reply = None
     _Handler.seen = []
     server = HTTPServer(("127.0.0.1", 0), _Handler)
@@ -137,6 +142,44 @@ def test_chat_backend_retries_transient_errors(fake_server):
     handler.fail_first = 2
     assert _call("chat", base_url, max_retries=3).startswith("echo: ")
     assert len(handler.seen) == 3  # two 500s then success
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, backoff, waits",
+    [
+        # the header's delay when it is longer than the backoff
+        (429, "2", 0.5, [2.0, 2.0]),
+        (503, "3", 0.5, [3.0, 3.0]),
+        # the backoff when it is longer
+        (429, "1", 4.0, [4.0, 8.0]),
+        (429, "0", 0.5, [0.5, 1.0]),
+        # never longer than the timeout of 5 s
+        (503, "120", 0.5, [5.0, 5.0]),
+        # only 429 and 503 are read
+        (500, "2", 0.5, [0.5, 1.0]),
+        # a missing or unparseable header, or the HTTP-date form, keeps the backoff
+        (429, None, 0.5, [0.5, 1.0]),
+        (429, "soon", 0.5, [0.5, 1.0]),
+        (429, "1.5", 0.5, [0.5, 1.0]),
+        (429, "-3", 0.5, [0.5, 1.0]),
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, [0.5, 1.0]),
+    ],
+)
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+def test_retry_after_lengthens_the_backoff(fake_server, monkeypatch, kind, status, retry_after, backoff, waits):
+    base_url, handler = fake_server
+    handler.fail_first = 2
+    handler.fail_status = status
+    handler.retry_after = retry_after
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    if kind == "chat":
+        backend = OpenAICompatChatBackend(base_url, model="m", timeout=5.0, max_retries=3, backoff=backoff)
+        assert backend.complete(render(TemplateId.FINAL_ANSWER, question="q", context="c")).startswith("echo: ")
+    else:
+        assert len(OpenAICompatEmbedder(base_url, model="m", timeout=5.0, max_retries=3, backoff=backoff).embed(["hello"])) == 1
+    assert slept == waits
+    assert len(handler.seen) == 3
 
 
 @pytest.mark.parametrize("kind", ["chat", "embed"])

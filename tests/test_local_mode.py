@@ -1,4 +1,4 @@
-from propgraph import local_mode, suggest
+from propgraph import local_mode, suggest, traversal
 from propgraph.config import RunConfig
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local, answer_naive
@@ -184,3 +184,21 @@ def test_one_carving_per_iteration_serves_every_question(two_hop_graph, embedder
     unshared, unshared_carvings = run(tmp_path / "unshared.jsonl")
     assert unshared_carvings == [shared_carvings[e["iteration"] - 1] for e in walks]
     assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "unshared.jsonl").read_bytes()
+
+
+def test_each_iteration_builds_its_structural_operator_and_length_groups_once(two_hop_graph, embedder, monkeypatch):
+    # NextQ asks two questions, so iteration 2 walks twice over one carving
+    rules = [r for r in two_hop_rules() if r.template != "Eval"] + [
+        MockRule(
+            template="NextQ",
+            response="1. Which country is Ulm located in?\n2. Where is the city of Ulm?",
+        ),
+    ]
+    builds, patterns = [], []
+    build, pattern = suggest.build_structural_transition, traversal._Pattern
+    monkeypatch.setattr(suggest, "build_structural_transition", lambda view: builds.append(view) or build(view))
+    monkeypatch.setattr(traversal, "_Pattern", lambda matrix: patterns.append(matrix) or pattern(matrix))
+    result = answer_local(TWO_HOP_QUESTION, two_hop_graph, LLMGateway(MockChatBackend(rules)), embedder, local_cfg(max_iter=2))
+    assert [e["iteration"] for e in result.trace.of_kind("suggest")] == [1, 2, 2]
+    assert len(builds) == 2
+    assert len(patterns) == 2

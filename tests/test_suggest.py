@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
+from propgraph import suggest, traversal
 from propgraph.encoding import normalize
 from propgraph.graph import NodeKind, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.suggest import (
     PropositionPool,
     SuggestConfig,
+    _rank_new,
     select,
     suggest_global,
     suggest_local,
     suggest_naive,
 )
-from propgraph.traversal import WalkParams, extract_subgraph
+from propgraph.traversal import TransitionMatrix, WalkParams, blend, build_semantic_transition, extract_subgraph
 
 from conftest import build_random_graph, neighbors, random_unit
-from test_traversal import dense_ppr_oracle, dense_semantic_oracle, graph_from_links
+from test_traversal import (
+    coo_structural_reference,
+    dense_ppr_oracle,
+    dense_semantic_oracle,
+    graph_from_links,
+    transpose_copy_ppr_reference,
+)
 
 
 def basis(axis, dim=8):
@@ -222,6 +230,57 @@ def test_global_excludes_members_and_caller_set():
     members = [(0, basis(0))]
     got, _ = suggest_global(members, carved(graph, members, cfg), cfg, exclude=[1, 4])
     assert 0 not in got and 1 not in got and 4 not in got
+
+
+def reference_suggest_global(queries, sub, cfg, exclude=()):
+    """The reference for ``suggest_global``: its walks over the COO structural build, ``blend`` of the semantic operator, and ``ppr`` by a CSR copy of M^T."""
+    structural = TransitionMatrix(coo_structural_reference(sub))
+    row_props = sub.proposition_indices
+    row_of = {p: r for r, p in enumerate(row_props)}
+    aggregate = np.zeros(len(row_props))
+    walker_pis = []
+    for prop, q_vec in queries:
+        sims = sub.proposition_embeddings @ np.asarray(q_vec, dtype=np.float64)
+        blended = blend(structural, build_semantic_transition(structural, sims, cfg.walk), cfg.walk.lambda_)
+        pi = transpose_copy_ppr_reference(blended.matrix, [row_of[prop]], cfg.walk)
+        aggregate += pi
+        walker_pis.append({row_props[r]: float(p) for r, p in enumerate(pi) if p > 0.0})
+    excluded = {prop for prop, _ in queries} | set(exclude)
+    return _rank_new(aggregate, row_props, excluded, cfg.k), walker_pis
+
+
+def test_global_matches_reference_pipeline_bitwise():
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        graph = build_random_graph(rng, int(rng.integers(2, 50)))
+        n = len(graph.propositions)
+        walk = WalkParams(lambda_=float(rng.choice([0.0, 0.5, 1.0])), theta=float(rng.choice([-1.0, 0.4, 1.0])))
+        cfg = SuggestConfig(k=int(rng.integers(1, 10)), subgraph_size=int(rng.integers(5, 40)), walk=walk)
+        members = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist())
+        queries = [(prop, random_unit(rng, 8)) for prop in members]
+        if cfg.subgraph_size < len(members):
+            continue
+        sub = carved(graph, queries, cfg)
+        exclude = rng.choice(n, size=2).tolist()
+        got_ids, got_pis = suggest_global(queries, sub, cfg, exclude)
+        want_ids, want_pis = reference_suggest_global(queries, sub, cfg, exclude)
+        assert got_ids == want_ids
+        assert [list(pis.items()) for pis in got_pis] == [list(pis.items()) for pis in want_pis]
+
+
+def test_global_builds_structural_operator_and_length_groups_once(monkeypatch):
+    builds, patterns = [], []
+    build, pattern = suggest.build_structural_transition, traversal._Pattern
+    monkeypatch.setattr(suggest, "build_structural_transition", lambda view: builds.append(view) or build(view))
+    monkeypatch.setattr(traversal, "_Pattern", lambda matrix: patterns.append(matrix) or pattern(matrix))
+    rng = np.random.default_rng(17)
+    graph = build_random_graph(rng, 40)
+    cfg = SuggestConfig(k=5, subgraph_size=30)
+    queries = [(prop, random_unit(rng, 8)) for prop in (0, 7, 19, 33)]
+    _, walker_pis = suggest_global(queries, carved(graph, queries, cfg), cfg)
+    assert len(walker_pis) == 4
+    assert len(builds) == 1
+    assert len(patterns) == 1
 
 
 def test_global_requires_nonempty_partition():

@@ -24,6 +24,7 @@ from propgraph.traversal import (
     extract_subgraph,
     extract_subgraphs,
     ppr,
+    query_aware_transition,
 )
 
 from conftest import build_random_graph, edges, neighbors, random_unit
@@ -137,6 +138,13 @@ def loop_structural_reference(graph, nodes) -> sp.csr_matrix:
 
 def test_structural_matches_loop_reference_bitwise():
     rng = np.random.default_rng(37)
+    hub, lone = odd_views(np.random.default_rng(0))
+    for graph, view in ((hub, hub), (lone, lone), (hub, one_proposition_view(hub))):
+        nodes = [graph.node_order[i] for i in view.nodes] if isinstance(view, Subgraph) else graph.node_order
+        got = build_structural_transition(view).matrix
+        want = loop_structural_reference(graph, nodes)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
     for _ in range(15):
         graph = build_random_graph(rng, int(rng.integers(2, 40)))
         views = [(graph, graph.node_order)]
@@ -150,6 +158,131 @@ def test_structural_matches_loop_reference_bitwise():
             want = loop_structural_reference(graph, nodes)
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def odd_views(rng) -> tuple[HeteroGraph, HeteroGraph]:
+    """A hub whose 300 propositions each have a row of 299 entries, beyond the 128 at which numpy's pairwise sum recurses, next to two propositions that share no hub; and a graph of one proposition."""
+    hub = graph_from_links([["hub"]] * 300 + [["alone"], []], rng=rng)
+    return hub, graph_from_links([["e"]], rng=rng)
+
+
+def one_proposition_view(graph: HeteroGraph) -> Subgraph:
+    """The subgraph of ``graph``'s first proposition alone."""
+    return Subgraph(graph, [graph.global_index(proposition_id(0))])
+
+
+def walker_views(rng) -> list:
+    """The views the walker path is checked on, bit for bit: the odd views, random graphs, and subgraphs carved from them."""
+    hub, lone = odd_views(rng)
+    views = [hub, lone, one_proposition_view(hub), one_proposition_view(lone)]
+    for _ in range(8):
+        graph = build_random_graph(rng, int(rng.integers(2, 60)))
+        views.append(graph)
+        for limit in (6, 15, 40):
+            seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=3)})
+            if limit >= len(seeds):
+                views.append(extract_subgraph(graph, seeds, limit, WalkParams()))
+    return views
+
+
+def coo_structural_reference(view) -> sp.csr_matrix:
+    """The reference for ``build_structural_transition``: the diagonal dropped through SciPy's COO format, the rows scaled by a diagonal matrix."""
+    rows = view.proposition_rows
+    walk = view.uniform_transition
+    out = walk[rows]
+    n = out.shape[0]
+    seen, first = np.unique(out.indices, return_index=True)
+    hubs = seen[np.argsort(first)]
+    column = np.zeros(walk.shape[0], dtype=np.int64)
+    column[hubs] = np.arange(len(hubs))
+    to_hub = sp.csr_matrix((out.data, column[out.indices], out.indptr), shape=(n, len(hubs)))
+    to_hub.sort_indices()
+    two_step = (to_hub @ walk[hubs][:, rows]).tocoo()
+    off = two_step.row != two_step.col
+    t = sp.csr_matrix((two_step.data[off], (two_step.row[off], two_step.col[off])), shape=(n, n))
+    sums = np.asarray(t.sum(axis=1)).ravel()
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 1e-15)
+    return sp.diags(inv).dot(t).tocsr()
+
+
+def transpose_copy_ppr_reference(matrix: sp.csr_matrix, seeds, params: WalkParams) -> np.ndarray:
+    """The reference for ``ppr``: each step by a CSR copy of M^T, the dangling term always added."""
+    n = matrix.shape[0]
+    restart = np.zeros(n, dtype=np.float64)
+    restart[sorted(set(seeds))] = 1.0 / len(set(seeds))
+    dangling = np.asarray(matrix.sum(axis=1)).ravel() <= 1e-15
+    mt = matrix.T.tocsr()
+    d = params.damping
+    pi = restart.copy()
+    for _ in range(params.ppr_max_iters):
+        dangling_mass = float(pi[dangling].sum()) if dangling.any() else 0.0
+        nxt = d * (mt @ pi + dangling_mass * restart) + (1.0 - d) * restart
+        err = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if err < params.ppr_epsilon:
+            break
+    return pi
+
+
+def assert_same_arrays(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+def test_structural_matches_coo_reference_bitwise():
+    for view in walker_views(np.random.default_rng(61)):
+        got = build_structural_transition(view).matrix
+        assert_same_arrays(got, coo_structural_reference(view))
+        # every row stores its columns in descending order
+        for row in range(got.shape[0]):
+            assert (np.diff(got.indices[got.indptr[row] : got.indptr[row + 1]]) < 0).all()
+
+
+def test_query_aware_transition_matches_blend_reference_bitwise():
+    rng = np.random.default_rng(67)
+    views = walker_views(rng)
+    for lambda_ in (0.0, 0.5, 1.0):
+        # theta 1.0 leaves every row below the floor, -1.0 masks nothing
+        for theta in (-1.0, 0.4, 1.0):
+            params = WalkParams(lambda_=lambda_, theta=theta)
+            for view in views:
+                structural = build_structural_transition(view)
+                query = random_unit(rng, view.proposition_embeddings.shape[1])
+                sims = view.proposition_embeddings @ query.astype(np.float64)
+                want = blend(structural, build_semantic_transition(structural, sims, params), lambda_)
+                for got in (query_aware_transition(view, query, params, structural), query_aware_transition(view, query, params)):
+                    assert_same_arrays(got.matrix, want.matrix)
+                    assert got.fallback_rows == want.fallback_rows
+                n = structural.size
+                for seeds in ([0], [n - 1], sorted({int(i) for i in rng.integers(0, n, size=3)})):
+                    got_pi = ppr(query_aware_transition(view, query, params, structural), seeds, params)
+                    assert got_pi.tobytes() == transpose_copy_ppr_reference(want.matrix, seeds, params).tobytes()
+    # an operator that stores its rows in ascending column order, as one built from a dense array does
+    for view in views:
+        n = view.proposition_embeddings.shape[0]
+        structural = random_transition(rng, n)
+        query = random_unit(rng, view.proposition_embeddings.shape[1])
+        sims = view.proposition_embeddings @ query.astype(np.float64)
+        want = blend(structural, build_semantic_transition(structural, sims, WalkParams()), 0.5)
+        assert_same_arrays(query_aware_transition(view, query, WalkParams(), structural).matrix, want.matrix)
+
+
+def test_ppr_matches_transpose_copy_reference_bitwise():
+    rng = np.random.default_rng(71)
+    params = WalkParams()
+    for dangling_frac in (0.0, 0.2, 1.0):
+        for _ in range(10):
+            n = int(rng.integers(1, 30))
+            m = random_transition(rng, n, dangling_frac=dangling_frac).matrix
+            seeds = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            assert ppr(m, seeds, params).tobytes() == transpose_copy_ppr_reference(m, seeds, params).tobytes()
+    # the full graph's uniform walk, as the carving oracles walk it
+    graph = build_random_graph(rng, 80)
+    for seeds in ([0], [3, 17, 40]):
+        rows = (np.add(seeds, graph.proposition_rows.start)).tolist()
+        want = transpose_copy_ppr_reference(graph.uniform_transition, rows, params)
+        assert ppr(graph.uniform_transition, rows, params).tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +384,7 @@ def test_semantic_matches_loop_reference_bitwise():
     rng = np.random.default_rng(43)
     # rows of 299 entries take numpy's blocked pairwise summation path
     hub = graph_from_links([["hub"]] * 300, rng=rng)
-    views = [hub]
+    views = [hub, *odd_views(np.random.default_rng(0)), one_proposition_view(hub)]
     for _ in range(12):
         graph = build_random_graph(rng, int(rng.integers(2, 60)))
         views.append(graph)
