@@ -168,13 +168,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
+    # each setting has one file key: its alias where it has one, else its attribute name
+    known = {_FILE_KEYS.get(f.name, f.name) for f in fields(RunConfig)}
     kwargs = {}
     for key, value in raw.items():
-        attr = _KEY_ALIASES.get(key, key)
-        if attr not in known:
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[attr] = value
+        kwargs[_KEY_ALIASES.get(key, key)] = value
     return RunConfig(**kwargs)
 
 

@@ -105,10 +105,10 @@ class HeteroGraph:
     edge. Finalizing builds the frozen structure from them in one global
     integer space, passages then propositions then entities, which is also
     the ``NodeId`` order: the uniform walk matrix, whose pattern is the
-    adjacency, its transpose and the transpose's two blocks between the
-    sides of the bipartite graph, each node's degree, each proposition's
-    passage and each node's twin class. Work that depends only on the
-    frozen graph is done there once.
+    adjacency, the two blocks of its transpose between the sides of the
+    bipartite graph, each node's degree, each proposition's passage and
+    each node's twin class. Work that depends only on the frozen graph is
+    done there once.
 
     Records carry no vectors. The graph holds one vector store per embedded
     kind, row i for the record with index i: a list while the graph is
@@ -127,7 +127,6 @@ class HeteroGraph:
         # caches built at finalize
         self._node_order: list[NodeId] | None = None
         self._uniform_csr: sp.csr_matrix | None = None
-        self._transposed_csr: sp.csr_matrix | None = None
         self._sides: tuple[sp.csr_matrix, sp.csc_matrix] | None = None
         self._degrees: np.ndarray | None = None
         self._prop_passage: np.ndarray | None = None
@@ -330,16 +329,13 @@ class HeteroGraph:
         # each proposition's first neighbor is its passage, as passages come first
         self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
         self._twins = _twin_classes(walk)
-        # The adjacency is symmetric, so the transpose has the walk's pattern,
-        # and entry (i, j) is 1/deg(j): the same floats a transpose would give.
-        transposed = sp.csr_matrix((1.0 / self._degrees[walk.indices], walk.indices, walk.indptr), shape=walk.shape)
         self._sides = _side_blocks(walk, self._degrees, self.proposition_rows)
-        for matrix in (walk, transposed, *self._sides):
+        for matrix in (walk, *self._sides):
             for array in (matrix.data, matrix.indices, matrix.indptr):
                 array.flags.writeable = False
         for array in (self._degrees, self._prop_passage, self._twins, self._prop_embeddings, self._entity_embeddings):
             array.flags.writeable = False
-        self._uniform_csr, self._transposed_csr = walk, transposed
+        self._uniform_csr = walk
 
     def _require_finalized(self) -> None:
         if not self._finalized:
@@ -372,14 +368,8 @@ class HeteroGraph:
         return self._uniform_csr
 
     @property
-    def transposed_transition(self) -> sp.csr_matrix:
-        """:attr:`uniform_transition` transposed, the operator a walk's distribution steps by."""
-        self._require_finalized()
-        return self._transposed_csr
-
-    @property
     def side_transitions(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """The two blocks of :attr:`transposed_transition` that a step uses: propositions to hubs, hubs to propositions.
+        """The two blocks of :attr:`uniform_transition` transposed that a walk's step uses: propositions to hubs, hubs to propositions.
 
         The graph is bipartite, propositions on one side and the hubs,
         passages then entities in node order, on the other, so every other
@@ -613,7 +603,7 @@ def load(path: str | Path) -> HeteroGraph:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as err:
         raise CorruptFileError(f"{root}: unreadable manifest: {err}") from err
-    if manifest.get("format") != GRAPH_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != GRAPH_FORMAT:
         raise CorruptFileError(f"{root}: not a graph directory")
     if manifest.get("format_version") != GRAPH_FORMAT_VERSION:
         raise VersionMismatchError(

@@ -346,7 +346,11 @@ def ppr(
             raise IndexError(f"seed {s} out of range for {n} rows")
     restart = np.zeros(n, dtype=np.float64)
     restart[sorted(set(seeds))] = 1.0 / len(set(seeds))
+    return _power_iteration(matrix, restart, params)[0]
 
+
+def _power_iteration(matrix: sp.csr_matrix, restart: np.ndarray, params: WalkParams) -> tuple[np.ndarray, int, str]:
+    """The loop of :func:`ppr` from the ``restart`` distribution: its result, the steps it ran and why it stopped, ``"convergence"`` or ``"budget"``."""
     dangling = np.flatnonzero(np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_EPS)
     # M^T pi by the CSC view of M^T: each entry adds its terms in ascending row order
     mt = matrix.T
@@ -354,7 +358,7 @@ def ppr(
     teleport = (1.0 - d) * restart
 
     pi = restart.copy()
-    for _ in range(params.ppr_max_iters):
+    for step in range(1, params.ppr_max_iters + 1):
         nxt = mt @ pi
         if len(dangling):
             nxt += float(pi[dangling].sum()) * restart
@@ -364,13 +368,8 @@ def ppr(
         err = float(np.abs(change, out=change).sum())
         pi = nxt
         if err < params.ppr_epsilon:
-            break
-    return pi
-
-
-def _column_sums(block: np.ndarray) -> np.ndarray:
-    """Each column's sum, added pairwise as for a 1-d array (``sum(axis=0)`` adds row by row)."""
-    return np.array([block[:, column].sum() for column in range(block.shape[1])])
+            return pi, step, "convergence"
+    return pi, params.ppr_max_iters, "budget"
 
 
 def _admit(scores: np.ndarray, included: np.ndarray, brings: np.ndarray, size_limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,10 +433,9 @@ class _Admission:
     by such a node, and not in U. The gap is the smallest of those
     separations, and it must exceed w plus a rounding margin (see
     :meth:`__init__`). A seed in U is in from the start, so it never
-    counts. A walk that steps the whole distribution (:func:`_carving_walks`)
-    reads b and w from pi_(t-1) and pi_t as above; the one-sided walk
-    (:func:`_one_sided_walks`) keeps b and x_t themselves, with a wider
-    margin and a relative spread for its own rounding.
+    counts. The walk that checks the certificate (:func:`_one_sided_walks`)
+    keeps b and x_t themselves rather than pi_(t-1) and pi_t, with a
+    relative spread for its own rounding.
 
     w is read off the propositions' slice at every fourth step: over a
     block of six columns a read costs about a third of a full step, and w
@@ -464,31 +462,32 @@ class _Admission:
             included = np.zeros(graph.node_count, dtype=bool)
             included[rows] = included[self.brings[rows]] = True
             self.initial.append(included)
-        # Rounding margin. Let u = 2^-53 and K the longest row. A step sums
-        # at most K nonnegative products per entry, scales by d and may add
-        # a teleport term, so each computed entry is the exact step of the
-        # computed previous vector off by a relative (K + 3)u at most. The
-        # exact step contracts L1 differences by d and the walk holds mass
-        # 1, so every computed pi_t is within E = (K + 3)u / (1 - d) of the
-        # exact one in L1, hence in every entry; dividing by a degree (at
-        # least 1) adds u. So b is within E + u, w within 2E + 2u (a
-        # difference of two steps) and the converged score the admission
-        # reads within E + u of exact, and the float restart weight scales
-        # the tail by at most 1 + 2u: a gap above w + 6E + 8u, plus 2u for
-        # rounding the gap and the sum, is a certificate. 6(K + 3) + 10 is
-        # below 8(K + 4), which also leaves room for second order terms.
-        u = np.finfo(np.float64).eps / 2
-        self.longest = float(graph.global_degrees.max())
-        self.margin = 8.0 * (self.longest + 4.0) * u / (1.0 - damping)
+        # Rounding margin. Let u = 2^-53 and K the longest row. A step of
+        # ppr sums at most K nonnegative products per entry, scales by d
+        # and may add a teleport term, so each computed entry is the exact
+        # step of the computed previous vector off by a relative (K + 3)u
+        # at most. The exact step contracts L1 differences by d and the
+        # walk holds mass 1, so every computed pi_t is within E = (K + 3)u
+        # / (1 - d) of the exact one in L1, hence in every entry; dividing
+        # by a degree (at least 1) adds u. So b is within E + u, w within
+        # 2E + 2u (a difference of two steps) and the converged score the
+        # admission reads within E + u of exact, and the float restart
+        # weight scales the tail by at most 1 + 2u: a gap above w + 6E +
+        # 8u, plus 2u for rounding the gap and the sum, is a certificate of
+        # ppr's floats. 6(K + 3) + 10 is below 8(K + 4), which also leaves
+        # room for second order terms.
         # The one-sided walk (see _one_sided_walks) proves a column from its
-        # own floats, and the proof must hold for the floats above too, the
-        # ones a walk stepping the whole distribution computes. Its b and w
-        # are within a relative error of the exact ones (see
+        # own floats, and the proof must hold for ppr's floats above too.
+        # Its b and w are within a relative error of the exact ones (see
         # one_sided_spread), which its gap allows for; and where the exact
         # gap exceeds the exact w by 4E + 4u more than the margin above,
-        # the gap of those floats, two b's each within E + u, exceeds their
+        # the gap of ppr's floats, two b's each within E + u, exceeds their
         # w, within 2E + 2u, by that margin.
-        self.one_sided_margin = self.margin + 4.0 * (self.longest + 3.0) * u / (1.0 - damping) + 4.0 * u
+        u = np.finfo(np.float64).eps / 2
+        self.longest = float(graph.global_degrees.max())
+        self.one_sided_margin = (
+            8.0 * (self.longest + 4.0) * u / (1.0 - damping) + 4.0 * (self.longest + 3.0) * u / (1.0 - damping) + 4.0 * u
+        )
         self.steps = np.zeros(len(seed_rows), dtype=np.int64)
         self.stops = np.full(len(seed_rows), "budget", dtype=object)
         self.check_below = np.full(len(seed_rows), np.nan)
@@ -528,19 +527,18 @@ class _Admission:
     def _scores(self, visits: np.ndarray) -> np.ndarray:
         return visits / self.degrees
 
-    def certify(self, columns: np.ndarray, widths: np.ndarray, candidates: np.ndarray, bracket, spread: float = 0.0) -> np.ndarray:
+    def certify(self, columns: np.ndarray, widths: np.ndarray, bracket, spread: float) -> np.ndarray:
         """Which block columns are proven at an even step whose bracket widths, margins included, are ``widths``.
 
-        ``columns`` names the carving of each block column, and only the
-        ``candidates`` are checked. ``bracket(k)`` gives block column k's
-        visits at this step and the lower end of their bracket, b, and the
-        gap scales b by ``1 -/+ spread`` (see :meth:`_gap`). Records the
-        stop of each proven one.
+        ``columns`` names the carving of each block column. ``bracket(k)``
+        gives block column k's visits at this step and the lower end of
+        their bracket, b, and the gap scales b by ``1 -/+ spread`` (see
+        :meth:`_gap`). Records the stop of each proven one.
         """
         fresh = np.isnan(self.check_below[columns])
         self.check_below[columns[fresh]] = widths[fresh] / _NARROWING
         proven = np.zeros(len(columns), dtype=bool)
-        for k in np.flatnonzero(candidates & (widths < self.check_below[columns])).tolist():
+        for k in np.flatnonzero(widths < self.check_below[columns]).tolist():
             column, width = columns[k], widths[k]
             visits, low = bracket(k)
             read, gains = _admit(self._scores(visits), self.initial[column], self.brings, self.size_limit)
@@ -599,86 +597,6 @@ def _first_testable_step(graph: HeteroGraph, params: WalkParams) -> int:
     return step
 
 
-def _carving_walks(
-    graph: HeteroGraph,
-    seed_rows: list[np.ndarray],
-    params: WalkParams,
-    admission: _Admission | None = None,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """The uniform walk's PPR restarting at each of ``seed_rows``, one column each.
-
-    All walks run as one block: a step is one sparse product over the
-    columns still running. Each column does what :func:`ppr` does for it
-    alone, with the same floats, and stops at its own step, so it is bit
-    for bit ``ppr``'s result. A block seeded at propositions alone leaves
-    out what cannot change a float or a stop: the dangling mass, an exact
-    zero, and the convergence test before :func:`_first_testable_step`.
-    Given the ``admission`` of proposition seed sets, a column also stops
-    once its carving is proven, at a step before convergence;
-    ``admission`` records each column's steps and stop, under the carving
-    ``columns`` names (by default, its position).
-    """
-    transposed = graph.transposed_transition
-    dangling = np.flatnonzero(graph.global_degrees == 0)
-    d = params.damping
-    carvings = np.arange(len(seed_rows)) if columns is None else columns
-    # Away from every seed the restart terms are exact zeros, and a step
-    # is d * (M^T pi) alone; the full update runs on the seed rows only.
-    seeds = np.unique(np.concatenate(seed_rows))
-    restart = np.zeros((len(seeds), len(seed_rows)))
-    for column, rows in enumerate(seed_rows):
-        restart[np.searchsorted(seeds, rows), column] = 1.0 / len(rows)
-    teleport = (1.0 - d) * restart
-    props = graph.proposition_rows
-    # A walk from propositions puts no mass on degree-0 rows, as these have
-    # no in-edges: its dangling term is an exact 0, and d * (x + 0.0) is d * x.
-    from_props = props.start <= seeds[0] and seeds[-1] < props.stop
-    first_test = _first_testable_step(graph, params) if from_props else 1
-    pi = np.zeros((graph.node_count, len(seed_rows)))
-    pi[seeds] = restart
-    done = np.empty_like(pi)
-    running = np.arange(len(seed_rows))
-    for step in range(1, params.ppr_max_iters + 1):
-        nxt = transposed @ pi
-        if from_props:
-            at_seeds = d * nxt[seeds] + teleport
-        else:
-            at_seeds = d * (nxt[seeds] + _column_sums(pi[dangling]) * restart) + teleport
-        nxt *= d
-        nxt[seeds] = at_seeds
-        if step >= first_test:
-            moved = nxt - pi
-            np.abs(moved, out=moved)
-            stopped = _column_sums(moved) < params.ppr_epsilon
-        else:
-            stopped = np.zeros(len(running), dtype=bool)
-        if admission is not None:
-            admission.steps[carvings[running]] = step
-            admission.stops[carvings[running[stopped]]] = "convergence"
-            if from_props and step % 4 == 0:
-                # w is read from the step change on the propositions alone,
-                # as |nxt - pi| there: the change itself, but for rounding,
-                # which its absolute value only widens; column-major, as a
-                # max along the rows of a narrow row-major block is slow
-                moved = np.subtract(nxt[props], pi[props], order="F")
-                np.abs(moved, out=moved)
-                np.divide(moved, graph.global_degrees[props, None], out=moved)
-                widths = moved.max(axis=0) + admission.margin
-                stopped |= admission.certify(
-                    carvings[running], widths, ~stopped, lambda k: (nxt[:, k], np.minimum(pi[:, k], nxt[:, k]))
-                )
-        pi = nxt
-        if stopped.any():
-            done[:, running[stopped]] = pi[:, stopped]
-            running, pi = running[~stopped], pi[:, ~stopped]
-            restart, teleport = restart[:, ~stopped], teleport[:, ~stopped]
-            if not len(running):
-                break
-    done[:, running] = pi
-    return done
-
-
 def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams, admission: _Admission) -> np.ndarray:
     """Prove the carvings of proposition ``seed_rows`` that it can by stepping the newest term alone; returns the rest.
 
@@ -687,18 +605,18 @@ def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: Wa
     hubs at odd t. The walk keeps x_t, one side long, and the truncated
     series b = (1 - d) sum_(s<t) d^s x_s: a step adds (1 - d) d^(t-1)
     x_(t-1) to b and multiplies x by one block of
-    :attr:`HeteroGraph.side_transitions`, half the entries of
-    :attr:`HeteroGraph.transposed_transition`. At a check, b / deg is the
-    bracket's lower end, w = d^t max x_t / deg over the propositions its
-    width, read straight from x_t, and b + d^t x_t the visits the
-    admission loop reads: the quantities of :class:`_Admission`, with the
-    one-sided margin and spread.
+    :attr:`HeteroGraph.side_transitions`, half the entries of a step of
+    the whole distribution. At a check, b / deg is the bracket's lower
+    end, w = d^t max x_t / deg over the propositions its width, read
+    straight from x_t, and b + d^t x_t the visits the admission loop
+    reads: the quantities of :class:`_Admission`, with the one-sided
+    margin and spread.
 
     The walk runs while the convergence test of :func:`ppr` cannot pass,
     up to the step before :func:`_first_testable_step` or to
     ``ppr_max_iters``, so a proven column's step is one at which ``ppr``
     has not stopped. It stops where every column is proven. The columns it
-    returns are not; their check schedule starts afresh.
+    returns are not.
     """
     to_hubs, to_props = graph.side_transitions
     props = graph.proposition_rows
@@ -728,13 +646,12 @@ def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: Wa
             visits[props] += scale * term[:, k]
             return visits, low
 
-        proven = admission.certify(running, widths, np.ones(len(running), dtype=bool), bracket, spread)
+        proven = admission.certify(running, widths, bracket, spread)
         if proven.any():
             running, term = running[~proven], term[:, ~proven]
             series = [block[:, ~proven] for block in series]
             if not len(running):
                 break
-    admission.check_below[running] = np.nan
     return running
 
 
@@ -756,8 +673,9 @@ def extract_subgraphs(
     matter how small the limit. The walks of all sets run as one block,
     stepping the newest term alone, and each stops as soon as its node set
     is proven (see :func:`_one_sided_walks`); a set not proven by the step
-    at which the walk could first converge is walked again in full, as
-    :func:`ppr` would. Each carving records its walk's steps and stop.
+    at which the walk could first converge is walked again from the start
+    by the loop of :func:`ppr`. Each carving records its walk's steps and
+    stop.
     """
     seed_rows: list[np.ndarray] = []
     for seed_props in seed_sets:
@@ -772,11 +690,13 @@ def extract_subgraphs(
     if not seed_rows:
         return []
     admission = _Admission(graph, seed_rows, size_limit, params.damping)
-    pending = _one_sided_walks(graph, seed_rows, params, admission)
     visits = {}
-    if len(pending):
-        walked = _carving_walks(graph, [seed_rows[c] for c in pending.tolist()], params, admission, pending)
-        visits = dict(zip(pending.tolist(), walked.T))
+    for column in _one_sided_walks(graph, seed_rows, params, admission).tolist():
+        restart = np.zeros(graph.node_count)
+        restart[seed_rows[column]] = 1.0 / len(seed_rows[column])
+        visits[column], admission.steps[column], admission.stops[column] = _power_iteration(
+            graph.uniform_transition, restart, params
+        )
     return [
         Subgraph(graph, admission.nodes(column, visits.get(column)), int(admission.steps[column]), admission.stops[column])
         for column in range(len(seed_rows))

@@ -172,6 +172,15 @@ def test_missing_graph_is_reported(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_graph_with_a_non_object_manifest_is_reported(workspace, capsys):
+    graph_dir = workspace / "not_a_graph"
+    graph_dir.mkdir()
+    (graph_dir / "manifest.json").write_text("[]")
+    code = main(["stats", "--graph", str(graph_dir)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eval_parallel_workers_report_identical(workspace):
     graph_dir = run_index(workspace)
     reports = {}

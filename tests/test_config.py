@@ -50,6 +50,11 @@ def test_lambda_key_maps_through_to_walk_params(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"lamda": 0.5}))
+    # an attribute name is not a second spelling of its file key
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, {"lambda_": 0.2}))
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, {"lambda": 0.9, "lambda_": 0.2}))
 
 
 def test_out_of_range_values_rejected_at_load(tmp_path):

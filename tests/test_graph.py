@@ -277,6 +277,14 @@ def test_load_count_mismatch_is_corrupt(tmp_path):
         g.load(tmp_path / "g")
 
 
+@pytest.mark.parametrize("manifest", [[], None, 3, "x"])
+def test_load_manifest_not_an_object_is_corrupt(tmp_path, manifest):
+    g.save(build_random_graph(np.random.default_rng(19), 4), tmp_path / "g")
+    (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptFileError):
+        g.load(tmp_path / "g")
+
+
 def _retarget_entity_edge(root, orphan: bool) -> None:
     """Point one proposition-entity line of edges.txt at another entity.
 
@@ -417,14 +425,14 @@ def test_frozen_graph_retains_one_copy_of_the_vectors(tmp_path):
 
 def test_finalized_arrays_are_read_only():
     graph = build_random_graph(np.random.default_rng(29), 8)
-    walk, transposed = graph.uniform_transition, graph.transposed_transition
+    walk, (to_hubs, to_props) = graph.uniform_transition, graph.side_transitions
     arrays = [
         walk.data,
         walk.indices,
         walk.indptr,
-        transposed.data,
-        transposed.indices,
-        transposed.indptr,
+        *(block.data for block in (to_hubs, to_props)),
+        *(block.indices for block in (to_hubs, to_props)),
+        *(block.indptr for block in (to_hubs, to_props)),
         graph.global_degrees,
         graph.proposition_passages,
         graph.proposition_embeddings,

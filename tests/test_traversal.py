@@ -15,8 +15,6 @@ from propgraph.traversal import (
     Subgraph,
     TransitionMatrix,
     WalkParams,
-    _carving_walks,
-    _column_sums,
     _first_testable_step,
     blend,
     build_semantic_transition,
@@ -665,16 +663,6 @@ def seed_rows(graph, seed_sets):
     return [np.add(sorted(set(seeds)), graph.proposition_rows.start) for seeds in seed_sets]
 
 
-def random_rows(rng, graph, count):
-    """``count`` sets of one to three rows of any kind, dangling ones included.
-
-    Carving seeds only propositions, and from propositions alone every walk
-    on the bipartite graph converges at the same rate; mixed kinds make
-    walks stop at different steps and put mass on dangling rows.
-    """
-    return [np.unique(rng.integers(0, graph.node_count, size=int(rng.integers(1, 4)))) for _ in range(count)]
-
-
 def single_extract_subgraph(graph, seed_props, size_limit, params) -> Subgraph:
     """The carving as it was before carvings shared a walk: one full-graph ``ppr`` per seed set."""
     seeds = sorted(set(seed_props))
@@ -709,51 +697,6 @@ def ppr_steps(graph, rows, params) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def test_column_sums_add_like_a_1d_sum():
-    # a walk's L1 change and dangling mass are 1-d sums (pairwise); summing
-    # a block along axis 0 adds row by row and gives other last bits
-    block = np.random.default_rng(67).random((1000, 6))
-    got = _column_sums(block)
-    assert all(got[j] == np.ascontiguousarray(block[:, j]).sum() for j in range(6))
-    assert not np.array_equal(got, block.sum(axis=0))
-
-
-def assert_columns_are_ppr(graph, rows, params):
-    block = _carving_walks(graph, rows, params)
-    assert block.shape == (graph.node_count, len(rows))
-    for column, seeds in enumerate(rows):
-        want = ppr(graph.uniform_transition, seeds.tolist(), params)
-        assert block[:, column].tobytes() == want.tobytes(), column
-
-
-def test_block_walk_columns_are_ppr_bitwise():
-    rng = np.random.default_rng(71)
-    params = [WalkParams(), WalkParams(damping=0.5, ppr_epsilon=1e-12), WalkParams(damping=0.95, ppr_max_iters=7)]
-    for trial in range(16):
-        n_props = int(rng.integers(2, 40))
-        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
-        count = int(rng.integers(1, 7))
-        for rows in (seed_rows(graph, random_seed_sets(rng, graph, count)), random_rows(rng, graph, count)):
-            for p in params:
-                assert_columns_are_ppr(graph, rows, p)
-
-
-def test_block_walk_columns_stop_at_their_own_step():
-    rng = np.random.default_rng(73)
-    graph = graph_with_lonely_passages(rng, 60)
-    params = WalkParams(damping=0.9)
-    lonely = np.flatnonzero(graph.global_degrees == 0)
-    rows = random_rows(rng, graph, 8) + [lonely[:1], np.array([lonely[1], graph.proposition_rows.start])]
-    steps = [ppr_steps(graph, r.tolist(), params) for r in rows]
-    assert len(set(steps)) > 2
-    assert_columns_are_ppr(graph, rows, params)
-    # a budget that some columns run out of while others have stopped
-    budget = sorted(set(steps))[1]
-    assert min(steps) < budget < max(steps)
-    assert_columns_are_ppr(graph, rows, replace(params, ppr_max_iters=budget))
-    assert_columns_are_ppr(graph, rows, replace(params, ppr_max_iters=1))
 
 
 def test_extract_subgraphs_equal_single_carvings():
@@ -837,17 +780,6 @@ def test_subgraph_walk_equals_two_slices_bitwise():
 # ----------------------------------------------------------------------
 # conversions done once per frozen graph
 # ----------------------------------------------------------------------
-
-
-def test_transposed_transition_is_the_transpose_bitwise():
-    rng = np.random.default_rng(89)
-    for trial in range(10):
-        n_props = int(rng.integers(1, 40))
-        graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
-        want = graph.uniform_transition.T.tocsr()
-        got = graph.transposed_transition
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 def test_embeddings_are_exact_float64_values_and_scores_unchanged():
@@ -1131,15 +1063,14 @@ def test_convergence_test_is_skipped_only_where_it_cannot_pass():
                         changes = ppr_changes(graph, seeds.tolist(), params)
                         assert all(change >= epsilon for change in changes[: first - 1])
                         tight += len(changes) == first
-                    # without a certificate, the block's columns stay ppr's
-                    assert_columns_are_ppr(graph, rows, params)
     # the floor is tight: in some walks the first step tested is the one at which ppr stops
     assert tight > 0
 
 
 def test_carvings_certified_early_sum_no_columns(monkeypatch):
     calls = []
-    monkeypatch.setattr(traversal, "_column_sums", lambda block: calls.append(block.shape) or _column_sums(block))
+    power_iteration = traversal._power_iteration
+    monkeypatch.setattr(traversal, "_power_iteration", lambda *args: calls.append(args) or power_iteration(*args))
     graph = build_random_graph(np.random.default_rng(127), 200)
     params = WalkParams()
     seed_sets = random_seed_sets(np.random.default_rng(131), graph, 6)
@@ -1147,9 +1078,6 @@ def test_carvings_certified_early_sum_no_columns(monkeypatch):
     assert all(sub.walk_stop == "certificate" for sub in carved)
     assert max(sub.walk_steps for sub in carved) < _first_testable_step(graph, params)
     assert calls == []
-    # a walk from any rows still takes the exact test from the first step
-    _carving_walks(graph, random_rows(np.random.default_rng(137), graph, 2), params)
-    assert calls
 
 
 def test_threads_carving_one_fresh_graph_match_a_serial_run():
@@ -1184,7 +1112,7 @@ def test_side_transitions_are_the_blocks_of_the_transpose():
         graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
         props = graph.proposition_rows
         hubs = np.r_[0 : props.start, props.stop : graph.node_count]
-        transposed = graph.transposed_transition
+        transposed = graph.uniform_transition.T.tocsr()
         to_hubs, to_props = graph.side_transitions
         # every entry of the transpose is in one of the blocks, with its very float
         assert to_hubs.nnz + to_props.nnz == transposed.nnz
@@ -1225,9 +1153,11 @@ def test_uncertified_columns_fall_back_to_the_exact_walk(monkeypatch):
     graph = build_random_graph(np.random.default_rng(151), 120)
     seed_sets = random_seed_sets(np.random.default_rng(157), graph, 4)
     walked = []
-    exact_walks = traversal._carving_walks
+    power_iteration = traversal._power_iteration
     monkeypatch.setattr(
-        traversal, "_carving_walks", lambda graph, rows, params, *rest: walked.append(len(rows)) or exact_walks(graph, rows, params, *rest)
+        traversal,
+        "_power_iteration",
+        lambda matrix, restart, params: walked.append(np.flatnonzero(restart).tolist()) or power_iteration(matrix, restart, params),
     )
     cases = [
         # the budget ends before the first check, at step 4
@@ -1239,7 +1169,8 @@ def test_uncertified_columns_fall_back_to_the_exact_walk(monkeypatch):
         assert _first_testable_step(graph, params) <= 9 or params.ppr_max_iters < 4
         walked.clear()
         carved = extract_subgraphs(graph, seed_sets, 30, params)
-        assert walked == [len(seed_sets)]
+        # one walk of ppr's loop per column, from its own seeds
+        assert walked == [rows.tolist() for rows in seed_rows(graph, seed_sets)]
         for seeds, got in zip(seed_sets, carved):
             assert got.walk_stop != "certificate"
             assert np.array_equal(got.nodes, single_extract_subgraph(graph, seeds, 30, params).nodes)
@@ -1254,11 +1185,10 @@ def test_one_sided_brackets_are_within_their_spread_of_exact(monkeypatch):
     certify = traversal._Admission.certify
     checks = []
 
-    def spy(self, columns, widths, candidates, bracket, spread=0.0):
-        if spread:
-            step = int(self.steps[columns[0]])
-            checks.append((step, columns.tolist(), widths.tolist(), [bracket(k)[1] for k in range(len(columns))], spread, self.one_sided_margin))
-        return certify(self, columns, widths, candidates, bracket, spread)
+    def spy(self, columns, widths, bracket, spread):
+        step = int(self.steps[columns[0]])
+        checks.append((step, columns.tolist(), widths.tolist(), [bracket(k)[1] for k in range(len(columns))], spread, self.one_sided_margin))
+        return certify(self, columns, widths, bracket, spread)
 
     monkeypatch.setattr(traversal._Admission, "certify", spy)
     rng = np.random.default_rng(163)
