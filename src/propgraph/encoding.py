@@ -1,8 +1,12 @@
 """Embedding backends, cosine similarity and exact top-k search.
 
 All stored vectors are unit-normalized float32 so cosine similarity reduces
-to a dot product. Exact search is used throughout: the corpora this engine
-targets stay well below the scale where approximate indexes pay off.
+to a dot product. They stay float32 from the embedder to the graph's stores
+and files; similarity scores are float64. Exact search is used throughout:
+the corpora this engine targets stay well below the scale where approximate
+indexes pay off. :func:`top_k_similar` scans a float32 matrix in float32 and
+scores in float64 only the rows a rounding-error bound cannot rule out, so
+it ranks as a float64 scan of every row does.
 """
 
 from __future__ import annotations
@@ -58,8 +62,19 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Exact top-k rows of ``candidates`` by cosine against ``query``.
 
-    Ties are broken by ascending row index so rankings are reproducible.
-    Returns fewer than ``k`` pairs when there are fewer candidates.
+    Rows are ranked by their float64 scores, the dot products of the
+    float64 values of each row and of ``query``; ties are broken by
+    ascending row index so rankings are reproducible. Returns fewer than
+    ``k`` pairs when there are fewer candidates.
+
+    A float32 matrix is scanned in float32, and only the rows that
+    :func:`_float32_candidates` proves can rank in the first ``k`` are
+    scored in float64, each by its own dot product with ``query``. Its
+    result is that of scoring every row in float64, except that a score
+    may differ in its last bits from the one a float64 mat-vec of the
+    whole matrix gives, as that mat-vec's rounding depends on where a row
+    sits in the matrix. Any other matrix, and a float32 one whose scan
+    cannot decide, is scored whole in float64.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -71,14 +86,76 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
         raise DimensionMismatchError(
             f"dimension mismatch: query {query.shape[0]} vs candidates {candidates.shape[1]}"
         )
-    scores = np.asarray(candidates, dtype=np.float64) @ query
+    rows = _float32_candidates(query, candidates, k) if candidates.dtype == np.float32 else None
+    if rows is None:
+        rows = np.arange(candidates.shape[0])
+        scores = np.asarray(candidates, dtype=np.float64) @ query
+    else:
+        picked = candidates[rows].astype(np.float64)
+        scores = np.matmul(picked[:, None, :], query[:, None]).ravel()
     negated = -scores
     kth = min(k, len(scores)) - 1
     # Only rows scoring at least the k-th highest score can rank in the
     # first k. A NaN there (fewer than k scores are numbers) keeps every row.
     head = np.flatnonzero(~(negated > np.partition(negated, kth)[kth]))
+    # rows ascend, so a tie is broken by the row index
     order = head[np.lexsort((head, negated[head]))]
-    return [(int(i), float(scores[i])) for i in order[:k]]
+    return [(int(rows[i]), float(scores[i])) for i in order[:k]]
+
+
+def _float32_candidates(query: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray | None:
+    """The rows of the float32 ``matrix`` that can rank in the first ``k`` of its float64 scores against ``query``.
+
+    Returns the ascending row indices, or ``None`` when the float32 scan
+    cannot narrow the rows: a score or the bound below is not finite, or
+    every row is kept.
+
+    Let u = 2^-24 be float32's unit roundoff, eta = 2^-150 the largest
+    error of rounding into its subnormal range, d the dimension and
+    gamma_m = m u / (1 - m u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, ch. 3). A row e holds float32
+    values, exact in float64; q is the float64 query.
+
+    * Its float32 copy q32 has |q32_j - q_j| <= u |q_j| + eta, when finite.
+    * A float32 dot product of d terms, summed in any order, with or
+      without fused multiply-adds, errs by at most gamma_d sum_j |e_j
+      q32_j|, plus d eta (1 + gamma_d) <= 2 d eta for products that
+      underflow. With the line above, (1 + gamma_d)(1 + u) <= 1 +
+      gamma_(d+1) and Cauchy-Schwarz, the float32 score s32 lies within
+      gamma_(d+1) |e| |q| + 2 sqrt(d) eta |e| + 2 d eta of e . q.
+    * The float64 score s64 lies within gamma'_d |e| |q| + 2 d 2^-1075 of
+      e . q, where gamma'_d, float64's, is below 2^-28 gamma_d.
+
+    So |s32 - s64| <= D = gamma_(d+2) N |q| + 2 sqrt(d) eta N + 4 d eta
+    for every row, where N bounds the row norms. The step from
+    gamma_(d+1) to gamma_(d+2), over u N |q|, and the doubled underflow
+    term cover gamma'_d and the float64 rounding of D and of t - 2 D
+    below. N comes from the largest squared row norm taken in float32,
+    n32, which is at least (1 - gamma_d) |e|^2 - 2 d eta by the same
+    bound: N = sqrt((n32 + 2 d eta) / (1 - gamma_d)).
+
+    If t is the k-th largest float32 score, each of the k rows scoring
+    at least t has s64 >= t - D, so the k-th largest s64 is at least
+    t - D, and a row that ranks in the first k by s64 (ties included)
+    has s32 >= t - 2 D. Those rows are kept.
+    """
+    n, d = matrix.shape
+    u, eta = 2.0**-24, 2.0**-150
+    if k >= n or (d + 2) * u >= 0.5:
+        return None
+    # an overflow or a NaN leaves a score or the bound non-finite, which is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = matrix @ query.astype(np.float32)
+        squared = float(np.matmul(matrix[:, None, :], matrix[:, :, None]).max())
+    norm = math.sqrt((squared + 2 * d * eta) / (1 - d * u / (1 - d * u)))
+    gamma = (d + 2) * u / (1 - (d + 2) * u)
+    bound = gamma * norm * math.hypot(*query.tolist()) + 2 * math.sqrt(d) * eta * norm + 4 * d * eta
+    if not (math.isfinite(bound) and np.isfinite(scores).all()):
+        return None
+    t = float(np.partition(scores, n - k)[n - k])
+    # compared in float64, so that the threshold is not rounded to float32
+    rows = np.flatnonzero(scores.astype(np.float64) >= t - 2 * bound)
+    return None if len(rows) == n else rows
 
 
 class EmbedBackend:

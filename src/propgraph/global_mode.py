@@ -103,7 +103,7 @@ def compute_queries(
     embeddings = graph.proposition_embeddings
     dim = embeddings.shape[1]
     for prop in pool:
-        q_positive = embeddings[prop]
+        q_positive = embeddings[prop].astype(np.float64)
         origin_parts: list[np.ndarray] = []
         negative_parts: list[np.ndarray] = []
         for rec in records.get(prop, []):
@@ -114,7 +114,7 @@ def compute_queries(
                 best = int(np.argmax(visits))  # ties resolve to the lowest walker index
                 origin_parts.append(np.asarray(rec.queries[best], dtype=np.float64))
             if rec.pruned:
-                negative_parts.append(embeddings[rec.pruned].mean(axis=0))
+                negative_parts.append(embeddings[rec.pruned].astype(np.float64).mean(axis=0))
             else:
                 negative_parts.append(np.zeros(dim))
         if origin_parts:

@@ -36,6 +36,9 @@ GRAPH_FORMAT_VERSION = 1
 
 _EMBEDDING_HEADER = struct.Struct("<QQ")
 
+# rows whose norms are checked in float64 at a time: 512 KB at 256 dimensions
+_NORM_CHUNK = 256
+
 
 class NodeKind(enum.Enum):
     PASSAGE = "passage"
@@ -112,8 +115,9 @@ class HeteroGraph:
 
     Records carry no vectors. The graph holds one vector store per embedded
     kind, row i for the record with index i: a list while the graph is
-    mutable, then one read-only matrix, float64 for propositions and
-    float32 for entities.
+    mutable, then one read-only float32 matrix, the vectors as the embedder
+    gave them and as the files hold them. A computation that needs float64
+    converts the rows it reads.
     """
 
     def __init__(self) -> None:
@@ -208,7 +212,9 @@ class HeteroGraph:
     # ------------------------------------------------------------------
 
     def _records(self, kind: NodeKind) -> list:
-        return {NodeKind.PASSAGE: self.passages, NodeKind.PROPOSITION: self.propositions}.get(kind, self.entities)
+        if kind is NodeKind.PASSAGE:
+            return self.passages
+        return self.propositions if kind is NodeKind.PROPOSITION else self.entities
 
     def has_node(self, node: NodeId) -> bool:
         return 0 <= node.index < len(self._records(node.kind))
@@ -217,9 +223,11 @@ class HeteroGraph:
         """Position of ``node`` in the global order: passages, propositions, entities."""
         if not self.has_node(node):
             raise UnknownNodeError(f"unknown node {node}")
-        n_pass, n_prop = len(self.passages), len(self.propositions)
-        offset = {NodeKind.PASSAGE: 0, NodeKind.PROPOSITION: n_pass, NodeKind.ENTITY: n_pass + n_prop}[node.kind]
-        return offset + node.index
+        if node.kind is NodeKind.PASSAGE:
+            return node.index
+        if node.kind is NodeKind.PROPOSITION:
+            return len(self.passages) + node.index
+        return len(self.passages) + len(self.propositions) + node.index
 
     @property
     def edge_count(self) -> int:
@@ -303,22 +311,23 @@ class HeteroGraph:
             raise ValueError(f"{self.propositions[pairs[dup[0]] // width].id} has duplicate entity refs")
 
     def _vector_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two vector stores as float64 and float32 matrices; raises unless each row is a unit vector."""
+        """The two vector stores as float32 matrices; raises unless each row is a unit vector."""
         matrices = []
-        for kind, vectors, dtype in (
-            (NodeKind.PROPOSITION, self._prop_embeddings, np.float64),
-            (NodeKind.ENTITY, self._entity_embeddings, np.float32),
+        for kind, vectors in (
+            (NodeKind.PROPOSITION, self._prop_embeddings),
+            (NodeKind.ENTITY, self._entity_embeddings),
         ):
             records = self._records(kind)
             if len(vectors) != len(records):
                 raise ValueError(f"{len(vectors)} {kind.value} embeddings for {len(records)} records")
-            matrix = np.asarray(vectors, dtype=dtype).reshape(len(records), self.embedding_dim)
-            rows = matrix.astype(np.float64, copy=False)
-            # one dot product per row, as is_normalized takes a vector's norm, with no temporary matrix
-            norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
-            bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-            if bad.size:
-                raise NotNormalizedError(f"{records[bad[0]].id} embedding is not unit length")
+            matrix = np.asarray(vectors, dtype=np.float32).reshape(len(records), self.embedding_dim)
+            for start in range(0, len(records), _NORM_CHUNK):
+                rows = matrix[start : start + _NORM_CHUNK].astype(np.float64)
+                # one dot product per row, as is_normalized takes a vector's norm
+                norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+                bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+                if bad.size:
+                    raise NotNormalizedError(f"{records[start + bad[0]].id} embedding is not unit length")
             matrices.append(matrix)
         return matrices[0], matrices[1]
 
@@ -343,7 +352,7 @@ class HeteroGraph:
 
     @property
     def proposition_embeddings(self) -> np.ndarray:
-        """One row per proposition: the exact float64 values of its float32 vector."""
+        """One read-only float32 row per proposition, its vector as embedded and as saved."""
         self._require_finalized()
         return self._prop_embeddings
 
@@ -518,8 +527,9 @@ def _counts(graph: HeteroGraph) -> dict[str, int]:
 
 def _write_records(path: Path, rows) -> None:
     """One JSON object per line, keys sorted; line i holds the record whose id is i."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(row, sort_keys=True) builds per call
     with open(path, "w") as fh:
-        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        fh.writelines(encode(row) + "\n" for row in rows)
 
 
 def save(graph: HeteroGraph, path: str | Path) -> None:
@@ -566,28 +576,65 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
 
 def _parse_edge_file(path: Path, graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:
     """The edges in ``edges.txt`` as global index pairs (a, b), a < b, in ascending order."""
-    # one row per line, one (kind, index) pair per tag
-    fields = np.array(path.read_text().replace(":", " ").split(), dtype=str).reshape(-1, 2, 2)
-    names, index = fields[..., 0], fields[..., 1].astype(np.int64)
-    nodes = np.full(index.shape, -1, dtype=np.int64)
-    offset = 0
-    for kind in NodeKind:  # declared in global order
-        count = len(graph._records(kind))
-        known = (names == kind.value) & (index >= 0) & (index < count)
-        nodes[known] = offset + index[known]
-        offset += count
-    if (nodes < 0).any():
-        raise CorruptFileError(f"{path.name}: edge references unknown node")
-    a, b = nodes.min(axis=1), nodes.max(axis=1)
+    index = {node.tag(): i for i, node in enumerate(graph.node_order)}
+    with open(path) as fh:
+        try:
+            nodes = np.fromiter((index[tag] for line in fh for tag in line.split()), dtype=np.int64)
+        except KeyError as err:
+            raise CorruptFileError(f"{path.name}: edge references unknown node {err}") from None
+    if len(nodes) % 2:
+        raise CorruptFileError(f"{path.name}: odd number of node tags")
+    pairs = nodes.reshape(-1, 2)
+    a, b = pairs.min(axis=1), pairs.max(axis=1)
     order = np.lexsort((b, a))
     return a[order], b[order]
 
 
-def _read_records(path: Path):
-    """Each (line position, object) of a JSONL record file whose ``id`` is its line position."""
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON true or false decodes to a bool, which is an int subclass
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_int_list(value) -> bool:
+    return type(value) is list and all(map(_is_int, value))
+
+
+def _is_str_list(value) -> bool:
+    return type(value) is list and all(map(_is_str, value))
+
+
+def _is_span(value) -> bool:
+    return _is_int_list(value) and len(value) == 2
+
+
+_MISSING = object()  # a field a record line lacks; no check accepts it
+
+# each record file's fields, with what each must be and its check
+_INT, _STR = ("an int", _is_int), ("a string", _is_str)
+_PASSAGE_FIELDS = {"id": _INT, "text": _STR, "source_doc": _STR, "char_span": ("two ints", _is_span)}
+_PROPOSITION_FIELDS = {"id": _INT, "text": _STR, "passage": _INT, "entities": ("a list of ints", _is_int_list)}
+_ENTITY_FIELDS = {"id": _INT, "name": _STR, "aliases": ("a list of strings", _is_str_list)}
+
+
+def _read_records(path: Path, fields: dict):
+    """Each (line position, object) of a JSONL record file whose ``id`` is its line position.
+
+    Each line must be an object holding every key of ``fields`` with a
+    value of the type named there; other keys are ignored.
+    """
     with open(path) as fh:
         for position, line in enumerate(fh):
             obj = json.loads(line)
+            if type(obj) is not dict:
+                raise CorruptFileError(f"{path.name}: line {position + 1} is not a JSON object")
+            for key, (expected, valid) in fields.items():
+                value = obj.get(key, _MISSING)
+                if not valid(value):
+                    found = "no " + repr(key) if value is _MISSING else f"{key} {value!r}, not {expected}"
+                    raise CorruptFileError(f"{path.name}: line {position + 1} has {found}")
             if obj["id"] != position:
                 raise CorruptFileError(f"{path.name}: line {position + 1} has id {obj['id']!r}")
             yield position, obj
@@ -622,17 +669,17 @@ def load(path: str | Path) -> HeteroGraph:
         graph._embedding_dim = props.shape[1]
         graph.passages = [
             PassageRecord(passage_id(i), obj["text"], obj["source_doc"], tuple(obj["char_span"]))
-            for i, obj in _read_records(root / "passages.jsonl")
+            for i, obj in _read_records(root / "passages.jsonl", _PASSAGE_FIELDS)
         ]
         graph.propositions = [
             PropositionRecord(
                 proposition_id(i), obj["text"], passage_id(obj["passage"]), [entity_id(e) for e in obj["entities"]]
             )
-            for i, obj in _read_records(root / "propositions.jsonl")
+            for i, obj in _read_records(root / "propositions.jsonl", _PROPOSITION_FIELDS)
         ]
         graph.entities = [
             EntityRecord(entity_id(i), obj["name"], list(obj["aliases"]))
-            for i, obj in _read_records(root / "entities.jsonl")
+            for i, obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
         ]
         cited = len(graph.entities)
         graph.finalize()

@@ -153,7 +153,8 @@ class Subgraph:
     The subgraph exposes the same view interface as the parent graph:
     ``uniform_transition`` is the uniform walk over the induced adjacency,
     with rows and columns in ``nodes`` order, ``proposition_rows`` its
-    proposition block and ``proposition_embeddings`` their vectors.
+    proposition block and ``proposition_embeddings`` their vectors, as the
+    float64 values of the parent's float32 rows.
 
     A carved subgraph records the walk that chose its nodes: ``walk_steps``,
     the steps it ran, and ``walk_stop``, why it stopped: ``"certificate"``
@@ -180,7 +181,7 @@ class Subgraph:
         self.proposition_rows = slice(int(lo), int(hi))
         indices = self.nodes[lo:hi] - first.start
         self.proposition_indices: list[int] = indices.tolist()
-        self.proposition_embeddings = parent.proposition_embeddings[indices]
+        self.proposition_embeddings = parent.proposition_embeddings[indices].astype(np.float64)
 
     @property
     def node_count(self) -> int:

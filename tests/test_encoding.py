@@ -102,6 +102,100 @@ def test_top_k_rejects_bad_input():
         top_k_similar(np.ones(3), np.ones((2, 3)), 0)
 
 
+# ----------------------------------------------------------------------
+# the float32 scan of a float32 matrix
+# ----------------------------------------------------------------------
+
+
+def float64_ranking(stored: np.ndarray, query: np.ndarray, k: int) -> list[int]:
+    """The first ``k`` rows of the float64 scan: descending ``stored`` as float64 times ``query``, ties by index."""
+    scores = stored.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    return np.lexsort((np.arange(len(scores)), -scores))[:k].tolist()
+
+
+def assert_ranks_as_float64_scan(stored: np.ndarray, query: np.ndarray, ks) -> None:
+    for k in ks:
+        assert [i for i, _ in top_k_similar(query, stored, k)] == float64_ranking(stored, query, k), k
+
+
+def test_float32_scan_ranks_unit_rows_as_float64_from_few_candidates():
+    rng = np.random.default_rng(37)
+    stored = np.stack([random_unit(rng, 64) for _ in range(3000)])
+    for _ in range(20):
+        query = random_unit(rng, 64).astype(np.float64)
+        rows = encoding._float32_candidates(query, stored, 20)
+        assert rows is not None and 20 <= len(rows) < 100
+        assert_ranks_as_float64_scan(stored, query, (1, 20))
+
+
+def ulp_copies(rng: np.random.Generator, dim: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """200 copies of one random unit row, each coordinate moved by at most one float32 ulp either way, among 40 other rows.
+
+    The copies' float64 scores against a query near that row differ by
+    less than a float32 scan's rounding, so float32 scores alone misrank
+    them around any k. Returns the shuffled rows and the query.
+    """
+    base = random_unit(rng, dim)
+    steps = rng.integers(-1, 2, size=(200, dim))
+    up, down = np.nextafter(base, np.float32(np.inf)), np.nextafter(base, np.float32(-np.inf))
+    near = np.where(steps > 0, up, np.where(steps < 0, down, base))
+    stored = np.vstack([near, np.stack([random_unit(rng, dim) for _ in range(40)])])
+    return stored[rng.permutation(len(stored))], base.astype(np.float64) + rng.normal(scale=0.01, size=dim)
+
+
+def test_float32_scan_ranks_rows_one_ulp_apart_as_float64():
+    stored, query = ulp_copies(np.random.default_rng(41))
+    ks = (1, 5, 20, 100, 199)
+    for k in ks:
+        assert len(encoding._float32_candidates(query, stored, k)) < len(stored)
+    scores32 = stored @ query.astype(np.float32)
+    assert np.lexsort((np.arange(len(stored)), -scores32))[:20].tolist() != float64_ranking(stored, query, 20)
+    assert_ranks_as_float64_scan(stored, query, ks)
+
+
+def test_float32_scan_ranks_duplicated_rows_by_index():
+    rng = np.random.default_rng(43)
+    # Entries are multiples of 1/16 and the query's of 1/8, so every score is
+    # exact in float32 and in float64: each copy of a row scores the same
+    # wherever it sits in the matrix, and the float64 scan ranks copies by index.
+    distinct = rng.integers(-8, 9, size=(6, 16)).astype(np.float32) / 16
+    stored = distinct[rng.integers(0, 6, size=90)]
+    query = rng.integers(-4, 5, size=16) / 8
+    ks = range(1, 91)
+    assert sum(encoding._float32_candidates(query, stored, k) is not None for k in ks) > 40
+    assert_ranks_as_float64_scan(stored, query, ks)
+
+
+@pytest.mark.parametrize("scale", ["1e3", "1e-3", "mixed"])
+def test_float32_scan_ranks_scaled_rows_as_float64(scale):
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        unit_rows, query = ulp_copies(rng)
+        factors = {"1e3": 1e3, "1e-3": 1e-3, "mixed": np.where(np.arange(len(unit_rows)) % 2, 1e3, 1e-3)[:, None]}[scale]
+        stored = (unit_rows * factors).astype(np.float32)
+        assert len(encoding._float32_candidates(query, stored, 20)) < len(stored)
+        assert_ranks_as_float64_scan(stored, query, (1, 20, 100))
+
+
+def test_float32_scan_with_a_nan_in_the_query_ranks_as_float64():
+    rng = np.random.default_rng(53)
+    stored = np.stack([random_unit(rng, 16) for _ in range(40)])
+    query = random_unit(rng, 16).astype(np.float64)
+    query[3] = np.nan
+    assert encoding._float32_candidates(query, stored, 5) is None
+    assert_ranks_as_float64_scan(stored, query, (1, 5, 40))
+
+
+def test_float32_scan_with_k_at_least_n_scores_every_row_as_float64():
+    rng = np.random.default_rng(59)
+    stored = np.stack([random_unit(rng, 16) for _ in range(25)])
+    query = random_unit(rng, 16).astype(np.float64)
+    scores = stored.astype(np.float64) @ query
+    for k in (25, 26, 100):
+        assert encoding._float32_candidates(query, stored, k) is None
+        assert top_k_similar(query, stored, k) == [(i, float(scores[i])) for i in float64_ranking(stored, query, k)]
+
+
 def test_mock_embed_deterministic():
     embedder = HashedNgramEmbedder()
     a = embedder.embed_one("abc")

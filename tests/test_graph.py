@@ -358,6 +358,75 @@ def test_load_swapped_record_lines_are_corrupt(tmp_path):
         g.load(tmp_path / "g")
 
 
+@pytest.mark.parametrize(
+    "name, key, edit",
+    [
+        ("propositions", "text", lambda old: 5),
+        ("propositions", "text", None),
+        ("propositions", "id", lambda old: True),
+        ("propositions", "id", lambda old: float(old)),
+        ("propositions", "passage", lambda old: float(old)),
+        ("propositions", "entities", lambda old: [float(e) for e in old]),
+        ("propositions", "entities", lambda old: old[0]),
+        ("passages", "text", lambda old: [old]),
+        ("passages", "source_doc", lambda old: 7),
+        ("passages", "char_span", lambda old: "ab"),
+        ("passages", "char_span", lambda old: old + [0]),
+        ("passages", "char_span", lambda old: [old[0], float(old[1])]),
+        ("entities", "name", lambda old: 7),
+        ("entities", "aliases", lambda old: "xy"),
+        ("entities", "aliases", lambda old: [*old, 1]),
+    ],
+    ids=[
+        "text 5", "no text", "id true", "id 1.0", "passage float", "entity refs float", "entity refs an int",
+        "passage text a list", "source_doc 7", "char_span a string", "char_span three ints", "char_span float end",
+        "name 7", "aliases a string", "aliases with an int",
+    ],
+)
+def test_load_mistyped_record_fields_are_corrupt(tmp_path, name, key, edit):
+    # the second record (with entity refs, for those): an id true or 1.0 there equals its position 1
+    graph = build_random_graph(np.random.default_rng(13), 10)
+    g.save(graph, tmp_path / "g")
+    path = tmp_path / "g" / f"{name}.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    line = [i for i, r in enumerate(records) if key != "entities" or r[key]][1]
+    if edit is None:
+        del records[line][key]
+    else:
+        records[line][key] = edit(records[line][key])
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    with pytest.raises(CorruptFileError, match=rf"{name}\.jsonl: line {line + 1} "):
+        g.load(tmp_path / "g")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines + ["proposition:9999\tentity:0"],
+        lambda lines: lines[:-1] + [lines[-1].split("\t")[0]],
+        lambda lines: [lines[0].replace(":", ":0", 1)] + lines[1:],
+        lambda lines: [lines[0].replace(":", " ", 1)] + lines[1:],
+    ],
+    ids=["unknown node", "odd tag count", "padded index", "no colon"],
+)
+def test_load_malformed_edge_file_is_corrupt(tmp_path, edit):
+    g.save(build_random_graph(np.random.default_rng(13), 10), tmp_path / "g")
+    path = tmp_path / "g" / "edges.txt"
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    with pytest.raises(CorruptFileError, match="edges.txt"):
+        g.load(tmp_path / "g")
+
+
+def test_load_reads_edges_in_any_order(tmp_path):
+    graph = build_random_graph(np.random.default_rng(13), 10)
+    g.save(graph, tmp_path / "g")
+    path = tmp_path / "g" / "edges.txt"
+    lines = path.read_text().splitlines()
+    swapped = ["\t".join(reversed(line.split("\t"))) for line in lines[::-1]]
+    path.write_text("".join(line + "\n" for line in swapped))
+    assert _structurally_equal(graph, g.load(tmp_path / "g"))
+
+
 @pytest.mark.parametrize("mismatch", ["manifest", "entity_embeddings.bin"])
 def test_load_embedding_dimension_mismatch_is_corrupt(tmp_path, mismatch):
     graph = build_random_graph(np.random.default_rng(13), 10, dim=8)
@@ -416,11 +485,31 @@ def test_frozen_graph_retains_one_copy_of_the_vectors(tmp_path):
     for dim in (small, large):
         g.save(_graph_of_dim(dim), tmp_path / str(dim))
     extra = large - small
-    one_copy = extra * (2000 * 8 + 200 * 4)  # float64 propositions, float32 entities
+    one_copy = extra * (2000 * 4 + 200 * 4)  # float32 propositions and entities
     float32_props = extra * 2000 * 4
     for make in (_graph_of_dim, lambda dim: g.load(tmp_path / str(dim))):
         grown = _retained_bytes(lambda: make(large)) - _retained_bytes(lambda: make(small))
         assert abs(grown - one_copy) < float32_props / 2, (grown, one_copy)
+
+
+def test_load_peak_is_what_the_graph_keeps_plus_a_slack(tmp_path):
+    # At 64 dimensions a float64 copy of the proposition store (1 MB), and a
+    # numpy array of the 16,000 halves of edges.txt's tags (0.7 MB, besides
+    # the strings it is made from), each exceed the slack.
+    dim = 64
+    g.save(_graph_of_dim(dim), tmp_path / "g")
+    g.load(tmp_path / "g")  # first-call caches are not the load's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = g.load(tmp_path / "g")
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()  # retained: records, vector stores, frozen caches
+    finally:
+        tracemalloc.stop()
+    assert graph.proposition_embeddings.nbytes + graph.entity_embeddings.nbytes == (2000 + 200) * dim * 4
+    slack = 2**19 + g._NORM_CHUNK * dim * 8  # 512 KB and the float64 rows of one norm-check chunk
+    assert peak - retained < slack, (peak, retained)
 
 
 def test_finalized_arrays_are_read_only():

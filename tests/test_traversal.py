@@ -789,8 +789,8 @@ def test_embeddings_are_exact_float64_values_and_scores_unchanged():
     graph = graph_from_links(links, rng, added, dim=16)
     stored = np.stack(added)
     assert stored.dtype == np.float32
-    assert graph.proposition_embeddings.dtype == np.float64
-    assert np.array_equal(graph.proposition_embeddings, stored.astype(np.float64))
+    assert graph.proposition_embeddings.dtype == np.float32
+    assert graph.proposition_embeddings.tobytes() == stored.tobytes()
     for _ in range(5):
         query = random_unit(rng, 16)
         got = top_k_similar(query, graph.proposition_embeddings, 50)
