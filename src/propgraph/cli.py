@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _backends(args: argparse.Namespace, config: RunConfig, ledger: UsageLedger) -> tuple[LLMGateway, EmbedBackend]:
     """The gateway and embedder ``config`` names; a mock script path is relative to the config file."""
     chat = build_chat_backend(config, Path(args.config).parent)
-    return LLMGateway(chat, ledger=ledger, max_subquestions=config.max_subquestions), build_embed_backend(config)
+    return LLMGateway(chat, ledger), build_embed_backend(config)
 
 
 def cmd_index(args: argparse.Namespace) -> int:

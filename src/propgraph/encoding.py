@@ -67,14 +67,14 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
     ascending row index so rankings are reproducible. Returns fewer than
     ``k`` pairs when there are fewer candidates.
 
-    A float32 matrix is scanned in float32, and only the rows that
-    :func:`_float32_candidates` proves can rank in the first ``k`` are
-    scored in float64, each by its own dot product with ``query``. Its
-    result is that of scoring every row in float64, except that a score
-    may differ in its last bits from the one a float64 mat-vec of the
-    whole matrix gives, as that mat-vec's rounding depends on where a row
-    sits in the matrix. Any other matrix, and a float32 one whose scan
-    cannot decide, is scored whole in float64.
+    Each scored row gets its own float64 dot product with ``query``, so a
+    row's score does not depend on where it sits in the matrix and equal
+    rows score equally. (A float64 mat-vec of the whole matrix rounds
+    rows differently by position, and may differ from these scores in
+    the last bits.) A float32 matrix is scanned in float32 first, and
+    only the rows that :func:`_float32_candidates` proves can rank in the
+    first ``k`` are scored. Any other matrix, and a float32 one whose
+    scan cannot decide, has every row scored.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -89,10 +89,10 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
     rows = _float32_candidates(query, candidates, k) if candidates.dtype == np.float32 else None
     if rows is None:
         rows = np.arange(candidates.shape[0])
-        scores = np.asarray(candidates, dtype=np.float64) @ query
+        picked = np.asarray(candidates, dtype=np.float64)
     else:
         picked = candidates[rows].astype(np.float64)
-        scores = np.matmul(picked[:, None, :], query[:, None]).ravel()
+    scores = np.matmul(picked[:, None, :], query[:, None]).ravel()
     negated = -scores
     kth = min(k, len(scores)) - 1
     # Only rows scoring at least the k-th highest score can rank in the

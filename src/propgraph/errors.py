@@ -45,10 +45,6 @@ class BackendUnavailable(PropGraphError):
     """A live backend could not be reached after retries."""
 
 
-class PromptParseError(PropGraphError):
-    """A backend completion did not match the expected structured format."""
-
-
 class ConfigError(PropGraphError):
     """A configuration file is malformed or contains unknown keys."""
 

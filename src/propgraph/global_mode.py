@@ -26,7 +26,7 @@ from .encoding import EmbedBackend
 from .graph import HeteroGraph, NodeId, NodeKind, proposition_id
 from .llm import LLMGateway
 from .suggest import PropositionPool, select, suggest_global, suggest_naive
-from .tokens import estimate_tokens, truncate_to_tokens
+from .tokens import WORDS_TO_TOKENS, estimate_tokens, truncate_to_tokens
 from .trace import Trace
 from .traversal import extract_subgraphs
 
@@ -334,7 +334,7 @@ def _pack_lines(lines: Sequence[str], limit: int) -> list[str]:
             pieces.append(line)
             continue
         words = line.split()
-        step = max(1, int(limit / 1.3))
+        step = max(1, int(limit / WORDS_TO_TOKENS))
         pieces.extend(" ".join(words[i : i + step]) for i in range(0, len(words), step))
     chunks: list[str] = []
     current: list[str] = []

@@ -289,11 +289,6 @@ class HeteroGraph:
             prop.entity_refs = [entity_id(renumbered[e.index]) for e in prop.entity_refs]
         return passage, counts, remap[refs]
 
-    def validate(self) -> None:
-        """Raise if any structural invariant is violated."""
-        self._check_structure(_incidence(self))
-        self._vector_matrices()
-
     def _check_structure(self, incidence: tuple) -> None:
         """Raise unless every passage and entity ref of ``incidence`` exists and no ref repeats."""
         passage, counts, refs = incidence

@@ -2,8 +2,9 @@
 
 The gateway owns the retry-then-degrade policy: every structured prompt
 gets one retry on unparseable output, after which each operation falls
-back to its documented degraded behavior (fail-open for selection,ask the
-original question again for follow-ups, and so on). The mock backend is a
+back to its documented degraded result (selection keeps every candidate,
+follow-ups ask the original question again, and so on); the extraction
+prompts have none and raise ``ExtractionFailed``. The mock backend is a
 pure function of the prompt, scriptable through ordered match rules, with
 keyword-overlap defaults that keep a full pipeline runnable offline.
 """
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, ExtractionFailed, PromptParseError
+from .errors import ConfigError, ExtractionFailed
 from .http_json import OpenAICompatClient
 from .prompts import PromptInstance, TemplateId, numbered, render
-from .tokens import TokenEstimator, estimate_tokens
+from .tokens import estimate_tokens
 from .usage import UsageLedger
 
 log = logging.getLogger(__name__)
@@ -249,12 +250,6 @@ def parse_keep(text: str, n_candidates: int) -> list[int] | None:
 
 
 @dataclass
-class SelectVerdict:
-    kept: list[int]
-    pruned: list[int]
-
-
-@dataclass
 class EvalVerdict:
     sufficient: bool
     answer: str = ""
@@ -287,47 +282,45 @@ def parse_scored_answer(text: str) -> tuple[str, int] | None:
 
 
 class LLMGateway:
-    """Typed operations over a chat backend, with usage accounting."""
+    """Typed operations over a chat backend, with usage accounting.
 
-    def __init__(
-        self,
-        backend: ChatBackend,
-        ledger: UsageLedger | None = None,
-        max_subquestions: int = 3,
-        token_estimator: TokenEstimator = estimate_tokens,
-    ):
+    Run knobs such as the follow-up cap come in as arguments from the
+    caller's ``RunConfig``; the gateway holds none of its own.
+    """
+
+    def __init__(self, backend: ChatBackend, ledger: UsageLedger | None = None):
         self.backend = backend
         self.ledger = ledger
-        self.max_subquestions = max_subquestions
-        self._estimate = token_estimator
 
     def _complete(self, template_id: TemplateId, **slots: str) -> str:
         prompt = render(template_id, **slots)
         completion = self.backend.complete(prompt)
         if self.ledger is not None:
-            self.ledger.add(_STAGE[template_id], self._estimate(prompt.rendered), self._estimate(completion))
+            self.ledger.add(_STAGE[template_id], estimate_tokens(prompt.rendered), estimate_tokens(completion))
         return completion
 
-    def _complete_parsed(self, template_id: TemplateId, parser: Callable[[str], object], **slots: str):
-        """One retry on unparseable output, then raise PromptParseError."""
-        completion = self._complete(template_id, **slots)
-        parsed = parser(completion)
-        if parsed is None:
+    def _complete_parsed(self, template_id: TemplateId, parser: Callable[[str], object], degraded: object, **slots: str):
+        """The parsed completion, asking once more if it cannot be parsed.
+
+        After a second unparseable completion the operation degrades to
+        ``degraded``; ``None`` means it has no degraded result, and
+        ``ExtractionFailed`` is raised instead.
+        """
+        for _ in range(2):
             completion = self._complete(template_id, **slots)
             parsed = parser(completion)
-        if parsed is None:
-            raise PromptParseError(f"{template_id.value}: unparseable completion: {completion[:200]!r}")
-        return parsed
+            if parsed is not None:
+                return parsed
+        if degraded is None:
+            raise ExtractionFailed(f"{template_id.value}: unparseable completion: {completion[:200]!r}")
+        return degraded
 
     # -- indexing prompts ------------------------------------------------
 
     def extract_entities(self, passage_text: str) -> list[str]:
         if not passage_text:
             raise ValueError("passage text must be non-empty")
-        try:
-            items = self._complete_parsed(TemplateId.NER, parse_numbered, passage=passage_text)
-        except PromptParseError as err:
-            raise ExtractionFailed(str(err)) from err
+        items = self._complete_parsed(TemplateId.NER, parse_numbered, None, passage=passage_text)
         seen: set[str] = set()
         out: list[str] = []
         for item in items:
@@ -339,12 +332,9 @@ class LLMGateway:
 
     def extract_propositions(self, passage_text: str, entities: list[str]) -> list[tuple[str, list[str]]]:
         entity_field = "; ".join(entities) if entities else "(none)"
-        try:
-            items = self._complete_parsed(
-                TemplateId.PROPOSITIONS, parse_numbered, passage=passage_text, entities=entity_field
-            )
-        except PromptParseError as err:
-            raise ExtractionFailed(str(err)) from err
+        items = self._complete_parsed(
+            TemplateId.PROPOSITIONS, parse_numbered, None, passage=passage_text, entities=entity_field
+        )
         by_lower = {e.lower(): e for e in entities}
         out: list[tuple[str, list[str]]] = []
         for item in items:
@@ -368,70 +358,43 @@ class LLMGateway:
 
     # -- retrieval prompts -----------------------------------------------
 
-    def select_relevant(self, query: str, candidates: list[str]) -> SelectVerdict:
-        """Partition candidates into kept/pruned; keeps everything on parse failure."""
+    def select_relevant(self, query: str, candidates: list[str]) -> list[int]:
+        """Ascending indices of the candidates to keep; every index on parse failure."""
         if not candidates:
             raise ValueError("candidate list must be non-empty")
-        try:
-            kept = self._complete_parsed(
-                TemplateId.SELECT,
-                lambda text: parse_keep(text, len(candidates)),
-                question=query,
-                candidates=numbered(candidates),
-            )
-        except PromptParseError:
-            kept = list(range(len(candidates)))
-        kept_set = set(kept)
-        return SelectVerdict(
-            kept=[i for i in range(len(candidates)) if i in kept_set],
-            pruned=[i for i in range(len(candidates)) if i not in kept_set],
+        return self._complete_parsed(
+            TemplateId.SELECT,
+            lambda text: parse_keep(text, len(candidates)),
+            list(range(len(candidates))),
+            question=query,
+            candidates=numbered(candidates),
         )
 
     def evaluate_answerable(self, q_start: str, facts: list[str]) -> EvalVerdict:
-        try:
-            return self._complete_parsed(
-                TemplateId.EVAL, parse_eval, question=q_start, facts=numbered(facts)
-            )
-        except PromptParseError:
-            return EvalVerdict(False)
+        return self._complete_parsed(
+            TemplateId.EVAL, parse_eval, EvalVerdict(False), question=q_start, facts=numbered(facts)
+        )
 
-    def next_questions(self, q_start: str, facts: list[str]) -> list[str]:
-        try:
-            items = self._complete_parsed(
-                TemplateId.NEXTQ,
-                parse_numbered,
-                question=q_start,
-                facts=numbered(facts),
-                max_questions=str(self.max_subquestions),
-            )
-        except PromptParseError:
-            return [q_start]
-        items = [q for q in items if q.strip()][: self.max_subquestions]
-        return items or [q_start]
+    def next_questions(self, q_start: str, facts: list[str], m: int) -> list[str]:
+        """At most ``m`` follow-up questions; ``[q_start]`` when there are none."""
+        items = self._complete_parsed(
+            TemplateId.NEXTQ, parse_numbered, [], question=q_start, facts=numbered(facts), max_questions=str(m)
+        )
+        return [q for q in items if q.strip()][:m] or [q_start]
 
     def decompose(self, q_start: str, m: int) -> list[str]:
         if m < 1:
             raise ValueError("m must be >= 1")
-        try:
-            items = self._complete_parsed(
-                TemplateId.DECOMPOSE, parse_numbered, question=q_start, count=str(m)
-            )
-        except PromptParseError:
-            return [q_start] * m
+        items = self._complete_parsed(TemplateId.DECOMPOSE, parse_numbered, [], question=q_start, count=str(m))
         items = [q for q in items if q.strip()][:m]
-        while len(items) < m:
-            items.append(q_start)
-        return items
+        return items + [q_start] * (m - len(items))
 
     # -- answer prompts ----------------------------------------------------
 
     def intermediary_answer(self, q_start: str, chunk: str) -> tuple[str, int]:
-        try:
-            return self._complete_parsed(
-                TemplateId.INTERMEDIARY_ANSWER, parse_scored_answer, question=q_start, context=chunk
-            )
-        except PromptParseError:
-            return "", 0
+        return self._complete_parsed(
+            TemplateId.INTERMEDIARY_ANSWER, parse_scored_answer, ("", 0), question=q_start, context=chunk
+        )
 
     def final_answer(self, q_start: str, context: Sequence[str], combine: bool = False) -> str:
         template = TemplateId.COMBINE_ANSWERS if combine else TemplateId.FINAL_ANSWER

@@ -115,7 +115,7 @@ def answer_local(
         if verdict.sufficient:
             trace.log("result", answer=verdict.answer, failed=False, exhausted=False, iterations=iteration)
             return LocalResult(verdict.answer, False, trace, s_loc)
-        questions = gateway.next_questions(q_start, graph.proposition_texts(s_loc.ids()))
+        questions = gateway.next_questions(q_start, graph.proposition_texts(s_loc.ids()), cfg.max_subquestions)
         trace.log("next_questions", iteration=iteration, questions=questions)
 
     answer = gateway.final_answer(q_start, graph.proposition_texts(s_loc.ids()))

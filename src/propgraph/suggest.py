@@ -184,5 +184,5 @@ def select(
     candidates = list(candidates)
     if not candidates:
         return []
-    verdict = gateway.select_relevant(query_text, graph.proposition_texts(candidates))
-    return [candidates[i] for i in verdict.kept]
+    kept = gateway.select_relevant(query_text, graph.proposition_texts(candidates))
+    return [candidates[i] for i in kept]

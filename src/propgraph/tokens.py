@@ -1,16 +1,12 @@
 """Token-count estimation used for chunking and context budgets.
 
 The estimator is deliberately tokenizer-free: whitespace word count scaled
-by a words-to-tokens ratio. Callers that need exact counts can plug in
-their own estimator wherever a ``token_estimator`` argument is accepted.
+by a words-to-tokens ratio.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-TokenEstimator = Callable[[str], int]
 
 WORDS_TO_TOKENS = 1.3
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from propgraph.community import leiden_levels
-from propgraph.encoding import HashedNgramEmbedder, normalize
+from propgraph.encoding import NORM_TOL, HashedNgramEmbedder, normalize
 from propgraph.graph import HeteroGraph, NodeId
 from propgraph.indexing import CorpusDocument, index_corpus
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
@@ -16,6 +16,18 @@ from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return normalize(rng.normal(size=dim))
+
+
+def assert_graph_invariants(graph: HeteroGraph) -> None:
+    """The invariants ``finalize`` checks: every ref resolves, none repeats, one unit vector per node."""
+    for prop in graph.propositions:
+        refs = [e.index for e in prop.entity_refs]
+        assert 0 <= prop.passage.index < len(graph.passages), prop.id
+        assert all(0 <= i < len(graph.entities) for i in refs), prop.id
+        assert len(set(refs)) == len(refs), prop.id
+    for matrix, records in ((graph.proposition_embeddings, graph.propositions), (graph.entity_embeddings, graph.entities)):
+        assert matrix.shape == (len(records), graph.embedding_dim)
+        assert (np.abs(np.linalg.norm(matrix.astype(np.float64), axis=1) - 1.0) <= NORM_TOL).all()
 
 
 def leiden_on_networkx(graph: nx.Graph, **kwargs) -> list[list[set]]:

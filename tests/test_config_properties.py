@@ -132,7 +132,7 @@ def test_accepted_configs_run_in_every_mode(cfg_path, graph, raw):
     for query in graph.proposition_embeddings:
         walk = query_aware_transition(graph, query, cfg.walk_params(), structural=structural)
         assert np.isfinite(walk.matrix.data).all()
-    gateway = LLMGateway(MockChatBackend(), max_subquestions=cfg.max_subquestions)
+    gateway = LLMGateway(MockChatBackend())
     embedder = HashedNgramEmbedder(dim=DIM)
     for mode in evaluation.MODES:
         try:

@@ -95,6 +95,20 @@ def test_top_k_tie_break_ascending_index():
     assert [i for i, _ in hits] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [37, 1000])
+@pytest.mark.parametrize("dim", [37, 256])
+def test_top_k_equal_rows_score_equally_and_rank_by_index(dim, n, dtype):
+    # a whole-matrix mat-vec rounds a row by its position, which splits such ties
+    rng = np.random.default_rng(dim + n)
+    stored = np.tile(random_unit(rng, dim), (n, 1)).astype(dtype)
+    for k in (5, n, n + 3):
+        for _ in range(5):
+            hits = top_k_similar(rng.normal(size=dim), stored, k)
+            assert [i for i, _ in hits] == list(range(min(k, n)))
+            assert len({score for _, score in hits}) == 1
+
+
 def test_top_k_rejects_bad_input():
     with pytest.raises(ValueError):
         top_k_similar(np.ones(3), np.zeros((0, 3)), 1)

@@ -172,7 +172,7 @@ def test_finalize_rejects_a_bad_vector_store_and_stays_mutable():
         graph.finalize()
     graph._prop_embeddings.append(unit(8, 7))
     with pytest.raises(ValueError, match="^5 entity embeddings for 6 records$"):
-        graph.validate()
+        graph.finalize()
     graph._entity_embeddings.append(unit(8, 7))
     graph._entity_embeddings[0] = graph._entity_embeddings[0] * 0.5
     with pytest.raises(NotNormalizedError, match=r"ENTITY.*index=0\) embedding"):

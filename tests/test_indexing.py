@@ -16,7 +16,7 @@ from propgraph.indexing import (
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.tokens import estimate_tokens
 
-from conftest import NILE_COUNTS, degree, edges, extraction_rules, random_unit
+from conftest import NILE_COUNTS, assert_graph_invariants, degree, edges, extraction_rules, random_unit
 
 
 def test_chunk_short_document_single_passage():
@@ -331,7 +331,7 @@ def test_index_fails_fast_on_a_backend_outage_naming_the_passage(embedder):
 
 
 def test_index_validates_graph_invariants(two_hop_graph):
-    two_hop_graph.validate()
+    assert_graph_invariants(two_hop_graph)
     for ent in two_hop_graph.entities:
         assert degree(two_hop_graph, ent.id) > 0
 

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from propgraph.errors import BackendUnavailable, ExtractionFailed
 from propgraph.llm import (
     ChatBackend,
+    EvalVerdict,
     LLMGateway,
     MockChatBackend,
     MockRule,
@@ -12,6 +15,7 @@ from propgraph.llm import (
     parse_scored_answer,
 )
 from propgraph.prompts import TemplateId, render, template_slots
+from propgraph.tokens import estimate_tokens
 from propgraph.usage import UsageLedger
 
 
@@ -117,29 +121,22 @@ def test_extract_propositions_empty_entity_list_allowed():
 
 def test_select_default_keyword_rule():
     gw = gateway_with([])
-    verdict = gw.select_relevant("Where is Paris?", ["Paris is in France.", "Cats are mammals."])
-    assert verdict.kept == [0]
-    assert verdict.pruned == [1]
+    assert gw.select_relevant("Where is Paris?", ["Paris is in France.", "Cats are mammals."]) == [0]
 
 
 def test_select_single_candidate_kept():
     gw = gateway_with([MockRule(template="Select", response="KEEP: 1")])
-    verdict = gw.select_relevant("q", ["only one"])
-    assert verdict.kept == [0] and verdict.pruned == []
+    assert gw.select_relevant("q", ["only one"]) == [0]
 
 
 def test_select_fail_open_on_malformed_output():
     gw = gateway_with([MockRule(template="Select", response="mumbling, no verdict")])
-    verdict = gw.select_relevant("q", ["a", "b", "c"])
-    assert verdict.kept == [0, 1, 2] and verdict.pruned == []
+    assert gw.select_relevant("q", ["a", "b", "c"]) == [0, 1, 2]
 
 
 def test_select_verdict_always_partitions():
-    gw = gateway_with([MockRule(template="Select", response="KEEP: 2")])
-    candidates = ["a", "b", "c"]
-    verdict = gw.select_relevant("q", candidates)
-    assert sorted(verdict.kept + verdict.pruned) == [0, 1, 2]
-    assert not set(verdict.kept) & set(verdict.pruned)
+    gw = gateway_with([MockRule(template="Select", response="KEEP: 3, 2, 3")])
+    assert gw.select_relevant("q", ["a", "b", "c"]) == [1, 2]  # ascending, each index once
 
 
 def test_eval_scripted_answer_and_degradations():
@@ -154,11 +151,11 @@ def test_next_questions_scripted_capped_and_fallback():
     gw = gateway_with(
         [MockRule(template="NextQ", response="1. Which country is Paris in?\n2. Where is France?")]
     )
-    assert gw.next_questions("q0", ["f"]) == ["Which country is Paris in?", "Where is France?"]
+    assert gw.next_questions("q0", ["f"], 3) == ["Which country is Paris in?", "Where is France?"]
     five = gateway_with([MockRule(template="NextQ", response="1. a\n2. b\n3. c\n4. d\n5. e")])
-    assert five.next_questions("q0", ["f"]) == ["a", "b", "c"]  # capped at 3
+    assert five.next_questions("q0", ["f"], 3) == ["a", "b", "c"]  # capped at 3
     garbled = gateway_with([MockRule(template="NextQ", response="nothing here")])
-    assert garbled.next_questions("q0", ["f"]) == ["q0"]
+    assert garbled.next_questions("q0", ["f"], 3) == ["q0"]
 
 
 def test_decompose_exact_count_pad_truncate():
@@ -173,6 +170,49 @@ def test_decompose_exact_count_pad_truncate():
     assert garbled.decompose("q0", 4) == ["q0"] * 4
     with pytest.raises(ValueError):
         one.decompose("q0", 0)
+
+
+class GarbledBackend(ChatBackend):
+    """Answers every prompt with an unparseable ``???`` and keeps the prompts."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        return "???"
+
+    def model_name(self):
+        return "garbled"
+
+
+# template, ledger stage, operation, degraded result (ExtractionFailed: none, it raises)
+DEGRADED = [
+    ("NER", "index", lambda gw: gw.extract_entities("text"), ExtractionFailed),
+    ("Propositions", "index", lambda gw: gw.extract_propositions("text", ["E"]), ExtractionFailed),
+    ("Select", "suggest_select", lambda gw: gw.select_relevant("q", ["a", "b", "c"]), [0, 1, 2]),
+    ("Eval", "eval", lambda gw: gw.evaluate_answerable("q", ["f"]), EvalVerdict(False)),
+    ("NextQ", "suggest_select", lambda gw: gw.next_questions("q0", ["f"], 3), ["q0"]),
+    ("Decompose", "suggest_select", lambda gw: gw.decompose("q0", 2), ["q0", "q0"]),
+    ("IntermediaryAnswer", "answer", lambda gw: gw.intermediary_answer("q", "chunk"), ("", 0)),
+]
+
+
+@pytest.mark.parametrize("template, stage, op, degraded", DEGRADED, ids=[row[0] for row in DEGRADED])
+def test_unparseable_completion_is_asked_twice_then_degrades(template, stage, op, degraded):
+    backend, ledger = GarbledBackend(), UsageLedger()
+    gw = LLMGateway(backend, ledger)
+    if degraded is ExtractionFailed:
+        with pytest.raises(ExtractionFailed, match=re.escape(f"{template}: unparseable completion: '???'")):
+            op(gw)
+    else:
+        assert op(gw) == degraded
+    assert [p.template_id.value for p in backend.prompts] == [template, template]
+    assert backend.prompts[0] == backend.prompts[1]
+    assert ledger.snapshot()[stage] == {
+        "prompt_tokens": 2 * estimate_tokens(backend.prompts[0].rendered),
+        "completion_tokens": 2 * estimate_tokens("???"),
+    }
 
 
 def test_intermediary_answer_default_scoring_and_failure():

@@ -24,9 +24,9 @@ class CountingGateway(LLMGateway):
         self.eval_calls += 1
         return super().evaluate_answerable(q_start, facts)
 
-    def next_questions(self, q_start, facts):
+    def next_questions(self, q_start, facts, m):
         self.nextq_calls += 1
-        return super().next_questions(q_start, facts)
+        return super().next_questions(q_start, facts, m)
 
 
 def local_cfg(max_iter=1, k=5):
@@ -98,6 +98,22 @@ def test_suggest_calls_match_active_question_count(two_hop_graph, embedder):
     # one sufficiency check after seeding plus one per iteration
     assert gateway.eval_calls == 3
     assert gateway.nextq_calls == 2
+
+
+def test_follow_up_cap_comes_from_the_run_config(two_hop_graph, embedder):
+    # the gateway holds no cap of its own: RunConfig.max_subquestions bounds both the prompt and the result
+    nextq_prompts = []
+
+    def three_questions(prompt):
+        nextq_prompts.append(prompt)
+        return "1. Which country is Ulm located in?\n2. Where is the city of Ulm?\n3. Who was born in Ulm?"
+
+    rules = [r for r in two_hop_rules() if r.template != "Eval"] + [MockRule(template="NextQ", respond=three_questions)]
+    cfg = RunConfig(max_iter=2, top_k=5, subgraph_max_size=500, max_subquestions=1)
+    result = answer_local(TWO_HOP_QUESTION, two_hop_graph, LLMGateway(MockChatBackend(rules)), embedder, cfg)
+    events = result.trace.of_kind("next_questions")
+    assert [e["questions"] for e in events] == [["Which country is Ulm located in?"]] * 2
+    assert [p.slots["max_questions"] for p in nextq_prompts] == ["1", "1"]
 
 
 def test_collected_pool_grows_monotonically(two_hop_graph, two_hop_gateway, embedder):

@@ -794,8 +794,8 @@ def test_embeddings_are_exact_float64_values_and_scores_unchanged():
     for _ in range(5):
         query = random_unit(rng, 16)
         got = top_k_similar(query, graph.proposition_embeddings, 50)
-        # the float32 vectors converted on every call, as before
-        scores = stored.astype(np.float64) @ query.astype(np.float64)
+        # the float32 vectors converted on every call, each row scored by its own dot product
+        scores = np.array([row @ query.astype(np.float64) for row in stored.astype(np.float64)])
         want = [(int(i), float(scores[i])) for i in np.lexsort((np.arange(50), -scores))]
         assert got == want
         assert top_k_similar(query, stored, 50) == want
