@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .community import leiden_levels
 from .config import RunConfig
 from .encoding import EmbedBackend
-from .graph import HeteroGraph, NodeId, NodeKind, proposition_id
+from .graph import HeteroGraph
 from .llm import LLMGateway
 from .suggest import PropositionPool, select, suggest_global, suggest_naive
 from .tokens import WORDS_TO_TOKENS, estimate_tokens, truncate_to_tokens
@@ -62,8 +62,10 @@ class QueryState:
 
 @dataclass(frozen=True)
 class Community:
+    """A Leiden block; ``nodes`` are global indices, as in the graph's walk matrix."""
+
     id: int
-    nodes: frozenset[NodeId]
+    nodes: frozenset[int]
 
     @property
     def size(self) -> int:
@@ -215,11 +217,7 @@ def collect_anchors(
 
 
 def detect_communities(
-    graph: HeteroGraph,
-    min_size: int = 10,
-    max_size: int = 150,
-    seed: int = 0,
-    resolution: float = 1.0,
+    graph: HeteroGraph, min_size: int, max_size: int, seed: int, resolution: float
 ) -> tuple[Community, ...]:
     """Leiden communities over the whole graph, all levels, size-filtered.
 
@@ -230,7 +228,6 @@ def detect_communities(
     """
     walk = graph.uniform_transition
     adjacency = sp.csr_matrix((np.ones(walk.nnz), walk.indices, walk.indptr), shape=walk.shape)
-    order = graph.node_order
     communities: list[Community] = []
     seen: set[frozenset[int]] = set()
     for partition in leiden_levels(adjacency, resolution=resolution, seed=seed):
@@ -240,7 +237,7 @@ def detect_communities(
                 continue
             seen.add(block)
             if min_size <= len(block) <= max_size:
-                communities.append(Community(len(communities), frozenset(order[i] for i in block)))
+                communities.append(Community(len(communities), block))
     return tuple(communities)
 
 
@@ -262,7 +259,7 @@ def _candidate_communities(graph: HeteroGraph, cfg: RunConfig) -> tuple[Communit
 
 
 def select_communities(
-    anchors: set[NodeId], candidates: Sequence[Community], budget: int
+    anchors: set[int], candidates: Sequence[Community], budget: int
 ) -> list[Community]:
     """Greedy budgeted cover of the anchors by communities.
 
@@ -276,7 +273,7 @@ def select_communities(
         raise ValueError("budget must be >= 1")
     held = [c.nodes & anchors for c in candidates]  # no pick changes these
     coverable = set().union(*held)
-    covered: set[NodeId] = set()
+    covered: set[int] = set()
     # Lazy greedy over negated keys, the best first: highest ratio, then
     # smaller community, lower id, earlier candidate. A pick only covers
     # more anchors, so a key can only fall: a popped key that is still
@@ -308,10 +305,12 @@ def build_reports(
     into chunks no larger than ``max_tokens_community_chunks``.
     """
     lines: list[str] = []
+    rows = graph.proposition_rows
     for community in chosen:
-        entities = sorted(n.index for n in community.nodes if n.kind is NodeKind.ENTITY)
-        props = sorted(n.index for n in community.nodes if n.kind is NodeKind.PROPOSITION)
-        passages = sorted(n.index for n in community.nodes if n.kind is NodeKind.PASSAGE)
+        nodes = sorted(community.nodes)
+        passages = [i for i in nodes if i < rows.start]
+        props = [i - rows.start for i in nodes if rows.start <= i < rows.stop]
+        entities = [i - rows.stop for i in nodes if i >= rows.stop]
         lines.append(f"## Community {community.id}")
         if entities:
             lines.append("Entities: " + "; ".join(graph.entities[i].canonical_name for i in entities))
@@ -399,7 +398,7 @@ def answer_global(
     anchor_ids = collection.pool.ids()
 
     candidates = _candidate_communities(graph, cfg)
-    anchor_nodes = {proposition_id(i) for i in anchor_ids}
+    anchor_nodes = {graph.proposition_rows.start + i for i in anchor_ids}
     chosen = select_communities(anchor_nodes, candidates, cfg.node_budget) if candidates else []
     trace.log(
         "communities",

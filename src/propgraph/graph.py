@@ -59,7 +59,12 @@ class NodeId:
         return (_KIND_RANK[self.kind], self.index) < (_KIND_RANK[other.kind], other.index)
 
     def tag(self) -> str:
-        return f"{self.kind.value}:{self.index}"
+        return _tag(self.kind, self.index)
+
+
+def _tag(kind: NodeKind, index: int) -> str:
+    """A node as ``edges.txt`` names it: ``kind:index``."""
+    return f"{kind.value}:{index}"
 
 
 def passage_id(index: int) -> NodeId:
@@ -76,7 +81,6 @@ def entity_id(index: int) -> NodeId:
 
 @dataclass
 class PassageRecord:
-    id: NodeId
     text: str
     source_doc: str
     char_span: tuple[int, int]
@@ -84,19 +88,17 @@ class PassageRecord:
 
 @dataclass
 class PropositionRecord:
-    """A proposition's text and edges; its vector is row ``id.index`` of the graph's store."""
+    """A proposition's text and edges: the indices of its passage and of its entities."""
 
-    id: NodeId
     text: str
-    passage: NodeId
-    entity_refs: list[NodeId]
+    passage: int
+    entity_refs: list[int]
 
 
 @dataclass
 class EntityRecord:
-    """An entity's names; its vector is row ``id.index`` of the graph's store."""
+    """An entity's names."""
 
-    id: NodeId
     canonical_name: str
     aliases: list[str] = field(default_factory=list)
 
@@ -113,11 +115,12 @@ class HeteroGraph:
     each node's twin class. Work that depends only on the frozen graph is
     done there once.
 
-    Records carry no vectors. The graph holds one vector store per embedded
-    kind, row i for the record with index i: a list while the graph is
-    mutable, then one read-only float32 matrix, the vectors as the embedder
-    gave them and as the files hold them. A computation that needs float64
-    converts the rows it reads.
+    A record's index is its position in the list of its kind. Records carry
+    no vectors. The graph holds one vector store per embedded kind, row i
+    for the record with index i: a list while the graph is mutable, then
+    one read-only float32 matrix, the vectors as the embedder gave them and
+    as the files hold them. A computation that needs float64 converts the
+    rows it reads.
     """
 
     def __init__(self) -> None:
@@ -129,7 +132,6 @@ class HeteroGraph:
         self._prop_embeddings: list[np.ndarray] | np.ndarray = []
         self._entity_embeddings: list[np.ndarray] | np.ndarray = []
         # caches built at finalize
-        self._node_order: list[NodeId] | None = None
         self._uniform_csr: sp.csr_matrix | None = None
         self._sides: tuple[sp.csr_matrix, sp.csc_matrix] | None = None
         self._degrees: np.ndarray | None = None
@@ -165,22 +167,20 @@ class HeteroGraph:
         a, b = int(span[0]), int(span[1])
         if a < 0 or b < a:
             raise ValueError(f"invalid char span ({a}, {b})")
-        node = passage_id(len(self.passages))
-        self.passages.append(PassageRecord(node, text, source_doc, (a, b)))
-        return node
+        self.passages.append(PassageRecord(text, source_doc, (a, b)))
+        return passage_id(len(self.passages) - 1)
 
     def add_entity(self, canonical_name: str, embedding: np.ndarray, aliases: tuple[str, ...] = ()) -> NodeId:
         self._check_mutable()
         if not canonical_name:
             raise EmptyTextError("entity name must be non-empty")
         self._entity_embeddings.append(self._check_embedding(embedding))
-        node = entity_id(len(self.entities))
-        self.entities.append(EntityRecord(node, canonical_name, list(aliases)))
-        return node
+        self.entities.append(EntityRecord(canonical_name, list(aliases)))
+        return entity_id(len(self.entities) - 1)
 
     def add_entity_alias(self, entity: NodeId, surface: str) -> None:
         self._check_mutable()
-        record = self._entity_record(entity)
+        record = self.entities[self._check_node(entity, NodeKind.ENTITY)]
         if surface != record.canonical_name and surface not in record.aliases:
             record.aliases.append(surface)
 
@@ -194,18 +194,11 @@ class HeteroGraph:
         self._check_mutable()
         if not text:
             raise EmptyTextError("proposition text must be non-empty")
-        if passage.kind is not NodeKind.PASSAGE or not self.has_node(passage):
-            raise UnknownNodeError(f"unknown passage {passage}")
-        deduped: list[NodeId] = []
-        for ent in entities:
-            if ent.kind is not NodeKind.ENTITY or not self.has_node(ent):
-                raise UnknownNodeError(f"unknown entity {ent}")
-            if ent not in deduped:
-                deduped.append(ent)
+        passage_index = self._check_node(passage, NodeKind.PASSAGE)
+        refs = list(dict.fromkeys(self._check_node(ent, NodeKind.ENTITY) for ent in entities))
         self._prop_embeddings.append(self._check_embedding(embedding))
-        node = proposition_id(len(self.propositions))
-        self.propositions.append(PropositionRecord(node, text, passage, deduped))
-        return node
+        self.propositions.append(PropositionRecord(text, passage_index, refs))
+        return proposition_id(len(self.propositions) - 1)
 
     # ------------------------------------------------------------------
     # queries
@@ -218,6 +211,12 @@ class HeteroGraph:
 
     def has_node(self, node: NodeId) -> bool:
         return 0 <= node.index < len(self._records(node.kind))
+
+    def _check_node(self, node: NodeId, kind: NodeKind) -> int:
+        """``node``'s index; raises unless it is a node of ``kind`` in this graph."""
+        if node.kind is not kind or not self.has_node(node):
+            raise UnknownNodeError(f"unknown {kind.value} {node}")
+        return node.index
 
     def global_index(self, node: NodeId) -> int:
         """Position of ``node`` in the global order: passages, propositions, entities."""
@@ -246,11 +245,6 @@ class HeteroGraph:
     def proposition_rows(self) -> slice:
         """The propositions' rows of :attr:`uniform_transition`."""
         return slice(len(self.passages), len(self.passages) + len(self.propositions))
-
-    def _entity_record(self, node: NodeId) -> EntityRecord:
-        if node.kind is not NodeKind.ENTITY or not self.has_node(node):
-            raise UnknownNodeError(f"unknown entity {node}")
-        return self.entities[node.index]
 
     def proposition_texts(self, indices) -> list[str]:
         return [self.propositions[i].text for i in indices]
@@ -282,11 +276,9 @@ class HeteroGraph:
         remap = np.cumsum(used) - 1
         self.entities = [rec for rec, keep in zip(self.entities, used.tolist()) if keep]
         self._entity_embeddings = self._entity_embeddings[used]
-        for new_index, rec in enumerate(self.entities):
-            rec.id = entity_id(new_index)
         renumbered = remap.tolist()
         for prop in self.propositions:
-            prop.entity_refs = [entity_id(renumbered[e.index]) for e in prop.entity_refs]
+            prop.entity_refs = [renumbered[e] for e in prop.entity_refs]
         return passage, counts, remap[refs]
 
     def _check_structure(self, incidence: tuple) -> None:
@@ -295,15 +287,15 @@ class HeteroGraph:
         props = np.repeat(np.arange(len(self.propositions)), counts)
         bad = np.flatnonzero((passage < 0) | (passage >= len(self.passages)))
         if bad.size:
-            raise ValueError(f"{self.propositions[bad[0]].id} has unknown passage {passage[bad[0]]}")
+            raise ValueError(f"{proposition_id(int(bad[0]))} has unknown passage {passage[bad[0]]}")
         bad = np.flatnonzero((refs < 0) | (refs >= len(self.entities)))
         if bad.size:
-            raise ValueError(f"{self.propositions[props[bad[0]]].id} has unknown entity {refs[bad[0]]}")
+            raise ValueError(f"{proposition_id(int(props[bad[0]]))} has unknown entity {refs[bad[0]]}")
         width = max(1, len(self.entities))
         pairs = np.sort(props * width + refs)
         dup = np.flatnonzero(np.diff(pairs) == 0)
         if dup.size:
-            raise ValueError(f"{self.propositions[pairs[dup[0]] // width].id} has duplicate entity refs")
+            raise ValueError(f"{proposition_id(int(pairs[dup[0]] // width))} has duplicate entity refs")
 
     def _vector_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The two vector stores as float32 matrices; raises unless each row is a unit vector."""
@@ -312,23 +304,22 @@ class HeteroGraph:
             (NodeKind.PROPOSITION, self._prop_embeddings),
             (NodeKind.ENTITY, self._entity_embeddings),
         ):
-            records = self._records(kind)
-            if len(vectors) != len(records):
-                raise ValueError(f"{len(vectors)} {kind.value} embeddings for {len(records)} records")
-            matrix = np.asarray(vectors, dtype=np.float32).reshape(len(records), self.embedding_dim)
-            for start in range(0, len(records), _NORM_CHUNK):
+            count = len(self._records(kind))
+            if len(vectors) != count:
+                raise ValueError(f"{len(vectors)} {kind.value} embeddings for {count} records")
+            matrix = np.asarray(vectors, dtype=np.float32).reshape(count, self.embedding_dim)
+            for start in range(0, count, _NORM_CHUNK):
                 rows = matrix[start : start + _NORM_CHUNK].astype(np.float64)
-                # one dot product per row, as is_normalized takes a vector's norm
+                # one dot product per row, as is_normalized takes a vector's norm; a NaN norm is bad too
                 norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
-                bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+                bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
                 if bad.size:
-                    raise NotNormalizedError(f"{records[start + bad[0]].id} embedding is not unit length")
+                    raise NotNormalizedError(f"{NodeId(kind, start + int(bad[0]))} embedding is not unit length")
             matrices.append(matrix)
         return matrices[0], matrices[1]
 
     def _build_caches(self, incidence: tuple) -> None:
         walk = _uniform_walk(self, incidence)
-        self._node_order = [rec.id for rec in (*self.passages, *self.propositions, *self.entities)]
         self._degrees = np.diff(walk.indptr).astype(np.float64)
         # each proposition's first neighbor is its passage, as passages come first
         self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
@@ -357,16 +348,12 @@ class HeteroGraph:
         return self._entity_embeddings
 
     @property
-    def node_order(self) -> list[NodeId]:
-        self._require_finalized()
-        return self._node_order
-
-    @property
     def uniform_transition(self) -> sp.csr_matrix:
         """Row-stochastic uniform-over-neighbors walk matrix over all nodes.
 
-        Rows and columns follow :attr:`node_order`; each row's column
-        indices are sorted. Its pattern is the graph's adjacency.
+        Rows and columns follow the global order of :meth:`global_index`;
+        each row's column indices are sorted. Its pattern is the graph's
+        adjacency.
         """
         self._require_finalized()
         return self._uniform_csr
@@ -406,9 +393,9 @@ class HeteroGraph:
 def _incidence(graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each proposition's passage index and entity-ref count, and all refs in order."""
     props = graph.propositions
-    passage = np.fromiter((p.passage.index for p in props), dtype=np.int64, count=len(props))
+    passage = np.fromiter((p.passage for p in props), dtype=np.int64, count=len(props))
     counts = np.fromiter((len(p.entity_refs) for p in props), dtype=np.int64, count=len(props))
-    refs = np.fromiter((e.index for p in props for e in p.entity_refs), dtype=np.int64, count=int(counts.sum()))
+    refs = np.fromiter((e for p in props for e in p.entity_refs), dtype=np.int64, count=int(counts.sum()))
     return passage, counts, refs
 
 
@@ -520,8 +507,13 @@ def _counts(graph: HeteroGraph) -> dict[str, int]:
     }
 
 
+def _node_tags(graph: HeteroGraph) -> list[str]:
+    """Each node's :func:`_tag`, in the global order."""
+    return [_tag(kind, i) for kind in NodeKind for i in range(len(graph._records(kind)))]
+
+
 def _write_records(path: Path, rows) -> None:
-    """One JSON object per line, keys sorted; line i holds the record whose id is i."""
+    """One JSON object per line, keys sorted; line i holds record i, with its index as ``id``."""
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(row, sort_keys=True) builds per call
     with open(path, "w") as fh:
         fh.writelines(encode(row) + "\n" for row in rows)
@@ -542,27 +534,22 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
     _write_records(
         root / "passages.jsonl",
         (
-            {"id": rec.id.index, "text": rec.text, "source_doc": rec.source_doc, "char_span": list(rec.char_span)}
-            for rec in graph.passages
+            {"id": i, "text": rec.text, "source_doc": rec.source_doc, "char_span": list(rec.char_span)}
+            for i, rec in enumerate(graph.passages)
         ),
     )
     _write_records(
         root / "propositions.jsonl",
         (
-            {
-                "id": rec.id.index,
-                "text": rec.text,
-                "passage": rec.passage.index,
-                "entities": [e.index for e in rec.entity_refs],
-            }
-            for rec in graph.propositions
+            {"id": i, "text": rec.text, "passage": rec.passage, "entities": rec.entity_refs}
+            for i, rec in enumerate(graph.propositions)
         ),
     )
     _write_records(
         root / "entities.jsonl",
-        ({"id": rec.id.index, "name": rec.canonical_name, "aliases": rec.aliases} for rec in graph.entities),
+        ({"id": i, "name": rec.canonical_name, "aliases": rec.aliases} for i, rec in enumerate(graph.entities)),
     )
-    tags = [node.tag() for node in graph.node_order]
+    tags = _node_tags(graph)
     with open(root / "edges.txt", "w") as fh:
         fh.writelines(f"{tags[a]}\t{tags[b]}\n" for a, b in zip(*(x.tolist() for x in _edge_pairs(graph.uniform_transition))))
     _write_embeddings(root / "proposition_embeddings.bin", graph.proposition_embeddings)
@@ -571,7 +558,7 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
 
 def _parse_edge_file(path: Path, graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:
     """The edges in ``edges.txt`` as global index pairs (a, b), a < b, in ascending order."""
-    index = {node.tag(): i for i, node in enumerate(graph.node_order)}
+    index = {tag: i for i, tag in enumerate(_node_tags(graph))}
     with open(path) as fh:
         try:
             nodes = np.fromiter((index[tag] for line in fh for tag in line.split()), dtype=np.int64)
@@ -615,7 +602,7 @@ _ENTITY_FIELDS = {"id": _INT, "name": _STR, "aliases": ("a list of strings", _is
 
 
 def _read_records(path: Path, fields: dict):
-    """Each (line position, object) of a JSONL record file whose ``id`` is its line position.
+    """Each object of a JSONL record file, whose ``id`` must be its line position.
 
     Each line must be an object holding every key of ``fields`` with a
     value of the type named there; other keys are ignored.
@@ -632,7 +619,7 @@ def _read_records(path: Path, fields: dict):
                     raise CorruptFileError(f"{path.name}: line {position + 1} has {found}")
             if obj["id"] != position:
                 raise CorruptFileError(f"{path.name}: line {position + 1} has id {obj['id']!r}")
-            yield position, obj
+            yield obj
 
 
 def load(path: str | Path) -> HeteroGraph:
@@ -653,6 +640,9 @@ def load(path: str | Path) -> HeteroGraph:
             f"(expected {GRAPH_FORMAT_VERSION})"
         )
     counts = manifest.get("counts", {})
+    numbers = [manifest["format_version"], manifest.get("embedding_dim", 0)]
+    if type(counts) is not dict or not all(map(_is_int, [*numbers, *counts.values()])):
+        raise CorruptFileError(f"{root}: manifest format_version, embedding_dim and counts must be ints")
 
     graph = HeteroGraph()
     try:
@@ -663,25 +653,22 @@ def load(path: str | Path) -> HeteroGraph:
             raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")
         graph._embedding_dim = props.shape[1]
         graph.passages = [
-            PassageRecord(passage_id(i), obj["text"], obj["source_doc"], tuple(obj["char_span"]))
-            for i, obj in _read_records(root / "passages.jsonl", _PASSAGE_FIELDS)
+            PassageRecord(obj["text"], obj["source_doc"], tuple(obj["char_span"]))
+            for obj in _read_records(root / "passages.jsonl", _PASSAGE_FIELDS)
         ]
         graph.propositions = [
-            PropositionRecord(
-                proposition_id(i), obj["text"], passage_id(obj["passage"]), [entity_id(e) for e in obj["entities"]]
-            )
-            for i, obj in _read_records(root / "propositions.jsonl", _PROPOSITION_FIELDS)
+            PropositionRecord(obj["text"], obj["passage"], obj["entities"])
+            for obj in _read_records(root / "propositions.jsonl", _PROPOSITION_FIELDS)
         ]
         graph.entities = [
-            EntityRecord(entity_id(i), obj["name"], list(obj["aliases"]))
-            for i, obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
+            EntityRecord(obj["name"], obj["aliases"]) for obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
         ]
         cited = len(graph.entities)
         graph.finalize()
         if len(graph.entities) != cited:
             raise CorruptFileError(f"{root}: {cited - len(graph.entities)} entities are cited by no proposition")
         edges = _parse_edge_file(root / "edges.txt", graph)
-    except (KeyError, ValueError, IndexError, TypeError, json.JSONDecodeError) as err:
+    except (KeyError, ValueError, IndexError, TypeError, NotNormalizedError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
 
     if counts != _counts(graph):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from propgraph.community import leiden_levels
 from propgraph.encoding import NORM_TOL, HashedNgramEmbedder, normalize
-from propgraph.graph import HeteroGraph, NodeId
+from propgraph.graph import HeteroGraph, NodeId, NodeKind
 from propgraph.indexing import CorpusDocument, index_corpus
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 
@@ -20,11 +20,11 @@ def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def assert_graph_invariants(graph: HeteroGraph) -> None:
     """The invariants ``finalize`` checks: every ref resolves, none repeats, one unit vector per node."""
-    for prop in graph.propositions:
-        refs = [e.index for e in prop.entity_refs]
-        assert 0 <= prop.passage.index < len(graph.passages), prop.id
-        assert all(0 <= i < len(graph.entities) for i in refs), prop.id
-        assert len(set(refs)) == len(refs), prop.id
+    for i, prop in enumerate(graph.propositions):
+        refs = prop.entity_refs
+        assert 0 <= prop.passage < len(graph.passages), i
+        assert all(0 <= e < len(graph.entities) for e in refs), i
+        assert len(set(refs)) == len(refs), i
     for matrix, records in ((graph.proposition_embeddings, graph.propositions), (graph.entity_embeddings, graph.entities)):
         assert matrix.shape == (len(records), graph.embedding_dim)
         assert (np.abs(np.linalg.norm(matrix.astype(np.float64), axis=1) - 1.0) <= NORM_TOL).all()
@@ -40,10 +40,24 @@ def leiden_on_networkx(graph: nx.Graph, **kwargs) -> list[list[set]]:
     return [[{nodes[i] for i in block} for block in part] for part in leiden_levels(adjacency, **kwargs)]
 
 
+def node_at(graph: HeteroGraph, i: int) -> NodeId:
+    """The node at global index ``i``: passages, then propositions, then entities."""
+    for kind, records in ((NodeKind.PASSAGE, graph.passages), (NodeKind.PROPOSITION, graph.propositions)):
+        if i < len(records):
+            return NodeId(kind, i)
+        i -= len(records)
+    return NodeId(NodeKind.ENTITY, i)
+
+
+def node_order(graph: HeteroGraph) -> list[NodeId]:
+    """Every node of ``graph``, in the global order."""
+    return [node_at(graph, i) for i in range(graph.node_count)]
+
+
 def neighbors(graph: HeteroGraph, node: NodeId) -> list[NodeId]:
     """``node``'s neighbours in a finalized graph, in global order, read from its walk matrix."""
     walk, i = graph.uniform_transition, graph.global_index(node)
-    return [graph.node_order[j] for j in walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()]
+    return [node_at(graph, j) for j in walk.indices[walk.indptr[i] : walk.indptr[i + 1]].tolist()]
 
 
 def degree(graph: HeteroGraph, node: NodeId) -> int:
@@ -52,7 +66,7 @@ def degree(graph: HeteroGraph, node: NodeId) -> int:
 
 def edges(graph: HeteroGraph) -> list[tuple[NodeId, NodeId]]:
     """Each edge of a finalized graph once, as (a, b) with a before b in the global order, ascending."""
-    return [(a, b) for a in graph.node_order for b in neighbors(graph, a) if a < b]
+    return [(a, b) for a in node_order(graph) for b in neighbors(graph, a) if a < b]
 
 
 def build_random_graph(rng: np.random.Generator, n_props: int, dim: int = 8) -> HeteroGraph:

@@ -9,7 +9,7 @@ import pytest
 from propgraph.community import _aggregate, _local_move, _refine, _WorkGraph, leiden_levels
 from propgraph.global_mode import Community, detect_communities
 
-from conftest import build_random_graph, edges, leiden_on_networkx
+from conftest import build_random_graph, edges, leiden_on_networkx, node_at, node_order
 
 
 def two_cliques(size=20):
@@ -139,8 +139,9 @@ def reference_leiden_levels(graph: nx.Graph, resolution=1.0, seed=0, max_levels=
 
 
 def reference_detect_communities(graph, min_size, max_size, seed, resolution) -> list[Community]:
+    """The size-filtered blocks of the networkx reference, as global indices."""
     nxg = nx.Graph()
-    nxg.add_nodes_from(graph.node_order)
+    nxg.add_nodes_from(node_order(graph))
     nxg.add_edges_from(edges(graph))
     communities: list[Community] = []
     seen: set = set()
@@ -151,19 +152,19 @@ def reference_detect_communities(graph, min_size, max_size, seed, resolution) ->
                 continue
             seen.add(block)
             if min_size <= len(block) <= max_size:
-                communities.append(Community(len(communities), block))
+                communities.append(Community(len(communities), frozenset(map(graph.global_index, block))))
     return communities
 
 
 def assert_matches_reference(graph, seed=0, resolution=1.0):
     nxg = nx.Graph()
-    nxg.add_nodes_from(graph.node_order)
+    nxg.add_nodes_from(node_order(graph))
     nxg.add_edges_from(edges(graph))
     walk = graph.uniform_transition
     unit = walk.copy()
     unit.data = np.ones(walk.nnz)
     got = [
-        [{graph.node_order[i] for i in block} for block in part]
+        [{node_at(graph, i) for i in block} for block in part]
         for part in leiden_levels(unit, resolution=resolution, seed=seed)
     ]
     assert got == reference_leiden_levels(nxg, resolution=resolution, seed=seed)

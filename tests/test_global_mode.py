@@ -20,13 +20,13 @@ from propgraph.global_mode import (
     partition_pool,
     select_communities,
 )
-from propgraph.graph import HeteroGraph, NodeKind, passage_id, proposition_id
+from propgraph.graph import HeteroGraph, NodeKind, entity_id, passage_id, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.suggest import PropositionPool
 from propgraph.tokens import estimate_tokens
 from propgraph.trace import Trace
 
-from conftest import build_random_graph, random_unit
+from conftest import build_random_graph, node_order, random_unit
 from test_traversal import graph_from_links
 
 
@@ -217,8 +217,11 @@ def two_blob_graph():
 
 def test_detect_communities_recovers_blobs():
     graph = two_blob_graph()
-    blob_of = {node: node.index // 8 if node.kind is NodeKind.PROPOSITION else node.index for node in graph.node_order}
-    communities = detect_communities(graph, min_size=2, max_size=150)
+    blob_of = {
+        graph.global_index(node): node.index // 8 if node.kind is NodeKind.PROPOSITION else node.index
+        for node in node_order(graph)
+    }
+    communities = detect_communities(graph, min_size=2, max_size=150, seed=0, resolution=1.0)
     # the full blobs appear at some level; finer sub-splits may appear too
     full = [c for c in communities if c.size == 10]
     assert len(full) == 2
@@ -230,13 +233,13 @@ def test_detect_communities_recovers_blobs():
 
 def test_detect_communities_size_filter_can_empty():
     graph = two_blob_graph()
-    assert detect_communities(graph, min_size=11, max_size=12) == ()
+    assert detect_communities(graph, min_size=11, max_size=12, seed=0, resolution=1.0) == ()
 
 
 def test_detect_communities_deterministic():
     graph = two_blob_graph()
-    first = detect_communities(graph, 2, 150, seed=0)
-    second = detect_communities(graph, 2, 150, seed=0)
+    first = detect_communities(graph, 2, 150, seed=0, resolution=1.0)
+    second = detect_communities(graph, 2, 150, seed=0, resolution=1.0)
     assert [(c.id, c.nodes) for c in first] == [(c.id, c.nodes) for c in second]
 
 
@@ -438,7 +441,7 @@ def test_lazy_select_matches_full_rescore_with_ties():
 
 def test_build_reports_single_community_sections():
     graph = two_blob_graph()
-    community = Community(0, frozenset({passage_id(0), proposition_id(0), graph.entities[0].id}))
+    community = Community(0, frozenset(map(graph.global_index, (passage_id(0), proposition_id(0), entity_id(0)))))
     cfg = small_cfg()
     chunks = build_reports([community], graph, cfg)
     assert len(chunks) == 1
@@ -456,7 +459,7 @@ def test_build_reports_truncates_long_passages():
     prop = graph.add_proposition("a fact.", passage, [hub], normalize(np.eye(4)[0]))
     graph.finalize()
     cfg = small_cfg(passage_token_limit=26)
-    chunks = build_reports([Community(0, frozenset({passage, prop, hub}))], graph, cfg)
+    chunks = build_reports([Community(0, frozenset(map(graph.global_index, (passage, prop, hub))))], graph, cfg)
     passage_line = [line for chunk in chunks for line in chunk.splitlines() if line.startswith("- w0")][0]
     assert estimate_tokens(passage_line) <= 26 + 2  # "- " prefix adds one word
 
@@ -474,7 +477,7 @@ def test_build_reports_splits_into_token_bounded_chunks():
     graph.finalize()
     limit = 110
     cfg = small_cfg(max_tokens_community_chunks=limit, min_community_size=2)
-    community = Community(0, frozenset({passage, *props}))
+    community = Community(0, frozenset(map(graph.global_index, (passage, *props))))
     chunks = build_reports([community], graph, cfg)
     total = sum(estimate_tokens(line) for chunk in chunks for line in chunk.splitlines())
     assert total > 2 * limit  # content genuinely exceeds two chunks

@@ -16,6 +16,7 @@ from propgraph.errors import (
     VersionMismatchError,
 )
 from propgraph.graph import HeteroGraph, NodeId, NodeKind
+from propgraph.indexing import index_corpus
 
 from conftest import build_random_graph, degree, edges, neighbors, random_unit
 
@@ -57,7 +58,7 @@ def test_duplicate_entity_ref_collapses_to_one_edge():
     prop = graph.add_proposition("dup entity", p, [e, e], unit(axis=1))
     graph.finalize()
     assert degree(graph, prop) == 2  # passage + single entity edge
-    assert graph.propositions[prop.index].entity_refs == [e]
+    assert graph.propositions[prop.index].entity_refs == [e.index]
 
 
 def test_add_proposition_validates_inputs():
@@ -105,11 +106,11 @@ def test_edge_kind_invariant_on_random_graphs():
                 {NodeKind.PROPOSITION, NodeKind.PASSAGE},
             )
             assert a != b
-        for prop in graph.propositions:
-            passage_nbrs = [n for n in neighbors(graph, prop.id) if n.kind is NodeKind.PASSAGE]
+        for i in range(len(graph.propositions)):
+            passage_nbrs = [n for n in neighbors(graph, g.proposition_id(i)) if n.kind is NodeKind.PASSAGE]
             assert len(passage_nbrs) == 1
-        for ent in graph.entities:
-            assert degree(graph, ent.id) > 0  # orphans removed at finalize
+        for i in range(len(graph.entities)):
+            assert degree(graph, g.entity_id(i)) > 0  # orphans removed at finalize
 
 
 def test_orphan_entity_removed_and_reindexed():
@@ -123,8 +124,8 @@ def test_orphan_entity_removed_and_reindexed():
     assert graph.edge_count == 2  # orphan removal drops no edge
     assert len(graph.entities) == 1
     assert graph.entities[0].canonical_name == "Kept"
-    assert graph.entities[0].id == g.entity_id(0)  # dense reindex
-    assert graph.propositions[0].entity_refs == [g.entity_id(0)]
+    assert graph.propositions[0].entity_refs == [0]  # dense reindex
+    assert neighbors(graph, g.entity_id(0)) == [g.proposition_id(0)]
     assert graph.entity_embeddings.shape[0] == 1
 
 
@@ -184,7 +185,8 @@ def test_finalize_rejects_a_bad_vector_store_and_stays_mutable():
 def test_finalize_accepts_exactly_the_vectors_is_normalized_accepts():
     rng = np.random.default_rng(31)
     outcomes = set()
-    for scale in np.concatenate([1.0 + NORM_TOL * np.linspace(0.9, 1.1, 41), 1.0 - NORM_TOL * np.linspace(0.9, 1.1, 41)]):
+    near = NORM_TOL * np.linspace(0.9, 1.1, 41)
+    for scale in [*(1.0 + near), *(1.0 - near), np.nan]:
         graph = HeteroGraph()
         passage = graph.add_passage("text", "d", (0, 4))
         graph.add_proposition("fact", passage, [graph.add_entity("E", unit(8))], unit(8))
@@ -282,6 +284,41 @@ def test_load_manifest_not_an_object_is_corrupt(tmp_path, manifest):
     g.save(build_random_graph(np.random.default_rng(19), 4), tmp_path / "g")
     (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptFileError):
+        g.load(tmp_path / "g")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(format_version=1.0),
+        lambda m: m.update(format_version=True),
+        lambda m: m.update(embedding_dim=float(m["embedding_dim"])),
+        lambda m: m["counts"].update(edges=float(m["counts"]["edges"])),
+        lambda m: m["counts"].update({key: float(n) for key, n in m["counts"].items()}),
+        lambda m: m.update(counts=[m["counts"]]),
+    ],
+    ids=["format_version 1.0", "format_version true", "embedding_dim float", "edges float", "all counts float", "counts a list"],
+)
+def test_load_manifest_numbers_of_another_type_are_corrupt(tmp_path, edit):
+    # each edited number equals the saved one, so only its type is wrong
+    g.save(build_random_graph(np.random.default_rng(19), 4), tmp_path / "g")
+    path = tmp_path / "g" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptFileError, match="manifest"):
+        g.load(tmp_path / "g")
+
+
+@pytest.mark.parametrize("value", [np.nan, 2.0])
+@pytest.mark.parametrize("name", ["proposition_embeddings.bin", "entity_embeddings.bin"])
+def test_load_stored_vector_not_unit_length_is_corrupt(tmp_path, name, value):
+    g.save(build_random_graph(np.random.default_rng(19), 4), tmp_path / "g")
+    path = tmp_path / "g" / name
+    raw = bytearray(path.read_bytes())
+    raw[g._EMBEDDING_HEADER.size : g._EMBEDDING_HEADER.size + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="embedding is not unit length"):
         g.load(tmp_path / "g")
 
 
@@ -530,6 +567,21 @@ def test_finalized_arrays_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = array[0]
+
+
+def _live_node_ids() -> int:
+    gc.collect()
+    return sum(type(obj) is NodeId for obj in gc.get_objects())
+
+
+def test_a_frozen_graph_holds_no_node_ids(tmp_path, nile_corpus, nile_gateway, embedder):
+    before = _live_node_ids()
+    graph = index_corpus(nile_corpus, nile_gateway, embedder)
+    assert _live_node_ids() == before
+    g.save(graph, tmp_path / "g")
+    loaded = g.load(tmp_path / "g")
+    assert _live_node_ids() == before
+    assert loaded.propositions == graph.propositions
 
 
 def test_node_id_ordering_and_tags():

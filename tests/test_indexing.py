@@ -13,6 +13,7 @@ from propgraph.indexing import (
     index_corpus,
     load_corpus,
 )
+from propgraph.graph import entity_id, passage_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.tokens import estimate_tokens
 
@@ -298,8 +299,8 @@ def test_index_entity_reconciliation_shares_nodes(nile_graph):
     names = sorted(e.canonical_name for e in nile_graph.entities)
     assert names == ["Aswan Dam", "Cairo", "Egypt", "Nile"]
     # "Egypt" appears in all three passages but is a single node
-    egypt = [e for e in nile_graph.entities if e.canonical_name == "Egypt"][0]
-    assert degree(nile_graph, egypt.id) == 3
+    egypt = [i for i, e in enumerate(nile_graph.entities) if e.canonical_name == "Egypt"][0]
+    assert degree(nile_graph, entity_id(egypt)) == 3
 
 
 def test_index_extraction_failure_keeps_bare_passage(embedder):
@@ -312,7 +313,7 @@ def test_index_extraction_failure_keeps_bare_passage(embedder):
     graph = index_corpus(docs, LLMGateway(MockChatBackend(rules)), embedder)
     assert len(graph.passages) == 2  # failed passage retained, bare
     assert len(graph.propositions) == 1
-    assert degree(graph, graph.passages[0].id) == 0
+    assert degree(graph, passage_id(0)) == 0
 
 
 def test_index_fails_fast_on_a_backend_outage_naming_the_passage(embedder):
@@ -332,8 +333,8 @@ def test_index_fails_fast_on_a_backend_outage_naming_the_passage(embedder):
 
 def test_index_validates_graph_invariants(two_hop_graph):
     assert_graph_invariants(two_hop_graph)
-    for ent in two_hop_graph.entities:
-        assert degree(two_hop_graph, ent.id) > 0
+    for i in range(len(two_hop_graph.entities)):
+        assert degree(two_hop_graph, entity_id(i)) > 0
 
 
 def test_load_corpus_directory_and_jsonl(tmp_path):

@@ -16,7 +16,7 @@ from propgraph.suggest import (
 )
 from propgraph.traversal import TransitionMatrix, WalkParams, blend, build_semantic_transition, extract_subgraph
 
-from conftest import build_random_graph, neighbors, random_unit
+from conftest import build_random_graph, neighbors, node_order, random_unit
 from test_traversal import (
     coo_structural_reference,
     dense_ppr_oracle,
@@ -99,7 +99,7 @@ def dense_local_oracle(graph, query_vec, seeds, params, k):
     """Independent dense replication: structural product, semantic reweight,
     blend, power iteration, ranked non-seeds."""
     n = len(graph.propositions)
-    others = [node for node in graph.node_order if node.kind is not NodeKind.PROPOSITION]
+    others = [node for node in node_order(graph) if node.kind is not NodeKind.PROPOSITION]
     other_col = {node: j for j, node in enumerate(others)}
     a = np.zeros((n, len(others)))
     for i in range(n):

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from propgraph import traversal
 from propgraph.encoding import top_k_similar
 from propgraph.errors import UnknownNodeError
-from propgraph.graph import HeteroGraph, NodeKind, proposition_id
+from propgraph.graph import HeteroGraph, NodeKind, entity_id, passage_id, proposition_id
 from propgraph.traversal import (
     Subgraph,
     TransitionMatrix,
@@ -25,7 +25,7 @@ from propgraph.traversal import (
     query_aware_transition,
 )
 
-from conftest import build_random_graph, edges, neighbors, random_unit
+from conftest import build_random_graph, edges, neighbors, node_at, node_order, random_unit
 
 
 def graph_from_links(links, rng=None, embeddings=None, dim=8):
@@ -81,8 +81,8 @@ def test_structural_entity_clique_uniform():
     # 4 propositions sharing one entity; in a subgraph without their
     # passages each off-diagonal entry must be 1/3
     graph = graph_from_links([["hub"], ["hub"], ["hub"], ["hub"]])
-    hub = [e.id for e in graph.entities if e.canonical_name == "hub"][0]
-    sub = Subgraph(graph, [graph.global_index(n) for n in [p.id for p in graph.propositions] + [hub]])
+    hub = [entity_id(i) for i, e in enumerate(graph.entities) if e.canonical_name == "hub"][0]
+    sub = Subgraph(graph, [graph.global_index(n) for n in [*map(proposition_id, range(len(graph.propositions))), hub]])
     ts = build_structural_transition(sub).matrix.toarray()
     expected = np.full((4, 4), 1.0 / 3.0)
     np.fill_diagonal(expected, 0.0)
@@ -138,19 +138,19 @@ def test_structural_matches_loop_reference_bitwise():
     rng = np.random.default_rng(37)
     hub, lone = odd_views(np.random.default_rng(0))
     for graph, view in ((hub, hub), (lone, lone), (hub, one_proposition_view(hub))):
-        nodes = [graph.node_order[i] for i in view.nodes] if isinstance(view, Subgraph) else graph.node_order
+        nodes = [node_at(graph, i) for i in view.nodes] if isinstance(view, Subgraph) else node_order(graph)
         got = build_structural_transition(view).matrix
         want = loop_structural_reference(graph, nodes)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
     for _ in range(15):
         graph = build_random_graph(rng, int(rng.integers(2, 40)))
-        views = [(graph, graph.node_order)]
+        views = [(graph, node_order(graph))]
         for limit in (4, 10, 25):
             seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=2)})
             if limit >= len(seeds):
                 sub = extract_subgraph(graph, seeds, limit, WalkParams())
-                views.append((sub, [graph.node_order[i] for i in sub.nodes]))
+                views.append((sub, [node_at(graph, i) for i in sub.nodes]))
         for view, nodes in views:
             got = build_structural_transition(view).matrix
             want = loop_structural_reference(graph, nodes)
@@ -552,7 +552,7 @@ def test_ppr_permutation_invariance():
 def test_extract_whole_graph_when_limit_large():
     graph = graph_from_links([["e1"], ["e1", "e2"], ["e2"]])
     sub = extract_subgraph(graph, [0], graph.node_count, WalkParams())
-    assert [graph.node_order[i] for i in sub.nodes] == graph.node_order
+    assert sub.nodes.tolist() == list(range(graph.node_count))
     assert (sub.uniform_transition != graph.uniform_transition).nnz == 0
 
 
@@ -562,10 +562,10 @@ def test_extract_minimal_closure():
     expected = {
         proposition_id(0),
         proposition_id(1),
-        graph.propositions[0].passage,
-        graph.propositions[1].passage,
+        passage_id(graph.propositions[0].passage),
+        passage_id(graph.propositions[1].passage),
     }
-    assert {graph.node_order[i] for i in sub.nodes} == expected
+    assert {node_at(graph, i) for i in sub.nodes} == expected
 
 
 def test_extract_includes_passage_of_every_chosen_proposition():
@@ -573,7 +573,7 @@ def test_extract_includes_passage_of_every_chosen_proposition():
     graph = build_random_graph(rng, 12)
     sub = extract_subgraph(graph, [0], 9, WalkParams())
     for idx in sub.proposition_indices:
-        assert graph.propositions[idx].passage in {graph.node_order[i] for i in sub.nodes}
+        assert graph.propositions[idx].passage in sub.nodes  # a passage's global index is its index
 
 
 def _chain_clique_graph():
@@ -602,7 +602,7 @@ def test_extract_chain_outranks_distant_clique():
     graph = _chain_clique_graph()
     params = WalkParams()
     # dense RWR oracle over the full heterogeneous graph
-    order = graph.node_order
+    order = node_order(graph)
     gi = {node: i for i, node in enumerate(order)}
     n = len(order)
     adj = np.zeros((n, n))
