@@ -1,20 +1,23 @@
 """Hierarchical Leiden community detection.
 
-Pure-Python implementation of the Leiden cycle: queue-based local moving
-to optimize modularity, a refinement phase that only merges
-well-connected nodes inside each community, and aggregation over the
-refined partition (with the un-refined partition carried over as the
-starting point of the next level, which is what keeps communities
-internally connected). Deterministic for a fixed seed: node visit order
-is the only randomized choice, and all argmax steps break ties toward the
-lowest community id.
+The Leiden cycle: queue-based local moving to optimize modularity, a
+refinement phase that only merges well-connected nodes inside each
+community, and aggregation over the refined partition (with the
+un-refined partition carried over as the starting point of the next
+level, which is what keeps communities internally connected).
+Deterministic for a fixed seed: node visit order is the only randomized
+choice, and all argmax steps break ties toward the lowest community id.
+
+Each level's graph is flat CSR in typed arrays, and one integer array
+takes the original nodes to the current level's.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,173 +25,170 @@ import scipy.sparse as sp
 _GAIN_TOL = 1e-12
 
 
-@dataclass
-class _WorkGraph:
-    n: int
-    adj: list[dict[int, float]]
-    self_loop: list[float]
-    deg: list[float]
+class _Level(NamedTuple):
+    """Row v, its self loop left out, is ``indices`` and ``weights`` in ``indptr[v]:indptr[v + 1]``, ascending
+    at level 0 and in order of first appearance after ``_aggregate``. Every float sum over a row adds in that order."""
+
+    indptr: array
+    indices: array
+    weights: array
+    self_loop: array
+    deg: array
     two_m: float
 
 
-def _from_csr(adjacency: sp.spmatrix) -> _WorkGraph:
-    # canonical form: duplicates summed and each row's columns sorted, which
-    # fixes the order in which neighbours are visited and queued
+def _level(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, self_loop: np.ndarray, two_m=None) -> _Level:
+    """A level from its entries in row-major order; ``two_m`` defaults to the sum of the degrees."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(self_loop)))))
+    columns = zip("qqdd", (indptr, cols, weights, self_loop))
+    indptr, cols, weights, self_loop = (array(code, np.asarray(x, dtype=code).tobytes()) for code, x in columns)
+    deg = array("d", [sum(weights[indptr[v] : indptr[v + 1]]) + 2.0 * self_loop[v] for v in range(len(self_loop))])
+    return _Level(indptr, cols, weights, self_loop, deg, sum(deg) if two_m is None else two_m)
+
+
+def _from_csr(adjacency: sp.spmatrix) -> _Level:
+    # duplicates summed and each row's columns sorted: the order of visits and queueing
     csr = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
     csr.sum_duplicates()
-    indptr, indices, data = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-    n = csr.shape[0]
-    adj: list[dict[int, float]] = []
-    self_loop = [0.0] * n
-    for v in range(n):
-        row = dict(zip(indices[indptr[v] : indptr[v + 1]], data[indptr[v] : indptr[v + 1]]))
-        self_loop[v] = row.pop(v, 0.0)
-        adj.append(row)
-    deg = [sum(adj[v].values()) + 2.0 * self_loop[v] for v in range(n)]
-    return _WorkGraph(n, adj, self_loop, deg, sum(deg))
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    off = rows != csr.indices
+    return _level(rows[off], csr.indices[off], csr.data[off], csr.diagonal())
 
 
-def _local_move(work: _WorkGraph, init: list[int], resolution: float, rng: random.Random) -> list[int]:
+def _local_move(level: _Level, init: list[int], resolution: float, rng: random.Random) -> list[int]:
+    indptr, indices, weights, _, deg, two_m = level
+    n = len(deg)
     membership = list(init)
-    comm_tot: dict[int, float] = defaultdict(float)
-    for v in range(work.n):
-        comm_tot[membership[v]] += work.deg[v]
-    order = list(range(work.n))
+    comm_tot = [0.0] * n
+    for v in range(n):
+        comm_tot[membership[v]] += deg[v]
+    order = list(range(n))
     rng.shuffle(order)
     queue = deque(order)
-    queued = [True] * work.n
+    queued = [True] * n
     while queue:
         v = queue.popleft()
         queued[v] = False
-        current = membership[v]
+        current, dv, lo, hi = membership[v], deg[v], indptr[v], indptr[v + 1]
+        neighbours = indices[lo:hi]
         weight_to: dict[int, float] = defaultdict(float)
-        for u, w in work.adj[v].items():
+        for u, w in zip(neighbours, weights[lo:hi]):
             weight_to[membership[u]] += w
-        comm_tot[current] -= work.deg[v]
+        comm_tot[current] -= dv
         best = current
-        best_gain = weight_to.get(current, 0.0) - resolution * work.deg[v] * comm_tot[current] / work.two_m
+        best_gain = weight_to.get(current, 0.0) - resolution * dv * comm_tot[current] / two_m
         for comm in sorted(weight_to):
             if comm == current:
                 continue
-            gain = weight_to[comm] - resolution * work.deg[v] * comm_tot[comm] / work.two_m
+            gain = weight_to[comm] - resolution * dv * comm_tot[comm] / two_m
             if gain > best_gain + _GAIN_TOL:
                 best_gain = gain
                 best = comm
-        comm_tot[best] += work.deg[v]
+        comm_tot[best] += dv
         if best != current:
             membership[v] = best
-            for u in work.adj[v]:
+            for u in neighbours:
                 if membership[u] != best and not queued[u]:
                     queue.append(u)
                     queued[u] = True
     return membership
 
 
-def _refine(work: _WorkGraph, membership: list[int], resolution: float, rng: random.Random) -> list[int]:
-    refined = list(range(work.n))
-    ref_tot = list(work.deg)
-    ref_size = [1] * work.n
-    groups: dict[int, list[int]] = defaultdict(list)
-    for v in range(work.n):
-        groups[membership[v]].append(v)
-    for comm in sorted(groups):
-        nodes = groups[comm]
-        if len(nodes) < 2:
+def _refine(level: _Level, membership: list[int], resolution: float, rng: random.Random) -> list[int]:
+    indptr, indices, weights, _, deg, two_m = level
+    refined = list(range(len(deg)))
+    ref_tot = list(deg)
+    ref_size = [1] * len(deg)
+    members = np.argsort(membership, kind="stable").tolist()  # community by community, ascending within
+    ends = np.cumsum(np.bincount(membership)).tolist()
+    for comm, (start, end) in enumerate(zip([0, *ends], ends)):
+        if end - start < 2:
             continue
-        sub_tot = sum(work.deg[v] for v in nodes)
+        nodes = members[start:end]
+        sub_tot = sum(deg[v] for v in nodes)
         order = nodes[:]
         rng.shuffle(order)
         for v in order:
             if ref_size[refined[v]] > 1:
                 continue  # nodes that already merged stay put
-            weight_in = sum(w for u, w in work.adj[v].items() if membership[u] == comm)
-            if weight_in < resolution * work.deg[v] * (sub_tot - work.deg[v]) / work.two_m:
+            dv, lo, hi = deg[v], indptr[v], indptr[v + 1]
+            inside = [(u, w) for u, w in zip(indices[lo:hi], weights[lo:hi]) if membership[u] == comm]
+            if sum(w for _, w in inside) < resolution * dv * (sub_tot - dv) / two_m:
                 continue  # poorly connected within its community
             weight_to: dict[int, float] = defaultdict(float)
-            for u, w in work.adj[v].items():
-                if membership[u] == comm:
-                    weight_to[refined[u]] += w
+            for u, w in inside:
+                weight_to[refined[u]] += w
             best = refined[v]
             best_gain = 0.0
             for target in sorted(weight_to):
                 if target == refined[v]:
                     continue
-                gain = weight_to[target] - resolution * work.deg[v] * ref_tot[target] / work.two_m
+                gain = weight_to[target] - resolution * dv * ref_tot[target] / two_m
                 if gain > best_gain + _GAIN_TOL:
                     best_gain = gain
                     best = target
             if best != refined[v]:
-                ref_tot[best] += work.deg[v]
-                ref_tot[refined[v]] -= work.deg[v]
+                ref_tot[best] += dv
+                ref_tot[refined[v]] -= dv
                 ref_size[best] += 1
                 ref_size[refined[v]] -= 1
                 refined[v] = best
     return refined
 
 
-def _aggregate(
-    work: _WorkGraph, refined: list[int], membership: list[int], node_sets: list[set]
-) -> tuple[_WorkGraph, list[set], list[int]]:
-    comm_ids = sorted(set(refined))
-    dense = {c: i for i, c in enumerate(comm_ids)}
-    n = len(comm_ids)
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    self_loop = [0.0] * n
-    new_sets: list[set] = [set() for _ in range(n)]
-    parent = [0] * n
-    parent_ids = sorted(set(membership))
-    parent_dense = {c: i for i, c in enumerate(parent_ids)}
-    for v in range(work.n):
-        c = dense[refined[v]]
-        new_sets[c] |= node_sets[v]
-        self_loop[c] += work.self_loop[v]
-        parent[c] = parent_dense[membership[v]]
-    for v in range(work.n):
-        cv = dense[refined[v]]
-        for u, w in work.adj[v].items():
-            if u < v:
-                continue
-            cu = dense[refined[u]]
-            if cu == cv:
-                self_loop[cv] += w
-            else:
-                adj[cv][cu] = adj[cv].get(cu, 0.0) + w
-                adj[cu][cv] = adj[cu].get(cv, 0.0) + w
-    deg = [sum(adj[v].values()) + 2.0 * self_loop[v] for v in range(n)]
-    return _WorkGraph(n, adj, self_loop, deg, work.two_m), new_sets, parent
+def _aggregate(level: _Level, dense: np.ndarray, label: np.ndarray) -> tuple[_Level, list[int]]:
+    """The graph of the refined communities (v's is ``dense[v]``) and each one's community (``label`` of its nodes)."""
+    n = int(dense.max()) + 1
+    # each edge once, from its lower end, in row order; every sum below adds
+    # in that order, as ``bincount`` does
+    rows = np.repeat(np.arange(len(level.deg)), np.diff(np.frombuffer(level.indptr, dtype=np.int64)))
+    cols = np.frombuffer(level.indices, dtype=np.int64)
+    upper = cols > rows
+    rows, cols, w = dense[rows[upper]], dense[cols[upper]], np.frombuffer(level.weights)[upper]
+    inside = rows == cols
+    loops = np.concatenate((np.frombuffer(level.self_loop), w[inside]))
+    self_loop = np.bincount(np.concatenate((dense, rows[inside])), weights=loops, minlength=n)
+    # an edge between communities adds to both of their rows; a row lists its
+    # neighbours in the order they first appear
+    rows, cols, w = rows[~inside], cols[~inside], np.repeat(w[~inside], 2)
+    keys = np.stack((rows * n + cols, cols * n + rows), axis=1).ravel()  # row * n + column
+    keys, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    weights = np.bincount(slot, weights=w, minlength=len(keys))
+    order = np.lexsort((first, keys // n))
+    parent = label[np.unique(dense, return_index=True)[1]].tolist()
+    return _level(keys[order] // n, keys[order] % n, weights[order], self_loop, level.two_m), parent
 
 
 def leiden_levels(
     adjacency: sp.spmatrix, resolution: float = 1.0, seed: int = 0, max_levels: int = 64
-) -> list[list[set[int]]]:
+) -> list[np.ndarray]:
     """Run the full Leiden cycle and report the partition at every level.
 
     ``adjacency`` is a symmetric sparse matrix of edge weights over nodes
     ``0..n-1``; a diagonal entry ``w`` is a self loop of weight ``w``.
     Level 0 is the finest partition (first local-moving pass); deeper
-    levels are coarser. Each partition is a list of sets of node indices
-    and covers the graph exactly.
+    levels are coarser. Each level is an integer label per node, the rank
+    of its community's id among the level's.
     """
     if adjacency.shape[0] == 0:
         return []
-    work = _from_csr(adjacency)
-    node_sets = [{v} for v in range(work.n)]
-    if work.two_m == 0.0:
-        return [[set(s) for s in node_sets]]
-
+    level = _from_csr(adjacency)
+    node_of = np.arange(adjacency.shape[0])  # each original node's node at the current level
+    if level.two_m == 0.0:
+        return [node_of]
     rng = random.Random(seed)
-    init = list(range(work.n))
-    levels: list[list[set[int]]] = []
+    init = list(range(adjacency.shape[0]))
+    levels: list[np.ndarray] = []
     for _ in range(max_levels):
-        membership = _local_move(work, init, resolution, rng)
-        partition: dict[int, set[int]] = defaultdict(set)
-        for v in range(work.n):
-            partition[membership[v]] |= node_sets[v]
-        levels.append([partition[c] for c in sorted(partition)])
-        if len(partition) == work.n:
+        membership = _local_move(level, init, resolution, rng)
+        ids, label = np.unique(membership, return_inverse=True)
+        levels.append(label[node_of])
+        if len(ids) == len(level.deg):
             break  # every community is a single aggregated node: converged
-        refined = _refine(work, membership, resolution, rng)
-        if len(set(refined)) == work.n:
+        refined = _refine(level, membership, resolution, rng)
+        dense = np.unique(refined, return_inverse=True)[1]
+        if dense.max() + 1 == len(level.deg):
             break  # refinement kept all singletons: aggregation would not shrink
-        work, node_sets, init = _aggregate(work, refined, membership, node_sets)
+        level, init = _aggregate(level, dense, label)
+        node_of = dense[node_of]
     return levels

@@ -221,24 +221,23 @@ def detect_communities(
 ) -> tuple[Community, ...]:
     """Leiden communities over the whole graph, all levels, size-filtered.
 
-    Leiden runs on the walk matrix's pattern with unit edge weights.
-    Identical node sets appearing at several levels are reported once.
-    Ids are assigned in (level, lowest-node) order so they are stable for
-    a fixed graph and seed.
+    Leiden runs on the walk matrix's pattern with unit edge weights. Only
+    blocks within ``[min_size, max_size]`` become node sets, and one found
+    at several levels is reported once. Ids follow (level, lowest node)
+    order, so they are stable for a fixed graph and seed.
     """
     walk = graph.uniform_transition
     adjacency = sp.csr_matrix((np.ones(walk.nnz), walk.indices, walk.indptr), shape=walk.shape)
-    communities: list[Community] = []
-    seen: set[frozenset[int]] = set()
-    for partition in leiden_levels(adjacency, resolution=resolution, seed=seed):
-        for nodes in sorted(partition, key=min):
-            block = frozenset(nodes)
-            if block in seen:
-                continue
-            seen.add(block)
-            if min_size <= len(block) <= max_size:
-                communities.append(Community(len(communities), block))
-    return tuple(communities)
+    levels = leiden_levels(adjacency, resolution=resolution, seed=seed)
+    node = list(range(walk.shape[0]))  # one int object per node, shared by every block
+    blocks: dict[frozenset[int], None] = {}  # each distinct block once, in id order
+    for labels in levels:
+        members = sorted(node, key=labels.tolist().__getitem__)  # block by block, ascending within
+        ends = np.cumsum(np.bincount(labels)).tolist()
+        for lo, hi in sorted(zip([0, *ends], ends), key=lambda span: members[span[0]]):
+            if min_size <= hi - lo <= max_size:
+                blocks.setdefault(frozenset(set(members[lo:hi])))  # copied from a set, sized to fit
+    return tuple(Community(i, block) for i, block in enumerate(blocks))
 
 
 # Communities depend on the graph and the Leiden settings, never on the

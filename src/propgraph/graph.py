@@ -609,7 +609,10 @@ def _read_records(path: Path, fields: dict):
     """
     with open(path) as fh:
         for position, line in enumerate(fh):
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise CorruptFileError(f"{path.name}: line {position + 1} is not JSON: {err}") from err
             if type(obj) is not dict:
                 raise CorruptFileError(f"{path.name}: line {position + 1} is not a JSON object")
             for key, (expected, valid) in fields.items():

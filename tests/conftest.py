@@ -30,14 +30,22 @@ def assert_graph_invariants(graph: HeteroGraph) -> None:
         assert (np.abs(np.linalg.norm(matrix.astype(np.float64), axis=1) - 1.0) <= NORM_TOL).all()
 
 
+def partition(labels: np.ndarray) -> list[set[int]]:
+    """One level of ``leiden_levels`` as its blocks: the nodes of each label, in label order."""
+    blocks: list[set[int]] = [set() for _ in range(int(labels.max()) + 1)]
+    for node, label in enumerate(labels.tolist()):
+        blocks[label].add(node)
+    return blocks
+
+
 def leiden_on_networkx(graph: nx.Graph, **kwargs) -> list[list[set]]:
-    """``leiden_levels`` over a networkx graph, with node labels in the result.
+    """``leiden_levels`` over a networkx graph, as each level's blocks of node labels.
 
     Nodes take indices in sorted order; edge weights default to 1.
     """
     nodes = sorted(graph)
     adjacency = nx.to_scipy_sparse_array(graph, nodelist=nodes) if nodes else sp.csr_matrix((0, 0))
-    return [[{nodes[i] for i in block} for block in part] for part in leiden_levels(adjacency, **kwargs)]
+    return [[{nodes[i] for i in block} for block in partition(labels)] for labels in leiden_levels(adjacency, **kwargs)]
 
 
 def node_at(graph: HeteroGraph, i: int) -> NodeId:

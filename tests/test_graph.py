@@ -436,6 +436,19 @@ def test_load_mistyped_record_fields_are_corrupt(tmp_path, name, key, edit):
         g.load(tmp_path / "g")
 
 
+@pytest.mark.parametrize("name", ["passages", "propositions", "entities"])
+def test_load_record_line_that_is_not_json_names_its_file_and_line(tmp_path, name):
+    graph = build_random_graph(np.random.default_rng(13), 10)
+    g.save(graph, tmp_path / "g")
+    path = tmp_path / "g" / f"{name}.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) >= 4
+    lines[3] = '{"id": 3, oops'
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(CorruptFileError, match=rf"^{name}\.jsonl: line 4 is not JSON: Expecting"):
+        g.load(tmp_path / "g")
+
+
 @pytest.mark.parametrize(
     "edit",
     [
