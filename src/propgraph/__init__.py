@@ -8,8 +8,8 @@ local (multi-hop walks) and global (community-grounded synthesis).
 
 from .config import RunConfig
 from .encoding import HashedNgramEmbedder, OpenAICompatEmbedder, cosine, top_k_similar
-from .graph import HeteroGraph, NodeId, NodeKind, load, save
-from .indexing import CorpusDocument, graph_stats, index_corpus
+from .graph import HeteroGraph, NodeId, NodeKind, graph_stats, load, save
+from .indexing import CorpusDocument, index_corpus
 from .llm import LLMGateway, MockChatBackend, OpenAICompatChatBackend
 from .local_mode import answer_local, answer_naive
 from .global_mode import answer_global

@@ -79,15 +79,15 @@ class RunConfig:
     """
 
     # walk
-    lambda_: float = 0.5
-    damping: float = 0.85
-    cosine_threshold: float = 0.4
-    temperature: float = 0.1
-    ppr_epsilon: float = 1e-8
-    ppr_max_iters: int = 200
+    lambda_: float = WalkParams.lambda_
+    damping: float = WalkParams.damping
+    cosine_threshold: float = WalkParams.theta
+    temperature: float = WalkParams.tau
+    ppr_epsilon: float = WalkParams.ppr_epsilon
+    ppr_max_iters: int = WalkParams.ppr_max_iters
     # retrieval
-    top_k: int = 20
-    subgraph_max_size: int = 500
+    top_k: int = SuggestConfig.k
+    subgraph_max_size: int = SuggestConfig.subgraph_size
     max_iter: int = 3
     max_subquestions: int = 3
     # global mode
@@ -105,9 +105,9 @@ class RunConfig:
     leiden_seed: int = 0
     leiden_resolution: float = 1.0
     # indexing
-    chunk_target_tokens: int = 300
-    chunk_overlap_tokens: int = 0
-    synonym_threshold: float = 0.9
+    chunk_target_tokens: int = ChunkingPolicy.target_tokens
+    chunk_overlap_tokens: int = ChunkingPolicy.overlap_tokens
+    synonym_threshold: float = ReconciliationPolicy.synonym_threshold
     # harness
     eval_workers: int = 1
     chat_backend: dict = field(default_factory=lambda: {"kind": "mock"})

@@ -13,7 +13,7 @@ import enum
 import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,28 +79,28 @@ def entity_id(index: int) -> NodeId:
     return NodeId(NodeKind.ENTITY, index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PassageRecord:
     text: str
     source_doc: str
     char_span: tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropositionRecord:
     """A proposition's text and edges: the indices of its passage and of its entities."""
 
     text: str
     passage: int
-    entity_refs: list[int]
+    entity_refs: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntityRecord:
     """An entity's names."""
 
     canonical_name: str
-    aliases: list[str] = field(default_factory=list)
+    aliases: tuple[str, ...] = ()
 
 
 class HeteroGraph:
@@ -115,7 +115,8 @@ class HeteroGraph:
     each node's twin class. Work that depends only on the frozen graph is
     done there once.
 
-    A record's index is its position in the list of its kind. Records carry
+    A record's index is its position in the sequence of its kind: a list
+    while the graph is mutable, then a tuple. Records are frozen and carry
     no vectors. The graph holds one vector store per embedded kind, row i
     for the record with index i: a list while the graph is mutable, then
     one read-only float32 matrix, the vectors as the embedder gave them and
@@ -124,9 +125,9 @@ class HeteroGraph:
     """
 
     def __init__(self) -> None:
-        self.passages: list[PassageRecord] = []
-        self.propositions: list[PropositionRecord] = []
-        self.entities: list[EntityRecord] = []
+        self.passages: list[PassageRecord] | tuple[PassageRecord, ...] = []
+        self.propositions: list[PropositionRecord] | tuple[PropositionRecord, ...] = []
+        self.entities: list[EntityRecord] | tuple[EntityRecord, ...] = []
         self._finalized = False
         self._embedding_dim: int | None = None
         self._prop_embeddings: list[np.ndarray] | np.ndarray = []
@@ -175,14 +176,15 @@ class HeteroGraph:
         if not canonical_name:
             raise EmptyTextError("entity name must be non-empty")
         self._entity_embeddings.append(self._check_embedding(embedding))
-        self.entities.append(EntityRecord(canonical_name, list(aliases)))
+        self.entities.append(EntityRecord(canonical_name, tuple(aliases)))
         return entity_id(len(self.entities) - 1)
 
     def add_entity_alias(self, entity: NodeId, surface: str) -> None:
         self._check_mutable()
-        record = self.entities[self._check_node(entity, NodeKind.ENTITY)]
+        index = self._check_node(entity, NodeKind.ENTITY)
+        record = self.entities[index]
         if surface != record.canonical_name and surface not in record.aliases:
-            record.aliases.append(surface)
+            self.entities[index] = EntityRecord(record.canonical_name, (*record.aliases, surface))
 
     def add_proposition(
         self,
@@ -195,7 +197,7 @@ class HeteroGraph:
         if not text:
             raise EmptyTextError("proposition text must be non-empty")
         passage_index = self._check_node(passage, NodeKind.PASSAGE)
-        refs = list(dict.fromkeys(self._check_node(ent, NodeKind.ENTITY) for ent in entities))
+        refs = tuple(dict.fromkeys(self._check_node(ent, NodeKind.ENTITY) for ent in entities))
         self._prop_embeddings.append(self._check_embedding(embedding))
         self.propositions.append(PropositionRecord(text, passage_index, refs))
         return proposition_id(len(self.propositions) - 1)
@@ -204,7 +206,7 @@ class HeteroGraph:
     # queries
     # ------------------------------------------------------------------
 
-    def _records(self, kind: NodeKind) -> list:
+    def _records(self, kind: NodeKind) -> list | tuple:
         if kind is NodeKind.PASSAGE:
             return self.passages
         return self.propositions if kind is NodeKind.PROPOSITION else self.entities
@@ -262,6 +264,7 @@ class HeteroGraph:
         # the build-time lists, or the matrices load read, become one matrix each
         self._prop_embeddings, self._entity_embeddings = self._vector_matrices()
         incidence = self._remove_orphan_entities(incidence)
+        self.passages, self.propositions, self.entities = map(tuple, (self.passages, self.propositions, self.entities))
         self._build_caches(incidence)
         self._finalized = True
         return self
@@ -277,8 +280,10 @@ class HeteroGraph:
         self.entities = [rec for rec, keep in zip(self.entities, used.tolist()) if keep]
         self._entity_embeddings = self._entity_embeddings[used]
         renumbered = remap.tolist()
-        for prop in self.propositions:
-            prop.entity_refs = [renumbered[e] for e in prop.entity_refs]
+        self.propositions = [
+            PropositionRecord(prop.text, prop.passage, tuple(renumbered[e] for e in prop.entity_refs))
+            for prop in self.propositions
+        ]
         return passage, counts, remap[refs]
 
     def _check_structure(self, incidence: tuple) -> None:
@@ -497,14 +502,21 @@ def _read_embeddings(path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4", offset=_EMBEDDING_HEADER.size).reshape(int(rows), int(dim))
 
 
-def _counts(graph: HeteroGraph) -> dict[str, int]:
-    """The manifest's ``counts`` of a finalized graph."""
-    return {
-        "passages": len(graph.passages),
-        "propositions": len(graph.propositions),
-        "entities": len(graph.entities),
-        "edges": graph.edge_count,
-    }
+@dataclass
+class GraphStats:
+    """A graph's node and edge counts; the manifest's ``counts`` are :meth:`as_dict`."""
+
+    passages: int
+    propositions: int
+    entities: int
+    edges: int
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def graph_stats(graph: HeteroGraph) -> GraphStats:
+    return GraphStats(len(graph.passages), len(graph.propositions), len(graph.entities), graph.edge_count)
 
 
 def _node_tags(graph: HeteroGraph) -> list[str]:
@@ -527,7 +539,7 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
     manifest = {
         "format": GRAPH_FORMAT,
         "format_version": GRAPH_FORMAT_VERSION,
-        "counts": _counts(graph),
+        "counts": graph_stats(graph).as_dict(),
         "embedding_dim": graph.embedding_dim,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -655,17 +667,18 @@ def load(path: str | Path) -> HeteroGraph:
         if dims.count(dims[0]) != 3:
             raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")
         graph._embedding_dim = props.shape[1]
-        graph.passages = [
+        graph.passages = tuple(
             PassageRecord(obj["text"], obj["source_doc"], tuple(obj["char_span"]))
             for obj in _read_records(root / "passages.jsonl", _PASSAGE_FIELDS)
-        ]
-        graph.propositions = [
-            PropositionRecord(obj["text"], obj["passage"], obj["entities"])
+        )
+        graph.propositions = tuple(
+            PropositionRecord(obj["text"], obj["passage"], tuple(obj["entities"]))
             for obj in _read_records(root / "propositions.jsonl", _PROPOSITION_FIELDS)
-        ]
-        graph.entities = [
-            EntityRecord(obj["name"], obj["aliases"]) for obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
-        ]
+        )
+        graph.entities = tuple(
+            EntityRecord(obj["name"], tuple(obj["aliases"]))
+            for obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
+        )
         cited = len(graph.entities)
         graph.finalize()
         if len(graph.entities) != cited:
@@ -674,8 +687,9 @@ def load(path: str | Path) -> HeteroGraph:
     except (KeyError, ValueError, IndexError, TypeError, NotNormalizedError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
 
-    if counts != _counts(graph):
-        raise CorruptFileError(f"{root}: manifest counts {counts} != graph {_counts(graph)}")
+    stats = graph_stats(graph).as_dict()
+    if counts != stats:
+        raise CorruptFileError(f"{root}: manifest counts {counts} != graph {stats}")
     if not all(np.array_equal(x, y) for x, y in zip(edges, _edge_pairs(graph.uniform_transition))):
         raise CorruptFileError(f"{root}: edges.txt does not match the propositions' passages and entities")
     return graph

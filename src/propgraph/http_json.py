@@ -1,21 +1,24 @@
 """The one client of the OpenAI-compatible HTTP endpoints, and its retry policy.
 
 A POST is retried with exponential backoff on connection errors, 429 and
-5xx responses, and bodies that ``parse`` cannot read. A 429 or 503 that
-names a delay in seconds in its ``Retry-After`` header waits at least that
-long, and at most the client's timeout, before the next attempt. Any other
-4xx is a permanent fault (bad request, auth) and fails at once.
+5xx responses, malformed HTTP replies, and bodies that ``parse`` cannot
+read. A 429 or 503 that names a delay in seconds in its ``Retry-After``
+header waits at least that long, and at most the client's timeout, before
+the next attempt. Any other 4xx is a permanent fault (bad request, auth)
+and fails at once, and so does a redirect, which a POST does not follow.
 """
 
 from __future__ import annotations
 
 import contextlib
+import http.client
+import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from typing import Callable, TypeVar
-
-import requests
 
 from .errors import BackendUnavailable
 
@@ -23,7 +26,7 @@ T = TypeVar("T")
 
 
 class OpenAICompatClient:
-    """One endpoint's base URL, model, auth, session, timeout and retry budget.
+    """One endpoint's base URL, model, auth, timeout and retry budget.
 
     The API key is ``api_key`` when given, else the ``api_key_env``
     variable; an empty key sends no ``Authorization`` header. At most
@@ -52,34 +55,38 @@ class OpenAICompatClient:
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._gate = contextlib.nullcontext() if max_concurrency is None else threading.Semaphore(max_concurrency)
-        self._session = requests.Session()
 
     def post(self, path: str, payload: dict, parse: Callable[[object], T]) -> T:
         """POST ``payload`` and the model to ``path``; return ``parse`` of the decoded body.
 
-        The gate is held around each POST only, never during backoff. Raises
-        ``BackendUnavailable`` once ``max_retries`` attempts have failed.
+        The gate is held around each POST and its body read only, never
+        during backoff. Raises ``BackendUnavailable`` once ``max_retries``
+        attempts have failed.
         """
         url = f"{self.base_url}/{path}"
-        body = {"model": self.model, **payload}
+        body = json.dumps({"model": self.model, **payload}).encode()
+        request = urllib.request.Request(url, data=body, headers=self._headers, method="POST")
         last_err: Exception | None = None
         for attempt in range(self.max_retries):
             delay = self.backoff * 2.0**attempt
             try:
-                with self._gate:
-                    resp = self._session.post(url, json=body, headers=self._headers, timeout=self.timeout)
-                if 400 <= resp.status_code < 500 and resp.status_code != 429:  # permanent: bad request/auth
-                    raise BackendUnavailable(f"{url} returned {resp.status_code}")
-                if resp.status_code in (429, 503):
-                    asked = _delay_seconds(resp.headers.get("Retry-After"))
+                with self._gate, urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    raw = resp.read()
+                return parse(json.loads(raw))
+            except urllib.error.HTTPError as err:  # an OSError too, so it comes first
+                err.close()
+                if err.code < 500 and err.code != 429:  # permanent: bad request, auth, a POST's redirect
+                    raise BackendUnavailable(f"{url} returned {err.code}") from None
+                if err.code in (429, 503):
+                    asked = _delay_seconds(err.headers.get("Retry-After"))
                     if asked is not None:
                         delay = max(delay, min(asked, self.timeout))
-                resp.raise_for_status()  # 429 and 5xx are worth another attempt
-                return parse(resp.json())
-            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as err:
+                last_err = err  # 429 and 5xx are worth another attempt
+            # a malformed status line or a short body is an HTTPException, not an OSError
+            except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError) as err:
                 last_err = err
-                if attempt + 1 < self.max_retries:
-                    time.sleep(delay)
+            if attempt + 1 < self.max_retries:
+                time.sleep(delay)
         raise BackendUnavailable(f"{url} failed after {self.max_retries} attempts: {last_err}")
 
 

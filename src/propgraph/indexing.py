@@ -1,4 +1,4 @@
-"""Corpus-to-graph pipeline: chunking, extraction, reconciliation, stats.
+"""Corpus-to-graph pipeline: chunking, extraction, reconciliation.
 
 Indexing is deterministic for a fixed document order and deterministic
 backends: chunks are processed in order and entity reconciliation is a
@@ -19,7 +19,8 @@ import numpy as np
 
 from .encoding import EmbedBackend, cosine
 from .errors import BackendUnavailable, DimensionMismatchError, EmptyTextError, ExtractionFailed, InputFileError
-from .graph import HeteroGraph, NodeId, entity_id
+# GraphStats and graph_stats are re-exported: the counts of an indexed graph
+from .graph import GraphStats, HeteroGraph, NodeId, entity_id, graph_stats
 from .llm import LLMGateway
 from .tokens import estimate_tokens
 
@@ -59,22 +60,6 @@ class ReconciliationPolicy:
 class Chunk:
     text: str
     span: tuple[int, int]
-
-
-@dataclass
-class GraphStats:
-    passages: int
-    propositions: int
-    entities: int
-    edges: int
-
-    def as_dict(self) -> dict:
-        return {
-            "passages": self.passages,
-            "propositions": self.propositions,
-            "entities": self.entities,
-            "edges": self.edges,
-        }
 
 
 def _sentence_spans(text: str) -> list[tuple[int, int]]:
@@ -276,15 +261,6 @@ def index_corpus(
                 graph.add_proposition(text, pid, [surface_ids[r] for r in refs], emb)
     del registry  # frees the founder matrix before finalize's memory peak
     return graph.finalize()
-
-
-def graph_stats(graph: HeteroGraph) -> GraphStats:
-    return GraphStats(
-        passages=len(graph.passages),
-        propositions=len(graph.propositions),
-        entities=len(graph.entities),
-        edges=graph.edge_count,
-    )
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:

@@ -58,7 +58,7 @@ def test_duplicate_entity_ref_collapses_to_one_edge():
     prop = graph.add_proposition("dup entity", p, [e, e], unit(axis=1))
     graph.finalize()
     assert degree(graph, prop) == 2  # passage + single entity edge
-    assert graph.propositions[prop.index].entity_refs == [e.index]
+    assert graph.propositions[prop.index].entity_refs == (e.index,)
 
 
 def test_add_proposition_validates_inputs():
@@ -124,7 +124,7 @@ def test_orphan_entity_removed_and_reindexed():
     assert graph.edge_count == 2  # orphan removal drops no edge
     assert len(graph.entities) == 1
     assert graph.entities[0].canonical_name == "Kept"
-    assert graph.propositions[0].entity_refs == [0]  # dense reindex
+    assert graph.propositions[0].entity_refs == (0,)  # dense reindex
     assert neighbors(graph, g.entity_id(0)) == [g.proposition_id(0)]
     assert graph.entity_embeddings.shape[0] == 1
 
@@ -580,6 +580,30 @@ def test_finalized_arrays_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = array[0]
+
+
+_RECORD_MUTATIONS = [
+    lambda graph: graph.propositions[0].entity_refs.append(1),
+    lambda graph: setattr(graph.propositions[1], "passage", 0),
+    lambda graph: graph.entities[0].aliases.append("zz"),
+    lambda graph: setattr(graph.passages[0], "text", "zz"),
+    lambda graph: graph.propositions.append(graph.propositions[0]),
+    lambda graph: graph.entities.__setitem__(0, graph.entities[-1]),
+    lambda graph: graph.passages.pop(),
+]
+
+
+def test_finalized_records_are_immutable(tmp_path, nile_corpus, nile_gateway, embedder):
+    built = index_corpus(nile_corpus, nile_gateway, embedder)
+    g.save(built, tmp_path / "before")
+    loaded = g.load(tmp_path / "before")
+    for graph in (built, loaded):
+        for mutate in _RECORD_MUTATIONS:
+            with pytest.raises((AttributeError, TypeError)):
+                mutate(graph)
+    g.save(loaded, tmp_path / "after")
+    for name in sorted(p.name for p in (tmp_path / "before").iterdir()):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes(), name
 
 
 def _live_node_ids() -> int:

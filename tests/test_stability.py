@@ -127,10 +127,12 @@ def test_bench_span_boundaries_resolve(monkeypatch):
     assert not missing
 
 
-def test_library_imports_without_networkx():
-    # networkx is a test oracle only; every library module must import without it
+@pytest.mark.parametrize("module", ["networkx", "requests"])
+def test_library_imports_without(module):
+    # networkx is a test oracle only, and the HTTP client is the standard
+    # library's; every library module must import without either
     code = (
-        "import sys, pkgutil, importlib; sys.modules['networkx'] = None; import propgraph; "
+        f"import sys, pkgutil, importlib; sys.modules[{module!r}] = None; import propgraph; "
         "[importlib.import_module(m.name) for m in pkgutil.iter_modules(propgraph.__path__, 'propgraph.')]"
     )
     src = Path(__file__).resolve().parent.parent / "src"
