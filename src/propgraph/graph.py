@@ -13,7 +13,7 @@ import enum
 import functools
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +184,7 @@ class HeteroGraph:
         index = self._check_node(entity, NodeKind.ENTITY)
         record = self.entities[index]
         if surface != record.canonical_name and surface not in record.aliases:
-            self.entities[index] = EntityRecord(record.canonical_name, (*record.aliases, surface))
+            self.entities[index] = replace(record, aliases=(*record.aliases, surface))
 
     def add_proposition(
         self,
@@ -281,8 +281,7 @@ class HeteroGraph:
         self._entity_embeddings = self._entity_embeddings[used]
         renumbered = remap.tolist()
         self.propositions = [
-            PropositionRecord(prop.text, prop.passage, tuple(renumbered[e] for e in prop.entity_refs))
-            for prop in self.propositions
+            replace(prop, entity_refs=tuple(renumbered[e] for e in prop.entity_refs)) for prop in self.propositions
         ]
         return passage, counts, remap[refs]
 
@@ -667,18 +666,17 @@ def load(path: str | Path) -> HeteroGraph:
         if dims.count(dims[0]) != 3:
             raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")
         graph._embedding_dim = props.shape[1]
-        graph.passages = tuple(
+        graph.passages = [
             PassageRecord(obj["text"], obj["source_doc"], tuple(obj["char_span"]))
             for obj in _read_records(root / "passages.jsonl", _PASSAGE_FIELDS)
-        )
-        graph.propositions = tuple(
+        ]
+        graph.propositions = [
             PropositionRecord(obj["text"], obj["passage"], tuple(obj["entities"]))
             for obj in _read_records(root / "propositions.jsonl", _PROPOSITION_FIELDS)
-        )
-        graph.entities = tuple(
-            EntityRecord(obj["name"], tuple(obj["aliases"]))
-            for obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
-        )
+        ]
+        graph.entities = [
+            EntityRecord(obj["name"], tuple(obj["aliases"])) for obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
+        ]
         cited = len(graph.entities)
         graph.finalize()
         if len(graph.entities) != cited:
@@ -687,8 +685,7 @@ def load(path: str | Path) -> HeteroGraph:
     except (KeyError, ValueError, IndexError, TypeError, NotNormalizedError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
 
-    stats = graph_stats(graph).as_dict()
-    if counts != stats:
+    if counts != (stats := graph_stats(graph).as_dict()):
         raise CorruptFileError(f"{root}: manifest counts {counts} != graph {stats}")
     if not all(np.array_equal(x, y) for x, y in zip(edges, _edge_pairs(graph.uniform_transition))):
         raise CorruptFileError(f"{root}: edges.txt does not match the propositions' passages and entities")

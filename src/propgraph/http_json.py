@@ -5,7 +5,8 @@ A POST is retried with exponential backoff on connection errors, 429 and
 read. A 429 or 503 that names a delay in seconds in its ``Retry-After``
 header waits at least that long, and at most the client's timeout, before
 the next attempt. Any other 4xx is a permanent fault (bad request, auth)
-and fails at once, and so does a redirect, which a POST does not follow.
+and fails at once, and so does every 3xx: no redirect is followed, so the
+request and its ``Authorization`` header never reach another URL.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from typing import Callable, TypeVar
 from .errors import BackendUnavailable
 
 T = TypeVar("T")
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args, **kwargs):  # follow none: a 3xx reaches the caller as an HTTPError
+        return None
 
 
 class OpenAICompatClient:
@@ -55,13 +61,13 @@ class OpenAICompatClient:
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._gate = contextlib.nullcontext() if max_concurrency is None else threading.Semaphore(max_concurrency)
+        self._opener = urllib.request.build_opener(_NoRedirect)  # proxies come from the environment, as urlopen's
 
     def post(self, path: str, payload: dict, parse: Callable[[object], T]) -> T:
         """POST ``payload`` and the model to ``path``; return ``parse`` of the decoded body.
 
-        The gate is held around each POST and its body read only, never
-        during backoff. Raises ``BackendUnavailable`` once ``max_retries``
-        attempts have failed.
+        The gate is held around each POST and its body read, never during
+        backoff. Raises ``BackendUnavailable`` once ``max_retries`` attempts have failed.
         """
         url = f"{self.base_url}/{path}"
         body = json.dumps({"model": self.model, **payload}).encode()
@@ -70,12 +76,12 @@ class OpenAICompatClient:
         for attempt in range(self.max_retries):
             delay = self.backoff * 2.0**attempt
             try:
-                with self._gate, urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                with self._gate, self._opener.open(request, timeout=self.timeout) as resp:
                     raw = resp.read()
                 return parse(json.loads(raw))
             except urllib.error.HTTPError as err:  # an OSError too, so it comes first
                 err.close()
-                if err.code < 500 and err.code != 429:  # permanent: bad request, auth, a POST's redirect
+                if err.code < 500 and err.code != 429:  # permanent: bad request, auth, a redirect
                     raise BackendUnavailable(f"{url} returned {err.code}") from None
                 if err.code in (429, 503):
                     asked = _delay_seconds(err.headers.get("Retry-After"))
