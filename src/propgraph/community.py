@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 _GAIN_TOL = 1e-12
+_MAX_LEVELS = 64
 
 
 class _Level(NamedTuple):
@@ -47,9 +48,12 @@ def _level(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, self_loop: n
 
 
 def _from_csr(adjacency: sp.spmatrix) -> _Level:
-    # duplicates summed and each row's columns sorted: the order of visits and queueing
-    csr = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
-    csr.sum_duplicates()
+    # duplicates summed and each row's columns sorted, in a copy if they are
+    # not yet: the order of visits and queueing
+    csr = sp.csr_matrix(adjacency, dtype=np.float64)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     off = rows != csr.indices
     return _level(rows[off], csr.indices[off], csr.data[off], csr.diagonal())
@@ -159,9 +163,7 @@ def _aggregate(level: _Level, dense: np.ndarray, label: np.ndarray) -> tuple[_Le
     return _level(keys[order] // n, keys[order] % n, weights[order], self_loop, level.two_m), parent
 
 
-def leiden_levels(
-    adjacency: sp.spmatrix, resolution: float = 1.0, seed: int = 0, max_levels: int = 64
-) -> list[np.ndarray]:
+def leiden_levels(adjacency: sp.spmatrix, resolution: float = 1.0, seed: int = 0) -> list[np.ndarray]:
     """Run the full Leiden cycle and report the partition at every level.
 
     ``adjacency`` is a symmetric sparse matrix of edge weights over nodes
@@ -179,7 +181,7 @@ def leiden_levels(
     rng = random.Random(seed)
     init = list(range(adjacency.shape[0]))
     levels: list[np.ndarray] = []
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         membership = _local_move(level, init, resolution, rng)
         ids, label = np.unique(membership, return_inverse=True)
         levels.append(label[node_of])

@@ -26,6 +26,8 @@ DEFAULT_MOCK_DIM = 256
 
 _GRAM_CACHE_SIZE = 1 << 16
 
+_NGRAM = 3  # HashedNgramEmbedder's gram length, in characters
+
 
 def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Return ``values`` as a unit-length float32 vector.
@@ -197,10 +199,12 @@ class _GramCodes(dict):
 class HashedNgramEmbedder(EmbedBackend):
     """Deterministic offline encoder hashing character 3-grams.
 
-    Each 3-gram of the lowercased text is hashed (blake2b, so results are
-    stable across processes) to a bucket and a sign; lexically overlapping
-    texts therefore land close in cosine while unrelated texts stay near
-    orthogonal. Byte-identical inputs produce byte-identical vectors.
+    Each 3-gram of the lowercased text (the whole text, if it is shorter) is
+    hashed (blake2b, so results are stable across processes) to a bucket and
+    a sign; lexically overlapping texts therefore land close in cosine while
+    unrelated texts stay near orthogonal. Byte-identical inputs produce
+    byte-identical vectors. Only the dimension is set per instance; the
+    gram length is fixed at three.
 
     Each instance hashes a gram once and keeps its bucket and sign in a map
     of at most 2**16 grams, emptied when full: about 10 MB at worst (grams of
@@ -210,11 +214,10 @@ class HashedNgramEmbedder(EmbedBackend):
     bits as when every gram was hashed on every call.
     """
 
-    def __init__(self, dim: int = DEFAULT_MOCK_DIM, ngram: int = 3):
+    def __init__(self, dim: int = DEFAULT_MOCK_DIM):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self._dim = dim
-        self._n = ngram
         self._codes = _GramCodes(dim)
 
     def dimension(self) -> int:
@@ -225,10 +228,10 @@ class HashedNgramEmbedder(EmbedBackend):
 
     def _encode(self, text: str) -> np.ndarray:
         lowered = text.lower()
-        if len(lowered) < self._n:
+        if len(lowered) < _NGRAM:
             grams = [lowered]
         else:
-            grams = [lowered[i : i + self._n] for i in range(len(lowered) - self._n + 1)]
+            grams = [lowered[i : i + _NGRAM] for i in range(len(lowered) - _NGRAM + 1)]
         counts = np.bincount([self._codes[gram] for gram in grams], minlength=2 * self._dim)
         return normalize((counts[: self._dim] - counts[self._dim :]).astype(np.float64))
 

@@ -58,9 +58,6 @@ class NodeId:
     def __lt__(self, other: "NodeId") -> bool:
         return (_KIND_RANK[self.kind], self.index) < (_KIND_RANK[other.kind], other.index)
 
-    def tag(self) -> str:
-        return _tag(self.kind, self.index)
-
 
 def _tag(kind: NodeKind, index: int) -> str:
     """A node as ``edges.txt`` names it: ``kind:index``."""
@@ -139,6 +136,12 @@ class HeteroGraph:
         self._prop_passage: np.ndarray | None = None
         self._twins: np.ndarray | None = None
 
+    def __setattr__(self, name: str, value) -> None:
+        # finalize sets _finalized last, so it can still rebind everything before
+        if getattr(self, "_finalized", False):
+            raise FrozenGraphError(f"graph is finalized; cannot rebind {name}")
+        super().__setattr__(name, value)
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -171,12 +174,12 @@ class HeteroGraph:
         self.passages.append(PassageRecord(text, source_doc, (a, b)))
         return passage_id(len(self.passages) - 1)
 
-    def add_entity(self, canonical_name: str, embedding: np.ndarray, aliases: tuple[str, ...] = ()) -> NodeId:
+    def add_entity(self, canonical_name: str, embedding: np.ndarray) -> NodeId:
         self._check_mutable()
         if not canonical_name:
             raise EmptyTextError("entity name must be non-empty")
         self._entity_embeddings.append(self._check_embedding(embedding))
-        self.entities.append(EntityRecord(canonical_name, tuple(aliases)))
+        self.entities.append(EntityRecord(canonical_name))
         return entity_id(len(self.entities) - 1)
 
     def add_entity_alias(self, entity: NodeId, surface: str) -> None:
@@ -436,39 +439,15 @@ def _side_blocks(walk: sp.csr_matrix, degrees: np.ndarray, props: slice) -> tupl
     return to_hubs, sp.csr_matrix((rows.data, columns, rows.indptr), shape=shape).T
 
 
-def _twin_classes(walk: sp.csr_matrix, keys: np.ndarray | None = None) -> np.ndarray:
+def _twin_classes(walk: sp.csr_matrix) -> np.ndarray:
     """Each row's twin class under :attr:`HeteroGraph.twin_classes`, from ``walk``'s pattern.
 
-    A neighbor list is hashed as the wrapping sum of one 64-bit key per
-    neighbor (``keys``, seeded random by default). Rows of equal degree
-    and hash are then compared entry by entry, and a group whose rows
-    differ is split exactly, so a collision never joins two classes.
+    Rows are grouped exactly, by the bytes of their column indices; a
+    group's first row is its class.
     """
-    n = walk.shape[0]
-    indptr, indices = walk.indptr, walk.indices
-    degrees = np.diff(indptr)
-    if keys is None:
-        keys = np.random.default_rng(0).integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
-    hashes = np.zeros(n, dtype=np.uint64)
-    filled = np.flatnonzero(degrees)
-    if filled.size:
-        hashes[filled] = np.add.reduceat(keys[indices], indptr[filled])
-    order = np.lexsort((np.arange(n), hashes, degrees))
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (degrees[order[1:]] != degrees[order[:-1]]) | (hashes[order[1:]] != hashes[order[:-1]])
-    group = np.cumsum(starts) - 1
-    classes = np.empty(n, dtype=np.int64)
-    classes[order] = order[starts][group]
-    # every row against the first row of its group, entry by entry
-    rows = np.flatnonzero(classes != np.arange(n))
-    lengths = degrees[rows]
-    step = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    differ = indices[np.repeat(indptr[rows], lengths) + step] != indices[np.repeat(indptr[classes[rows]], lengths) + step]
-    for leader in np.unique(classes[rows[np.repeat(np.arange(len(rows)), lengths)[differ]]]).tolist():
-        first: dict[tuple, int] = {}
-        for row in np.flatnonzero(classes == leader).tolist():
-            classes[row] = first.setdefault(tuple(indices[indptr[row] : indptr[row + 1]].tolist()), row)
-    return classes
+    raw, bounds = walk.indices.tobytes(), (walk.indptr * walk.indices.itemsize).tolist()
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(raw[a:b], row) for row, (a, b) in enumerate(zip(bounds, bounds[1:]))], dtype=np.int64)
 
 
 def _edge_pairs(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

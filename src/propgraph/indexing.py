@@ -115,17 +115,11 @@ def chunk(doc: CorpusDocument, policy: ChunkingPolicy = ChunkingPolicy()) -> lis
 
     chunks: list[Chunk] = []
     for gi, group in enumerate(groups):
-        if gi == 0:
-            start = 0
-        elif policy.overlap_tokens == 0:
-            start = chunks[-1].span[1]  # contiguous, covering spans
-        else:
-            start = sentences[group[0]][0]
+        start = sentences[group[0]][0] if gi else 0
         if gi + 1 == len(groups):
             end = len(doc.text)
         elif policy.overlap_tokens == 0:
-            fresh_next = [i for i in groups[gi + 1] if i not in group]
-            end = sentences[fresh_next[0]][0]
+            end = sentences[groups[gi + 1][0]][0]  # contiguous, covering spans
         else:
             end = sentences[group[-1]][1]
         chunks.append(Chunk(doc.text[start:end], (start, end)))

@@ -1,9 +1,7 @@
 """Prompt catalog: templates, rendering, and the structured-output grammar.
 
 Every template asks for line-delimited, numbered output (or a fixed marker
-line) so parsing stays robust across models. Templates are versioned; bump
-``PROMPT_VERSION`` whenever wording changes in a way that could shift
-backend behavior.
+line) so parsing stays robust across models.
 """
 
 from __future__ import annotations
@@ -11,9 +9,6 @@ from __future__ import annotations
 import enum
 import string
 from dataclasses import dataclass
-
-PROMPT_VERSION = 1
-
 
 class TemplateId(enum.Enum):
     NER = "NER"

@@ -718,18 +718,17 @@ def query_aware_transition(
     view: HeteroGraph | Subgraph,
     query_vec: np.ndarray,
     params: WalkParams,
-    structural: TransitionMatrix | None = None,
+    structural: TransitionMatrix,
 ) -> TransitionMatrix:
     """Build the blended walk operator for one query over ``view``.
 
-    ``structural`` can be passed in when several queries share one view so
-    the two-hop product and its row layout are computed only once. The
-    result is ``blend(structural, build_semantic_transition(...))``, array
-    for array, computed on the structural pattern: a masked neighbor adds
+    ``structural`` is ``build_structural_transition(view)``, which every
+    query over one view shares, so its two-hop product and row layout are
+    computed once. The result is
+    ``blend(structural, build_semantic_transition(...))``, array for array,
+    computed on the structural pattern: a masked neighbor adds
     (1 - lambda) * 0.0 to its blended entry, so it needs no removing first.
     """
-    if structural is None:
-        structural = build_structural_transition(view)
     sims = view.proposition_embeddings @ np.asarray(query_vec, dtype=np.float64)
     semantic, fallback = _semantic_weights(structural, sims, params)
     base = structural.matrix

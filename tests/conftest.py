@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from propgraph.encoding import NORM_TOL, HashedNgramEmbedder, normalize
 from propgraph.graph import HeteroGraph, NodeId, NodeKind
 from propgraph.indexing import CorpusDocument, index_corpus
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -117,6 +121,19 @@ def extraction_rules(passages: list[tuple[str, list[str], list[tuple[str, list[s
 @pytest.fixture
 def embedder() -> HashedNgramEmbedder:
     return HashedNgramEmbedder()
+
+
+@pytest.fixture(scope="session")
+def bench_graph() -> HeteroGraph:
+    """The benchmark's seed-7 graph (12,532 nodes), indexed as ``bench/run.py`` indexes it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        from corpus import generate, scripted_backend
+        from workloads import CORPUS
+
+    corpus = generate(CORPUS, 7)
+    docs = [CorpusDocument(f"doc{i}", text) for i, text in enumerate(corpus.texts())]
+    return index_corpus(docs, LLMGateway(scripted_backend(corpus.chains)), HashedNgramEmbedder(CORPUS.dim))
 
 
 # ----------------------------------------------------------------------

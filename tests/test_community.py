@@ -3,7 +3,6 @@ import random
 import tracemalloc
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Hashable
 
 import networkx as nx
@@ -18,8 +17,6 @@ from propgraph.global_mode import Community, detect_communities
 from propgraph.graph import HeteroGraph
 
 from conftest import build_random_graph, edges, leiden_on_networkx, node_at, node_order, partition, random_unit
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def two_cliques(size=20):
@@ -402,6 +399,22 @@ def test_each_step_matches_the_dict_reference_float_for_float(resolution):
             assert init == reference_init
 
 
+def test_leiden_sums_and_sorts_a_copy_of_a_non_canonical_matrix():
+    rng = np.random.default_rng(13)
+    canonical = random_symmetric(rng, 60)
+    # every row reversed and every entry split into two halves, which add up exactly
+    spans = [slice(lo, hi) for lo, hi in zip(canonical.indptr[:-1], canonical.indptr[1:])]
+    indices = np.concatenate([np.repeat(canonical.indices[span][::-1], 2) for span in spans])
+    data = np.concatenate([np.repeat(canonical.data[span][::-1] / 2, 2) for span in spans])
+    messy = sp.csr_matrix((data, indices, 2 * canonical.indptr), shape=canonical.shape)
+    assert not messy.has_canonical_format
+    before = [array.tobytes() for array in (messy.data, messy.indices, messy.indptr)]
+    for seed in (0, 5):
+        got = leiden_levels(messy, seed=seed)
+        assert [array.tobytes() for array in (messy.data, messy.indices, messy.indptr)] == before
+        assert [labels.tolist() for labels in got] == [labels.tolist() for labels in leiden_levels(canonical, seed=seed)]
+
+
 def test_levels_are_one_label_per_node_ranked_by_community():
     assert leiden_levels(sp.csr_matrix((0, 0))) == []
     zero = sp.csr_matrix((np.zeros(2), [1, 0], [0, 1, 2, 2]), shape=(3, 3))  # explicit zeros only: no edge weight
@@ -411,23 +424,6 @@ def test_levels_are_one_label_per_node_ranked_by_community():
     for labels in leiden_levels(nx.to_scipy_sparse_array(graph, nodelist=sorted(graph))):
         assert labels.shape == (graph.number_of_nodes(),)
         assert sorted(set(labels.tolist())) == list(range(int(labels.max()) + 1))
-
-
-@pytest.fixture(scope="module")
-def bench_graph():
-    """The benchmark's seed-7 graph (12,532 nodes), indexed as ``bench/run.py`` indexes it."""
-    from propgraph.encoding import HashedNgramEmbedder
-    from propgraph.indexing import CorpusDocument, index_corpus
-    from propgraph.llm import LLMGateway
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(BENCH))
-        from corpus import generate, scripted_backend
-        from workloads import CORPUS
-
-    corpus = generate(CORPUS, 7)
-    docs = [CorpusDocument(f"doc{i}", text) for i, text in enumerate(corpus.texts())]
-    return index_corpus(docs, LLMGateway(scripted_backend(corpus.chains)), HashedNgramEmbedder(CORPUS.dim))
 
 
 def test_detect_communities_matches_the_reference_on_the_bench_graph(bench_graph):

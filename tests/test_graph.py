@@ -606,6 +606,19 @@ def test_finalized_records_are_immutable(tmp_path, nile_corpus, nile_gateway, em
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes(), name
 
 
+def test_a_frozen_graph_refuses_rebinding(tmp_path, nile_corpus, nile_gateway, embedder):
+    built = index_corpus(nile_corpus, nile_gateway, embedder)
+    g.save(built, tmp_path / "before")
+    loaded = g.load(tmp_path / "before")
+    for graph in (built, loaded):
+        for name in ("passages", "propositions", "entities", "_twins"):
+            with pytest.raises(FrozenGraphError):
+                setattr(graph, name, ())
+        g.save(graph, tmp_path / "after")
+        for path in (tmp_path / "before").iterdir():
+            assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def _live_node_ids() -> int:
     gc.collect()
     return sum(type(obj) is NodeId for obj in gc.get_objects())
@@ -625,7 +638,7 @@ def test_node_id_ordering_and_tags():
     a = NodeId(NodeKind.PASSAGE, 3)
     b = NodeId(NodeKind.PROPOSITION, 0)
     assert a < b
-    assert a.tag() == "passage:3" and b.tag() == "proposition:0"
+    assert g._tag(a.kind, a.index) == "passage:3" and g._tag(b.kind, b.index) == "proposition:0"
 
 
 def loop_twin_classes(graph):
@@ -656,9 +669,13 @@ def test_twin_classes_match_neighbor_lists(tmp_path):
         want = loop_twin_classes(graph)
         assert graph.twin_classes.dtype == np.int64 and np.array_equal(graph.twin_classes, want)
         assert not graph.twin_classes.flags.writeable
-        walk = graph.uniform_transition
-        # hashes that collide for every pair of rows of one degree, or often
-        for keys in (np.zeros(walk.shape[0], np.uint64), np.arange(walk.shape[0], dtype=np.uint64) % 3):
-            assert np.array_equal(g._twin_classes(walk, keys), want)
     g.save(graphs[1], tmp_path / "g")
     assert np.array_equal(g.load(tmp_path / "g").twin_classes, graphs[1].twin_classes)
+
+
+def test_twin_classes_match_neighbor_lists_on_the_bench_graph(bench_graph):
+    # hub rows of thousands of entries, which the random graphs above never reach
+    assert np.diff(bench_graph.uniform_transition.indptr).max() > 1000
+    want = loop_twin_classes(bench_graph)
+    assert (want != np.arange(bench_graph.node_count)).any()
+    assert np.array_equal(bench_graph.twin_classes, want)

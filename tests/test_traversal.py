@@ -249,7 +249,10 @@ def test_query_aware_transition_matches_blend_reference_bitwise():
                 query = random_unit(rng, view.proposition_embeddings.shape[1])
                 sims = view.proposition_embeddings @ query.astype(np.float64)
                 want = blend(structural, build_semantic_transition(structural, sims, params), lambda_)
-                for got in (query_aware_transition(view, query, params, structural), query_aware_transition(view, query, params)):
+                for got in (
+                    query_aware_transition(view, query, params, structural),
+                    query_aware_transition(view, query, params, build_structural_transition(view)),
+                ):
                     assert_same_arrays(got.matrix, want.matrix)
                     assert got.fallback_rows == want.fallback_rows
                 n = structural.size
