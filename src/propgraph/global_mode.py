@@ -150,32 +150,43 @@ def collect_anchors(
 ) -> AnchorCollection:
     """Iterative breadth-first anchor gathering.
 
-    Seeds the pool from decomposed facet queries, then loops - refine
-    queries, partition the pool, walk each partition, select - until
-    ``min_facts`` anchors are collected, the iteration budget is spent,
-    or a round keeps nothing (an empty pool cannot seed further walks).
-    A round's partitions are fixed before it starts, so their subgraphs
-    are carved together in one block walk.
+    Seeds the pool from decomposed facet queries. The distinct facets are
+    embedded in one call, then searched and selected once each, in order of
+    first appearance. A repeated facet (decomposition pads a short list
+    with the question) reuses its first seeding, yet still logs its own
+    ``seed`` event and adds its own round to the refinement records, so the
+    refined queries are those of seeding every facet.
+
+    Then it loops - refine queries, partition the pool, walk each
+    partition, select - until ``min_facts`` anchors are collected, the
+    iteration budget is spent, or a round keeps nothing (an empty pool
+    cannot seed further walks). A round's partitions are fixed before it
+    starts, so their subgraphs are carved together in one block walk.
     """
     trace = trace if trace is not None else Trace()
     suggest_cfg = cfg.suggest_config()
     subqueries = gateway.decompose(q_start, cfg.breadth_m)
     trace.log("decompose", questions=subqueries)
 
+    distinct = list(dict.fromkeys(subqueries))
+    seeds: dict[str, tuple[list[int], WalkRecord]] = {}
+    for question, vec in zip(distinct, embedder.embed(distinct)):
+        q_vec = np.asarray(vec, dtype=np.float64)
+        suggested = suggest_naive(q_vec, graph, suggest_cfg)
+        kept = select(question, suggested, graph, gateway)
+        kept_set = set(kept)
+        seeds[question] = suggested, WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
+
     s_pool = PropositionPool()
     s_glb = PropositionPool()
     records: dict[int, list[WalkRecord]] = {}
     for q_index, question in enumerate(subqueries):
-        q_vec = np.asarray(embedder.embed_one(question), dtype=np.float64)
-        suggested = suggest_naive(q_vec, graph, suggest_cfg)
-        kept = select(question, suggested, graph, gateway)
-        kept_set = set(kept)
-        rec = WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
-        for prop in kept:
+        suggested, rec = seeds[question]
+        for prop in rec.kept:
             s_pool.add(prop)
             s_glb.add(prop)
             records.setdefault(prop, []).append(rec)
-        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=kept)
+        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=rec.kept)
 
     iteration = 0
     while len(s_glb) < cfg.min_facts and iteration < cfg.max_iter and len(s_pool) > 0:

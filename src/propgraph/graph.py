@@ -142,6 +142,11 @@ class HeteroGraph:
             raise FrozenGraphError(f"graph is finalized; cannot rebind {name}")
         super().__setattr__(name, value)
 
+    def __delattr__(self, name: str) -> None:
+        if getattr(self, "_finalized", False):
+            raise FrozenGraphError(f"graph is finalized; cannot delete {name}")
+        super().__delattr__(name)
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

@@ -89,8 +89,8 @@ def answer_local(
             break
         judged_this_iter: set[int] = set(s_pool_new.ids())
         carved = carve_local(graph, s_pool, suggest_cfg)
-        for q_index, question in enumerate(questions):
-            suggested = suggest_local(embedder.embed_one(question), graph, s_pool, suggest_cfg, carved)
+        for q_index, (question, q_vec) in enumerate(zip(questions, embedder.embed(questions))):
+            suggested = suggest_local(q_vec, graph, s_pool, suggest_cfg, carved)
             candidates = [c for c in suggested if c not in judged_this_iter]
             judged_this_iter.update(candidates)
             kept = select(question, candidates, graph, gateway) if candidates else []

@@ -37,8 +37,12 @@ def embedder8():
     return HashedNgramEmbedder(dim=8)
 
 
-def keep_all_rule():
+def keep_all_rule(asked=None):
+    """A Select rule keeping every candidate; appends each prompt's question to ``asked``."""
+
     def respond(prompt):
+        if asked is not None:
+            asked.append(prompt.slots["question"])
         count = len(prompt.slots["candidates"].splitlines())
         return "KEEP: " + ", ".join(str(i + 1) for i in range(count))
 
@@ -196,6 +200,53 @@ def test_collect_anchors_excludes_already_collected(embedder8):
             if before.get("iteration", 0) < event["iteration"]:
                 prior |= set(before["kept"])
         assert not kept & prior
+
+
+class CountingEmbedder(HashedNgramEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim=dim)
+        self.batches = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return super().embed(texts)
+
+
+def seeding_gateway(decomposition, asked):
+    graph, _ = collection_fixture()
+    rules = [MockRule(template="Decompose", response=decomposition), keep_all_rule(asked)]
+    return graph, LLMGateway(MockChatBackend(rules))
+
+
+def test_a_padded_decomposition_selects_each_distinct_facet_once(embedder8):
+    asked = []
+    graph, gateway = seeding_gateway("1. facet zero", asked)
+    trace = Trace()
+    result = collect_anchors("broad question", graph, gateway, embedder8, small_cfg(min_facts=1), trace)
+    assert result.iterations == 0  # every Select was a seeding one
+    assert asked == ["facet zero", "broad question"]
+    seeds = trace.of_kind("seed")
+    assert [e["query"] for e in seeds] == ["facet zero"] + ["broad question"] * 3
+    assert [e["query_index"] for e in seeds] == [0, 1, 2, 3]
+    for repeat in seeds[2:]:
+        assert {**repeat, "query_index": 1} == seeds[1]
+
+
+def test_a_garbled_decomposition_sends_one_seeding_select(embedder8):
+    asked = []
+    graph, gateway = seeding_gateway("no list here", asked)
+    trace = Trace()
+    result = collect_anchors("broad question", graph, gateway, embedder8, small_cfg(min_facts=1), trace)
+    assert result.iterations == 0
+    assert asked == ["broad question"]
+    assert [e["query"] for e in trace.of_kind("seed")] == ["broad question"] * 4
+
+
+def test_the_facets_are_embedded_in_one_call():
+    graph, gateway = collection_fixture()
+    embedder = CountingEmbedder(dim=8)
+    collect_anchors("broad question", graph, gateway, embedder, small_cfg(min_facts=1))
+    assert embedder.batches == [["facet zero", "facet one", "facet two", "facet three"]]
 
 
 # ----------------------------------------------------------------------

@@ -614,6 +614,8 @@ def test_a_frozen_graph_refuses_rebinding(tmp_path, nile_corpus, nile_gateway, e
         for name in ("passages", "propositions", "entities", "_twins"):
             with pytest.raises(FrozenGraphError):
                 setattr(graph, name, ())
+            with pytest.raises(FrozenGraphError):
+                delattr(graph, name)
         g.save(graph, tmp_path / "after")
         for path in (tmp_path / "before").iterdir():
             assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes(), path.name
