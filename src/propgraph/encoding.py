@@ -61,6 +61,33 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
+class GrowingRows:
+    """Vectors written row by row into one matrix that grows in place.
+
+    Rows below ``count`` are written and the rest of ``matrix`` is spare
+    capacity: 64 rows at first, then half again the rows written each time
+    it fills. ``matrix`` grows and is trimmed with ``ndarray.resize``, which
+    reallocates its buffer rather than copying it into a new array, so
+    nothing may hold a view of it across an append or a trim: numpy refuses
+    to resize an array that is referenced.
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self.count = len(matrix)
+
+    def append(self, row: np.ndarray) -> None:
+        if self.count == len(self.matrix):
+            self.matrix.resize((max(64, self.count + self.count // 2), len(row)))
+        self.matrix[self.count] = row
+        self.count += 1
+
+    def trim(self, width: int) -> None:
+        """Drop the spare capacity; ``width`` sets the columns of a matrix no row was appended to."""
+        if self.matrix.shape != (self.count, width):
+            self.matrix.resize((self.count, width))
+
+
 def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Exact top-k rows of ``candidates`` by cosine against ``query``.
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .encoding import NORM_TOL, is_normalized
+from .encoding import NORM_TOL, GrowingRows, is_normalized
 from .errors import (
     CorruptFileError,
     DimensionMismatchError,
@@ -76,14 +76,14 @@ def entity_id(index: int) -> NodeId:
     return NodeId(NodeKind.ENTITY, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PassageRecord:
     text: str
     source_doc: str
     char_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropositionRecord:
     """A proposition's text and edges: the indices of its passage and of its entities."""
 
@@ -92,7 +92,7 @@ class PropositionRecord:
     entity_refs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     """An entity's names."""
 
@@ -114,11 +114,12 @@ class HeteroGraph:
 
     A record's index is its position in the sequence of its kind: a list
     while the graph is mutable, then a tuple. Records are frozen and carry
-    no vectors. The graph holds one vector store per embedded kind, row i
-    for the record with index i: a list while the graph is mutable, then
-    one read-only float32 matrix, the vectors as the embedder gave them and
-    as the files hold them. A computation that needs float64 converts the
-    rows it reads.
+    no vectors. The graph holds one float32 vector store per embedded kind,
+    row i for the record with index i: a matrix that grows in place while
+    the graph is mutable (:class:`~propgraph.encoding.GrowingRows`), then
+    that matrix trimmed to its rows and read-only, the vectors as the
+    embedder gave them and as the files hold them. A computation that needs
+    float64 converts the rows it reads.
     """
 
     def __init__(self) -> None:
@@ -127,8 +128,8 @@ class HeteroGraph:
         self.entities: list[EntityRecord] | tuple[EntityRecord, ...] = []
         self._finalized = False
         self._embedding_dim: int | None = None
-        self._prop_embeddings: list[np.ndarray] | np.ndarray = []
-        self._entity_embeddings: list[np.ndarray] | np.ndarray = []
+        self._prop_embeddings: GrowingRows | np.ndarray = GrowingRows(np.empty((0, 0), dtype=np.float32))
+        self._entity_embeddings: GrowingRows | np.ndarray = GrowingRows(np.empty((0, 0), dtype=np.float32))
         # caches built at finalize
         self._uniform_csr: sp.csr_matrix | None = None
         self._sides: tuple[sp.csr_matrix, sp.csc_matrix] | None = None
@@ -269,7 +270,7 @@ class HeteroGraph:
             return self
         incidence = _incidence(self)
         self._check_structure(incidence)
-        # the build-time lists, or the matrices load read, become one matrix each
+        # the stores built here, or the matrices load read, become their trimmed matrices
         self._prop_embeddings, self._entity_embeddings = self._vector_matrices()
         incidence = self._remove_orphan_entities(incidence)
         self.passages, self.propositions, self.entities = map(tuple, (self.passages, self.propositions, self.entities))
@@ -310,25 +311,22 @@ class HeteroGraph:
             raise ValueError(f"{proposition_id(int(pairs[dup[0]] // width))} has duplicate entity refs")
 
     def _vector_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two vector stores as float32 matrices; raises unless each row is a unit vector."""
-        matrices = []
-        for kind, vectors in (
-            (NodeKind.PROPOSITION, self._prop_embeddings),
-            (NodeKind.ENTITY, self._entity_embeddings),
-        ):
+        """The two vector stores' matrices, trimmed in place; raises unless each row is a unit vector."""
+        stores = self._prop_embeddings, self._entity_embeddings
+        for kind, store in zip((NodeKind.PROPOSITION, NodeKind.ENTITY), stores):
             count = len(self._records(kind))
-            if len(vectors) != count:
-                raise ValueError(f"{len(vectors)} {kind.value} embeddings for {count} records")
-            matrix = np.asarray(vectors, dtype=np.float32).reshape(count, self.embedding_dim)
+            if store.count != count:
+                raise ValueError(f"{store.count} {kind.value} embeddings for {count} records")
+            store.trim(self.embedding_dim)
+            # no name holds the matrix, so a traceback of this frame does not stop a later resize
             for start in range(0, count, _NORM_CHUNK):
-                rows = matrix[start : start + _NORM_CHUNK].astype(np.float64)
+                rows = store.matrix[start : start + _NORM_CHUNK].astype(np.float64)
                 # one dot product per row, as is_normalized takes a vector's norm; a NaN norm is bad too
                 norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
                 bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
                 if bad.size:
                     raise NotNormalizedError(f"{NodeId(kind, start + int(bad[0]))} embedding is not unit length")
-            matrices.append(matrix)
-        return matrices[0], matrices[1]
+        return stores[0].matrix, stores[1].matrix
 
     def _build_caches(self, incidence: tuple) -> None:
         walk = _uniform_walk(self, incidence)
@@ -471,7 +469,7 @@ def _write_embeddings(path: Path, matrix: np.ndarray) -> None:
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(_EMBEDDING_HEADER.pack(*matrix.shape))
-        fh.write(matrix.tobytes())
+        fh.write(matrix)  # the array's own buffer, not a bytes copy of it
 
 
 def _read_embeddings(path: Path) -> np.ndarray:
@@ -644,8 +642,9 @@ def load(path: str | Path) -> HeteroGraph:
 
     graph = HeteroGraph()
     try:
-        graph._prop_embeddings = props = _read_embeddings(root / "proposition_embeddings.bin")
-        graph._entity_embeddings = ents = _read_embeddings(root / "entity_embeddings.bin")
+        props = _read_embeddings(root / "proposition_embeddings.bin")
+        ents = _read_embeddings(root / "entity_embeddings.bin")
+        graph._prop_embeddings, graph._entity_embeddings = GrowingRows(props), GrowingRows(ents)
         dims = [props.shape[1], ents.shape[1], manifest.get("embedding_dim", props.shape[1])]
         if dims.count(dims[0]) != 3:
             raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .encoding import EmbedBackend, cosine
+from .encoding import EmbedBackend, GrowingRows, cosine
 from .errors import BackendUnavailable, DimensionMismatchError, EmptyTextError, ExtractionFailed, InputFileError
 # GraphStats and graph_stats are re-exported: the counts of an indexed graph
 from .graph import GraphStats, HeteroGraph, NodeId, entity_id, graph_stats
@@ -134,20 +134,20 @@ class EntityRegistry:
     whose founder embedding clears the synonym threshold by ``cosine``;
     otherwise it founds a new canonical entity.
 
-    The founders' vectors are the rows of one float64 matrix, so a new
-    surface is scored against all of them with one mat-vec. That score only
-    rules founders out: a founder is skipped when its score is below the
-    threshold by more than the rounding gap between the mat-vec and
-    ``cosine``, and every other founder is decided by ``cosine`` itself, in
-    ascending id order. So each decision is the one a loop of ``cosine``
-    over all founders would make, with the founders' vectors held as
-    contiguous float64 arrays (the embedders return contiguous vectors).
+    The founders' vectors are the rows of one float64 matrix that grows in
+    place (:class:`~propgraph.encoding.GrowingRows`), so a new surface is
+    scored against all of them with one mat-vec. That score only rules
+    founders out: a founder is skipped when its score is below the threshold
+    by more than the rounding gap between the mat-vec and ``cosine``, and
+    every other founder is decided by ``cosine`` itself, in ascending id
+    order. So each decision is the one a loop of ``cosine`` over all
+    founders would make, with the founders' vectors held as contiguous
+    float64 arrays (the embedders return contiguous vectors).
     """
 
     def __init__(self, policy: ReconciliationPolicy = ReconciliationPolicy()):
         self.policy = policy
-        self._count = 0
-        self._founders = np.empty((0, 0))  # rows past self._count are unused capacity
+        self._founders = GrowingRows(np.empty((0, 0)))
         self._founder_max_abs = 0.0  # max |entry| of the founders without a NaN (those score NaN)
         # Reused by every resolve: a fresh mask of a new length per call
         # fragments the heap, which showed as +1.3 MB peak RSS on the bench.
@@ -155,7 +155,7 @@ class EntityRegistry:
         self._surface_to_id: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return self._founders.count
 
     def resolve(self, surface: str, embedding: np.ndarray) -> tuple[int, bool]:
         """Return (canonical id, founded) for a surface form.
@@ -169,7 +169,7 @@ class EntityRegistry:
         vec = np.asarray(embedding, dtype=np.float64)
         if vec.ndim != 1:
             raise DimensionMismatchError(f"expected a 1-d embedding, got shape {vec.shape}")
-        n = self._count
+        n = self._founders.count
         idx = self._first_synonym(vec, n) if n else None
         founded = idx is None
         if founded:
@@ -179,9 +179,10 @@ class EntityRegistry:
         return idx, founded
 
     def _first_synonym(self, vec: np.ndarray, n: int) -> int | None:
-        founders = self._founders[:n]
-        if vec.shape[0] != founders.shape[1]:
-            raise DimensionMismatchError(f"dimension mismatch: {vec.shape} vs {founders.shape[1:]}")
+        # checked before any view of the founders exists, so the error's traceback holds none
+        if vec.shape[0] != self._founders.matrix.shape[1]:
+            raise DimensionMismatchError(f"dimension mismatch: {vec.shape} vs {self._founders.matrix.shape[1:]}")
+        founders = self._founders.matrix[:n]
         threshold = self.policy.synonym_threshold
         # The mat-vec and np.dot sum the same products in different orders,
         # so they differ by at most 2*dim*u*sum|a_j*b_j| (u = 2**-53), and
@@ -198,18 +199,12 @@ class EntityRegistry:
         return None
 
     def _found(self, vec: np.ndarray) -> None:
-        n = self._count
-        if n == len(self._founders):
-            grown = np.empty((max(2 * n, 64), vec.shape[0]))
-            if n:
-                grown[:n] = self._founders
-            self._founders = grown
-            self._candidate = np.empty(len(grown), dtype=bool)
-        self._founders[n] = vec
+        self._founders.append(vec)
+        if len(self._candidate) != len(self._founders.matrix):
+            self._candidate = np.empty(len(self._founders.matrix), dtype=bool)
         largest = float(np.abs(vec).max(initial=0.0))
         if largest > self._founder_max_abs:
             self._founder_max_abs = largest
-        self._count += 1
 
 
 def index_corpus(

@@ -159,27 +159,40 @@ def test_finalize_and_load_derive_the_incidence_once(tmp_path, monkeypatch):
 def test_finalize_rejects_a_bad_vector_store_and_stays_mutable():
     # add_* checks each vector, so the stores are edited behind the API
     graph = _three_facts()
-    graph._prop_embeddings[1] = graph._prop_embeddings[1] * 2
+    props, ents = graph._prop_embeddings, graph._entity_embeddings
+    props.matrix[1] = props.matrix[1] * 2
     with pytest.raises(NotNormalizedError, match=r"PROPOSITION.*index=1\) embedding is not unit length"):
         graph.finalize()
     graph.add_passage("still mutable", "d", (0, 13))
-    graph._entity_embeddings.pop()
+    ents.count -= 1  # as if the last entity vector had never been added
     with pytest.raises(NotNormalizedError):  # propositions are checked before entities
         graph.finalize()
-    graph._prop_embeddings[1] = unit(8, 1)
-    graph._prop_embeddings.pop()
-    # the count check comes before the reshape, which would raise its own ValueError
+    props.matrix[1] = unit(8, 1)
+    props.count -= 1
+    # the count check comes before the trim, which would drop the third row
     with pytest.raises(ValueError, match="^2 proposition embeddings for 3 records$"):
         graph.finalize()
-    graph._prop_embeddings.append(unit(8, 7))
+    props.append(unit(8, 7))
     with pytest.raises(ValueError, match="^5 entity embeddings for 6 records$"):
         graph.finalize()
-    graph._entity_embeddings.append(unit(8, 7))
-    graph._entity_embeddings[0] = graph._entity_embeddings[0] * 0.5
+    ents.append(unit(8, 7))
+    ents.matrix[0] = ents.matrix[0] * 0.5
     with pytest.raises(NotNormalizedError, match=r"ENTITY.*index=0\) embedding"):
         graph.finalize()
-    graph._entity_embeddings[0] = unit(8, 0)
+    ents.matrix[0] = unit(8, 0)
     assert len(graph.finalize().entities) == 3
+
+
+def test_a_held_finalize_error_does_not_stop_the_stores_growing():
+    # a store grows in place, which numpy refuses while anything else holds its matrix
+    graph = _three_facts()
+    graph._prop_embeddings.matrix[1] *= 2
+    with pytest.raises(NotNormalizedError) as held:
+        graph.finalize()  # trims the proposition store to its three rows
+    graph._prop_embeddings.matrix[1] = unit(8, 1)
+    graph.add_proposition("fact 3", g.passage_id(0), [], unit(8, 3))
+    assert len(graph.finalize().propositions) == 4
+    assert held.traceback  # the error and its frames lived through the growth
 
 
 def test_finalize_accepts_exactly_the_vectors_is_normalized_accepts():
@@ -192,7 +205,7 @@ def test_finalize_accepts_exactly_the_vectors_is_normalized_accepts():
         graph.add_proposition("fact", passage, [graph.add_entity("E", unit(8))], unit(8))
         direction = rng.normal(size=8)
         row = (direction / np.linalg.norm(direction) * scale).astype(np.float32)
-        graph._prop_embeddings[0] = row
+        graph._prop_embeddings.matrix[0] = row
         try:
             graph.finalize()
             accepted = True
@@ -540,6 +553,45 @@ def test_frozen_graph_retains_one_copy_of_the_vectors(tmp_path):
     for make in (_graph_of_dim, lambda dim: g.load(tmp_path / str(dim))):
         grown = _retained_bytes(lambda: make(large)) - _retained_bytes(lambda: make(small))
         assert abs(grown - one_copy) < float32_props / 2, (grown, one_copy)
+
+
+@pytest.mark.parametrize("count", [1, 64, 65, 1000])
+def test_a_frozen_store_is_the_vectors_added_and_nothing_more(count):
+    # the stores start at 64 rows and grow by half: 1 fits, 64 fills, 65 grows once, 1,000 seven times
+    rng = np.random.default_rng(count)
+    dim = 16
+    vectors = [random_unit(rng, dim) for _ in range(count)]
+    graph = HeteroGraph()
+    passage = graph.add_passage("text", "d", (0, 4))
+    for i, vector in enumerate(vectors):
+        graph.add_proposition(f"fact {i}", passage, [graph.add_entity(f"e{i}", vector[::-1])], vector)
+    graph.finalize()
+    for store, rows in ((graph.proposition_embeddings, vectors), (graph.entity_embeddings, [v[::-1] for v in vectors])):
+        expected = np.stack(rows)
+        assert store.dtype == expected.dtype == np.float32
+        assert store.shape == expected.shape and store.tobytes() == expected.tobytes()
+        assert store.nbytes == count * dim * 4
+        assert not store.flags.writeable
+
+
+def test_build_peak_is_what_the_graph_keeps_plus_a_slack():
+    # At 64 dimensions the 2,200 vectors take 0.56 MB. A second copy of them
+    # (a list of one array per vector beside the matrix finalize would stack
+    # from it, 0.8 MB with the arrays' headers) exceeds the slack; the spare
+    # rows of a store that grows by half (117 KB here) do not.
+    dim = 64
+    _graph_of_dim(dim)  # first-call caches are not the build's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = _graph_of_dim(dim)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()  # retained: records, vector stores, frozen caches
+    finally:
+        tracemalloc.stop()
+    assert graph.proposition_embeddings.nbytes + graph.entity_embeddings.nbytes == (2000 + 200) * dim * 4
+    slack = 2**19 + g._NORM_CHUNK * dim * 8  # 512 KB and the float64 rows of one norm-check chunk
+    assert peak - retained < slack, (peak, retained)
 
 
 def test_load_peak_is_what_the_graph_keeps_plus_a_slack(tmp_path):

@@ -232,6 +232,17 @@ def test_registry_dimension_mismatch_raises_like_the_loop():
         assert registry.resolve("PARIS", basis(0, dim=4)) == (0, False)  # the name match never compares
 
 
+def test_a_held_dimension_mismatch_does_not_stop_the_founders_growing():
+    # the founder matrix grows in place, which numpy refuses while a view of it lives
+    registry = EntityRegistry()
+    registry.resolve("first", basis(0, dim=128))
+    with pytest.raises(DimensionMismatchError) as held:
+        registry.resolve("short", basis(0, dim=4))
+    for i in range(1, 128):  # past two growths of the founder matrix
+        assert registry.resolve(f"e{i}", basis(i, dim=128)) == (i, True)
+    assert held.traceback  # the error and its frames lived through every growth
+
+
 def test_registry_rejects_embeddings_that_are_not_vectors():
     with pytest.raises(DimensionMismatchError):
         EntityRegistry().resolve("Paris", np.ones((2, 4)))
