@@ -67,9 +67,17 @@ class GrowingRows:
     Rows below ``count`` are written and the rest of ``matrix`` is spare
     capacity: 64 rows at first, then half again the rows written each time
     it fills. ``matrix`` grows and is trimmed with ``ndarray.resize``, which
-    reallocates its buffer rather than copying it into a new array, so
-    nothing may hold a view of it across an append or a trim: numpy refuses
-    to resize an array that is referenced.
+    reallocates its buffer rather than copying it into a new array.
+
+    The resize skips numpy's reference check (``refcheck=False``). That
+    check counts references to the array, and a profile or trace hook
+    (cProfile, coverage, a debugger) holds one more while a method of the
+    array runs, so under a hook it refuses every resize. What the check
+    guards against is a view of ``matrix`` alive at an append or a trim,
+    which would go on reading the freed buffer. None can be: a graph gives
+    out its vector stores only once it is frozen and they no longer grow,
+    and the entity registry makes its views of the founders only within
+    one ``resolve``, after the one check that raises.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -78,14 +86,14 @@ class GrowingRows:
 
     def append(self, row: np.ndarray) -> None:
         if self.count == len(self.matrix):
-            self.matrix.resize((max(64, self.count + self.count // 2), len(row)))
+            self.matrix.resize((max(64, self.count + self.count // 2), len(row)), refcheck=False)
         self.matrix[self.count] = row
         self.count += 1
 
     def trim(self, width: int) -> None:
         """Drop the spare capacity; ``width`` sets the columns of a matrix no row was appended to."""
         if self.matrix.shape != (self.count, width):
-            self.matrix.resize((self.count, width))
+            self.matrix.resize((self.count, width), refcheck=False)
 
 
 def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tuple[int, float]]:

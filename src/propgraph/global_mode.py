@@ -161,19 +161,31 @@ def collect_anchors(
     partition, select - until ``min_facts`` anchors are collected, the
     iteration budget is spent, or a round keeps nothing (an empty pool
     cannot seed further walks). A round's partitions are fixed before it
-    starts, so their subgraphs are carved together in one block walk.
+    starts, so their subgraphs are carved together in one block walk. A
+    round then works in two phases: every partition suggests, against the
+    anchors collected before the round, and then every partition selects.
+
+    Each proposition is judged once per question text: one verdict map,
+    keyed by (question, proposition) and kept for this call only, holds
+    what each ``Select`` kept or pruned, a degraded keep-all included. A
+    partition's ``Select`` carries only the suggestions that have no
+    verdict yet and that no earlier partition of its round carries, and a
+    partition with none sends no ``Select``. Its kept list is its own
+    suggestions, in order, whose verdict is keep. The seeding ``Select`` of
+    a facet equal to the question shares the rounds' verdicts.
     """
     trace = trace if trace is not None else Trace()
     suggest_cfg = cfg.suggest_config()
     subqueries = gateway.decompose(q_start, cfg.breadth_m)
     trace.log("decompose", questions=subqueries)
 
+    verdicts: dict[tuple[str, int], bool] = {}
     distinct = list(dict.fromkeys(subqueries))
     seeds: dict[str, tuple[list[int], WalkRecord]] = {}
     for question, vec in zip(distinct, embedder.embed(distinct)):
         q_vec = np.asarray(vec, dtype=np.float64)
         suggested = suggest_naive(q_vec, graph, suggest_cfg)
-        kept = select(question, suggested, graph, gateway)
+        [kept] = _select_once(question, [suggested], verdicts, graph, gateway)
         kept_set = set(kept)
         seeds[question] = suggested, WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
 
@@ -197,10 +209,13 @@ def collect_anchors(
         # a round-robin split leaves any empty parts at the end
         parts = [part for part in partition_pool(s_pool, cfg.breadth_m) if part]
         carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, suggest_cfg.walk)
-        for part_index, (part, sub) in enumerate(zip(parts, carved)):
-            walk_queries = [(prop, states[prop].q) for prop in part]
-            suggested, walker_pis = suggest_global(walk_queries, sub, suggest_cfg, exclude=s_glb.ids())
-            kept = select(q_start, suggested, graph, gateway) if suggested else []
+        collected = s_glb.ids()  # no suggestion of the round depends on a Select of it
+        walks = [
+            suggest_global([(prop, states[prop].q) for prop in part], sub, suggest_cfg, exclude=collected)
+            for part, sub in zip(parts, carved)
+        ]
+        kept_lists = _select_once(q_start, [suggested for suggested, _ in walks], verdicts, graph, gateway)
+        for part_index, (part, (suggested, walker_pis), kept) in enumerate(zip(parts, walks, kept_lists)):
             kept_set = set(kept)
             rec = WalkRecord(
                 [states[prop].q for prop in part],
@@ -225,6 +240,32 @@ def collect_anchors(
         records = new_records
         trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
     return AnchorCollection(s_glb, iteration)
+
+
+def _select_once(
+    question: str,
+    lists: Sequence[Sequence[int]],
+    verdicts: dict[tuple[str, int], bool],
+    graph: HeteroGraph,
+    gateway: LLMGateway,
+) -> list[list[int]]:
+    """Each list's candidates, in order, that ``question`` keeps; each judged once.
+
+    A candidate with no verdict on ``question`` in ``verdicts`` is sent to
+    ``Select`` with the first of ``lists`` that holds it, and its verdict is
+    recorded; a list with no such candidate sends no ``Select``. Which
+    candidates each ``Select`` carries is fixed before the first is sent.
+    """
+    asks: list[list[int]] = []
+    planned: set[int] = set()
+    for candidates in lists:
+        fresh = [c for c in candidates if (question, c) not in verdicts and c not in planned]
+        planned.update(fresh)
+        asks.append(fresh)
+    for fresh in asks:
+        kept = set(select(question, fresh, graph, gateway))
+        verdicts.update(((question, c), c in kept) for c in fresh)
+    return [[c for c in candidates if verdicts[question, c]] for candidates in lists]
 
 
 def detect_communities(

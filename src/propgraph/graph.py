@@ -318,7 +318,7 @@ class HeteroGraph:
             if store.count != count:
                 raise ValueError(f"{store.count} {kind.value} embeddings for {count} records")
             store.trim(self.embedding_dim)
-            # no name holds the matrix, so a traceback of this frame does not stop a later resize
+            # no name holds a view of the matrix, so a traceback of this frame holds none at a later resize
             for start in range(0, count, _NORM_CHUNK):
                 rows = store.matrix[start : start + _NORM_CHUNK].astype(np.float64)
                 # one dot product per row, as is_normalized takes a vector's norm; a NaN norm is bad too

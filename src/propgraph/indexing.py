@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -157,9 +157,23 @@ class EntityRegistry:
     def __len__(self) -> int:
         return self._founders.count
 
-    def resolve(self, surface: str, embedding: np.ndarray) -> tuple[int, bool]:
+    def new_surfaces(self, surfaces: Iterable[str]) -> list[str]:
+        """The surfaces whose embeddings :meth:`resolve` would read, in order.
+
+        These are the first surface of each lower-cased key that no
+        ``resolve`` has met yet; any other surface resolves by its name.
+        """
+        new: dict[str, str] = {}
+        for surface in surfaces:
+            key = surface.lower()
+            if key not in self._surface_to_id:
+                new.setdefault(key, surface)
+        return list(new.values())
+
+    def resolve(self, surface: str, embedding: np.ndarray | None) -> tuple[int, bool]:
         """Return (canonical id, founded) for a surface form.
 
+        ``embedding`` is read only for a surface of :meth:`new_surfaces`.
         Raises ``DimensionMismatchError`` for an embedding that is not 1-d,
         or, once an entity exists, not of the founders' dimension.
         """
@@ -216,11 +230,12 @@ def index_corpus(
 ) -> HeteroGraph:
     """Build and finalize a graph from a corpus.
 
-    Per chunk: extract entities, extract propositions, embed both, merge
-    entities into the global registry, then wire nodes and edges. A chunk
-    whose extraction fails twice is kept as a bare passage and skipped. A
-    backend that is unavailable fails the whole index at once, with a
-    ``BackendUnavailable`` naming the document and the chunk's span.
+    Per chunk: extract entities and propositions, embed the propositions
+    and the entity surfaces new to the global registry, merge the entities
+    into the registry, then wire nodes and edges. A chunk whose extraction
+    fails twice is kept as a bare passage and skipped. A backend that is
+    unavailable fails the whole index at once, with a ``BackendUnavailable``
+    naming the document and the chunk's span.
     """
     graph = HeteroGraph()
     registry = EntityRegistry(reconciliation)
@@ -230,7 +245,8 @@ def index_corpus(
             try:
                 surfaces = gateway.extract_entities(piece.text)
                 extracted = gateway.extract_propositions(piece.text, surfaces)
-                surface_vecs = embedder.embed(surfaces) if surfaces else []
+                new = registry.new_surfaces(surfaces)
+                new_vecs = dict(zip(new, embedder.embed(new))) if new else {}
                 texts = [text for text, _ in extracted]
                 text_vecs = embedder.embed(texts) if texts else []
             except ExtractionFailed as err:
@@ -239,10 +255,10 @@ def index_corpus(
             except BackendUnavailable as err:
                 raise BackendUnavailable(f"while indexing {doc.doc_id} {piece.span}: {err}") from err
             surface_ids: dict[str, NodeId] = {}
-            for surface, emb in zip(surfaces, surface_vecs):
-                idx, founded = registry.resolve(surface, emb)
+            for surface in surfaces:
+                idx, founded = registry.resolve(surface, new_vecs.get(surface))
                 if founded:
-                    graph.add_entity(surface, emb)
+                    graph.add_entity(surface, new_vecs[surface])
                 else:
                     graph.add_entity_alias(entity_id(idx), surface)
                 surface_ids[surface] = entity_id(idx)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -247,6 +248,107 @@ def test_the_facets_are_embedded_in_one_call():
     embedder = CountingEmbedder(dim=8)
     collect_anchors("broad question", graph, gateway, embedder, small_cfg(min_facts=1))
     assert embedder.batches == [["facet zero", "facet one", "facet two", "facet three"]]
+
+
+FOUR_FACETS = "1. facet zero\n2. facet one\n3. facet two\n4. facet three"
+
+
+def keeps(prop):
+    """The verdict of :func:`recording_select_rule` on a proposition of ``collection_fixture``."""
+    return prop % 3 != 0
+
+
+def recording_select_rule(prompts, garble=()):
+    """A Select rule keeping the propositions that ``keeps``; appends (question, ids) per prompt to ``prompts``.
+
+    The prompts whose positions in ``prompts`` are in ``garble`` get an unparseable completion.
+    """
+
+    def respond(prompt):
+        ids = [int(line.rsplit(" ", 1)[1]) for line in prompt.slots["candidates"].splitlines()]  # "1. prop 18"
+        prompts.append((prompt.slots["question"], ids))
+        if len(prompts) - 1 in garble:
+            return "no verdict here"
+        return "KEEP: " + (", ".join(str(i + 1) for i, prop in enumerate(ids) if keeps(prop)) or "none")
+
+    return MockRule(template="Select", respond=respond)
+
+
+def recorded_collection(garble=()):
+    """The trace of collecting anchors for "broad question", and the ids each Select for it carried."""
+    graph, _ = collection_fixture()
+    prompts = []
+    gateway = LLMGateway(
+        MockChatBackend([MockRule(template="Decompose", response=FOUR_FACETS), recording_select_rule(prompts, garble)])
+    )
+    trace = Trace()
+    collect_anchors("broad question", graph, gateway, HashedNgramEmbedder(dim=8), small_cfg(min_facts=39, max_iter=6), trace)
+    return trace, [ids for question, ids in prompts if question == "broad question"]
+
+
+def test_a_suggestion_shared_by_partitions_of_a_round_is_selected_once():
+    trace, sent = recorded_collection()
+    shared = set()
+    for iteration in {e["iteration"] for e in trace.of_kind("explore")}:
+        events = [e for e in trace.of_kind("explore") if e["iteration"] == iteration]
+        for prop, count in Counter(p for e in events for p in e["suggested"]).items():
+            if count > 1:
+                shared.add(prop)
+                assert sum(prop in ids for ids in sent) == 1
+                assert all((prop in e["kept"]) == keeps(prop) for e in events if prop in e["suggested"])
+    assert {keeps(prop) for prop in shared} == {True, False}  # both verdicts are shared
+
+
+def test_a_suggestion_pruned_in_one_round_is_not_sent_again():
+    trace, sent = recorded_collection()
+    explores = trace.of_kind("explore")
+    pruned = {p for e in explores if e["iteration"] == 1 for p in e["suggested"] if p not in e["kept"]}
+    again = pruned & {p for e in explores if e["iteration"] == 2 for p in e["suggested"]}
+    assert again
+    for prop in again:
+        assert sum(prop in ids for ids in sent) == 1
+        assert all(prop not in e["kept"] for e in explores)
+
+
+def test_a_partition_whose_suggestions_all_have_verdicts_sends_no_select():
+    trace, sent = recorded_collection()
+    explores = trace.of_kind("explore")
+    judged = set()
+    fresh_lists = []
+    for event in explores:
+        fresh = [p for p in event["suggested"] if p not in judged]
+        judged.update(fresh)
+        if fresh:
+            fresh_lists.append(fresh)
+    assert sent == fresh_lists  # each Select carries its partition's unjudged suggestions, in order
+    assert len(sent) < sum(1 for e in explores if e["suggested"])
+
+
+def test_no_verdict_outlives_its_question():
+    graph, _ = collection_fixture()
+    prompts = []
+    gateway = LLMGateway(
+        MockChatBackend([MockRule(template="Decompose", response=FOUR_FACETS), recording_select_rule(prompts)])
+    )
+    cfg = small_cfg(min_facts=39, max_iter=6)
+    collect_anchors("broad question", graph, gateway, HashedNgramEmbedder(dim=8), cfg)
+    first = list(prompts)
+    collect_anchors("broad question", graph, gateway, HashedNgramEmbedder(dim=8), cfg)
+    assert prompts == first + first
+
+
+def test_a_degraded_select_gives_its_candidates_a_keep_verdict():
+    # the four seeding Selects come first: prompts 4 and 5 are round 1's first Select and its retry
+    trace, sent = recorded_collection(garble={4, 5})
+    first, *later = [e for e in trace.of_kind("explore") if e["iteration"] == 1]
+    assert sent[:2] == [first["suggested"]] * 2
+    assert first["kept"] == first["suggested"]
+    degraded = set(first["suggested"])
+    met = [p for e in later for p in e["suggested"] if p in degraded]
+    assert any(not keeps(p) for p in met)  # one the rule would prune, had it been asked
+    for event in later:
+        assert [p for p in event["suggested"] if p in degraded] == [p for p in event["kept"] if p in degraded]
+    assert not degraded & {p for ids in sent[2:] for p in ids}
 
 
 # ----------------------------------------------------------------------

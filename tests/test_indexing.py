@@ -1,7 +1,10 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
-from propgraph.encoding import cosine, normalize
+from propgraph.encoding import HashedNgramEmbedder, cosine, normalize
 from propgraph.errors import BackendUnavailable, DimensionMismatchError, EmptyTextError
 from propgraph.indexing import (
     ChunkingPolicy,
@@ -13,11 +16,19 @@ from propgraph.indexing import (
     index_corpus,
     load_corpus,
 )
-from propgraph.graph import entity_id, passage_id
+from propgraph.graph import entity_id, passage_id, save
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.tokens import estimate_tokens
 
-from conftest import NILE_COUNTS, assert_graph_invariants, degree, edges, extraction_rules, random_unit
+from conftest import (
+    NILE_COUNTS,
+    assert_graph_invariants,
+    build_random_graph,
+    degree,
+    edges,
+    extraction_rules,
+    random_unit,
+)
 
 
 def test_chunk_short_document_single_passage():
@@ -109,6 +120,13 @@ def test_reconcile_case_insensitive_exact_match_short_circuits():
     registry = EntityRegistry()
     assert registry.resolve("Paris", basis(0)) == (0, True)
     assert registry.resolve("PARIS", basis(1)) == (0, False)
+
+
+def test_new_surfaces_are_the_first_of_each_key_not_met_yet():
+    registry = EntityRegistry()
+    registry.resolve("Paris", basis(0))
+    assert registry.new_surfaces(["PARIS", "Tokyo", "tokyo", "Lima", "paris"]) == ["Tokyo", "Lima"]
+    assert registry.new_surfaces([]) == []
 
 
 class LoopEntityRegistry:
@@ -346,6 +364,69 @@ def test_index_validates_graph_invariants(two_hop_graph):
     assert_graph_invariants(two_hop_graph)
     for i in range(len(two_hop_graph.entities)):
         assert degree(two_hop_graph, entity_id(i)) > 0
+
+
+class CountingEmbedder(HashedNgramEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed(self, texts):
+        self.texts.extend(texts)
+        return super().embed(texts)
+
+
+# The same three entities under other cases: only "Nile", "Egypt" and "Cairo" are new.
+CASED_PASSAGES = [
+    ("The Nile flows through Egypt.", ["Nile", "Egypt"], [("The Nile flows through Egypt.", ["Nile", "Egypt"])]),
+    ("The NILE floods EGYPT.", ["NILE", "EGYPT"], [("The NILE floods EGYPT.", ["NILE", "EGYPT"])]),
+    ("Cairo lies on the nile.", ["Cairo", "nile"], [("Cairo lies on the nile.", ["Cairo", "nile"])]),
+]
+# The graph directory as written when indexing embedded every surface of every passage.
+CASED_GRAPH_DIGEST = "3c35b4e732f2c8706be6a402057c675f6e18a31737d6a8a5b052ae60025d3425"
+
+
+def test_index_embeds_each_new_entity_surface_once(tmp_path):
+    embedder = CountingEmbedder()
+    docs = [CorpusDocument(f"doc{i}", text) for i, (text, _, _) in enumerate(CASED_PASSAGES)]
+    graph = index_corpus(docs, LLMGateway(MockChatBackend(extraction_rules(CASED_PASSAGES))), embedder)
+    facts = [text for _, _, props in CASED_PASSAGES for text, _ in props]
+    assert sorted(embedder.texts) == sorted(["Nile", "Egypt", "Cairo", *facts])
+    assert [(e.canonical_name, e.aliases) for e in graph.entities] == [
+        ("Nile", ("NILE", "nile")), ("Egypt", ("EGYPT",)), ("Cairo", ())
+    ]
+    save(graph, tmp_path / "g")
+    digest = hashlib.sha256()
+    for f in sorted((tmp_path / "g").iterdir()):
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert digest.hexdigest() == CASED_GRAPH_DIGEST
+
+
+def _index_and_build():
+    # 100 propositions and 101 unrelated names: the vector stores and the founders grow past 64 rows
+    rng = np.random.default_rng(5)
+    names = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 10)).title() for _ in range(101)]
+    facts = [(f"{a} borders {b}.", [a, b]) for a, b in zip(names, names[1:])]
+    passages = [(text, refs, [(text, refs)]) for text, refs in facts]
+    docs = [CorpusDocument(f"doc{k}", text) for k, (text, _, _) in enumerate(passages)]
+    indexed = index_corpus(docs, LLMGateway(MockChatBackend(extraction_rules(passages))), HashedNgramEmbedder())
+    return indexed, build_random_graph(rng, 200)
+
+
+@pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+def test_graphs_build_under_a_profile_or_trace_hook(hook):
+    # a hook holds a reference to an array while its method runs, which numpy's resize check counts
+    expected = _index_and_build()
+    previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
+    hook(lambda *args: None)
+    try:
+        built = _index_and_build()
+    finally:
+        hook(previous)
+    for graph, want in zip(built, expected):
+        assert edges(graph) == edges(want)
+        assert graph.proposition_embeddings.tobytes() == want.proposition_embeddings.tobytes()
+        assert graph.entity_embeddings.tobytes() == want.entity_embeddings.tobytes()
 
 
 def test_load_corpus_directory_and_jsonl(tmp_path):
