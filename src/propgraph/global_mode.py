@@ -25,7 +25,7 @@ from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PropositionPool, select, suggest_global, suggest_naive
+from .suggest import PropositionPool, select, select_wave, suggest_global, suggest_naive
 from .tokens import WORDS_TO_TOKENS, estimate_tokens, truncate_to_tokens
 from .trace import Trace
 from .traversal import extract_subgraphs
@@ -104,6 +104,8 @@ def compute_queries(
     states: dict[int, QueryState] = {}
     embeddings = graph.proposition_embeddings
     dim = embeddings.shape[1]
+    # one record is shared by every proposition its Select kept: its mean is taken once
+    pruned_means: dict[int, np.ndarray] = {}
     for prop in pool:
         q_positive = embeddings[prop].astype(np.float64)
         origin_parts: list[np.ndarray] = []
@@ -115,10 +117,11 @@ def compute_queries(
                 visits = [pis.get(prop, 0.0) for pis in rec.walker_pis]
                 best = int(np.argmax(visits))  # ties resolve to the lowest walker index
                 origin_parts.append(np.asarray(rec.queries[best], dtype=np.float64))
-            if rec.pruned:
-                negative_parts.append(embeddings[rec.pruned].astype(np.float64).mean(axis=0))
-            else:
-                negative_parts.append(np.zeros(dim))
+            if id(rec) not in pruned_means:
+                pruned_means[id(rec)] = (
+                    embeddings[rec.pruned].astype(np.float64).mean(axis=0) if rec.pruned else np.zeros(dim)
+                )
+            negative_parts.append(pruned_means[id(rec)])
         if origin_parts:
             q_origin = np.mean(origin_parts, axis=0)
             q_negative = np.mean(negative_parts, axis=0)
@@ -163,16 +166,15 @@ def collect_anchors(
     cannot seed further walks). A round's partitions are fixed before it
     starts, so their subgraphs are carved together in one block walk. A
     round then works in two phases: every partition suggests, against the
-    anchors collected before the round, and then every partition selects.
+    anchors collected before the round, and then the round's suggestions
+    are selected.
 
-    Each proposition is judged once per question text: one verdict map,
-    keyed by (question, proposition) and kept for this call only, holds
-    what each ``Select`` kept or pruned, a degraded keep-all included. A
-    partition's ``Select`` carries only the suggestions that have no
-    verdict yet and that no earlier partition of its round carries, and a
-    partition with none sends no ``Select``. Its kept list is its own
-    suggestions, in order, whose verdict is keep. The seeding ``Select`` of
-    a facet equal to the question shares the rounds' verdicts.
+    The seeding and every round are each one wave of :func:`select_wave`,
+    which shares one verdict map, kept for this call only: each proposition
+    is judged once per question text, and a round's unjudged suggestions
+    are packed into ``Select`` prompts of at most ``top_k`` candidates. A
+    partition's kept list is its own suggestions, in order, whose verdict
+    is keep. A facet equal to the question shares the rounds' verdicts.
     """
     trace = trace if trace is not None else Trace()
     suggest_cfg = cfg.suggest_config()
@@ -181,11 +183,12 @@ def collect_anchors(
 
     verdicts: dict[tuple[str, int], bool] = {}
     distinct = list(dict.fromkeys(subqueries))
+    q_vecs = [np.asarray(vec, dtype=np.float64) for vec in embedder.embed(distinct)]
+    asks = [(question, suggest_naive(q_vec, graph, suggest_cfg)) for question, q_vec in zip(distinct, q_vecs)]
     seeds: dict[str, tuple[list[int], WalkRecord]] = {}
-    for question, vec in zip(distinct, embedder.embed(distinct)):
-        q_vec = np.asarray(vec, dtype=np.float64)
-        suggested = suggest_naive(q_vec, graph, suggest_cfg)
-        [kept] = _select_once(question, [suggested], verdicts, graph, gateway)
+    for (question, suggested), q_vec, kept in zip(
+        asks, q_vecs, select_wave(asks, verdicts, suggest_cfg.k, graph, gateway, select)
+    ):
         kept_set = set(kept)
         seeds[question] = suggested, WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
 
@@ -214,7 +217,9 @@ def collect_anchors(
             suggest_global([(prop, states[prop].q) for prop in part], sub, suggest_cfg, exclude=collected)
             for part, sub in zip(parts, carved)
         ]
-        kept_lists = _select_once(q_start, [suggested for suggested, _ in walks], verdicts, graph, gateway)
+        kept_lists = select_wave(
+            [(q_start, suggested) for suggested, _ in walks], verdicts, suggest_cfg.k, graph, gateway, select
+        )
         for part_index, (part, (suggested, walker_pis), kept) in enumerate(zip(parts, walks, kept_lists)):
             kept_set = set(kept)
             rec = WalkRecord(
@@ -240,32 +245,6 @@ def collect_anchors(
         records = new_records
         trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
     return AnchorCollection(s_glb, iteration)
-
-
-def _select_once(
-    question: str,
-    lists: Sequence[Sequence[int]],
-    verdicts: dict[tuple[str, int], bool],
-    graph: HeteroGraph,
-    gateway: LLMGateway,
-) -> list[list[int]]:
-    """Each list's candidates, in order, that ``question`` keeps; each judged once.
-
-    A candidate with no verdict on ``question`` in ``verdicts`` is sent to
-    ``Select`` with the first of ``lists`` that holds it, and its verdict is
-    recorded; a list with no such candidate sends no ``Select``. Which
-    candidates each ``Select`` carries is fixed before the first is sent.
-    """
-    asks: list[list[int]] = []
-    planned: set[int] = set()
-    for candidates in lists:
-        fresh = [c for c in candidates if (question, c) not in verdicts and c not in planned]
-        planned.update(fresh)
-        asks.append(fresh)
-    for fresh in asks:
-        kept = set(select(question, fresh, graph, gateway))
-        verdicts.update(((question, c), c in kept) for c in fresh)
-    return [[c for c in candidates if verdicts[question, c]] for candidates in lists]
 
 
 def detect_communities(

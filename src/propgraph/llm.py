@@ -199,8 +199,24 @@ class OpenAICompatChatBackend(ChatBackend):
         return self.client.post(
             "chat/completions",
             {"messages": [{"role": "user", "content": prompt.rendered}], "temperature": self.temperature},
-            lambda body: body["choices"][0]["message"]["content"],
+            _completion_text,
         )
+
+
+def _completion_text(body: object) -> str:
+    """The first choice's message content, when it is a string.
+
+    Any other reply (a null content, as a refusal or a tool call sends, a
+    non-string content, or no message at all) raises ``TypeError``, which
+    the client retries like an unreadable body.
+    """
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise TypeError(f"no string content in the reply's first message: {json.dumps(body)[:200]}")
+    return content
 
 
 # ----------------------------------------------------------------------

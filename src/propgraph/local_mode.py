@@ -10,12 +10,15 @@ is recorded on a trace so runs are auditable and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PropositionPool, carve_local, select, suggest_local, suggest_naive
+from .suggest import PropositionPool, carve_local, select, select_wave, suggest_local, suggest_naive
 from .trace import Trace
 
 
@@ -61,13 +64,23 @@ def answer_local(
     next iteration. When the iteration budget runs out a best-effort answer
     is still produced from the collected facts, flagged as exhausted on the
     trace.
+
+    An iteration offers each suggestion only to the first of its questions
+    that suggests it (the ``candidates`` of its ``suggest`` event). The
+    seeding and each iteration are one wave of :func:`select_wave`, with
+    one verdict map for the answer: a candidate already judged against a
+    question's text takes that verdict and is not sent again. Each
+    question text is embedded once per answer.
     """
     cfg = cfg or RunConfig()
     suggest_cfg = cfg.suggest_config()
     trace = Trace()
 
-    seeded = suggest_naive(embedder.embed_one(q_start), graph, suggest_cfg)
-    seed_kept = select(q_start, seeded, graph, gateway)
+    verdicts: dict[tuple[str, int], bool] = {}
+    vectors: dict[str, np.ndarray] = {}
+    [q_vec] = _embed_new([q_start], vectors, embedder)
+    seeded = suggest_naive(q_vec, graph, suggest_cfg)
+    [seed_kept] = select_wave([(q_start, seeded)], verdicts, suggest_cfg.k, graph, gateway, select)
     trace.log("seed", query=q_start, suggested=seeded, kept=seed_kept)
 
     s_pool = PropositionPool(seed_kept)
@@ -87,13 +100,17 @@ def answer_local(
         if not len(s_pool):
             trace.log("pool_empty", iteration=iteration)
             break
-        judged_this_iter: set[int] = set(s_pool_new.ids())
         carved = carve_local(graph, s_pool, suggest_cfg)
-        for q_index, (question, q_vec) in enumerate(zip(questions, embedder.embed(questions))):
+        offered: set[int] = set()  # an iteration offers each suggestion to its first question only
+        walks: list[tuple[str, list[int], list[int]]] = []
+        for question, q_vec in zip(questions, _embed_new(questions, vectors, embedder)):
             suggested = suggest_local(q_vec, graph, s_pool, suggest_cfg, carved)
-            candidates = [c for c in suggested if c not in judged_this_iter]
-            judged_this_iter.update(candidates)
-            kept = select(question, candidates, graph, gateway) if candidates else []
+            candidates = [c for c in suggested if c not in offered]
+            offered.update(candidates)
+            walks.append((question, suggested, candidates))
+        asks = [(question, candidates) for question, _, candidates in walks]
+        kept_lists = select_wave(asks, verdicts, suggest_cfg.k, graph, gateway, select)
+        for q_index, ((question, suggested, candidates), kept) in enumerate(zip(walks, kept_lists)):
             for prop in kept:
                 s_pool_new.add(prop)
             trace.log(
@@ -121,3 +138,11 @@ def answer_local(
     answer = gateway.final_answer(q_start, graph.proposition_texts(s_loc.ids()))
     trace.log("result", answer=answer, failed=True, exhausted=True, iterations=iteration)
     return LocalResult(answer, True, trace, s_loc)
+
+
+def _embed_new(texts: Sequence[str], vectors: dict[str, np.ndarray], embedder: EmbedBackend) -> list[np.ndarray]:
+    """The vectors of ``texts``, embedding in one call only the texts ``vectors`` lacks, and keeping them there."""
+    new = [text for text in dict.fromkeys(texts) if text not in vectors]
+    if new:
+        vectors.update(zip(new, embedder.embed(new)))
+    return [vectors[text] for text in texts]

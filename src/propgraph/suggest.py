@@ -5,13 +5,15 @@ proposition ids, ranked, never re-proposing seeds or caller-excluded ids.
 ``suggest_naive`` is pure similarity search; ``suggest_local`` walks a
 seed-anchored subgraph with one blended operator; ``suggest_global`` runs
 one walk per pool member inside a subgraph carved around them all and
-aggregates the stationary distributions.
+aggregates the stationary distributions. ``select_wave`` prunes one wave
+of suggestions with LLM feedback, judging each proposition once per
+question text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,3 +188,37 @@ def select(
         return []
     kept = gateway.select_relevant(query_text, graph.proposition_texts(candidates))
     return [candidates[i] for i in kept]
+
+
+def select_wave(
+    asks: Sequence[tuple[str, Sequence[int]]],
+    verdicts: dict[tuple[str, int], bool],
+    size: int,
+    graph: HeteroGraph,
+    gateway: LLMGateway,
+    send: Callable[[str, Sequence[int], HeteroGraph, LLMGateway], list[int]],
+) -> list[list[int]]:
+    """Each ask's candidates, in order, that its question keeps; each judged once per question text.
+
+    ``asks`` are one wave's (question text, candidates) pairs: what each
+    carries depends on no verdict of another. ``verdicts``, keyed by
+    (question text, proposition), holds every verdict of the answer so far
+    and gains the new ones, a degraded keep-all as keep. The candidates with
+    no verdict yet are grouped by question text, in first-seen order, and
+    each group is sent in as few ``Select`` prompts as hold at most ``size``
+    candidates each, so a group with none sends none. Which candidates each
+    prompt carries is fixed before the first is sent. ``send`` is
+    :func:`select` as the caller's module names it, so that a wrapper bound
+    to that name sees each ``Select``.
+    """
+    fresh: dict[str, dict[int, None]] = {}
+    for question, candidates in asks:
+        group = fresh.setdefault(question, {})
+        group.update((c, None) for c in candidates if (question, c) not in verdicts)
+    for question, group in fresh.items():
+        ids = list(group)
+        for start in range(0, len(ids), size):
+            batch = ids[start : start + size]
+            kept = set(send(question, batch, graph, gateway))
+            verdicts.update(((question, c), c in kept) for c in batch)
+    return [[c for c in candidates if verdicts[question, c]] for question, candidates in asks]

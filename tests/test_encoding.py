@@ -72,7 +72,7 @@ def test_top_k_matches_full_sort_oracle():
         distinct = np.stack([random_unit(rng, 4) for _ in range(int(rng.integers(1, 5)))])
         tied = distinct[rng.integers(0, len(distinct), size=int(rng.integers(1, 60)))]
         query = distinct[0] if trial % 2 else random_unit(rng, 4)
-        scores = tied.astype(np.float64) @ query.astype(np.float64)
+        scores = float64_scores(tied, query)
         for k in (1, 3, 20, 80):
             expected = sorted(range(len(tied)), key=lambda i: (-scores[i], i))[:k]
             assert [i for i, _ in top_k_similar(query, tied, k)] == expected
@@ -121,9 +121,19 @@ def test_top_k_rejects_bad_input():
 # ----------------------------------------------------------------------
 
 
+def float64_scores(stored: np.ndarray, query: np.ndarray) -> list[float]:
+    """Each row's score as ``top_k_similar`` defines it: the row's own float64 dot product with ``query``.
+
+    Not one mat-vec of the whole matrix: a BLAS gemv rounds a row by its
+    position, and each OpenBLAS kernel rounds it its own way.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    return [float(row @ query) for row in stored.astype(np.float64)]
+
+
 def float64_ranking(stored: np.ndarray, query: np.ndarray, k: int) -> list[int]:
-    """The first ``k`` rows of the float64 scan: descending ``stored`` as float64 times ``query``, ties by index."""
-    scores = stored.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    """The first ``k`` rows of the float64 scan: descending ``float64_scores``, ties by index."""
+    scores = np.array(float64_scores(stored, query))
     return np.lexsort((np.arange(len(scores)), -scores))[:k].tolist()
 
 
@@ -204,10 +214,10 @@ def test_float32_scan_with_k_at_least_n_scores_every_row_as_float64():
     rng = np.random.default_rng(59)
     stored = np.stack([random_unit(rng, 16) for _ in range(25)])
     query = random_unit(rng, 16).astype(np.float64)
-    scores = stored.astype(np.float64) @ query
+    scores = float64_scores(stored, query)
     for k in (25, 26, 100):
         assert encoding._float32_candidates(query, stored, k) is None
-        assert top_k_similar(query, stored, k) == [(i, float(scores[i])) for i in float64_ranking(stored, query, k)]
+        assert top_k_similar(query, stored, k) == [(i, scores[i]) for i in float64_ranking(stored, query, k)]
 
 
 def test_mock_embed_deterministic():

@@ -119,6 +119,66 @@ def test_compute_queries_two_partitions_hand_computed():
     assert np.linalg.norm(state.q) == pytest.approx(1.0, abs=1e-12)
 
 
+def compute_queries_per_proposition(pool, records, graph, cfg):
+    """:func:`compute_queries` as it was, taking each record's pruned mean once per proposition it kept."""
+    states = {}
+    embeddings = graph.proposition_embeddings
+    dim = embeddings.shape[1]
+    for prop in pool:
+        q_positive = embeddings[prop].astype(np.float64)
+        origin_parts, negative_parts = [], []
+        for rec in records.get(prop, []):
+            if rec.walker_pis is None:
+                origin_parts.append(np.asarray(rec.queries[0], dtype=np.float64))
+            else:
+                visits = [pis.get(prop, 0.0) for pis in rec.walker_pis]
+                origin_parts.append(np.asarray(rec.queries[int(np.argmax(visits))], dtype=np.float64))
+            if rec.pruned:
+                negative_parts.append(embeddings[rec.pruned].astype(np.float64).mean(axis=0))
+            else:
+                negative_parts.append(np.zeros(dim))
+        if origin_parts:
+            q_origin = np.mean(origin_parts, axis=0)
+            q_negative = np.mean(negative_parts, axis=0)
+        else:
+            q_origin = q_positive.copy()
+            q_negative = np.zeros(dim)
+        q_raw = cfg.rocchio_alpha * q_origin + cfg.rocchio_beta * q_positive - cfg.rocchio_gamma * q_negative
+        norm = float(np.linalg.norm(q_raw))
+        q = q_raw / norm if norm > 0 else q_positive.copy()
+        states[prop] = (q_origin, q_positive, q_negative, q_raw, q, len(origin_parts))
+    return states
+
+
+def test_compute_queries_matches_a_pruned_mean_per_proposition_bitwise():
+    rng = np.random.default_rng(71)
+    graph = build_random_graph(rng, 60, dim=16)
+    pool = PropositionPool(rng.permutation(60)[:30].tolist())
+    records = {}
+    for _ in range(12):  # each record is shared by every proposition it kept
+        walkers = int(rng.integers(1, 4))
+        kept = rng.choice(pool.ids(), size=int(rng.integers(1, 6)), replace=False).tolist()
+        pis = None if rng.random() < 0.3 else [{p: float(rng.random()) for p in kept} for _ in range(walkers)]
+        rec = WalkRecord(
+            [rng.normal(size=16) for _ in range(walkers if pis else 1)],
+            pis,
+            kept,
+            rng.choice(60, size=int(rng.integers(0, 8)), replace=False).tolist(),
+        )
+        for prop in kept:
+            records.setdefault(prop, []).append(rec)
+    assert any(not rec.pruned for recs in records.values() for rec in recs)
+    assert max(len(recs) for recs in records.values()) > 1
+    cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
+    expected = compute_queries_per_proposition(pool, records, graph, cfg)
+    states = compute_queries(pool, records, graph, cfg)
+    assert list(states) == list(expected)
+    for prop, state in states.items():
+        got = (state.q_origin, state.q_positive, state.q_negative, state.q_raw, state.q, state.n_sources)
+        assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in expected[prop][:5]]
+        assert got[5] == expected[prop][5]
+
+
 # ----------------------------------------------------------------------
 # partitioning
 # ----------------------------------------------------------------------
@@ -310,17 +370,21 @@ def test_a_suggestion_pruned_in_one_round_is_not_sent_again():
         assert all(prop not in e["kept"] for e in explores)
 
 
-def test_a_partition_whose_suggestions_all_have_verdicts_sends_no_select():
+def test_a_round_packs_its_unjudged_suggestions_in_first_seen_order():
     trace, sent = recorded_collection()
     explores = trace.of_kind("explore")
     judged = set()
-    fresh_lists = []
-    for event in explores:
-        fresh = [p for p in event["suggested"] if p not in judged]
+    packed = []
+    for iteration in sorted({e["iteration"] for e in explores}):
+        fresh = []
+        for event in explores:
+            if event["iteration"] == iteration:
+                fresh += [p for p in event["suggested"] if p not in judged and p not in fresh]
         judged.update(fresh)
-        if fresh:
-            fresh_lists.append(fresh)
-    assert sent == fresh_lists  # each Select carries its partition's unjudged suggestions, in order
+        packed += [fresh[i : i + 5] for i in range(0, len(fresh), 5)]  # top_k is 5
+    assert sent == packed
+    assert max(map(len, sent)) == 5  # no Select holds more than top_k
+    assert any(len(set(ids) & set(e["suggested"])) < len(ids) for ids in sent for e in explores)  # one spans partitions
     assert len(sent) < sum(1 for e in explores if e["suggested"])
 
 
@@ -338,17 +402,20 @@ def test_no_verdict_outlives_its_question():
 
 
 def test_a_degraded_select_gives_its_candidates_a_keep_verdict():
-    # the four seeding Selects come first: prompts 4 and 5 are round 1's first Select and its retry
-    trace, sent = recorded_collection(garble={4, 5})
-    first, *later = [e for e in trace.of_kind("explore") if e["iteration"] == 1]
-    assert sent[:2] == [first["suggested"]] * 2
-    assert first["kept"] == first["suggested"]
-    degraded = set(first["suggested"])
-    met = [p for e in later for p in e["suggested"] if p in degraded]
-    assert any(not keeps(p) for p in met)  # one the rule would prune, had it been asked
-    for event in later:
+    # four seeding Selects and round 1's first packed Select come first: prompts 5 and 6 are
+    # round 1's second packed Select and its retry
+    trace, sent = recorded_collection(garble={5, 6})
+    explores = trace.of_kind("explore")
+    round1 = [e for e in explores if e["iteration"] == 1]
+    fresh = list(dict.fromkeys(p for e in round1 for p in e["suggested"]))
+    assert sent[1:3] == [fresh[5:10]] * 2
+    degraded = set(fresh[5:10])
+    assert sum(bool(degraded & set(e["suggested"])) for e in round1) > 1  # the packed Select spans partitions
+    shared = [p for p in degraded if sum(p in e["suggested"] for e in round1) > 1]
+    assert any(not keeps(p) for p in shared)  # suggested twice, and the rule would prune it, had it been asked
+    for event in explores:
         assert [p for p in event["suggested"] if p in degraded] == [p for p in event["kept"] if p in degraded]
-    assert not degraded & {p for ids in sent[2:] for p in ids}
+    assert not degraded & {p for ids in sent[:1] + sent[3:] for p in ids}
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from propgraph.cli import main
 from propgraph.encoding import HashedNgramEmbedder, OpenAICompatEmbedder, is_normalized
 from propgraph.errors import BackendUnavailable
 from propgraph.indexing import CorpusDocument, index_corpus
@@ -19,6 +20,7 @@ from propgraph.llm import LLMGateway, MockChatBackend, OpenAICompatChatBackend
 from propgraph.prompts import TemplateId, render
 
 from conftest import NILE_PASSAGES, extraction_rules
+from test_cli import run_index, workspace  # noqa: F401 (a fixture)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -227,3 +229,47 @@ def test_index_fails_fast_naming_the_passage(fake_server, kind):
         index_corpus([CorpusDocument("nile", text)], LLMGateway(backend), embedder)
     assert isinstance(info.value.__cause__, BackendUnavailable)
     assert len(handler.seen) == 2  # the first request's retries, then nothing more
+
+
+def _choice(**fields):
+    return json.dumps({"choices": [fields]}).encode()
+
+
+# replies whose first choice carries no string content
+NO_TEXT_REPLIES = {
+    "null content": _choice(message={"role": "assistant", "content": None}),
+    "int content": _choice(message={"role": "assistant", "content": 5}),
+    "list content": _choice(message={"role": "assistant", "content": [{"type": "text", "text": "KEEP: 1"}]}),
+    "no message": _choice(finish_reason="stop"),
+    "refusal": _choice(message={"role": "assistant", "content": None, "refusal": "I can't help with that."}),
+}
+
+
+@pytest.mark.parametrize("reply", NO_TEXT_REPLIES.values(), ids=NO_TEXT_REPLIES.keys())
+def test_a_reply_without_string_content_is_retried_then_unavailable(fake_server, reply):
+    base_url, handler = fake_server
+    handler.reply = reply
+    gateway = LLMGateway(OpenAICompatChatBackend(base_url, model="m", max_retries=3, backoff=0.0))
+    with pytest.raises(BackendUnavailable, match="after 3 attempts: no string content"):
+        gateway.select_relevant("q", ["a fact", "another fact"])
+    with pytest.raises(BackendUnavailable, match="after 3 attempts: no string content"):
+        gateway.final_answer("q", ["a fact"])
+    assert len(handler.seen) == 6
+
+
+def test_query_against_a_server_without_string_content_exits_1(fake_server, workspace, monkeypatch, capsys):
+    base_url, handler = fake_server
+    graph_dir = run_index(workspace)
+    handler.reply = NO_TEXT_REPLIES["refusal"]
+    config = {
+        "chat_backend": {"kind": "openai", "base_url": base_url, "model": "m"},
+        "embed_backend": {"kind": "mock", "dimension": 256},
+    }
+    (workspace / "openai.json").write_text(json.dumps(config))
+    monkeypatch.setattr(time, "sleep", lambda seconds: None)
+    capsys.readouterr()
+    args = ["query", "--config", str(workspace / "openai.json"), "--graph", str(graph_dir), "--mode", "local"]
+    assert main([*args, "--trace", str(workspace / "trace.jsonl"), "Where was Albert Einstein born?"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no string content" in err and "I can't help with that." in err
+    assert len(handler.seen) == 3  # the first Select's attempts, then nothing more

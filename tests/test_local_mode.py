@@ -1,5 +1,8 @@
+import numpy as np
+
 from propgraph import local_mode, suggest, traversal
 from propgraph.config import RunConfig
+from propgraph.encoding import HashedNgramEmbedder
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local, answer_naive
 
@@ -8,8 +11,10 @@ from conftest import (
     TWO_HOP_HOP1,
     TWO_HOP_HOP2,
     TWO_HOP_QUESTION,
+    build_random_graph,
     two_hop_rules,
 )
+from test_global_mode import CountingEmbedder, keeps, recording_select_rule
 
 
 class CountingGateway(LLMGateway):
@@ -218,3 +223,66 @@ def test_each_iteration_builds_its_structural_operator_and_length_groups_once(tw
     assert [e["iteration"] for e in result.trace.of_kind("suggest")] == [1, 2, 2]
     assert len(builds) == 2
     assert len(patterns) == 2
+
+
+# ----------------------------------------------------------------------
+# one verdict per question text
+# ----------------------------------------------------------------------
+
+CARVED_QUESTION = "Which proposition number links entity number 7 to passage number 3?"
+FOLLOW_UP = "Which passage number holds entity number 7?"
+
+
+def recorded_answer(next_questions, embedder=None, prompts=None):
+    """A local answer on a seeded random graph whose Select keeps what ``keeps`` keeps; the (question, ids) of each Select."""
+    prompts = [] if prompts is None else prompts
+    rules = [
+        recording_select_rule(prompts),
+        MockRule(template="NextQ", response="\n".join(f"{i + 1}. {q}" for i, q in enumerate(next_questions))),
+    ]
+    graph = build_random_graph(np.random.default_rng(11), 120, dim=16)
+    cfg = RunConfig(top_k=6, subgraph_max_size=40, max_iter=3)
+    embedder = embedder or HashedNgramEmbedder(dim=16)
+    result = answer_local(CARVED_QUESTION, graph, LLMGateway(MockChatBackend(rules)), embedder, cfg)
+    return result, prompts
+
+
+def test_a_suggestion_pruned_at_seeding_is_not_sent_again_for_its_question():
+    result, prompts = recorded_answer([CARVED_QUESTION, FOLLOW_UP])
+    [seed] = result.trace.of_kind("seed")
+    walks = result.trace.of_kind("suggest")
+    pruned = set(seed["suggested"]) - set(seed["kept"])
+    again = pruned & {c for e in walks if e["query"] == CARVED_QUESTION for c in e["candidates"]}
+    assert again  # offered again to the starting question, as its candidates field shows
+    judged = {(CARVED_QUESTION, c) for c in seed["suggested"]}
+    expected = [(CARVED_QUESTION, seed["suggested"])]
+    for event in walks:
+        fresh = [c for c in event["candidates"] if (event["query"], c) not in judged]
+        judged.update((event["query"], c) for c in fresh)
+        if fresh:  # an iteration's questions differ here, and each is offered at most top_k
+            expected.append((event["query"], fresh))
+        assert event["kept"] == [c for c in event["candidates"] if keeps(c)]
+    assert prompts == expected
+    assert len(prompts) < 1 + sum(1 for e in walks if e["candidates"])  # a wave with nothing unjudged sends none
+    for prop in again:
+        assert sum(prop in ids for question, ids in prompts if question == CARVED_QUESTION) == 1
+
+
+def test_no_local_verdict_crosses_question_texts_or_answers():
+    prompts = []
+    recorded_answer([FOLLOW_UP], prompts=prompts)
+    first = list(prompts)
+    by_text = {}
+    for question, ids in first:
+        by_text.setdefault(question, set()).update(ids)
+    assert by_text[CARVED_QUESTION] & by_text[FOLLOW_UP]  # judged against each text
+    assert any(not keeps(p) for p in by_text[CARVED_QUESTION] & by_text[FOLLOW_UP])
+    recorded_answer([FOLLOW_UP], prompts=prompts)
+    assert prompts == first + first
+
+
+def test_each_question_text_is_embedded_once_per_answer():
+    embedder = CountingEmbedder(dim=16)
+    result, _ = recorded_answer([CARVED_QUESTION, FOLLOW_UP], embedder)
+    assert [e["query"] for e in result.trace.of_kind("suggest")] == [CARVED_QUESTION] + [CARVED_QUESTION, FOLLOW_UP] * 2
+    assert embedder.batches == [[CARVED_QUESTION], [FOLLOW_UP]]

@@ -42,7 +42,7 @@ PINNED_GRAPH = {
 }
 PINNED_EVAL = {
     "questions.jsonl": "2bbd0c8ce119eeb1abdfc63d5508e8a76c65b119bff64271197c61a1626d797f",
-    "report.json": "511ff8a5f2c91831514d69abfac3dff8a124ee6ff302482a3568755bc30efe97",
+    "report.json": "61fdd0fd3e96bd448c30934d0c7048c308cad755f2e8ad3050d10e422f89abc5",
 }
 PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
 PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e8a71642"

@@ -10,6 +10,7 @@ from propgraph.suggest import (
     SuggestConfig,
     _rank_new,
     select,
+    select_wave,
     suggest_global,
     suggest_local,
     suggest_naive,
@@ -308,6 +309,47 @@ def test_select_scripted_distractor_prune(two_hop_graph):
     gateway = LLMGateway(MockChatBackend([MockRule(template="Select", response="KEEP: 1")]))
     kept = select("where was einstein born", [0, 9], two_hop_graph, gateway)
     assert kept == [0]
+
+
+def recording_send(sent, degrade=False):
+    """A stand-in for ``select`` keeping even ids (every id if ``degrade``); appends (question, ids) per call to ``sent``."""
+
+    def send(question, ids, graph, gateway):
+        sent.append((question, list(ids)))
+        return list(ids) if degrade else [c for c in ids if c % 2 == 0]
+
+    return send
+
+
+def test_a_wave_packs_each_question_texts_unjudged_candidates_in_first_seen_order():
+    sent = []
+    verdicts = {("a", 1): True, ("b", 3): False}
+    asks = [("a", [1, 2, 3, 4]), ("b", [3, 2]), ("a", [4, 5, 6, 7, 8, 2])]
+    kept = select_wave(asks, verdicts, 3, None, None, recording_send(sent))
+    assert sent == [("a", [2, 3, 4]), ("a", [5, 6, 7]), ("a", [8]), ("b", [2])]
+    assert kept == [[1, 2, 4], [2], [4, 6, 8, 2]]
+    assert verdicts == {
+        ("a", 1): True, ("a", 2): True, ("a", 3): False, ("a", 4): True, ("a", 5): False,
+        ("a", 6): True, ("a", 7): False, ("a", 8): True, ("b", 2): True, ("b", 3): False,
+    }
+
+
+def test_a_wave_with_nothing_unjudged_sends_no_select():
+    sent = []
+    verdicts = {("a", 1): True, ("a", 2): False}
+    assert select_wave([("a", [2, 1]), ("a", []), ("b", [])], verdicts, 3, None, None, recording_send(sent)) == [[1], [], []]
+    assert sent == []
+
+
+def test_a_degraded_packed_select_keeps_every_candidate_and_none_is_sent_again():
+    sent = []
+    verdicts = {}
+    assert select_wave([("a", [1, 3]), ("a", [5, 3])], verdicts, 4, None, None, recording_send(sent, degrade=True)) == [
+        [1, 3],
+        [5, 3],
+    ]
+    assert select_wave([("a", [5, 7, 1])], verdicts, 4, None, None, recording_send(sent)) == [[5, 1]]
+    assert sent == [("a", [1, 3, 5]), ("a", [7])]
 
 
 def test_pool_preserves_order_and_dedupes():
