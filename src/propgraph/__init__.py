@@ -13,7 +13,7 @@ from .indexing import CorpusDocument, index_corpus
 from .llm import LLMGateway, MockChatBackend, OpenAICompatChatBackend
 from .local_mode import answer_local, answer_naive
 from .global_mode import answer_global
-from .suggest import PropositionPool, SuggestConfig, suggest_global, suggest_local, suggest_naive
+from .suggest import Result, SuggestConfig, suggest_global, suggest_local, suggest_naive
 from .traversal import WalkParams
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "NodeKind",
     "OpenAICompatChatBackend",
     "OpenAICompatEmbedder",
-    "PropositionPool",
+    "Result",
     "RunConfig",
     "SuggestConfig",
     "WalkParams",

@@ -201,9 +201,6 @@ class EmbedBackend:
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def dimension(self) -> int:
-        raise NotImplementedError
-
     def embed_one(self, text: str) -> np.ndarray:
         return self.embed([text])[0]
 
@@ -255,9 +252,6 @@ class HashedNgramEmbedder(EmbedBackend):
         self._dim = dim
         self._codes = _GramCodes(dim)
 
-    def dimension(self) -> int:
-        return self._dim
-
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         return [self._encode(t) for t in texts]
 
@@ -278,8 +272,8 @@ class OpenAICompatEmbedder(EmbedBackend):
     Responses are re-normalized locally since not every served model
     guarantees unit vectors; a served vector that does not normalize to unit
     length (non-finite entries, or a norm that overflows) is a malformed
-    body and is retried. A served vector of another length than ``dim``
-    (given, or once probed) raises ``DimensionMismatchError``, not retried.
+    body and is retried. When ``dim`` is given, a served vector of another
+    length raises ``DimensionMismatchError``, not retried.
     """
 
     def __init__(
@@ -297,11 +291,6 @@ class OpenAICompatEmbedder(EmbedBackend):
         self.client = OpenAICompatClient(base_url, model, api_key, api_key_env, timeout, max_retries, backoff)
         self._dim = dim
         self.batch_size = batch_size
-
-    def dimension(self) -> int:
-        if self._dim is None:
-            self._dim = self.embed(["dimension probe"])[0].shape[0]
-        return self._dim
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         out: list[np.ndarray] = []

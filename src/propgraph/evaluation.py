@@ -23,6 +23,7 @@ from .llm import LLMGateway
 from .local_mode import answer_local, answer_naive
 from .global_mode import answer_global
 from .metrics import exact_match, f1
+from .suggest import Result
 from .usage import UsageLedger
 
 log = logging.getLogger(__name__)
@@ -61,7 +62,7 @@ def answer_question(
     gateway: LLMGateway,
     embedder: EmbedBackend,
     config: RunConfig,
-):
+) -> Result:
     return _ANSWER[mode](question, graph, gateway, embedder, config)
 
 

@@ -25,7 +25,7 @@ from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PropositionPool, select, select_wave, suggest_global, suggest_naive
+from .suggest import Result, select, select_wave, suggest_global, suggest_naive
 from .tokens import WORDS_TO_TOKENS, estimate_tokens, truncate_to_tokens
 from .trace import Trace
 from .traversal import extract_subgraphs
@@ -72,22 +72,8 @@ class Community:
         return len(self.nodes)
 
 
-@dataclass
-class AnchorCollection:
-    pool: PropositionPool
-    iterations: int
-
-
-@dataclass
-class GlobalResult:
-    answer: str
-    failed: bool
-    trace: Trace
-    collected: PropositionPool
-
-
 def compute_queries(
-    pool: PropositionPool,
+    pool: Iterable[int],
     records: dict[int, list["WalkRecord"]],
     graph: HeteroGraph,
     cfg: RunConfig,
@@ -150,8 +136,8 @@ def collect_anchors(
     embedder: EmbedBackend,
     cfg: RunConfig,
     trace: Trace | None = None,
-) -> AnchorCollection:
-    """Iterative breadth-first anchor gathering.
+) -> tuple[list[int], int]:
+    """Iterative breadth-first anchor gathering: the anchors, in collection order, and the rounds run.
 
     Seeds the pool from decomposed facet queries. The distinct facets are
     embedded in one call, then searched and selected once each, in order of
@@ -192,27 +178,26 @@ def collect_anchors(
         kept_set = set(kept)
         seeds[question] = suggested, WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
 
-    s_pool = PropositionPool()
-    s_glb = PropositionPool()
+    s_pool: dict[int, None] = {}
     records: dict[int, list[WalkRecord]] = {}
     for q_index, question in enumerate(subqueries):
         suggested, rec = seeds[question]
         for prop in rec.kept:
-            s_pool.add(prop)
-            s_glb.add(prop)
+            s_pool[prop] = None
             records.setdefault(prop, []).append(rec)
         trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=rec.kept)
+    s_glb = dict(s_pool)
 
     iteration = 0
-    while len(s_glb) < cfg.min_facts and iteration < cfg.max_iter and len(s_pool) > 0:
+    while len(s_glb) < cfg.min_facts and iteration < cfg.max_iter and s_pool:
         iteration += 1
         states = compute_queries(s_pool, records, graph, cfg)
-        s_pool_new = PropositionPool()
+        s_pool_new: dict[int, None] = {}
         new_records: dict[int, list[WalkRecord]] = {}
         # a round-robin split leaves any empty parts at the end
         parts = [part for part in partition_pool(s_pool, cfg.breadth_m) if part]
         carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, suggest_cfg.walk)
-        collected = s_glb.ids()  # no suggestion of the round depends on a Select of it
+        collected = list(s_glb)  # no suggestion of the round depends on a Select of it
         walks = [
             suggest_global([(prop, states[prop].q) for prop in part], sub, suggest_cfg, exclude=collected)
             for part, sub in zip(parts, carved)
@@ -229,7 +214,7 @@ def collect_anchors(
                 [c for c in suggested if c not in kept_set],
             )
             for prop in kept:
-                s_pool_new.add(prop)
+                s_pool_new[prop] = None
                 new_records.setdefault(prop, []).append(rec)
             trace.log(
                 "explore",
@@ -239,12 +224,11 @@ def collect_anchors(
                 suggested=suggested,
                 kept=kept,
             )
-        for prop in s_pool_new:
-            s_glb.add(prop)
+        s_glb.update(s_pool_new)
         s_pool = s_pool_new
         records = new_records
         trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
-    return AnchorCollection(s_glb, iteration)
+    return list(s_glb), iteration
 
 
 def detect_communities(
@@ -413,7 +397,7 @@ def answer_global(
     gateway: LLMGateway,
     embedder: EmbedBackend,
     cfg: RunConfig | None = None,
-) -> GlobalResult:
+) -> Result:
     """End-to-end abstract-question answering.
 
     Collect anchors, select communities (detected once per graph and
@@ -424,8 +408,7 @@ def answer_global(
     """
     cfg = cfg or RunConfig()
     trace = Trace()
-    collection = collect_anchors(q_start, graph, gateway, embedder, cfg, trace)
-    anchor_ids = collection.pool.ids()
+    anchor_ids, iterations = collect_anchors(q_start, graph, gateway, embedder, cfg, trace)
 
     candidates = _candidate_communities(graph, cfg)
     anchor_nodes = {graph.proposition_rows.start + i for i in anchor_ids}
@@ -454,5 +437,5 @@ def answer_global(
         trace.log("anchor_fallback", facts=len(texts))
         answer = gateway.final_answer(q_start, texts, combine=False)
 
-    trace.log("result", answer=answer, failed=False, anchors=len(anchor_ids), iterations=collection.iterations)
-    return GlobalResult(answer, False, trace, collection.pool)
+    trace.log("result", answer=answer, failed=False, anchors=len(anchor_ids), iterations=iterations)
+    return Result(answer, False, trace, anchor_ids)

@@ -59,9 +59,6 @@ class ChatBackend:
     def complete(self, prompt: PromptInstance) -> str:
         raise NotImplementedError
 
-    def model_name(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass
 class MockRule:
@@ -128,9 +125,6 @@ class MockChatBackend(ChatBackend):
                 raise ConfigError(f"{where} template must be one of {', '.join(templates)}, got {entry['template']!r}")
         return cls([MockRule(**entry) for entry in entries])
 
-    def model_name(self) -> str:
-        return "mock"
-
     def complete(self, prompt: PromptInstance) -> str:
         for rule in self.rules:
             if rule.matches(prompt):
@@ -191,9 +185,6 @@ class OpenAICompatChatBackend(ChatBackend):
     ):
         self.client = OpenAICompatClient(base_url, model, api_key, api_key_env, timeout, max_retries, backoff, max_concurrency)
         self.temperature = temperature
-
-    def model_name(self) -> str:
-        return self.client.model
 
     def complete(self, prompt: PromptInstance) -> str:
         return self.client.post(

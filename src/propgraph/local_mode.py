@@ -9,7 +9,6 @@ is recorded on a trace so runs are auditable and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,16 +17,8 @@ from .config import RunConfig
 from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
-from .suggest import PropositionPool, carve_local, select, select_wave, suggest_local, suggest_naive
+from .suggest import Result, carve_local, select, select_wave, suggest_local, suggest_naive
 from .trace import Trace
-
-
-@dataclass
-class LocalResult:
-    answer: str
-    failed: bool
-    trace: Trace
-    collected: PropositionPool
 
 
 def answer_naive(
@@ -36,7 +27,7 @@ def answer_naive(
     gateway: LLMGateway,
     embedder: EmbedBackend,
     cfg: RunConfig | None = None,
-) -> LocalResult:
+) -> Result:
     """Answer from top-k similar propositions; no graph, no selection."""
     suggest_cfg = (cfg or RunConfig()).suggest_config()
     trace = Trace()
@@ -44,7 +35,7 @@ def answer_naive(
     trace.log("seed", query=q_start, suggested=suggested, kept=suggested)
     answer = gateway.final_answer(q_start, graph.proposition_texts(suggested))
     trace.log("result", answer=answer, failed=False, exhausted=False, iterations=0)
-    return LocalResult(answer, False, trace, PropositionPool(suggested))
+    return Result(answer, False, trace, list(suggested))
 
 
 def answer_local(
@@ -53,7 +44,7 @@ def answer_local(
     gateway: LLMGateway,
     embedder: EmbedBackend,
     cfg: RunConfig | None = None,
-) -> LocalResult:
+) -> Result:
     """Suggestion-selection cycles with sufficiency checks and follow-ups.
 
     Seeding: similarity search for the starting question, pruned by
@@ -61,9 +52,11 @@ def answer_local(
     iteration then carves one subgraph around the current pool and walks
     it once per active question, prunes, folds the survivors into the
     collected set, and re-checks sufficiency; follow-up questions steer the
-    next iteration. When the iteration budget runs out a best-effort answer
-    is still produced from the collected facts, flagged as exhausted on the
-    trace.
+    next iteration. They are asked only when another iteration walks them:
+    not after the last one, nor after one that kept nothing (the next one
+    stops with an empty pool). When the iteration budget runs out a
+    best-effort answer is still produced from the collected facts, flagged
+    as exhausted on the trace.
 
     An iteration offers each suggestion only to the first of its questions
     that suggests it (the ``candidates`` of its ``suggest`` event). The
@@ -83,21 +76,21 @@ def answer_local(
     [seed_kept] = select_wave([(q_start, seeded)], verdicts, suggest_cfg.k, graph, gateway, select)
     trace.log("seed", query=q_start, suggested=seeded, kept=seed_kept)
 
-    s_pool = PropositionPool(seed_kept)
-    s_loc = s_pool.copy()
+    s_pool = dict.fromkeys(seed_kept)
+    s_loc = dict(s_pool)
 
-    verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc.ids()))
+    verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc))
     trace.log("eval", after_iteration=0, sufficient=verdict.sufficient, answer=verdict.answer)
     if verdict.sufficient:
         trace.log("result", answer=verdict.answer, failed=False, exhausted=False, iterations=0)
-        return LocalResult(verdict.answer, False, trace, s_loc)
+        return Result(verdict.answer, False, trace, list(s_loc))
 
     questions = [q_start]
-    s_pool_new = s_pool.copy()
+    s_pool_new = dict(s_pool)
     iteration = 0
     while iteration < cfg.max_iter:
         iteration += 1
-        if not len(s_pool):
+        if not s_pool:
             trace.log("pool_empty", iteration=iteration)
             break
         carved = carve_local(graph, s_pool, suggest_cfg)
@@ -111,8 +104,7 @@ def answer_local(
         asks = [(question, candidates) for question, _, candidates in walks]
         kept_lists = select_wave(asks, verdicts, suggest_cfg.k, graph, gateway, select)
         for q_index, ((question, suggested, candidates), kept) in enumerate(zip(walks, kept_lists)):
-            for prop in kept:
-                s_pool_new.add(prop)
+            s_pool_new.update(dict.fromkeys(kept))
             trace.log(
                 "suggest",
                 iteration=iteration,
@@ -122,22 +114,21 @@ def answer_local(
                 candidates=candidates,
                 kept=kept,
             )
-        for prop in s_pool_new:
-            s_loc.add(prop)
-        s_pool = s_pool_new
-        s_pool_new = PropositionPool()
+        s_loc.update(s_pool_new)
+        s_pool, s_pool_new = s_pool_new, {}
 
-        verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc.ids()))
+        verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc))
         trace.log("eval", after_iteration=iteration, sufficient=verdict.sufficient, answer=verdict.answer)
         if verdict.sufficient:
             trace.log("result", answer=verdict.answer, failed=False, exhausted=False, iterations=iteration)
-            return LocalResult(verdict.answer, False, trace, s_loc)
-        questions = gateway.next_questions(q_start, graph.proposition_texts(s_loc.ids()), cfg.max_subquestions)
-        trace.log("next_questions", iteration=iteration, questions=questions)
+            return Result(verdict.answer, False, trace, list(s_loc))
+        if s_pool and iteration < cfg.max_iter:  # else no iteration walks the follow-ups
+            questions = gateway.next_questions(q_start, graph.proposition_texts(s_loc), cfg.max_subquestions)
+            trace.log("next_questions", iteration=iteration, questions=questions)
 
-    answer = gateway.final_answer(q_start, graph.proposition_texts(s_loc.ids()))
+    answer = gateway.final_answer(q_start, graph.proposition_texts(s_loc))
     trace.log("result", answer=answer, failed=True, exhausted=True, iterations=iteration)
-    return LocalResult(answer, True, trace, s_loc)
+    return Result(answer, True, trace, list(s_loc))
 
 
 def _embed_new(texts: Sequence[str], vectors: dict[str, np.ndarray], embedder: EmbedBackend) -> list[np.ndarray]:

@@ -13,13 +13,14 @@ question text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .encoding import top_k_similar
 from .graph import HeteroGraph
 from .llm import LLMGateway
+from .trace import Trace
 from .traversal import (
     Subgraph,
     TransitionMatrix,
@@ -31,33 +32,14 @@ from .traversal import (
 )
 
 
-class PropositionPool:
-    """Ordered, duplicate-free set of proposition ids, in insertion order."""
+@dataclass
+class Result:
+    """What every answer mode returns; ``collected`` holds distinct proposition ids in collection order."""
 
-    def __init__(self, props: Iterable[int] = ()):
-        self._ids: dict[int, None] = dict.fromkeys(props)
-
-    def add(self, prop: int) -> bool:
-        """Insert unless present. Returns True if added."""
-        if prop in self._ids:
-            return False
-        self._ids[prop] = None
-        return True
-
-    def ids(self) -> list[int]:
-        return list(self._ids)
-
-    def copy(self) -> "PropositionPool":
-        return PropositionPool(self._ids)
-
-    def __contains__(self, prop: int) -> bool:
-        return prop in self._ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids)
+    answer: str
+    failed: bool
+    trace: Trace
+    collected: list[int]
 
 
 @dataclass

@@ -20,7 +20,7 @@ from propgraph.global_mode import WalkRecord, compute_queries
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local
 from propgraph.metrics import exact_match, f1
-from propgraph.suggest import PropositionPool, SuggestConfig, suggest_local, suggest_naive
+from propgraph.suggest import SuggestConfig, suggest_local, suggest_naive
 from propgraph.traversal import (
     TransitionMatrix,
     WalkParams,
@@ -164,7 +164,7 @@ def test_c06_feedback_identity():
     embeddings = [random_unit(rng, 8) for _ in range(6)]
     graph = graph_from_links([["e"]] * 6, embeddings=embeddings)
     dense = graph.proposition_embeddings.astype(np.float64)
-    pool = PropositionPool([4])
+    pool = [4]
     qa, qb = np.asarray(random_unit(rng, 8), np.float64), np.asarray(random_unit(rng, 8), np.float64)
     records = {
         4: [
@@ -207,21 +207,21 @@ def test_c08_anchor_collection_liveness():
 
     # (a) target reached at seeding: zero iterations
     graph, gateway = collection_fixture()
-    done = collect_anchors("broad question", graph, gateway, embedder, small_cfg(min_facts=1))
-    assert done.iterations == 0
+    _, iterations = collect_anchors("broad question", graph, gateway, embedder, small_cfg(min_facts=1))
+    assert iterations == 0
 
     # (b) iteration budget reached while growing monotonically
     graph, gateway = collection_fixture()
     trace = Trace()
-    capped = collect_anchors("broad question", graph, gateway, embedder, small_cfg(min_facts=10_000, max_iter=2), trace)
+    _, iterations = collect_anchors("broad question", graph, gateway, embedder, small_cfg(min_facts=10_000, max_iter=2), trace)
     counts = [e["anchors"] for e in trace.of_kind("collected")]
-    assert capped.iterations == 2 and counts == sorted(counts)
+    assert iterations == 2 and counts == sorted(counts)
 
     # (c) selection prunes everything: pool empties, loop exits immediately
     graph, _ = collection_fixture()
     pruning = LLMGateway(MockChatBackend([MockRule(template="Select", response="KEEP: none")]))
-    emptied = collect_anchors("broad question", graph, pruning, embedder, small_cfg(min_facts=10_000, max_iter=5))
-    assert emptied.iterations == 0 and len(emptied.pool) == 0
+    anchors, iterations = collect_anchors("broad question", graph, pruning, embedder, small_cfg(min_facts=10_000, max_iter=5))
+    assert iterations == 0 and len(anchors) == 0
     _ok(8, "anchor collection terminates on target reached, budget spent, and pool emptied; growth is monotone")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from propgraph.config import BACKEND_SPECS, RunConfig, build_chat_backend, build_embed_backend, load_config
 from propgraph.encoding import NORM_TOL, HashedNgramEmbedder, OpenAICompatEmbedder
-from propgraph.errors import ConfigError
+from propgraph.errors import ConfigError, DimensionMismatchError
 from propgraph.llm import MockChatBackend, OpenAICompatChatBackend
 from propgraph.traversal import build_structural_transition, query_aware_transition
 
@@ -149,8 +149,10 @@ def test_backend_builders(tmp_path):
     cfg.embed_backend = {"kind": "openai", "base_url": "http://srv/v1", "model": "emb-x", "dimension": 64}
     chat = build_chat_backend(cfg)
     embed = build_embed_backend(cfg)
-    assert isinstance(chat, OpenAICompatChatBackend) and chat.model_name() == "chat-x"
-    assert isinstance(embed, OpenAICompatEmbedder) and embed.dimension() == 64
+    assert isinstance(chat, OpenAICompatChatBackend) and chat.client.model == "chat-x"
+    assert isinstance(embed, OpenAICompatEmbedder)
+    with pytest.raises(DimensionMismatchError, match="served a 63-d vector, expected 64-d"):
+        embed._parse({"data": [{"index": 0, "embedding": [1.0] * 63}]}, 1)
 
     cfg.chat_backend = {"kind": "quantum"}
     with pytest.raises(ConfigError):

@@ -289,12 +289,12 @@ def reference_counts(text, dim, n=3):
     return vec
 
 
-def assert_matches_reference(embedder, texts):
+def assert_matches_reference(embedder, dim, texts):
     vectors = embedder.embed(texts)
     assert len(vectors) == len(texts)
     for text, vec in zip(texts, vectors):
-        assert vec.dtype == np.float32 and vec.shape == (embedder.dimension(),)
-        assert vec.tobytes() == normalize(reference_counts(text, embedder.dimension())).tobytes(), text
+        assert vec.dtype == np.float32 and vec.shape == (dim,)
+        assert vec.tobytes() == normalize(reference_counts(text, dim)).tobytes(), text
 
 
 def random_texts(rng, count, alphabet="abcdefghijklmnopqrstuvwxyzABCZ .,'-0123456789éß"):
@@ -321,8 +321,8 @@ EDGE_TEXTS = [
 def test_mock_embed_matches_per_gram_reference(dim):
     embedder = HashedNgramEmbedder(dim=dim)
     texts = random_texts(np.random.default_rng(dim), 300) + EDGE_TEXTS
-    assert_matches_reference(embedder, texts)
-    assert_matches_reference(embedder, texts[::-1])  # again, with every gram known
+    assert_matches_reference(embedder, dim, texts)
+    assert_matches_reference(embedder, dim, texts[::-1])  # again, with every gram known
 
 
 def test_mock_embed_cancelling_signs_map_to_first_basis_vector():
@@ -336,8 +336,8 @@ def test_mock_embedders_of_different_dims_do_not_share_buckets():
     small, large = HashedNgramEmbedder(dim=7), HashedNgramEmbedder(dim=16)
     texts = random_texts(np.random.default_rng(11), 50) + EDGE_TEXTS
     for text in texts:
-        assert_matches_reference(small, [text])
-        assert_matches_reference(large, [text])
+        assert_matches_reference(small, 7, [text])
+        assert_matches_reference(large, 16, [text])
 
 
 def test_mock_embed_of_no_texts_is_empty():
@@ -348,8 +348,8 @@ def test_mock_embed_matches_reference_when_gram_map_overflows(monkeypatch):
     monkeypatch.setattr(encoding, "_GRAM_CACHE_SIZE", 8)
     embedder = HashedNgramEmbedder(dim=16)
     texts = random_texts(np.random.default_rng(13), 40)
-    assert_matches_reference(embedder, texts)
-    assert_matches_reference(embedder, texts)
+    assert_matches_reference(embedder, 16, texts)
+    assert_matches_reference(embedder, 16, texts)
     assert 0 < len(embedder._codes) <= 8
 
 

@@ -23,7 +23,6 @@ from propgraph.global_mode import (
 )
 from propgraph.graph import HeteroGraph, NodeKind, entity_id, passage_id, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
-from propgraph.suggest import PropositionPool
 from propgraph.tokens import estimate_tokens
 from propgraph.trace import Trace
 
@@ -78,7 +77,7 @@ def refinement_graph():
 
 def test_compute_queries_simple_feedback_degenerates_to_origin():
     graph = refinement_graph()
-    pool = PropositionPool([2])
+    pool = [2]
     origin = normalize(np.arange(1.0, 9.0))
     records = {2: [WalkRecord([np.asarray(origin, np.float64)], None, [2], [])]}
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.0, rocchio_gamma=0.0)
@@ -89,7 +88,7 @@ def test_compute_queries_simple_feedback_degenerates_to_origin():
 
 def test_compute_queries_single_walker_arithmetic():
     graph = refinement_graph()
-    pool = PropositionPool([1])
+    pool = [1]
     origin = np.asarray(normalize(np.ones(8)), np.float64)
     records = {1: [WalkRecord([origin], [{1: 0.9}], [1], [])]}
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
@@ -102,7 +101,7 @@ def test_compute_queries_single_walker_arithmetic():
 def test_compute_queries_two_partitions_hand_computed():
     graph = refinement_graph()
     embeddings = graph.proposition_embeddings.astype(np.float64)
-    pool = PropositionPool([2])
+    pool = [2]
     qa = np.asarray(normalize(np.eye(8)[0] + 0.2 * np.eye(8)[3]), np.float64)
     qb = np.asarray(normalize(np.eye(8)[1]), np.float64)
     qc = np.asarray(normalize(np.eye(8)[2] - 0.5 * np.eye(8)[5]), np.float64)
@@ -153,11 +152,11 @@ def compute_queries_per_proposition(pool, records, graph, cfg):
 def test_compute_queries_matches_a_pruned_mean_per_proposition_bitwise():
     rng = np.random.default_rng(71)
     graph = build_random_graph(rng, 60, dim=16)
-    pool = PropositionPool(rng.permutation(60)[:30].tolist())
+    pool = rng.permutation(60)[:30].tolist()
     records = {}
     for _ in range(12):  # each record is shared by every proposition it kept
         walkers = int(rng.integers(1, 4))
-        kept = rng.choice(pool.ids(), size=int(rng.integers(1, 6)), replace=False).tolist()
+        kept = rng.choice(pool, size=int(rng.integers(1, 6)), replace=False).tolist()
         pis = None if rng.random() < 0.3 else [{p: float(rng.random()) for p in kept} for _ in range(walkers)]
         rec = WalkRecord(
             [rng.normal(size=16) for _ in range(walkers if pis else 1)],
@@ -185,7 +184,7 @@ def test_compute_queries_matches_a_pruned_mean_per_proposition_bitwise():
 
 
 def test_partition_singletons():
-    pool = PropositionPool(range(10))
+    pool = list(range(10))
     parts = partition_pool(pool, 10)
     assert parts == [[i] for i in range(10)]
 
@@ -221,29 +220,29 @@ def collection_fixture(n_props=40):
 def test_collect_anchors_no_iterations_when_seeds_suffice(embedder8):
     graph, gateway = collection_fixture()
     cfg = small_cfg(min_facts=1)
-    result = collect_anchors("broad question", graph, gateway, embedder8, cfg)
-    assert result.iterations == 0
-    assert len(result.pool) >= 1
+    anchors, iterations = collect_anchors("broad question", graph, gateway, embedder8, cfg)
+    assert iterations == 0
+    assert len(anchors) >= 1
 
 
 def test_collect_anchors_grows_monotonically_until_target(embedder8):
     graph, gateway = collection_fixture()
     cfg = small_cfg(min_facts=30, max_iter=5)
     trace = Trace()
-    result = collect_anchors("broad question", graph, gateway, embedder8, cfg, trace)
+    anchors, iterations = collect_anchors("broad question", graph, gateway, embedder8, cfg, trace)
     counts = [e["anchors"] for e in trace.of_kind("collected")]
     assert counts == sorted(counts)
-    assert len(result.pool) >= 30 or result.iterations == 5
-    assert result.iterations <= 5
+    assert len(anchors) >= 30 or iterations == 5
+    assert iterations <= 5
 
 
 def test_collect_anchors_empty_pool_breaks_loop(embedder8):
     graph, _ = collection_fixture()
     gateway = LLMGateway(MockChatBackend([MockRule(template="Select", response="KEEP: none")]))
     cfg = small_cfg(min_facts=30)
-    result = collect_anchors("broad question", graph, gateway, embedder8, cfg)
-    assert len(result.pool) == 0
-    assert result.iterations == 0  # guard exits before any walk
+    anchors, iterations = collect_anchors("broad question", graph, gateway, embedder8, cfg)
+    assert len(anchors) == 0
+    assert iterations == 0  # guard exits before any walk
 
 
 def test_collect_anchors_excludes_already_collected(embedder8):
@@ -283,8 +282,8 @@ def test_a_padded_decomposition_selects_each_distinct_facet_once(embedder8):
     asked = []
     graph, gateway = seeding_gateway("1. facet zero", asked)
     trace = Trace()
-    result = collect_anchors("broad question", graph, gateway, embedder8, small_cfg(min_facts=1), trace)
-    assert result.iterations == 0  # every Select was a seeding one
+    _, iterations = collect_anchors("broad question", graph, gateway, embedder8, small_cfg(min_facts=1), trace)
+    assert iterations == 0  # every Select was a seeding one
     assert asked == ["facet zero", "broad question"]
     seeds = trace.of_kind("seed")
     assert [e["query"] for e in seeds] == ["facet zero"] + ["broad question"] * 3
@@ -297,8 +296,8 @@ def test_a_garbled_decomposition_sends_one_seeding_select(embedder8):
     asked = []
     graph, gateway = seeding_gateway("no list here", asked)
     trace = Trace()
-    result = collect_anchors("broad question", graph, gateway, embedder8, small_cfg(min_facts=1), trace)
-    assert result.iterations == 0
+    _, iterations = collect_anchors("broad question", graph, gateway, embedder8, small_cfg(min_facts=1), trace)
+    assert iterations == 0
     assert asked == ["broad question"]
     assert [e["query"] for e in trace.of_kind("seed")] == ["broad question"] * 4
 
@@ -747,7 +746,7 @@ def test_answer_global_zero_communities_falls_back_to_anchors(embedder8):
     cfg = small_cfg(breadth_m=2, min_facts=1, min_community_size=11, max_community_size=12)
     result = answer_global("what do the blobs say", graph, gateway, embedder8, cfg)
     assert result.trace.of_kind("anchor_fallback")
-    first_anchor = result.collected.ids()[0]
+    first_anchor = result.collected[0]
     assert result.answer == graph.propositions[first_anchor].text
 
 

@@ -251,7 +251,9 @@ def test_registry_dimension_mismatch_raises_like_the_loop():
 
 
 def test_a_held_dimension_mismatch_does_not_stop_the_founders_growing():
-    # the founder matrix grows in place, which numpy refuses while a view of it lives
+    # the founder matrix grows in place without numpy's reference check, so a view of it
+    # that outlived a growth would read a freed buffer; the registry checks the dimension
+    # before it takes any view of the founders, so the held error's frames hold none
     registry = EntityRegistry()
     registry.resolve("first", basis(0, dim=128))
     with pytest.raises(DimensionMismatchError) as held:

@@ -85,11 +85,11 @@ def test_embedder_round_trip(fake_server):
     vectors = embedder.embed(["alpha", "beta", "gamma"])
     assert len(vectors) == 3
     for vec in vectors:
+        assert vec.shape == (3,)
         assert is_normalized(vec)  # client re-normalizes server output
     assert handler.seen[0]["body"] == {"model": "test-embed", "input": ["alpha", "beta"]}
     assert handler.seen[1]["body"]["input"] == ["gamma"]  # batch_size respected
     assert handler.seen[0]["auth"] == "Bearer sekrit"
-    assert embedder.dimension() == 3
 
 
 def test_embedder_retries_transient_errors(fake_server):

@@ -182,9 +182,6 @@ class GarbledBackend(ChatBackend):
         self.prompts.append(prompt)
         return "???"
 
-    def model_name(self):
-        return "garbled"
-
 
 # template, ledger stage, operation, degraded result (ExtractionFailed: none, it raises)
 DEGRADED = [
@@ -234,9 +231,6 @@ def test_final_answer_echoes_first_context_line():
 class _FailingBackend(ChatBackend):
     def complete(self, prompt):
         raise BackendUnavailable("down")
-
-    def model_name(self):
-        return "down"
 
 
 def test_transport_failure_surfaces():

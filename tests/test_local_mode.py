@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from propgraph import local_mode, suggest, traversal
 from propgraph.config import RunConfig
@@ -102,7 +103,8 @@ def test_suggest_calls_match_active_question_count(two_hop_graph, embedder):
     assert len(per_iter[2]) == 2  # both follow-ups
     # one sufficiency check after seeding plus one per iteration
     assert gateway.eval_calls == 3
-    assert gateway.nextq_calls == 2
+    # follow-ups for the second iteration only: none after the last
+    assert gateway.nextq_calls == 1
 
 
 def test_follow_up_cap_comes_from_the_run_config(two_hop_graph, embedder):
@@ -117,8 +119,37 @@ def test_follow_up_cap_comes_from_the_run_config(two_hop_graph, embedder):
     cfg = RunConfig(max_iter=2, top_k=5, subgraph_max_size=500, max_subquestions=1)
     result = answer_local(TWO_HOP_QUESTION, two_hop_graph, LLMGateway(MockChatBackend(rules)), embedder, cfg)
     events = result.trace.of_kind("next_questions")
-    assert [e["questions"] for e in events] == [["Which country is Ulm located in?"]] * 2
-    assert [p.slots["max_questions"] for p in nextq_prompts] == ["1", "1"]
+    assert [e["questions"] for e in events] == [["Which country is Ulm located in?"]]
+    assert [p.slots["max_questions"] for p in nextq_prompts] == ["1"]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+def test_an_exhausted_answer_asks_for_follow_ups_after_every_iteration_but_the_last(max_iter):
+    # the default mock never finds the facts sufficient, and this graph never runs out of suggestions
+    graph = build_random_graph(np.random.default_rng(11), 240, dim=16)
+    gateway = CountingGateway(MockChatBackend())
+    question = "Which proposition number links entity number 7 to passage number 3?"
+    cfg = RunConfig(max_iter=max_iter, top_k=6, subgraph_max_size=40)
+    result = answer_local(question, graph, gateway, HashedNgramEmbedder(dim=16), cfg)
+    assert result.trace.of_kind("result")[0] == {
+        "event": "result", "answer": result.answer, "failed": True, "exhausted": True, "iterations": max_iter
+    }
+    assert not result.trace.of_kind("pool_empty")
+    assert gateway.nextq_calls == max_iter - 1
+    assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == list(range(1, max_iter))
+
+
+def test_an_iteration_that_keeps_nothing_asks_for_no_follow_ups(two_hop_graph, embedder):
+    # the follow-up shares no content word with any fact, so the mock Select keeps nothing for it
+    rules = [r for r in two_hop_rules() if r.template != "Eval"] + [
+        MockRule(template="NextQ", response="1. Xylophone zygote quorum?")
+    ]
+    gateway = CountingGateway(MockChatBackend(rules))
+    result = answer_local(TWO_HOP_QUESTION, two_hop_graph, gateway, embedder, local_cfg(max_iter=5))
+    assert [e["kept"] for e in result.trace.of_kind("suggest") if e["iteration"] == 2] == [[]]
+    assert result.trace.of_kind("pool_empty") == [{"event": "pool_empty", "iteration": 3}]
+    assert gateway.nextq_calls == 1
+    assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == [1]
 
 
 def test_collected_pool_grows_monotonically(two_hop_graph, two_hop_gateway, embedder):
@@ -126,7 +157,7 @@ def test_collected_pool_grows_monotonically(two_hop_graph, two_hop_gateway, embe
     seen = set(result.trace.of_kind("seed")[0]["kept"])
     for event in result.trace.of_kind("suggest"):
         seen |= set(event["kept"])
-    assert set(result.collected.ids()) == seen
+    assert set(result.collected) == seen
 
 
 def test_deterministic_trace(two_hop_graph, embedder):

@@ -42,7 +42,7 @@ PINNED_GRAPH = {
 }
 PINNED_EVAL = {
     "questions.jsonl": "2bbd0c8ce119eeb1abdfc63d5508e8a76c65b119bff64271197c61a1626d797f",
-    "report.json": "61fdd0fd3e96bd448c30934d0c7048c308cad755f2e8ad3050d10e422f89abc5",
+    "report.json": "a493d1f73b80f9fae8a2437832d216cb240279889005f2d8e3bd624ec1479e31",
 }
 PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
 PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e8a71642"
@@ -54,7 +54,7 @@ PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e
 CARVED_GRAPH_SEED = 11
 CARVED_QUESTION = "Which proposition number links entity number 7 to passage number 3?"
 PINNED_CARVED_TRACES = {
-    "local": "0e96e2a2ab95121a5225c1743fbe885ef546833f7fa45861c9391254548f5236",
+    "local": "8c862c64dc78429d7c8701e7bb9cad4189f3d44119f6e7374eda3607863e27ce",
     "global": "d3840c89f753f857995c46786623ba43522cc83c77036ff3d36fe572775f0812",
 }
 
@@ -137,3 +137,10 @@ def test_library_imports_without(module):
     )
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_the_library_loads_no_package_beyond_its_runtime_dependencies():
+    # the same check that CI runs against an install without the dev extra
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
+    subprocess.run([sys.executable, str(tests / "runtime_imports.py")], check=True, timeout=60, env=env)

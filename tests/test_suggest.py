@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from propgraph import suggest, traversal
+from propgraph.config import RunConfig
 from propgraph.encoding import normalize
+from propgraph.global_mode import answer_global
 from propgraph.graph import NodeKind, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
+from propgraph.local_mode import answer_local, answer_naive
 from propgraph.suggest import (
-    PropositionPool,
+    Result,
     SuggestConfig,
     _rank_new,
     select,
@@ -17,7 +20,7 @@ from propgraph.suggest import (
 )
 from propgraph.traversal import TransitionMatrix, WalkParams, blend, build_semantic_transition, extract_subgraph
 
-from conftest import build_random_graph, neighbors, node_order, random_unit
+from conftest import TWO_HOP_QUESTION, build_random_graph, neighbors, node_order, random_unit, two_hop_rules
 from test_traversal import (
     coo_structural_reference,
     dense_ppr_oracle,
@@ -352,14 +355,10 @@ def test_a_degraded_packed_select_keeps_every_candidate_and_none_is_sent_again()
     assert sent == [("a", [1, 3, 5]), ("a", [7])]
 
 
-def test_pool_preserves_order_and_dedupes():
-    pool = PropositionPool()
-    assert pool.add(3)
-    assert not pool.add(3)
-    pool.add(1)
-    assert pool.ids() == [3, 1] == list(pool)
-    assert 3 in pool and len(pool) == 2
-    clone = pool.copy()
-    clone.add(7)
-    assert pool.ids() == [3, 1] and clone.ids() == [3, 1, 7]
-    assert PropositionPool([5, 2, 5]).ids() == [5, 2]
+@pytest.mark.parametrize("answer", [answer_naive, answer_local, answer_global])
+def test_every_mode_returns_a_result_collecting_distinct_ids_in_order(answer, two_hop_graph, embedder):
+    cfg = RunConfig(max_iter=2, top_k=5, subgraph_max_size=500)
+    result = answer(TWO_HOP_QUESTION, two_hop_graph, LLMGateway(MockChatBackend(two_hop_rules())), embedder, cfg)
+    assert type(result) is Result and type(result.collected) is list
+    kept = [prop for e in result.trace.events if e["event"] in ("seed", "suggest", "explore") for prop in e["kept"]]
+    assert result.collected == list(dict.fromkeys(kept)) != []
