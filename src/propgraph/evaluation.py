@@ -100,12 +100,8 @@ def run_eval(
             "f1": f1(result.answer, record.gold_answers),
         }
 
-    if config.eval_workers > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=config.eval_workers) as pool:
-            rows = list(pool.map(run_one, enumerate(records)))
-    else:
-        rows = [run_one(item) for item in enumerate(records)]
-    rows.sort(key=lambda r: r["index"])
+    with ThreadPoolExecutor(max_workers=config.eval_workers) as pool:
+        rows = list(pool.map(run_one, enumerate(records)))
 
     n = len(rows)
     report = {

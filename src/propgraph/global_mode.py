@@ -37,13 +37,12 @@ T = TypeVar("T")
 class WalkRecord:
     """What one suggestion round kept for later query refinement.
 
-    ``walker_pis`` is None for seeding rounds, where the "walker" was a
-    plain similarity search and its query stands in for the walk origin.
+    ``origins`` maps each kept proposition to the query of the walker most
+    likely to have reached it; a seeding round's facet query stands for
+    everything it kept. ``pruned`` is what its ``Select`` dropped.
     """
 
-    queries: list[np.ndarray]
-    walker_pis: list[dict[int, float]] | None
-    kept: list[int]
+    origins: dict[int, np.ndarray]
     pruned: list[int]
 
 
@@ -80,11 +79,10 @@ def compute_queries(
 ) -> dict[int, QueryState]:
     """Refine one query vector per pooled proposition from walk feedback.
 
-    The origin component averages, over every round that surfaced the
-    proposition, the query of the walker most likely to have reached it;
-    the positive component is the proposition's own embedding; the
-    negative component averages the mean embeddings of what selection
-    pruned in those rounds. The combination alpha*origin + beta*positive
+    The origin component averages the proposition's origin query over
+    every round that kept it; the positive component is the proposition's
+    own embedding; the negative component averages the mean embeddings of
+    what selection pruned in those rounds. The combination alpha*origin + beta*positive
     - gamma*negative is renormalized to unit length for downstream cosine.
     """
     states: dict[int, QueryState] = {}
@@ -97,12 +95,7 @@ def compute_queries(
         origin_parts: list[np.ndarray] = []
         negative_parts: list[np.ndarray] = []
         for rec in records.get(prop, []):
-            if rec.walker_pis is None:
-                origin_parts.append(np.asarray(rec.queries[0], dtype=np.float64))
-            else:
-                visits = [pis.get(prop, 0.0) for pis in rec.walker_pis]
-                best = int(np.argmax(visits))  # ties resolve to the lowest walker index
-                origin_parts.append(np.asarray(rec.queries[best], dtype=np.float64))
+            origin_parts.append(np.asarray(rec.origins[prop], dtype=np.float64))
             if id(rec) not in pruned_means:
                 pruned_means[id(rec)] = (
                     embeddings[rec.pruned].astype(np.float64).mean(axis=0) if rec.pruned else np.zeros(dim)
@@ -176,16 +169,16 @@ def collect_anchors(
         asks, q_vecs, select_wave(asks, verdicts, suggest_cfg.k, graph, gateway, select)
     ):
         kept_set = set(kept)
-        seeds[question] = suggested, WalkRecord([q_vec], None, kept, [c for c in suggested if c not in kept_set])
+        seeds[question] = suggested, WalkRecord(dict.fromkeys(kept, q_vec), [c for c in suggested if c not in kept_set])
 
     s_pool: dict[int, None] = {}
     records: dict[int, list[WalkRecord]] = {}
     for q_index, question in enumerate(subqueries):
         suggested, rec = seeds[question]
-        for prop in rec.kept:
+        for prop in rec.origins:  # what the seeding kept, in order
             s_pool[prop] = None
             records.setdefault(prop, []).append(rec)
-        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=rec.kept)
+        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=list(rec.origins))
     s_glb = dict(s_pool)
 
     iteration = 0
@@ -205,12 +198,11 @@ def collect_anchors(
         kept_lists = select_wave(
             [(q_start, suggested) for suggested, _ in walks], verdicts, suggest_cfg.k, graph, gateway, select
         )
-        for part_index, (part, (suggested, walker_pis), kept) in enumerate(zip(parts, walks, kept_lists)):
+        for part_index, (part, (suggested, nearest), kept) in enumerate(zip(parts, walks, kept_lists)):
+            origin = dict(zip(suggested, nearest))
             kept_set = set(kept)
             rec = WalkRecord(
-                [states[prop].q for prop in part],
-                walker_pis,
-                kept,
+                {prop: states[part[origin[prop]]].q for prop in kept},
                 [c for c in suggested if c not in kept_set],
             )
             for prop in kept:

@@ -230,12 +230,12 @@ def index_corpus(
 ) -> HeteroGraph:
     """Build and finalize a graph from a corpus.
 
-    Per chunk: extract entities and propositions, embed the propositions
-    and the entity surfaces new to the global registry, merge the entities
-    into the registry, then wire nodes and edges. A chunk whose extraction
-    fails twice is kept as a bare passage and skipped. A backend that is
-    unavailable fails the whole index at once, with a ``BackendUnavailable``
-    naming the document and the chunk's span.
+    Per chunk: extract entities and propositions, embed in one request the
+    entity surfaces new to the global registry and the propositions, merge
+    the entities into the registry, then wire nodes and edges. A chunk
+    whose extraction fails twice is kept as a bare passage and skipped. A
+    backend that is unavailable fails the whole index at once, with a
+    ``BackendUnavailable`` naming the document and the chunk's span.
     """
     graph = HeteroGraph()
     registry = EntityRegistry(reconciliation)
@@ -246,14 +246,14 @@ def index_corpus(
                 surfaces = gateway.extract_entities(piece.text)
                 extracted = gateway.extract_propositions(piece.text, surfaces)
                 new = registry.new_surfaces(surfaces)
-                new_vecs = dict(zip(new, embedder.embed(new))) if new else {}
                 texts = [text for text, _ in extracted]
-                text_vecs = embedder.embed(texts) if texts else []
+                vecs = embedder.embed(new + texts) if new or texts else []
             except ExtractionFailed as err:
                 log.warning("extraction failed for %s %s: %s", doc.doc_id, piece.span, err)
                 continue
             except BackendUnavailable as err:
                 raise BackendUnavailable(f"while indexing {doc.doc_id} {piece.span}: {err}") from err
+            new_vecs, text_vecs = dict(zip(new, vecs)), vecs[len(new) :]  # zip stops at the surfaces
             surface_ids: dict[str, NodeId] = {}
             for surface in surfaces:
                 idx, founded = registry.resolve(surface, new_vecs.get(surface))

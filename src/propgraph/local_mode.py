@@ -53,8 +53,11 @@ def answer_local(
     it once per active question, prunes, folds the survivors into the
     collected set, and re-checks sufficiency; follow-up questions steer the
     next iteration. They are asked only when another iteration walks them:
-    not after the last one, nor after one that kept nothing (the next one
-    stops with an empty pool). When the iteration budget runs out a
+    not after the last one, nor after a later one that kept nothing (the
+    next one stops with a ``pool_empty`` event). The first iteration's next
+    pool is the seeds plus what it kept, so after a first iteration that
+    kept nothing they are still asked, and the second iteration walks from
+    the seeds again. When the iteration budget runs out a
     best-effort answer is still produced from the collected facts, flagged
     as exhausted on the trace.
 

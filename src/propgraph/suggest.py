@@ -129,15 +129,16 @@ def suggest_global(
     sub: Subgraph,
     cfg: SuggestConfig,
     exclude: Iterable[int] = (),
-) -> tuple[list[int], list[dict[int, float]]]:
+) -> tuple[list[int], list[int]]:
     """One walk per pool member over the members' carved subgraph, aggregated.
 
     ``queries`` pairs each partition member with its per-member query
     vector, and ``sub`` is the subgraph carved around all members. Each
     member restarts its own walk at itself under its own blended operator;
     the summed stationary distributions rank candidates. Returns the top-k
-    fresh ids plus each walker's visit probabilities keyed by proposition
-    id (needed for downstream query refinement).
+    fresh ids and, for each, the index in ``queries`` of the walker most
+    likely to have reached it (the lowest index on a tie), whose query a
+    kept suggestion's refinement starts from.
     """
     if not queries:
         raise ValueError("partition must be non-empty")
@@ -147,15 +148,15 @@ def suggest_global(
     structural = build_structural_transition(sub)
 
     aggregate = np.zeros(len(row_props), dtype=np.float64)
-    walker_pis: list[dict[int, float]] = []
+    pis: list[np.ndarray] = []
     for prop, q_vec in queries:
         blended = query_aware_transition(sub, q_vec, cfg.walk, structural=structural)
         pi = ppr(blended, [row_of[prop]], cfg.walk)
         aggregate += pi
-        visited = np.flatnonzero(pi > 0.0)
-        walker_pis.append(dict(zip([row_props[r] for r in visited.tolist()], pi[visited].tolist())))
-    excluded = set(members) | set(exclude)
-    return _rank_new(aggregate, row_props, excluded, cfg.k), walker_pis
+        pis.append(pi)
+    suggested = _rank_new(aggregate, row_props, set(members) | set(exclude), cfg.k)
+    visits = np.array(pis)[:, [row_of[p] for p in suggested]]
+    return suggested, np.argmax(visits, axis=0).tolist()  # ties resolve to the lowest walker index
 
 
 def select(

@@ -169,7 +169,6 @@ class Subgraph:
         walk_steps: int | None = None,
         walk_stop: str | None = None,
     ):
-        self.parent = parent
         self.walk_steps = walk_steps
         self.walk_stop = walk_stop
         self.nodes = np.array(nodes, dtype=np.int64)

@@ -11,7 +11,7 @@ import propgraph
 import propgraph.cli
 import propgraph.evaluation
 
-NOT_RUNTIME = ("networkx", "hypothesis", "pytest", "requests")
+NOT_RUNTIME = ("networkx", "hypothesis", "pytest", "requests", "yaml")
 
 loaded = [name for name in NOT_RUNTIME if name in sys.modules]
 if loaded:

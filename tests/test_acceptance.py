@@ -168,8 +168,8 @@ def test_c06_feedback_identity():
     qa, qb = np.asarray(random_unit(rng, 8), np.float64), np.asarray(random_unit(rng, 8), np.float64)
     records = {
         4: [
-            WalkRecord([qa, qb], [{4: 0.2}, {4: 0.7}], [4], [1]),
-            WalkRecord([qa], [{4: 0.5}], [4], [2, 3]),
+            WalkRecord({4: qb}, [1]),  # of walkers qa and qb, qb reached 4 most
+            WalkRecord({4: qa}, [2, 3]),
         ]
     }
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)

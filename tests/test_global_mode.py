@@ -79,7 +79,7 @@ def test_compute_queries_simple_feedback_degenerates_to_origin():
     graph = refinement_graph()
     pool = [2]
     origin = normalize(np.arange(1.0, 9.0))
-    records = {2: [WalkRecord([np.asarray(origin, np.float64)], None, [2], [])]}
+    records = {2: [WalkRecord({2: np.asarray(origin, np.float64)}, [])]}
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.0, rocchio_gamma=0.0)
     state = compute_queries(pool, records, graph, cfg)[2]
     assert np.array_equal(state.q_raw, np.asarray(origin, np.float64))
@@ -90,7 +90,7 @@ def test_compute_queries_single_walker_arithmetic():
     graph = refinement_graph()
     pool = [1]
     origin = np.asarray(normalize(np.ones(8)), np.float64)
-    records = {1: [WalkRecord([origin], [{1: 0.9}], [1], [])]}
+    records = {1: [WalkRecord({1: origin}, [])]}
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
     state = compute_queries(pool, records, graph, cfg)[1]
     positive = graph.proposition_embeddings.astype(np.float64)[1]
@@ -105,12 +105,12 @@ def test_compute_queries_two_partitions_hand_computed():
     qa = np.asarray(normalize(np.eye(8)[0] + 0.2 * np.eye(8)[3]), np.float64)
     qb = np.asarray(normalize(np.eye(8)[1]), np.float64)
     qc = np.asarray(normalize(np.eye(8)[2] - 0.5 * np.eye(8)[5]), np.float64)
-    rec1 = WalkRecord([qa, qb], [{2: 0.3}, {2: 0.5}], [2], [3])
-    rec2 = WalkRecord([qc], [{2: 0.2}], [2], [])
+    rec1 = WalkRecord({2: qb}, [3])  # walker b, of walkers a and b, reached 2 most
+    rec2 = WalkRecord({2: qc}, [])
     cfg = small_cfg(rocchio_alpha=1.0, rocchio_beta=0.7, rocchio_gamma=0.15)
     state = compute_queries(pool, {2: [rec1, rec2]}, graph, cfg)[2]
 
-    q_origin = (qb + qc) / 2.0  # walker b wins the argmax inside partition 1
+    q_origin = (qb + qc) / 2.0
     q_negative = (embeddings[3] + np.zeros(8)) / 2.0
     expected = 1.0 * q_origin + 0.7 * embeddings[2] - 0.15 * q_negative
     assert np.max(np.abs(state.q_raw - expected)) < 1e-12
@@ -127,11 +127,7 @@ def compute_queries_per_proposition(pool, records, graph, cfg):
         q_positive = embeddings[prop].astype(np.float64)
         origin_parts, negative_parts = [], []
         for rec in records.get(prop, []):
-            if rec.walker_pis is None:
-                origin_parts.append(np.asarray(rec.queries[0], dtype=np.float64))
-            else:
-                visits = [pis.get(prop, 0.0) for pis in rec.walker_pis]
-                origin_parts.append(np.asarray(rec.queries[int(np.argmax(visits))], dtype=np.float64))
+            origin_parts.append(np.asarray(rec.origins[prop], dtype=np.float64))
             if rec.pruned:
                 negative_parts.append(embeddings[rec.pruned].astype(np.float64).mean(axis=0))
             else:
@@ -155,13 +151,10 @@ def test_compute_queries_matches_a_pruned_mean_per_proposition_bitwise():
     pool = rng.permutation(60)[:30].tolist()
     records = {}
     for _ in range(12):  # each record is shared by every proposition it kept
-        walkers = int(rng.integers(1, 4))
+        walkers = [rng.normal(size=16) for _ in range(int(rng.integers(1, 4)))]
         kept = rng.choice(pool, size=int(rng.integers(1, 6)), replace=False).tolist()
-        pis = None if rng.random() < 0.3 else [{p: float(rng.random()) for p in kept} for _ in range(walkers)]
         rec = WalkRecord(
-            [rng.normal(size=16) for _ in range(walkers if pis else 1)],
-            pis,
-            kept,
+            {prop: walkers[int(rng.integers(len(walkers)))] for prop in kept},
             rng.choice(60, size=int(rng.integers(0, 8)), replace=False).tolist(),
         )
         for prop in kept:

@@ -371,10 +371,10 @@ def test_index_validates_graph_invariants(two_hop_graph):
 class CountingEmbedder(HashedNgramEmbedder):
     def __init__(self):
         super().__init__()
-        self.texts = []
+        self.requests = []
 
     def embed(self, texts):
-        self.texts.extend(texts)
+        self.requests.append(list(texts))
         return super().embed(texts)
 
 
@@ -392,8 +392,9 @@ def test_index_embeds_each_new_entity_surface_once(tmp_path):
     embedder = CountingEmbedder()
     docs = [CorpusDocument(f"doc{i}", text) for i, (text, _, _) in enumerate(CASED_PASSAGES)]
     graph = index_corpus(docs, LLMGateway(MockChatBackend(extraction_rules(CASED_PASSAGES))), embedder)
-    facts = [text for _, _, props in CASED_PASSAGES for text, _ in props]
-    assert sorted(embedder.texts) == sorted(["Nile", "Egypt", "Cairo", *facts])
+    facts = [[text for text, _ in props] for _, _, props in CASED_PASSAGES]
+    # one request per passage: its new surfaces, then its propositions
+    assert embedder.requests == [["Nile", "Egypt", *facts[0]], facts[1], ["Cairo", *facts[2]]]
     assert [(e.canonical_name, e.aliases) for e in graph.entities] == [
         ("Nile", ("NILE", "nile")), ("Egypt", ("EGYPT",)), ("Cairo", ())
     ]

@@ -152,6 +152,37 @@ def test_an_iteration_that_keeps_nothing_asks_for_no_follow_ups(two_hop_graph, e
     assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == [1]
 
 
+def test_a_first_iteration_that_keeps_nothing_still_asks_for_follow_ups(monkeypatch):
+    # the first iteration's next pool is the seeds plus what it kept: after
+    # it keeps nothing the second walks from the seeds, and only a later
+    # iteration that keeps nothing ends the loop
+    selects = []
+
+    def keep_two_at_seeding(prompt):
+        selects.append(prompt)
+        return "KEEP: 1, 2" if len(selects) == 1 else "KEEP: none"
+
+    pools = []
+    carve = local_mode.carve_local
+    monkeypatch.setattr(
+        local_mode, "carve_local", lambda graph, seeds, cfg: pools.append(list(seeds)) or carve(graph, seeds, cfg)
+    )
+    graph = build_random_graph(np.random.default_rng(11), 240, dim=16)
+    gateway = CountingGateway(MockChatBackend([MockRule(template="Select", respond=keep_two_at_seeding)]))
+    question = "Which proposition number links entity number 7 to passage number 3?"
+    cfg = RunConfig(max_iter=5, top_k=6, subgraph_max_size=40)
+    result = answer_local(question, graph, gateway, HashedNgramEmbedder(dim=16), cfg)
+    [seed] = result.trace.of_kind("seed")
+    assert len(seed["kept"]) == 2
+    assert pools == [seed["kept"], seed["kept"]]
+    assert [e["kept"] for e in result.trace.of_kind("suggest")] == [[]] * len(result.trace.of_kind("suggest"))
+    assert {e["iteration"] for e in result.trace.of_kind("suggest")} == {1, 2}
+    assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == [1]
+    assert gateway.nextq_calls == 1
+    assert result.trace.of_kind("pool_empty") == [{"event": "pool_empty", "iteration": 3}]
+    assert result.trace.of_kind("result")[0]["iterations"] == 3
+
+
 def test_collected_pool_grows_monotonically(two_hop_graph, two_hop_gateway, embedder):
     result = answer_local(TWO_HOP_QUESTION, two_hop_graph, two_hop_gateway, embedder, local_cfg(max_iter=3))
     seen = set(result.trace.of_kind("seed")[0]["kept"])

@@ -144,3 +144,15 @@ def test_the_library_loads_no_package_beyond_its_runtime_dependencies():
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
     subprocess.run([sys.executable, str(tests / "runtime_imports.py")], check=True, timeout=60, env=env)
+
+
+def test_the_ci_workflow_parses_and_every_step_runs_or_uses_an_action():
+    # a workflow that is not valid YAML starts no job, and says so nowhere else
+    import yaml
+
+    workflow = yaml.safe_load((Path(__file__).resolve().parent.parent / ".github/workflows/tier1.yml").read_text())
+    assert workflow["jobs"]
+    for name, job in workflow["jobs"].items():
+        assert job.get("steps"), name
+        for step in job["steps"]:
+            assert "run" in step or "uses" in step, (name, step)

@@ -193,9 +193,9 @@ def test_global_singleton_partition_equals_local():
     cfg = SuggestConfig(k=4, subgraph_size=100)
     query = basis(0)
     local = suggest_local(query, graph, [0], cfg)
-    global_ids, walker_pis = suggest_global([(0, query)], carved(graph, [(0, query)], cfg), cfg)
+    global_ids, nearest = suggest_global([(0, query)], carved(graph, [(0, query)], cfg), cfg)
     assert global_ids == local
-    assert len(walker_pis) == 1 and walker_pis[0]
+    assert nearest == [0] * len(local)
 
 
 def test_global_symmetric_members_tie_break_by_index():
@@ -210,6 +210,24 @@ def test_global_symmetric_members_tie_break_by_index():
     members = [(0, query), (1, query)]
     got, _ = suggest_global(members, carved(graph, members, cfg), cfg)
     assert got == [2, 3]
+
+
+def test_global_nearest_walker_ties_resolve_to_the_lower_index():
+    # as above, u0/u1 share a hub entity and an embedding, and c2 hangs off
+    # the hub: the two walks mirror each other and reach c2 equally, so its
+    # nearest walker is the lower index, whichever member comes first
+    links = [["E"], ["E"], ["E"]]
+    shared = basis(0)
+    graph = graph_from_links(links, embeddings=[shared, shared, normalize(0.8 * np.eye(8)[0] + 0.6 * np.eye(8)[1])])
+    query = basis(0)
+    cfg = SuggestConfig(k=1, subgraph_size=100)
+    sub = carved(graph, [(0, query), (1, query)], cfg)
+    for members in ([(0, query), (1, query)], [(1, query), (0, query)]):
+        got, nearest = suggest_global(members, sub, cfg)
+        _, pis = reference_suggest_global(members, sub, cfg)
+        assert got == [2]
+        assert pis[0][2] == pis[1][2]
+        assert nearest == [0]
 
 
 def test_global_fallback_rows_reduce_to_structural_walk():
@@ -242,7 +260,7 @@ def reference_suggest_global(queries, sub, cfg, exclude=()):
     row_props = sub.proposition_indices
     row_of = {p: r for r, p in enumerate(row_props)}
     aggregate = np.zeros(len(row_props))
-    walker_pis = []
+    walker_pis = []  # each walker's visit probabilities keyed by proposition id
     for prop, q_vec in queries:
         sims = sub.proposition_embeddings @ np.asarray(q_vec, dtype=np.float64)
         blended = blend(structural, build_semantic_transition(structural, sims, cfg.walk), cfg.walk.lambda_)
@@ -266,10 +284,10 @@ def test_global_matches_reference_pipeline_bitwise():
             continue
         sub = carved(graph, queries, cfg)
         exclude = rng.choice(n, size=2).tolist()
-        got_ids, got_pis = suggest_global(queries, sub, cfg, exclude)
+        got_ids, got_nearest = suggest_global(queries, sub, cfg, exclude)
         want_ids, want_pis = reference_suggest_global(queries, sub, cfg, exclude)
         assert got_ids == want_ids
-        assert [list(pis.items()) for pis in got_pis] == [list(pis.items()) for pis in want_pis]
+        assert got_nearest == [int(np.argmax([pis.get(prop, 0.0) for pis in want_pis])) for prop in want_ids]
 
 
 def test_global_builds_structural_operator_and_length_groups_once(monkeypatch):
@@ -281,8 +299,8 @@ def test_global_builds_structural_operator_and_length_groups_once(monkeypatch):
     graph = build_random_graph(rng, 40)
     cfg = SuggestConfig(k=5, subgraph_size=30)
     queries = [(prop, random_unit(rng, 8)) for prop in (0, 7, 19, 33)]
-    _, walker_pis = suggest_global(queries, carved(graph, queries, cfg), cfg)
-    assert len(walker_pis) == 4
+    suggested, nearest = suggest_global(queries, carved(graph, queries, cfg), cfg)
+    assert len(suggested) == len(nearest) and set(nearest) <= set(range(4))
     assert len(builds) == 1
     assert len(patterns) == 1
 
