@@ -13,8 +13,7 @@ from .indexing import CorpusDocument, index_corpus
 from .llm import LLMGateway, MockChatBackend, OpenAICompatChatBackend
 from .local_mode import answer_local, answer_naive
 from .global_mode import answer_global
-from .suggest import Result, SuggestConfig, suggest_global, suggest_local, suggest_naive
-from .traversal import WalkParams
+from .suggest import Result, suggest_global, suggest_local, suggest_naive
 
 __version__ = "0.1.0"
 
@@ -30,8 +29,6 @@ __all__ = [
     "OpenAICompatEmbedder",
     "Result",
     "RunConfig",
-    "SuggestConfig",
-    "WalkParams",
     "answer_global",
     "answer_local",
     "answer_naive",

@@ -57,9 +57,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     gateway, embedder = _backends(args, config, UsageLedger())
     docs = load_corpus(args.corpus)
-    graph = index_corpus(
-        docs, gateway, embedder, config.chunking_policy(), config.reconciliation_policy()
-    )
+    graph = index_corpus(docs, gateway, embedder, config)
     graph_io.save(graph, args.out)
     print(json.dumps(graph_stats(graph).as_dict(), sort_keys=True))
     return 0

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
-from .encoding import DEFAULT_MOCK_DIM, EmbedBackend, HashedNgramEmbedder, OpenAICompatEmbedder
+import numpy as np
+
+from .encoding import DEFAULT_MOCK_DIM, NORM_TOL, EmbedBackend, HashedNgramEmbedder, OpenAICompatEmbedder
 from .errors import ConfigError
-from .indexing import ChunkingPolicy, ReconciliationPolicy
 from .llm import ChatBackend, MockChatBackend, OpenAICompatChatBackend
-from .suggest import SuggestConfig
-from .traversal import WalkParams
 
 # file key -> attribute (only where they differ)
 _KEY_ALIASES = {"lambda": "lambda_"}
@@ -70,24 +69,29 @@ BACKEND_SPECS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Every run-level knob with its default, shared by all answer modes.
+    """Every run-level knob with its default, read by every layer from indexing to the walk.
 
     Construction checks every value, types first, then ranges, then the
-    backend specs, and raises ``ConfigError`` on the first bad one.
+    backend specs, and raises ``ConfigError`` on the first bad one. No layer
+    checks a field again, so a config is frozen: ``dataclasses.replace``
+    makes a changed copy, checked the same way.
     """
 
-    # walk
-    lambda_: float = WalkParams.lambda_
-    damping: float = WalkParams.damping
-    cosine_threshold: float = WalkParams.theta
-    temperature: float = WalkParams.tau
-    ppr_epsilon: float = WalkParams.ppr_epsilon
-    ppr_max_iters: int = WalkParams.ppr_max_iters
+    # walk: lambda_ balances structure against query similarity (1.0
+    # ignores the query), damping is the continue-walk probability,
+    # temperature the similarity temperature and cosine_threshold the floor
+    # below which a neighbor attracts no semantic mass
+    lambda_: float = 0.5
+    damping: float = 0.85
+    cosine_threshold: float = 0.4
+    temperature: float = 0.1
+    ppr_epsilon: float = 1e-8
+    ppr_max_iters: int = 200
     # retrieval
-    top_k: int = SuggestConfig.k
-    subgraph_max_size: int = SuggestConfig.subgraph_size
+    top_k: int = 20
+    subgraph_max_size: int = 500
     max_iter: int = 3
     max_subquestions: int = 3
     # global mode
@@ -105,9 +109,9 @@ class RunConfig:
     leiden_seed: int = 0
     leiden_resolution: float = 1.0
     # indexing
-    chunk_target_tokens: int = ChunkingPolicy.target_tokens
-    chunk_overlap_tokens: int = ChunkingPolicy.overlap_tokens
-    synonym_threshold: float = ReconciliationPolicy.synonym_threshold
+    chunk_target_tokens: int = 300
+    chunk_overlap_tokens: int = 0
+    synonym_threshold: float = 0.9
     # harness
     eval_workers: int = 1
     chat_backend: dict = field(default_factory=lambda: {"kind": "mock"})
@@ -118,16 +122,29 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _has_type(f.type, value):
                 raise ConfigError(f"{_FILE_KEYS.get(f.name, f.name)} must be {_EXPECTED[f.type]}, got {value!r}")
-        try:  # the walk, suggestion and indexing layers check their own inputs
-            self.walk_params()
-            self.suggest_config()
-            self.chunking_policy()
-            self.reconciliation_policy()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
         for f in fields(self):  # every integer but the seed and the overlap counts something
             if f.type == "int" and f.name not in ("leiden_seed", "chunk_overlap_tokens") and getattr(self, f.name) < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
+        if not 0.0 <= self.lambda_ <= 1.0:
+            raise ConfigError(f"lambda must be in [0, 1], got {self.lambda_}")
+        if not 0.0 < self.damping < 1.0:
+            raise ConfigError(f"damping must be in (0, 1), got {self.damping}")
+        if self.temperature <= 0.0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        # the largest cosine of two unit vectors, normalized within NORM_TOL
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.exp(np.array([(1.0 + NORM_TOL) / self.temperature]))).all():
+                raise ConfigError(
+                    f"temperature {self.temperature} is too small: exp(similarity / temperature) overflows"
+                )
+        if not -1.0 <= self.cosine_threshold <= 1.0:
+            raise ConfigError(f"cosine_threshold must be in [-1, 1], got {self.cosine_threshold}")
+        if self.ppr_epsilon <= 0.0:
+            raise ConfigError(f"ppr_epsilon must be positive, got {self.ppr_epsilon}")
+        if not 0 <= self.chunk_overlap_tokens < self.chunk_target_tokens:
+            raise ConfigError("chunk_overlap_tokens must be in [0, chunk_target_tokens)")
+        if not 0.0 <= self.synonym_threshold <= 1.0:
+            raise ConfigError(f"synonym_threshold must be in [0, 1], got {self.synonym_threshold}")
         if self.min_community_size > self.max_community_size:
             raise ConfigError("community size bounds out of order")
         if min(self.rocchio_alpha, self.rocchio_beta, self.rocchio_gamma) < 0:
@@ -140,25 +157,6 @@ class RunConfig:
             raise ConfigError(f"subgraph_max_size {self.subgraph_max_size} is below top_k {self.top_k}")
         for name in ("chat_backend", "embed_backend"):
             _backend_arguments(name, getattr(self, name))
-
-    def walk_params(self) -> WalkParams:
-        return WalkParams(
-            lambda_=self.lambda_,
-            damping=self.damping,
-            tau=self.temperature,
-            theta=self.cosine_threshold,
-            ppr_epsilon=self.ppr_epsilon,
-            ppr_max_iters=self.ppr_max_iters,
-        )
-
-    def suggest_config(self) -> SuggestConfig:
-        return SuggestConfig(k=self.top_k, subgraph_size=self.subgraph_max_size, walk=self.walk_params())
-
-    def chunking_policy(self) -> ChunkingPolicy:
-        return ChunkingPolicy(self.chunk_target_tokens, self.chunk_overlap_tokens)
-
-    def reconciliation_policy(self) -> ReconciliationPolicy:
-        return ReconciliationPolicy(self.synonym_threshold)
 
 
 def load_config(path: str | Path) -> RunConfig:

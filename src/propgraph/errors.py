@@ -49,5 +49,9 @@ class ConfigError(PropGraphError):
     """A configuration file is malformed or contains unknown keys."""
 
 
+class EmptyGraphError(PropGraphError, ValueError):
+    """A question was asked of a graph that holds no propositions."""
+
+
 class InputFileError(PropGraphError, ValueError):
     """A corpus or dataset file has a row that is not valid input."""

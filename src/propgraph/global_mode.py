@@ -156,17 +156,16 @@ def collect_anchors(
     is keep. A facet equal to the question shares the rounds' verdicts.
     """
     trace = trace if trace is not None else Trace()
-    suggest_cfg = cfg.suggest_config()
     subqueries = gateway.decompose(q_start, cfg.breadth_m)
     trace.log("decompose", questions=subqueries)
 
     verdicts: dict[tuple[str, int], bool] = {}
     distinct = list(dict.fromkeys(subqueries))
     q_vecs = [np.asarray(vec, dtype=np.float64) for vec in embedder.embed(distinct)]
-    asks = [(question, suggest_naive(q_vec, graph, suggest_cfg)) for question, q_vec in zip(distinct, q_vecs)]
+    asks = [(question, suggest_naive(q_vec, graph, cfg)) for question, q_vec in zip(distinct, q_vecs)]
     seeds: dict[str, tuple[list[int], WalkRecord]] = {}
     for (question, suggested), q_vec, kept in zip(
-        asks, q_vecs, select_wave(asks, verdicts, suggest_cfg.k, graph, gateway, select)
+        asks, q_vecs, select_wave(asks, verdicts, cfg.top_k, graph, gateway, select)
     ):
         kept_set = set(kept)
         seeds[question] = suggested, WalkRecord(dict.fromkeys(kept, q_vec), [c for c in suggested if c not in kept_set])
@@ -189,14 +188,14 @@ def collect_anchors(
         new_records: dict[int, list[WalkRecord]] = {}
         # a round-robin split leaves any empty parts at the end
         parts = [part for part in partition_pool(s_pool, cfg.breadth_m) if part]
-        carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, suggest_cfg.walk)
+        carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, cfg)
         collected = list(s_glb)  # no suggestion of the round depends on a Select of it
         walks = [
-            suggest_global([(prop, states[prop].q) for prop in part], sub, suggest_cfg, exclude=collected)
+            suggest_global([(prop, states[prop].q) for prop in part], sub, cfg, exclude=collected)
             for part, sub in zip(parts, carved)
         ]
         kept_lists = select_wave(
-            [(q_start, suggested) for suggested, _ in walks], verdicts, suggest_cfg.k, graph, gateway, select
+            [(q_start, suggested) for suggested, _ in walks], verdicts, cfg.top_k, graph, gateway, select
         )
         for part_index, (part, (suggested, nearest), kept) in enumerate(zip(parts, walks, kept_lists)):
             origin = dict(zip(suggested, nearest))

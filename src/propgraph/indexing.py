@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .config import RunConfig
 from .encoding import EmbedBackend, GrowingRows, cosine
 from .errors import BackendUnavailable, DimensionMismatchError, EmptyTextError, ExtractionFailed, InputFileError
 # GraphStats and graph_stats are re-exported: the counts of an indexed graph
@@ -36,27 +37,6 @@ class CorpusDocument:
 
 
 @dataclass
-class ChunkingPolicy:
-    target_tokens: int = 300
-    overlap_tokens: int = 0
-
-    def __post_init__(self) -> None:
-        if self.target_tokens < 1:
-            raise ValueError("target_tokens must be >= 1")
-        if not 0 <= self.overlap_tokens < self.target_tokens:
-            raise ValueError("overlap_tokens must be in [0, target_tokens)")
-
-
-@dataclass
-class ReconciliationPolicy:
-    synonym_threshold: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.synonym_threshold <= 1.0:
-            raise ValueError("synonym_threshold must be in [0, 1]")
-
-
-@dataclass
 class Chunk:
     text: str
     span: tuple[int, int]
@@ -73,14 +53,14 @@ def _sentence_spans(text: str) -> list[tuple[int, int]]:
     return [s for s in spans if text[s[0] : s[1]].strip()]
 
 
-def chunk(doc: CorpusDocument, policy: ChunkingPolicy = ChunkingPolicy()) -> list[Chunk]:
+def chunk(doc: CorpusDocument, cfg: RunConfig) -> list[Chunk]:
     """Split a document into sentence-respecting passages.
 
-    Sentences are packed greedily up to the token target; an oversized
-    single sentence becomes its own passage. Chunk spans are contiguous
-    (each ends where the next begins) so they cover the document; with a
-    nonzero overlap, trailing sentences of one chunk are replayed at the
-    start of the next.
+    Sentences are packed greedily up to ``chunk_target_tokens``; an
+    oversized single sentence becomes its own passage. Chunk spans are
+    contiguous (each ends where the next begins) so they cover the
+    document; with a nonzero ``chunk_overlap_tokens``, trailing sentences
+    of one chunk are replayed at the start of the next.
     """
     if not doc.text:
         raise EmptyTextError(f"document {doc.doc_id} is empty")
@@ -93,16 +73,16 @@ def chunk(doc: CorpusDocument, policy: ChunkingPolicy = ChunkingPolicy()) -> lis
     current_tokens = 0
     for idx, (a, b) in enumerate(sentences):
         t = estimate_tokens(doc.text[a:b])
-        if current and current_tokens + t > policy.target_tokens:
+        if current and current_tokens + t > cfg.chunk_target_tokens:
             groups.append(current)
             current = []
             current_tokens = 0
-            if policy.overlap_tokens > 0:
+            if cfg.chunk_overlap_tokens > 0:
                 carried: list[int] = []
                 carried_tokens = 0
                 for j in reversed(groups[-1]):
                     st = estimate_tokens(doc.text[sentences[j][0] : sentences[j][1]])
-                    if carried_tokens + st > policy.overlap_tokens:
+                    if carried_tokens + st > cfg.chunk_overlap_tokens:
                         break
                     carried.insert(0, j)
                     carried_tokens += st
@@ -118,7 +98,7 @@ def chunk(doc: CorpusDocument, policy: ChunkingPolicy = ChunkingPolicy()) -> lis
         start = sentences[group[0]][0] if gi else 0
         if gi + 1 == len(groups):
             end = len(doc.text)
-        elif policy.overlap_tokens == 0:
+        elif cfg.chunk_overlap_tokens == 0:
             end = sentences[groups[gi + 1][0]][0]  # contiguous, covering spans
         else:
             end = sentences[group[-1]][1]
@@ -131,7 +111,7 @@ class EntityRegistry:
 
     A new surface joins the first canonical entity whose name matches
     case-insensitively (checked against every recorded surface form) or
-    whose founder embedding clears the synonym threshold by ``cosine``;
+    whose founder embedding clears ``synonym_threshold`` by ``cosine``;
     otherwise it founds a new canonical entity.
 
     The founders' vectors are the rows of one float64 matrix that grows in
@@ -145,8 +125,8 @@ class EntityRegistry:
     float64 arrays (the embedders return contiguous vectors).
     """
 
-    def __init__(self, policy: ReconciliationPolicy = ReconciliationPolicy()):
-        self.policy = policy
+    def __init__(self, cfg: RunConfig | None = None):
+        self.cfg = cfg or RunConfig()
         self._founders = GrowingRows(np.empty((0, 0)))
         self._founder_max_abs = 0.0  # max |entry| of the founders without a NaN (those score NaN)
         # Reused by every resolve: a fresh mask of a new length per call
@@ -197,7 +177,7 @@ class EntityRegistry:
         if vec.shape[0] != self._founders.matrix.shape[1]:
             raise DimensionMismatchError(f"dimension mismatch: {vec.shape} vs {self._founders.matrix.shape[1:]}")
         founders = self._founders.matrix[:n]
-        threshold = self.policy.synonym_threshold
+        threshold = self.cfg.synonym_threshold
         # The mat-vec and np.dot sum the same products in different orders,
         # so they differ by at most 2*dim*u*sum|a_j*b_j| (u = 2**-53), and
         # sum|a_j*b_j| <= bound; 1e-9*bound covers that up to dim 4e6.
@@ -225,10 +205,9 @@ def index_corpus(
     docs: list[CorpusDocument],
     gateway: LLMGateway,
     embedder: EmbedBackend,
-    chunking: ChunkingPolicy = ChunkingPolicy(),
-    reconciliation: ReconciliationPolicy = ReconciliationPolicy(),
+    cfg: RunConfig | None = None,
 ) -> HeteroGraph:
-    """Build and finalize a graph from a corpus.
+    """Build and finalize a graph from a corpus, chunked and reconciled as ``cfg`` says.
 
     Per chunk: extract entities and propositions, embed in one request the
     entity surfaces new to the global registry and the propositions, merge
@@ -237,10 +216,11 @@ def index_corpus(
     backend that is unavailable fails the whole index at once, with a
     ``BackendUnavailable`` naming the document and the chunk's span.
     """
+    cfg = cfg or RunConfig()
     graph = HeteroGraph()
-    registry = EntityRegistry(reconciliation)
+    registry = EntityRegistry(cfg)
     for doc in docs:
-        for piece in chunk(doc, chunking):
+        for piece in chunk(doc, cfg):
             pid = graph.add_passage(piece.text, doc.doc_id, piece.span)
             try:
                 surfaces = gateway.extract_entities(piece.text)

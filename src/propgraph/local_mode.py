@@ -29,9 +29,8 @@ def answer_naive(
     cfg: RunConfig | None = None,
 ) -> Result:
     """Answer from top-k similar propositions; no graph, no selection."""
-    suggest_cfg = (cfg or RunConfig()).suggest_config()
     trace = Trace()
-    suggested = suggest_naive(embedder.embed_one(q_start), graph, suggest_cfg)
+    suggested = suggest_naive(embedder.embed_one(q_start), graph, cfg or RunConfig())
     trace.log("seed", query=q_start, suggested=suggested, kept=suggested)
     answer = gateway.final_answer(q_start, graph.proposition_texts(suggested))
     trace.log("result", answer=answer, failed=False, exhausted=False, iterations=0)
@@ -69,14 +68,13 @@ def answer_local(
     question text is embedded once per answer.
     """
     cfg = cfg or RunConfig()
-    suggest_cfg = cfg.suggest_config()
     trace = Trace()
 
     verdicts: dict[tuple[str, int], bool] = {}
     vectors: dict[str, np.ndarray] = {}
     [q_vec] = _embed_new([q_start], vectors, embedder)
-    seeded = suggest_naive(q_vec, graph, suggest_cfg)
-    [seed_kept] = select_wave([(q_start, seeded)], verdicts, suggest_cfg.k, graph, gateway, select)
+    seeded = suggest_naive(q_vec, graph, cfg)
+    [seed_kept] = select_wave([(q_start, seeded)], verdicts, cfg.top_k, graph, gateway, select)
     trace.log("seed", query=q_start, suggested=seeded, kept=seed_kept)
 
     s_pool = dict.fromkeys(seed_kept)
@@ -96,16 +94,16 @@ def answer_local(
         if not s_pool:
             trace.log("pool_empty", iteration=iteration)
             break
-        carved = carve_local(graph, s_pool, suggest_cfg)
+        carved = carve_local(graph, s_pool, cfg)
         offered: set[int] = set()  # an iteration offers each suggestion to its first question only
         walks: list[tuple[str, list[int], list[int]]] = []
         for question, q_vec in zip(questions, _embed_new(questions, vectors, embedder)):
-            suggested = suggest_local(q_vec, graph, s_pool, suggest_cfg, carved)
+            suggested = suggest_local(q_vec, graph, s_pool, cfg, carved)
             candidates = [c for c in suggested if c not in offered]
             offered.update(candidates)
             walks.append((question, suggested, candidates))
         asks = [(question, candidates) for question, _, candidates in walks]
-        kept_lists = select_wave(asks, verdicts, suggest_cfg.k, graph, gateway, select)
+        kept_lists = select_wave(asks, verdicts, cfg.top_k, graph, gateway, select)
         for q_index, ((question, suggested, candidates), kept) in enumerate(zip(walks, kept_lists)):
             s_pool_new.update(dict.fromkeys(kept))
             trace.log(

@@ -1,6 +1,6 @@
 """Candidate-proposition suggestion and LLM-feedback selection.
 
-Three suggestion flavors share one contract: return at most ``k`` fresh
+Three suggestion flavors share one contract: return at most ``top_k`` fresh
 proposition ids, ranked, never re-proposing seeds or caller-excluded ids.
 ``suggest_naive`` is pure similarity search; ``suggest_local`` walks a
 seed-anchored subgraph with one blended operator; ``suggest_global`` runs
@@ -12,19 +12,20 @@ question text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .encoding import top_k_similar
+from .errors import EmptyGraphError
 from .graph import HeteroGraph
 from .llm import LLMGateway
 from .trace import Trace
 from .traversal import (
     Subgraph,
     TransitionMatrix,
-    WalkParams,
     build_structural_transition,
     extract_subgraph,
     ppr,
@@ -42,25 +43,12 @@ class Result:
     collected: list[int]
 
 
-@dataclass
-class SuggestConfig:
-    k: int = 20
-    subgraph_size: int = 500
-    walk: WalkParams = field(default_factory=WalkParams)
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.subgraph_size < 1:
-            raise ValueError("subgraph_size must be >= 1")
-
-
-def suggest_naive(query_vec: np.ndarray, graph: HeteroGraph, cfg: SuggestConfig) -> list[int]:
+def suggest_naive(query_vec: np.ndarray, graph: HeteroGraph, cfg: RunConfig) -> list[int]:
     """Top-k propositions by cosine, ignoring edges and any seed context."""
     matrix = graph.proposition_embeddings
     if matrix.shape[0] == 0:
-        raise ValueError("graph has no propositions")
-    return [idx for idx, _ in top_k_similar(query_vec, matrix, cfg.k)]
+        raise EmptyGraphError("graph has no propositions")
+    return [idx for idx, _ in top_k_similar(query_vec, matrix, cfg.top_k)]
 
 
 def _rank_new(
@@ -86,7 +74,7 @@ def _rank_new(
 
 
 def carve_local(
-    graph: HeteroGraph, seeds: Iterable[int], cfg: SuggestConfig
+    graph: HeteroGraph, seeds: Iterable[int], cfg: RunConfig
 ) -> tuple[Subgraph, TransitionMatrix]:
     """The subgraph that :func:`suggest_local` carves around ``seeds``, and its structural transition.
 
@@ -96,7 +84,7 @@ def carve_local(
     seed_ids = sorted(set(seeds))
     if not seed_ids:
         raise ValueError("seed set must be non-empty")
-    sub = extract_subgraph(graph, seed_ids, cfg.subgraph_size, cfg.walk)
+    sub = extract_subgraph(graph, seed_ids, cfg.subgraph_max_size, cfg)
     return sub, build_structural_transition(sub)
 
 
@@ -104,7 +92,7 @@ def suggest_local(
     query_vec: np.ndarray,
     graph: HeteroGraph,
     seeds: Iterable[int],
-    cfg: SuggestConfig,
+    cfg: RunConfig,
     carved: tuple[Subgraph, TransitionMatrix] | None = None,
 ) -> list[int]:
     """Walk a seed-anchored subgraph, biased toward the query.
@@ -119,15 +107,15 @@ def suggest_local(
     sub, structural = carved or carve_local(graph, seed_ids, cfg)
     row_props = sub.proposition_indices
     row_of = {p: r for r, p in enumerate(row_props)}
-    blended = query_aware_transition(sub, query_vec, cfg.walk, structural=structural)
-    pi = ppr(blended, [row_of[p] for p in seed_ids], cfg.walk)
-    return _rank_new(pi, row_props, set(seed_ids), cfg.k)
+    blended = query_aware_transition(sub, query_vec, cfg, structural=structural)
+    pi = ppr(blended, [row_of[p] for p in seed_ids], cfg)
+    return _rank_new(pi, row_props, set(seed_ids), cfg.top_k)
 
 
 def suggest_global(
     queries: Sequence[tuple[int, np.ndarray]],
     sub: Subgraph,
-    cfg: SuggestConfig,
+    cfg: RunConfig,
     exclude: Iterable[int] = (),
 ) -> tuple[list[int], list[int]]:
     """One walk per pool member over the members' carved subgraph, aggregated.
@@ -150,11 +138,11 @@ def suggest_global(
     aggregate = np.zeros(len(row_props), dtype=np.float64)
     pis: list[np.ndarray] = []
     for prop, q_vec in queries:
-        blended = query_aware_transition(sub, q_vec, cfg.walk, structural=structural)
-        pi = ppr(blended, [row_of[prop]], cfg.walk)
+        blended = query_aware_transition(sub, q_vec, cfg, structural=structural)
+        pi = ppr(blended, [row_of[prop]], cfg)
         aggregate += pi
         pis.append(pi)
-    suggested = _rank_new(aggregate, row_props, set(members) | set(exclude), cfg.k)
+    suggested = _rank_new(aggregate, row_props, set(members) | set(exclude), cfg.top_k)
     visits = np.array(pis)[:, [row_of[p] for p in suggested]]
     return suggested, np.argmax(visits, axis=0).tolist()  # ties resolve to the lowest walker index
 

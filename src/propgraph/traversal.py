@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .encoding import NORM_TOL
+from .config import RunConfig
 from .errors import UnknownNodeError
 from .graph import HeteroGraph
 
@@ -36,42 +36,6 @@ _DANGLING_EPS = 1e-15
 # carving's gap first turned positive at step 30 in the median (quartiles
 # 26 and 36).
 _NARROWING = 256.0
-
-
-@dataclass
-class WalkParams:
-    """Knobs of the blended walk.
-
-    ``lambda_`` balances structure against query similarity (1.0 means the
-    walk ignores the query entirely), ``damping`` is the continue-walk
-    probability, ``tau`` the similarity temperature, ``theta`` the cosine
-    floor below which a neighbor attracts no semantic mass.
-    """
-
-    lambda_: float = 0.5
-    damping: float = 0.85
-    tau: float = 0.1
-    theta: float = 0.4
-    ppr_epsilon: float = 1e-8
-    ppr_max_iters: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_ <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lambda_}")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError(f"damping must be in (0, 1), got {self.damping}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        # the largest cosine of two unit vectors, normalized within NORM_TOL
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.exp(np.array([(1.0 + NORM_TOL) / self.tau]))).all():
-                raise ValueError(f"tau {self.tau} is too small: exp(similarity / tau) overflows")
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must be in [-1, 1], got {self.theta}")
-        if self.ppr_epsilon <= 0.0:
-            raise ValueError("ppr_epsilon must be positive")
-        if self.ppr_max_iters < 1:
-            raise ValueError("ppr_max_iters must be >= 1")
 
 
 @dataclass
@@ -273,16 +237,16 @@ def _kept_indptr(indptr: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def build_semantic_transition(
-    structural: TransitionMatrix, similarities: np.ndarray, params: WalkParams
+    structural: TransitionMatrix, similarities: np.ndarray, cfg: RunConfig
 ) -> TransitionMatrix:
     """Query-aware reweighting of the structural adjacency pattern.
 
-    Each neighbor j attracts mass proportional to exp(c_j / tau), with
-    neighbors below the cosine floor ``theta`` masked out entirely. Rows
+    Each neighbor j attracts mass proportional to exp(c_j / temperature),
+    with neighbors below ``cosine_threshold`` masked out entirely. Rows
     whose entire neighborhood falls below the floor keep their structural
     row so the walk never strands in a semantically dark region.
     """
-    data, fallback = _semantic_weights(structural, similarities, params)
+    data, fallback = _semantic_weights(structural, similarities, cfg)
     base = structural.matrix
     # eliminate_zeros compacts the index arrays in place: give it copies
     csr = sp.csr_matrix((data, base.indices.copy(), base.indptr.copy()), shape=base.shape)
@@ -291,17 +255,15 @@ def build_semantic_transition(
 
 
 def _semantic_weights(
-    structural: TransitionMatrix, similarities: np.ndarray, params: WalkParams
+    structural: TransitionMatrix, similarities: np.ndarray, cfg: RunConfig
 ) -> tuple[np.ndarray, frozenset[int]]:
     """The data of :func:`build_semantic_transition` on the structural pattern, a masked neighbor's 0.0 kept, and its fallback rows."""
-    if params.tau <= 0:
-        raise ValueError("tau must be positive")
     n = structural.size
     similarities = np.asarray(similarities, dtype=np.float64).ravel()
     if similarities.shape[0] != n:
         raise ValueError(f"similarity vector has {similarities.shape[0]} entries for {n} propositions")
 
-    boosted = np.where(similarities >= params.theta, np.exp(similarities / params.tau), 0.0)
+    boosted = np.where(similarities >= cfg.cosine_threshold, np.exp(similarities / cfg.temperature), 0.0)
     base = structural.matrix
     pattern = structural._pattern
     weights = boosted[base.indices]
@@ -327,7 +289,7 @@ def blend(structural: TransitionMatrix, semantic: TransitionMatrix, lambda_: flo
 def ppr(
     transition: TransitionMatrix | sp.csr_matrix,
     seeds: Sequence[int],
-    params: WalkParams,
+    cfg: RunConfig,
 ) -> np.ndarray:
     """Personalized PageRank with restarts uniform over ``seeds``: one probability per row.
 
@@ -346,19 +308,19 @@ def ppr(
             raise IndexError(f"seed {s} out of range for {n} rows")
     restart = np.zeros(n, dtype=np.float64)
     restart[sorted(set(seeds))] = 1.0 / len(set(seeds))
-    return _power_iteration(matrix, restart, params)[0]
+    return _power_iteration(matrix, restart, cfg)[0]
 
 
-def _power_iteration(matrix: sp.csr_matrix, restart: np.ndarray, params: WalkParams) -> tuple[np.ndarray, int, str]:
+def _power_iteration(matrix: sp.csr_matrix, restart: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, int, str]:
     """The loop of :func:`ppr` from the ``restart`` distribution: its result, the steps it ran and why it stopped, ``"convergence"`` or ``"budget"``."""
     dangling = np.flatnonzero(np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_EPS)
     # M^T pi by the CSC view of M^T: each entry adds its terms in ascending row order
     mt = matrix.T
-    d = params.damping
+    d = cfg.damping
     teleport = (1.0 - d) * restart
 
     pi = restart.copy()
-    for step in range(1, params.ppr_max_iters + 1):
+    for step in range(1, cfg.ppr_max_iters + 1):
         nxt = mt @ pi
         if len(dangling):
             nxt += float(pi[dangling].sum()) * restart
@@ -367,9 +329,9 @@ def _power_iteration(matrix: sp.csr_matrix, restart: np.ndarray, params: WalkPar
         change = nxt - pi
         err = float(np.abs(change, out=change).sum())
         pi = nxt
-        if err < params.ppr_epsilon:
+        if err < cfg.ppr_epsilon:
             return pi, step, "convergence"
-    return pi, params.ppr_max_iters, "budget"
+    return pi, cfg.ppr_max_iters, "budget"
 
 
 def _admit(scores: np.ndarray, included: np.ndarray, brings: np.ndarray, size_limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +535,7 @@ class _Admission:
         return min(above, below)
 
 
-def _first_testable_step(graph: HeteroGraph, params: WalkParams) -> int:
+def _first_testable_step(graph: HeteroGraph, cfg: RunConfig) -> int:
     """The first step at which a walk from propositions can pass the convergence test of :func:`ppr`.
 
     The graph is bipartite with propositions on one side, so the walk's
@@ -588,16 +550,16 @@ def _first_testable_step(graph: HeteroGraph, params: WalkParams) -> int:
     terms and for evaluating the bound itself in floats.
     """
     u = np.finfo(np.float64).eps / 2
-    d = params.damping
+    d = cfg.damping
     error = 2.0 * (float(graph.global_degrees.max(initial=0.0)) + 3.0) * u / (1.0 - d)
     shrink = 1.0 - (graph.node_count + 1) * u / (1.0 - (graph.node_count + 1) * u)
     step = 1
-    while step <= params.ppr_max_iters and (2.0 * d**step - 2.0 * error) * shrink >= params.ppr_epsilon:
+    while step <= cfg.ppr_max_iters and (2.0 * d**step - 2.0 * error) * shrink >= cfg.ppr_epsilon:
         step += 1
     return step
 
 
-def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: WalkParams, admission: _Admission) -> np.ndarray:
+def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], cfg: RunConfig, admission: _Admission) -> np.ndarray:
     """Prove the carvings of proposition ``seed_rows`` that it can by stepping the newest term alone; returns the rest.
 
     The graph is bipartite, so pi_t = (1 - d) sum_(s<t) d^s x_s + d^t x_t
@@ -620,7 +582,7 @@ def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: Wa
     """
     to_hubs, to_props = graph.side_transitions
     props = graph.proposition_rows
-    d = params.damping
+    d = cfg.damping
     term = np.zeros((to_props.shape[0], len(seed_rows)))
     for column, rows in enumerate(seed_rows):
         term[rows - props.start, column] = 1.0 / len(rows)
@@ -629,7 +591,7 @@ def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], params: Wa
     degrees = graph.global_degrees[props, None]
     running = np.arange(len(seed_rows))
     scale = 1.0  # d^(step - 1)
-    for step in range(1, min(_first_testable_step(graph, params) - 1, params.ppr_max_iters) + 1):
+    for step in range(1, min(_first_testable_step(graph, cfg) - 1, cfg.ppr_max_iters) + 1):
         series[(step - 1) % 2] += ((1.0 - d) * scale) * term
         term = (to_hubs if step % 2 else to_props) @ term
         scale *= d
@@ -659,7 +621,7 @@ def extract_subgraphs(
     graph: HeteroGraph,
     seed_sets: Sequence[Sequence[int]],
     size_limit: int,
-    params: WalkParams,
+    cfg: RunConfig,
 ) -> list[Subgraph]:
     """Carve a bounded neighborhood around each set of seed propositions.
 
@@ -689,13 +651,13 @@ def extract_subgraphs(
         seed_rows.append(np.add(seeds, graph.proposition_rows.start))
     if not seed_rows:
         return []
-    admission = _Admission(graph, seed_rows, size_limit, params.damping)
+    admission = _Admission(graph, seed_rows, size_limit, cfg.damping)
     visits = {}
-    for column in _one_sided_walks(graph, seed_rows, params, admission).tolist():
+    for column in _one_sided_walks(graph, seed_rows, cfg, admission).tolist():
         restart = np.zeros(graph.node_count)
         restart[seed_rows[column]] = 1.0 / len(seed_rows[column])
         visits[column], admission.steps[column], admission.stops[column] = _power_iteration(
-            graph.uniform_transition, restart, params
+            graph.uniform_transition, restart, cfg
         )
     return [
         Subgraph(graph, admission.nodes(column, visits.get(column)), int(admission.steps[column]), admission.stops[column])
@@ -707,16 +669,16 @@ def extract_subgraph(
     graph: HeteroGraph,
     seed_props: Sequence[int],
     size_limit: int,
-    params: WalkParams,
+    cfg: RunConfig,
 ) -> Subgraph:
     """The carving of :func:`extract_subgraphs` for one seed set."""
-    return extract_subgraphs(graph, [seed_props], size_limit, params)[0]
+    return extract_subgraphs(graph, [seed_props], size_limit, cfg)[0]
 
 
 def query_aware_transition(
     view: HeteroGraph | Subgraph,
     query_vec: np.ndarray,
-    params: WalkParams,
+    cfg: RunConfig,
     structural: TransitionMatrix,
 ) -> TransitionMatrix:
     """Build the blended walk operator for one query over ``view``.
@@ -729,9 +691,9 @@ def query_aware_transition(
     (1 - lambda) * 0.0 to its blended entry, so it needs no removing first.
     """
     sims = view.proposition_embeddings @ np.asarray(query_vec, dtype=np.float64)
-    semantic, fallback = _semantic_weights(structural, sims, params)
+    semantic, fallback = _semantic_weights(structural, sims, cfg)
     base = structural.matrix
-    mixed = params.lambda_ * base.data + (1.0 - params.lambda_) * semantic
+    mixed = cfg.lambda_ * base.data + (1.0 - cfg.lambda_) * semantic
     # blend's sum stores each row in ascending column order, without zeros
     ascending = structural._pattern.ascending
     data, indices, indptr = mixed[ascending], base.indices[ascending], base.indptr.copy()

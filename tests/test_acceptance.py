@@ -20,10 +20,9 @@ from propgraph.global_mode import WalkRecord, compute_queries
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local
 from propgraph.metrics import exact_match, f1
-from propgraph.suggest import SuggestConfig, suggest_local, suggest_naive
+from propgraph.suggest import suggest_local, suggest_naive
 from propgraph.traversal import (
     TransitionMatrix,
-    WalkParams,
     blend,
     build_semantic_transition,
     build_structural_transition,
@@ -50,7 +49,7 @@ def _ok(n: int, message: str) -> None:
 
 def test_c01_matrix_properties():
     rng = np.random.default_rng(101)
-    params = WalkParams(tau=0.1, theta=0.4, lambda_=0.5)
+    params = RunConfig(temperature=0.1, cosine_threshold=0.4, lambda_=0.5)
     checked = 0
     for _ in range(100):
         graph = build_random_graph(rng, int(rng.integers(2, 51)))
@@ -77,7 +76,7 @@ def test_c01_matrix_properties():
 
 def test_c02_ppr_oracle_equivalence():
     rng = np.random.default_rng(102)
-    params = WalkParams()
+    params = RunConfig()
     for _ in range(50):
         n = int(rng.integers(2, 51))
         matrix = random_transition(rng, n)
@@ -88,7 +87,7 @@ def test_c02_ppr_oracle_equivalence():
 
     d = 0.85
     swap = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    pi = ppr(swap, [0], WalkParams(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
+    pi = ppr(swap, [0], RunConfig(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
     closed0 = (1 - d) / (1 - d**2)
     assert abs(pi[0] - closed0) < 1e-9
     assert abs(pi[1] - d * closed0) < 1e-9
@@ -98,7 +97,7 @@ def test_c02_ppr_oracle_equivalence():
 def test_c03_lambda_one_ranking_invariance():
     graph = two_chain_graph()
     n = len(graph.propositions)
-    cfg = SuggestConfig(k=n, subgraph_size=100, walk=WalkParams(lambda_=1.0))
+    cfg = RunConfig(top_k=n, subgraph_max_size=100, lambda_=1.0)
     rng = np.random.default_rng(103)
     rankings = {tuple(suggest_local(random_unit(rng, 8), graph, [0], cfg)) for _ in range(10)}
     assert len(rankings) == 1
@@ -107,17 +106,17 @@ def test_c03_lambda_one_ranking_invariance():
 
 def test_c04_semantic_transition_oracle():
     rng = np.random.default_rng(104)
-    params = WalkParams(tau=0.1, theta=0.4)
+    params = RunConfig(temperature=0.1, cosine_threshold=0.4)
     for _ in range(100):
         n = int(rng.integers(2, 12))
         ts = random_transition(rng, n)
         sims = rng.uniform(-1, 1, size=n)
         tn = build_semantic_transition(ts, sims, params)
-        expected, fallback = dense_semantic_oracle(ts.matrix.toarray(), sims, params.tau, params.theta)
+        expected, fallback = dense_semantic_oracle(ts.matrix.toarray(), sims, params.temperature, params.cosine_threshold)
         assert np.max(np.abs(tn.matrix.toarray() - expected)) < 1e-12
         assert tn.fallback_rows == frozenset(fallback)
         tn_dense = tn.matrix.toarray()
-        below = np.flatnonzero(sims < params.theta)
+        below = np.flatnonzero(sims < params.cosine_threshold)
         for i in range(n):
             if i not in tn.fallback_rows:
                 assert np.all(tn_dense[i, below] == 0.0)
@@ -186,7 +185,7 @@ def test_c06_feedback_identity():
 
 
 def test_c07_two_hop_local_beats_naive(two_hop_graph, embedder):
-    naive_top5 = suggest_naive(embedder.embed_one(TWO_HOP_QUESTION), two_hop_graph, SuggestConfig(k=5))
+    naive_top5 = suggest_naive(embedder.embed_one(TWO_HOP_QUESTION), two_hop_graph, RunConfig(top_k=5))
     assert TWO_HOP_HOP2 not in naive_top5
 
     gateway = LLMGateway(MockChatBackend(two_hop_rules()))

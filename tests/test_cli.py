@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from propgraph.cli import main
+from propgraph.evaluation import MODES
 
 from conftest import TWO_HOP_PASSAGES, TWO_HOP_QUESTION, two_hop_rules
 
@@ -347,3 +348,46 @@ def test_corpus_row_without_doc_id_is_reported(workspace, capsys):
     args = ["index", "--config", str(workspace / "config.json"), "--corpus", str(corpus), "--out", str(workspace / "g")]
     code = main(args)
     assert_reported(code, capsys.readouterr().err, "corpus.jsonl:3: a corpus row needs a doc_id and a text string")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_graph_without_propositions_is_reported(tmp_path, capsys, mode):
+    # every default: the unscripted mock extracts no propositions
+    (tmp_path / "config.json").write_text("{}")
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "a.txt").write_text("Ulm is a city on the Danube.")
+    (tmp_path / "dataset.jsonl").write_text(json.dumps({"question": "Where is Ulm?", "answers": ["Danube"]}) + "\n")
+    config, graph_dir = str(tmp_path / "config.json"), str(tmp_path / "graph")
+    assert main(["index", "--config", config, "--corpus", str(tmp_path / "corpus"), "--out", graph_dir]) == 0
+    capsys.readouterr()
+    trace = str(tmp_path / "trace.jsonl")
+    code = main(["query", "--config", config, "--graph", graph_dir, "--mode", mode, "--trace", trace, "Where is Ulm?"])
+    assert_reported(code, capsys.readouterr().err, "graph has no propositions")
+    out_dir = tmp_path / "run"
+    args = ["eval", "--config", config, "--graph", graph_dir, "--dataset", str(tmp_path / "dataset.jsonl")]
+    assert main([*args, "--mode", mode, "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "report.json").read_text())["failed"] == 1
+    [row] = [json.loads(line) for line in (out_dir / "questions.jsonl").read_text().splitlines()]
+    assert (row["failed"], row["error"]) == (True, "EmptyGraphError")
+
+
+def index_counts(ws: Path, capsys, corpus: Path, **change) -> dict:
+    """The counts ``index`` prints for ``corpus`` under the workspace config with ``change`` applied."""
+    config = {**json.loads((ws / "config.json").read_text()), **change}
+    name = "_".join(f"{key}_{value}" for key, value in change.items())
+    (ws / f"{name}.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["index", "--config", str(ws / f"{name}.json"), "--corpus", str(corpus), "--out", str(ws / name)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_index_knobs_reach_the_index(workspace, capsys):
+    # the corpus as one document, so the chunk target decides how it splits
+    joined = workspace / "joined.jsonl"
+    joined.write_text(json.dumps({"doc_id": "all", "text": " ".join(text for text, _, _ in TWO_HOP_PASSAGES)}) + "\n")
+    assert index_counts(workspace, capsys, joined, chunk_target_tokens=300)["passages"] == 1
+    assert index_counts(workspace, capsys, joined, chunk_target_tokens=1)["passages"] == len(TWO_HOP_PASSAGES)
+    # at 0.0 a surface joins the first founder with a cosine >= 0, at 1.0 only an identical one
+    corpus = workspace / "corpus"
+    merged = index_counts(workspace, capsys, corpus, synonym_threshold=0.0)["entities"]
+    assert merged < index_counts(workspace, capsys, corpus, synonym_threshold=1.0)["entities"]

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,10 +26,8 @@ def write_config(tmp_path, payload):
 
 def test_defaults_match_documented_values():
     cfg = RunConfig()
-    walk = cfg.walk_params()
-    assert (walk.lambda_, walk.damping, walk.theta, walk.tau) == (0.5, 0.85, 0.4, 0.1)
-    suggest = cfg.suggest_config()
-    assert (suggest.k, suggest.subgraph_size) == (20, 500)
+    assert (cfg.lambda_, cfg.damping, cfg.cosine_threshold, cfg.temperature) == (0.5, 0.85, 0.4, 0.1)
+    assert (cfg.top_k, cfg.subgraph_max_size) == (20, 500)
     assert (cfg.breadth_m, cfg.node_budget) == (10, 8000)
     assert (cfg.min_community_size, cfg.max_community_size) == (10, 150)
     assert (cfg.rocchio_alpha, cfg.rocchio_beta, cfg.rocchio_gamma) == (1.0, 0.7, 0.15)
@@ -39,12 +38,7 @@ def test_defaults_match_documented_values():
 
 def test_lambda_key_maps_through_to_walk_params(tmp_path):
     cfg = load_config(write_config(tmp_path, {"lambda": 0.9, "damping": 0.5, "top_k": 7}))
-    walk = cfg.walk_params()
-    assert walk.lambda_ == 0.9
-    assert walk.damping == 0.5
-    assert cfg.suggest_config().k == 7
-    assert cfg.suggest_config().walk.lambda_ == 0.9
-    assert cfg.suggest_config().walk.damping == 0.5
+    assert (cfg.lambda_, cfg.damping, cfg.top_k) == (0.9, 0.5, 7)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -86,7 +80,7 @@ def test_out_of_range_values_rejected_at_load(tmp_path):
         ({"embed_backend": {"kind": "quantum"}}, "unknown embed_backend kind 'quantum'"),
         ({"max_subquestions": 0}, "max_subquestions must be >= 1"),
         ({"leiden_resolution": 0}, "leiden_resolution must be positive"),
-        ({"temperature": 1e-3}, "tau 0.001 is too small: exp"),
+        ({"temperature": 1e-3}, "temperature 0.001 is too small: exp"),
         ({"embed_backend": {"kind": "mock", "dimension": 1}}, "embed_backend dimension must be an integer >= 2, got 1"),
         ({"embed_backend": {"kind": "mock", "dimension": "256"}}, "dimension must be an integer >= 2, got '256'"),
         ({"embed_backend": {"kind": "mock", "dimension": None}}, "dimension must be an integer >= 2, got None"),
@@ -115,12 +109,38 @@ def test_wrong_types_and_backend_specs_rejected_at_load(tmp_path, payload, messa
         load_config(write_config(tmp_path, payload))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"lambda": 1.5},
+        {"damping": 1.0},
+        {"temperature": 0.0},
+        {"temperature": 0.0001},
+        {"cosine_threshold": -1.5},
+        {"ppr_epsilon": 0.0},
+        {"top_k": 0},
+        {"chunk_overlap_tokens": 300},
+        {"synonym_threshold": 1.5},
+    ],
+)
+def test_range_errors_name_the_file_key(tmp_path, payload):
+    [key] = payload
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    message = str(err.value)
+    assert message.startswith(key)
+    assert not re.search(r"\b(tau|theta|k|overlap_tokens)\b", message), message
+
+
 def test_construction_and_replace_run_every_check():
     with pytest.raises(ConfigError, match="max_iter must be >= 1"):
         RunConfig(max_iter=0)
     with pytest.raises(ConfigError, match="subgraph_max_size 500 is below top_k 600"):
         dataclasses.replace(RunConfig(), top_k=600)
     assert dataclasses.replace(RunConfig(), max_iter=1).max_iter == 1
+    # no layer checks a field again, so none can be set past the checks
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunConfig().temperature = 0.0
 
 
 def test_carving_smaller_than_top_k_rejected_at_load(tmp_path):
@@ -145,8 +165,10 @@ def test_backend_builders(tmp_path):
     assert isinstance(build_chat_backend(cfg), MockChatBackend)
     assert isinstance(build_embed_backend(cfg), HashedNgramEmbedder)
 
-    cfg.chat_backend = {"kind": "openai", "base_url": "http://srv/v1", "model": "chat-x"}
-    cfg.embed_backend = {"kind": "openai", "base_url": "http://srv/v1", "model": "emb-x", "dimension": 64}
+    cfg = RunConfig(
+        chat_backend={"kind": "openai", "base_url": "http://srv/v1", "model": "chat-x"},
+        embed_backend={"kind": "openai", "base_url": "http://srv/v1", "model": "emb-x", "dimension": 64},
+    )
     chat = build_chat_backend(cfg)
     embed = build_embed_backend(cfg)
     assert isinstance(chat, OpenAICompatChatBackend) and chat.client.model == "chat-x"
@@ -154,10 +176,11 @@ def test_backend_builders(tmp_path):
     with pytest.raises(DimensionMismatchError, match="served a 63-d vector, expected 64-d"):
         embed._parse({"data": [{"index": 0, "embedding": [1.0] * 63}]}, 1)
 
-    cfg.chat_backend = {"kind": "quantum"}
+    # a spec changed in place after construction is checked again when built
+    cfg.chat_backend["kind"] = "quantum"
     with pytest.raises(ConfigError):
         build_chat_backend(cfg)
-    cfg.embed_backend = {"kind": "quantum"}
+    cfg.embed_backend["kind"] = "quantum"
     with pytest.raises(ConfigError):
         build_embed_backend(cfg)
 
@@ -177,7 +200,7 @@ def test_every_spec_key_names_a_parameter_of_its_constructor():
 
 
 def test_smallest_temperatures_keep_the_semantic_weights_finite():
-    # exp(c / tau) of the largest cosine must stay finite: accepted just
+    # exp(c / temperature) of the largest cosine must stay finite: accepted just
     # above the bound, rejected just below it
     bound = (1.0 + NORM_TOL) / np.log(np.finfo(np.float64).max)
     cfg = RunConfig(temperature=bound * (1 + 1e-9))
@@ -187,7 +210,7 @@ def test_smallest_temperatures_keep_the_semantic_weights_finite():
     structural = build_structural_transition(graph)
     for prop in range(len(graph.propositions)):  # a query equal to each proposition in turn
         query = graph.proposition_embeddings[prop]
-        t = query_aware_transition(graph, query, cfg.walk_params(), structural=structural)
+        t = query_aware_transition(graph, query, cfg, structural=structural)
         assert np.isfinite(t.matrix.data).all()
 
 

@@ -130,7 +130,7 @@ def test_accepted_configs_run_in_every_mode(cfg_path, graph, raw):
     # a query equal to a proposition's vector puts the largest cosines in play
     structural = build_structural_transition(graph)
     for query in graph.proposition_embeddings:
-        walk = query_aware_transition(graph, query, cfg.walk_params(), structural=structural)
+        walk = query_aware_transition(graph, query, cfg, structural=structural)
         assert np.isfinite(walk.matrix.data).all()
     gateway = LLMGateway(MockChatBackend())
     embedder = HashedNgramEmbedder(dim=DIM)

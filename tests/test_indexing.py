@@ -4,13 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from propgraph.config import RunConfig
 from propgraph.encoding import HashedNgramEmbedder, cosine, normalize
-from propgraph.errors import BackendUnavailable, DimensionMismatchError, EmptyTextError
+from propgraph.errors import BackendUnavailable, ConfigError, DimensionMismatchError, EmptyTextError
 from propgraph.indexing import (
-    ChunkingPolicy,
     CorpusDocument,
     EntityRegistry,
-    ReconciliationPolicy,
     chunk,
     graph_stats,
     index_corpus,
@@ -33,7 +32,7 @@ from conftest import (
 
 def test_chunk_short_document_single_passage():
     doc = CorpusDocument("d", "A tiny document. Just two sentences.")
-    pieces = chunk(doc, ChunkingPolicy(target_tokens=300))
+    pieces = chunk(doc, RunConfig(chunk_target_tokens=300))
     assert len(pieces) == 1
     assert pieces[0].span == (0, len(doc.text))
     assert pieces[0].text == doc.text
@@ -44,7 +43,7 @@ def test_chunk_two_passages_disjoint_covering_spans():
     text = (sentence * 12).strip()
     per_sentence = estimate_tokens(sentence.strip())
     doc = CorpusDocument("d", text)
-    pieces = chunk(doc, ChunkingPolicy(target_tokens=6 * per_sentence))
+    pieces = chunk(doc, RunConfig(chunk_target_tokens=6 * per_sentence))
     assert len(pieces) == 2
     assert pieces[0].span[0] == 0
     assert pieces[0].span[1] == pieces[1].span[0]
@@ -54,7 +53,7 @@ def test_chunk_two_passages_disjoint_covering_spans():
 def test_chunk_spans_monotone_and_in_range():
     words = " ".join(f"word{i}." for i in range(400))
     doc = CorpusDocument("d", words)
-    pieces = chunk(doc, ChunkingPolicy(target_tokens=40))
+    pieces = chunk(doc, RunConfig(chunk_target_tokens=40))
     last_start = -1
     for piece in pieces:
         a, b = piece.span
@@ -69,19 +68,19 @@ def test_chunk_overlap_replays_trailing_sentences():
     text = (sentence * 10).strip()
     per_sentence = estimate_tokens(sentence.strip())
     doc = CorpusDocument("d", text)
-    pieces = chunk(doc, ChunkingPolicy(target_tokens=4 * per_sentence, overlap_tokens=per_sentence))
+    pieces = chunk(doc, RunConfig(chunk_target_tokens=4 * per_sentence, chunk_overlap_tokens=per_sentence))
     assert len(pieces) >= 2
     assert pieces[1].span[0] < pieces[0].span[1]  # overlapping spans
 
 
 def test_chunk_rejects_empty_document():
     with pytest.raises(EmptyTextError):
-        chunk(CorpusDocument("d", ""))
+        chunk(CorpusDocument("d", ""), RunConfig())
 
 
 def test_chunk_policy_validation():
-    with pytest.raises(ValueError):
-        ChunkingPolicy(target_tokens=10, overlap_tokens=10)
+    with pytest.raises(ConfigError, match="chunk_overlap_tokens"):
+        RunConfig(chunk_target_tokens=10, chunk_overlap_tokens=10)
 
 
 def basis(axis, dim=8):
@@ -104,7 +103,7 @@ def test_reconcile_merges_above_threshold():
     v1 = normalize(e1)
     v2 = normalize(0.95 * e1 + np.sqrt(1 - 0.95**2) * e2)
     assert float(np.dot(v1.astype(np.float64), v2.astype(np.float64))) == pytest.approx(0.95, abs=1e-6)
-    registry = EntityRegistry(ReconciliationPolicy(0.9))
+    registry = EntityRegistry(RunConfig(synonym_threshold=0.9))
     assert registry.resolve("NYC", v1) == (0, True)
     assert registry.resolve("New York City", v2) == (0, False)
 
@@ -132,8 +131,8 @@ def test_new_surfaces_are_the_first_of_each_key_not_met_yet():
 class LoopEntityRegistry:
     """Reference reconciliation: ``cosine`` against every founder, in id order."""
 
-    def __init__(self, policy):
-        self.policy = policy
+    def __init__(self, cfg):
+        self.cfg = cfg
         self._names = []
         self._embeddings = []
         self._surface_to_id = {}
@@ -143,7 +142,7 @@ class LoopEntityRegistry:
         if key in self._surface_to_id:
             return self._surface_to_id[key], False
         for idx, emb in enumerate(self._embeddings):
-            if cosine(embedding, emb) >= self.policy.synonym_threshold:
+            if cosine(embedding, emb) >= self.cfg.synonym_threshold:
                 self._surface_to_id[key] = idx
                 return idx, False
         idx = len(self._names)
@@ -186,9 +185,9 @@ def paraphrase_stream(rng, threshold, dim, size=2000, clusters=40):
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0])
 def test_registry_matches_loop_reference_on_paraphrase_streams(threshold, dim):
     stream = paraphrase_stream(np.random.default_rng(int(threshold * 10) + dim), threshold, dim)
-    policy = ReconciliationPolicy(threshold)
-    expected = resolve_all(LoopEntityRegistry(policy), stream)
-    assert resolve_all(EntityRegistry(policy), stream) == expected
+    cfg = RunConfig(synonym_threshold=threshold)
+    expected = resolve_all(LoopEntityRegistry(cfg), stream)
+    assert resolve_all(EntityRegistry(cfg), stream) == expected
     keys_seen, similarity_joins = set(), 0
     for (surface, _), (_, founded) in zip(stream, expected):
         similarity_joins += not founded and surface.lower() not in keys_seen
@@ -201,8 +200,8 @@ def test_registry_matches_loop_reference_on_unnormalized_vectors():
     rng = np.random.default_rng(3)
     stream = [(s, emb.astype(np.float64) * 10.0 ** rng.uniform(-3, 3)) for s, emb in paraphrase_stream(rng, 0.5, 64, size=1000)]
     for threshold in (0.0, 0.5, 1.0):
-        policy = ReconciliationPolicy(threshold)
-        assert resolve_all(EntityRegistry(policy), stream) == resolve_all(LoopEntityRegistry(policy), stream)
+        cfg = RunConfig(synonym_threshold=threshold)
+        assert resolve_all(EntityRegistry(cfg), stream) == resolve_all(LoopEntityRegistry(cfg), stream)
 
 
 def near_threshold_cases(scale, dim=256, n=16, seed=0):
@@ -232,7 +231,7 @@ def test_registry_takes_cosines_decision_at_the_threshold(scale):
     below = above = 0
     for founders, query, i, dot, score in near_threshold_cases(scale):
         threshold = max(dot, score)
-        registry = EntityRegistry(ReconciliationPolicy(threshold))
+        registry = EntityRegistry(RunConfig(synonym_threshold=threshold))
         for k, founder in enumerate(founders):
             assert registry.resolve(f"founder {k}", founder) == (k, True)
         expected = (i, False) if dot >= threshold else (len(founders), True)
@@ -243,7 +242,7 @@ def test_registry_takes_cosines_decision_at_the_threshold(scale):
 
 
 def test_registry_dimension_mismatch_raises_like_the_loop():
-    for registry in (EntityRegistry(), LoopEntityRegistry(ReconciliationPolicy())):
+    for registry in (EntityRegistry(), LoopEntityRegistry(RunConfig())):
         assert registry.resolve("Paris", basis(0, dim=8)) == (0, True)
         with pytest.raises(DimensionMismatchError):
             registry.resolve("Tokyo", basis(0, dim=4))
@@ -277,9 +276,9 @@ def test_registry_nan_embeddings_match_the_loop():
     nan = np.full(8, np.nan)
     stream = [("nan founder", nan), ("a", basis(0)), ("nan again", nan), ("b", basis(0)), ("c", -basis(1))]
     for threshold in (0.0, 0.9):
-        policy = ReconciliationPolicy(threshold)
-        results = resolve_all(EntityRegistry(policy), stream)
-        assert results == resolve_all(LoopEntityRegistry(policy), stream)
+        cfg = RunConfig(synonym_threshold=threshold)
+        results = resolve_all(EntityRegistry(cfg), stream)
+        assert results == resolve_all(LoopEntityRegistry(cfg), stream)
         assert results[:4] == [(0, True), (1, True), (2, True), (1, False)]  # never joined, never joining
 
 
@@ -293,9 +292,9 @@ def test_registry_extreme_vectors_match_the_loop():
             vec[int(rng.integers(6))] = specials[int(rng.integers(len(specials)))]
         stream.append((f"s{k}", vec))
     for threshold in (0.0, 0.5, 1.0):
-        policy = ReconciliationPolicy(threshold)
+        cfg = RunConfig(synonym_threshold=threshold)
         with np.errstate(all="ignore"):
-            assert resolve_all(EntityRegistry(policy), stream) == resolve_all(LoopEntityRegistry(policy), stream)
+            assert resolve_all(EntityRegistry(cfg), stream) == resolve_all(LoopEntityRegistry(cfg), stream)
 
 
 def test_index_empty_corpus():

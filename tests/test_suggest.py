@@ -10,7 +10,6 @@ from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.local_mode import answer_local, answer_naive
 from propgraph.suggest import (
     Result,
-    SuggestConfig,
     _rank_new,
     select,
     select_wave,
@@ -18,7 +17,7 @@ from propgraph.suggest import (
     suggest_local,
     suggest_naive,
 )
-from propgraph.traversal import TransitionMatrix, WalkParams, blend, build_semantic_transition, extract_subgraph
+from propgraph.traversal import TransitionMatrix, blend, build_semantic_transition, extract_subgraph
 
 from conftest import TWO_HOP_QUESTION, build_random_graph, neighbors, node_order, random_unit, two_hop_rules
 from test_traversal import (
@@ -44,7 +43,7 @@ def basis(axis, dim=8):
 def test_naive_planted_exact_match_first():
     planted = basis(2)
     graph = graph_from_links([[], [], []], embeddings=[basis(0), basis(1), planted])
-    assert suggest_naive(planted, graph, SuggestConfig(k=1)) == [2]
+    assert suggest_naive(planted, graph, RunConfig(top_k=1)) == [2]
 
 
 def test_naive_is_edge_blind():
@@ -53,7 +52,7 @@ def test_naive_is_edge_blind():
     sparse_links = graph_from_links([[], [], [], []], embeddings=embeddings)
     dense_links = graph_from_links([["e"], ["e"], ["e", "f"], ["f"]], embeddings=embeddings)
     query = random_unit(rng, 8)
-    cfg = SuggestConfig(k=4)
+    cfg = RunConfig(top_k=4)
     assert suggest_naive(query, sparse_links, cfg) == suggest_naive(query, dense_links, cfg)
 
 
@@ -62,7 +61,7 @@ def test_naive_matches_exhaustive_sort_oracle():
     embeddings = [random_unit(rng, 8) for _ in range(30)]
     graph = graph_from_links([[] for _ in range(30)], embeddings=embeddings)
     query = random_unit(rng, 8)
-    got = suggest_naive(query, graph, SuggestConfig(k=20))
+    got = suggest_naive(query, graph, RunConfig(top_k=20))
     scores = [
         (float(np.dot(e.astype(np.float64), query.astype(np.float64))), i)
         for i, e in enumerate(embeddings)
@@ -120,7 +119,7 @@ def dense_local_oracle(graph, query_vec, seeds, params, k):
     sums = ts.sum(axis=1, keepdims=True)
     ts = np.divide(ts, sums, out=np.zeros_like(ts), where=sums > 0)
     sims = graph.proposition_embeddings.astype(np.float64) @ np.asarray(query_vec, np.float64)
-    tn, _ = dense_semantic_oracle(ts, sims, params.tau, params.theta)
+    tn, _ = dense_semantic_oracle(ts, sims, params.temperature, params.cosine_threshold)
     blended = params.lambda_ * ts + (1 - params.lambda_) * tn
     pi = dense_ppr_oracle(blended, list(seeds), params.damping)
     ranked = sorted(range(n), key=lambda r: (-pi[r], r))
@@ -129,14 +128,14 @@ def dense_local_oracle(graph, query_vec, seeds, params, k):
 
 def test_local_nothing_new_reachable():
     graph = graph_from_links([["e"], ["e"]])
-    cfg = SuggestConfig(k=5, subgraph_size=50)
+    cfg = RunConfig(top_k=5, subgraph_max_size=50)
     out = suggest_local(basis(0), graph, [0, 1], cfg)
     assert out == []
 
 
 def test_local_lambda_one_is_query_independent():
     graph = two_chain_graph()
-    cfg = SuggestConfig(k=7, subgraph_size=100, walk=WalkParams(lambda_=1.0))
+    cfg = RunConfig(top_k=7, subgraph_max_size=100, lambda_=1.0)
     rng = np.random.default_rng(9)
     rankings = {tuple(suggest_local(random_unit(rng, 8), graph, [0], cfg)) for _ in range(10)}
     assert len(rankings) == 1
@@ -144,11 +143,10 @@ def test_local_lambda_one_is_query_independent():
 
 def test_local_two_chain_fixture_matches_dense_oracle():
     graph = two_chain_graph()
-    params = WalkParams(lambda_=0.5)
-    cfg = SuggestConfig(k=6, subgraph_size=100, walk=params)
+    cfg = RunConfig(top_k=6, subgraph_max_size=100, lambda_=0.5)
     query = basis(0)
     got = suggest_local(query, graph, [0], cfg)
-    expected = dense_local_oracle(graph, query, [0], params, 6)
+    expected = dense_local_oracle(graph, query, [0], cfg, 6)
     assert got == expected
     # chain a (query-aligned) outranks chain b at every depth
     position = {p: i for i, p in enumerate(got)}
@@ -163,7 +161,7 @@ def test_local_never_returns_seeds_and_caps_k():
         n = len(graph.propositions)
         seeds = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         k = int(rng.integers(1, 6))
-        out = suggest_local(random_unit(rng, 8), graph, seeds, cfg=SuggestConfig(k=k, subgraph_size=200))
+        out = suggest_local(random_unit(rng, 8), graph, seeds, cfg=RunConfig(top_k=k, subgraph_max_size=200))
         assert len(out) <= k
         assert len(set(out)) == len(out)
         assert not set(out) & set(seeds)
@@ -171,10 +169,9 @@ def test_local_never_returns_seeds_and_caps_k():
 
 def test_local_prefix_property():
     graph = two_chain_graph()
-    walk = WalkParams()
     for k in range(1, 6):
-        small = suggest_local(basis(0), graph, [0], SuggestConfig(k=k, subgraph_size=100, walk=walk))
-        big = suggest_local(basis(0), graph, [0], SuggestConfig(k=k + 1, subgraph_size=100, walk=walk))
+        small = suggest_local(basis(0), graph, [0], RunConfig(top_k=k, subgraph_max_size=100))
+        big = suggest_local(basis(0), graph, [0], RunConfig(top_k=k + 1, subgraph_max_size=100))
         assert big[: len(small)] == small
 
 
@@ -185,12 +182,12 @@ def test_local_prefix_property():
 
 def carved(graph, queries, cfg):
     """The subgraph a global round carves around a partition's members."""
-    return extract_subgraph(graph, [prop for prop, _ in queries], cfg.subgraph_size, cfg.walk)
+    return extract_subgraph(graph, [prop for prop, _ in queries], cfg.subgraph_max_size, cfg)
 
 
 def test_global_singleton_partition_equals_local():
     graph = two_chain_graph()
-    cfg = SuggestConfig(k=4, subgraph_size=100)
+    cfg = RunConfig(top_k=4, subgraph_max_size=100)
     query = basis(0)
     local = suggest_local(query, graph, [0], cfg)
     global_ids, nearest = suggest_global([(0, query)], carved(graph, [(0, query)], cfg), cfg)
@@ -206,7 +203,7 @@ def test_global_symmetric_members_tie_break_by_index():
     tail = normalize(0.8 * np.eye(8)[0] + 0.6 * np.eye(8)[1])
     graph = graph_from_links(links, embeddings=[shared, shared, tail, tail])
     query = basis(0)
-    cfg = SuggestConfig(k=2, subgraph_size=100)
+    cfg = RunConfig(top_k=2, subgraph_max_size=100)
     members = [(0, query), (1, query)]
     got, _ = suggest_global(members, carved(graph, members, cfg), cfg)
     assert got == [2, 3]
@@ -220,7 +217,7 @@ def test_global_nearest_walker_ties_resolve_to_the_lower_index():
     shared = basis(0)
     graph = graph_from_links(links, embeddings=[shared, shared, normalize(0.8 * np.eye(8)[0] + 0.6 * np.eye(8)[1])])
     query = basis(0)
-    cfg = SuggestConfig(k=1, subgraph_size=100)
+    cfg = RunConfig(top_k=1, subgraph_max_size=100)
     sub = carved(graph, [(0, query), (1, query)], cfg)
     for members in ([(0, query), (1, query)], [(1, query), (0, query)]):
         got, nearest = suggest_global(members, sub, cfg)
@@ -235,20 +232,19 @@ def test_global_fallback_rows_reduce_to_structural_walk():
     # the query-aware operator falls back, so the blend equals the
     # structural operator and the aggregate matches a pure-structural oracle
     graph = two_chain_graph()
-    params = WalkParams(lambda_=0.5, theta=0.95)
-    cfg = SuggestConfig(k=6, subgraph_size=100, walk=params)
+    cfg = RunConfig(top_k=6, subgraph_max_size=100, lambda_=0.5, cosine_threshold=0.95)
     query = basis(7) * -1.0  # orthogonal-ish to all planted embeddings
     members = [(0, query)]
     got, _ = suggest_global(members, carved(graph, members, cfg), cfg, exclude=())
-    expected = dense_local_oracle(graph, query, [0], params, 6)
+    expected = dense_local_oracle(graph, query, [0], cfg, 6)
     assert got == expected
-    structural_only = dense_local_oracle(graph, query, [0], WalkParams(lambda_=1.0, theta=0.95), 6)
+    structural_only = dense_local_oracle(graph, query, [0], RunConfig(lambda_=1.0, cosine_threshold=0.95), 6)
     assert got == structural_only
 
 
 def test_global_excludes_members_and_caller_set():
     graph = two_chain_graph()
-    cfg = SuggestConfig(k=7, subgraph_size=100)
+    cfg = RunConfig(top_k=7, subgraph_max_size=100)
     members = [(0, basis(0))]
     got, _ = suggest_global(members, carved(graph, members, cfg), cfg, exclude=[1, 4])
     assert 0 not in got and 1 not in got and 4 not in got
@@ -263,12 +259,12 @@ def reference_suggest_global(queries, sub, cfg, exclude=()):
     walker_pis = []  # each walker's visit probabilities keyed by proposition id
     for prop, q_vec in queries:
         sims = sub.proposition_embeddings @ np.asarray(q_vec, dtype=np.float64)
-        blended = blend(structural, build_semantic_transition(structural, sims, cfg.walk), cfg.walk.lambda_)
-        pi = transpose_copy_ppr_reference(blended.matrix, [row_of[prop]], cfg.walk)
+        blended = blend(structural, build_semantic_transition(structural, sims, cfg), cfg.lambda_)
+        pi = transpose_copy_ppr_reference(blended.matrix, [row_of[prop]], cfg)
         aggregate += pi
         walker_pis.append({row_props[r]: float(p) for r, p in enumerate(pi) if p > 0.0})
     excluded = {prop for prop, _ in queries} | set(exclude)
-    return _rank_new(aggregate, row_props, excluded, cfg.k), walker_pis
+    return _rank_new(aggregate, row_props, excluded, cfg.top_k), walker_pis
 
 
 def test_global_matches_reference_pipeline_bitwise():
@@ -276,13 +272,14 @@ def test_global_matches_reference_pipeline_bitwise():
     for _ in range(12):
         graph = build_random_graph(rng, int(rng.integers(2, 50)))
         n = len(graph.propositions)
-        walk = WalkParams(lambda_=float(rng.choice([0.0, 0.5, 1.0])), theta=float(rng.choice([-1.0, 0.4, 1.0])))
-        cfg = SuggestConfig(k=int(rng.integers(1, 10)), subgraph_size=int(rng.integers(5, 40)), walk=walk)
+        lambda_, cosine_threshold = float(rng.choice([0.0, 0.5, 1.0])), float(rng.choice([-1.0, 0.4, 1.0]))
+        cfg = RunConfig(lambda_=lambda_, cosine_threshold=cosine_threshold, top_k=int(rng.integers(1, 10)))
+        size = int(rng.integers(5, 40))  # may be below top_k: the carving is called with it directly
         members = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist())
         queries = [(prop, random_unit(rng, 8)) for prop in members]
-        if cfg.subgraph_size < len(members):
+        if size < len(members):
             continue
-        sub = carved(graph, queries, cfg)
+        sub = extract_subgraph(graph, members, size, cfg)
         exclude = rng.choice(n, size=2).tolist()
         got_ids, got_nearest = suggest_global(queries, sub, cfg, exclude)
         want_ids, want_pis = reference_suggest_global(queries, sub, cfg, exclude)
@@ -297,7 +294,7 @@ def test_global_builds_structural_operator_and_length_groups_once(monkeypatch):
     monkeypatch.setattr(traversal, "_Pattern", lambda matrix: patterns.append(matrix) or pattern(matrix))
     rng = np.random.default_rng(17)
     graph = build_random_graph(rng, 40)
-    cfg = SuggestConfig(k=5, subgraph_size=30)
+    cfg = RunConfig(top_k=5, subgraph_max_size=30)
     queries = [(prop, random_unit(rng, 8)) for prop in (0, 7, 19, 33)]
     suggested, nearest = suggest_global(queries, carved(graph, queries, cfg), cfg)
     assert len(suggested) == len(nearest) and set(nearest) <= set(range(4))
@@ -308,7 +305,7 @@ def test_global_builds_structural_operator_and_length_groups_once(monkeypatch):
 def test_global_requires_nonempty_partition():
     graph = two_chain_graph()
     with pytest.raises(ValueError):
-        suggest_global([], extract_subgraph(graph, [0], 100, WalkParams()), SuggestConfig())
+        suggest_global([], extract_subgraph(graph, [0], 100, RunConfig()), RunConfig())
 
 
 # ----------------------------------------------------------------------

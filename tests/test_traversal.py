@@ -8,13 +8,13 @@ import pytest
 import scipy.sparse as sp
 
 from propgraph import traversal
+from propgraph.config import RunConfig
 from propgraph.encoding import top_k_similar
-from propgraph.errors import UnknownNodeError
+from propgraph.errors import ConfigError, UnknownNodeError
 from propgraph.graph import HeteroGraph, NodeKind, entity_id, passage_id, proposition_id
 from propgraph.traversal import (
     Subgraph,
     TransitionMatrix,
-    WalkParams,
     _first_testable_step,
     blend,
     build_semantic_transition,
@@ -149,7 +149,7 @@ def test_structural_matches_loop_reference_bitwise():
         for limit in (4, 10, 25):
             seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=2)})
             if limit >= len(seeds):
-                sub = extract_subgraph(graph, seeds, limit, WalkParams())
+                sub = extract_subgraph(graph, seeds, limit, RunConfig())
                 views.append((sub, [node_at(graph, i) for i in sub.nodes]))
         for view, nodes in views:
             got = build_structural_transition(view).matrix
@@ -179,7 +179,7 @@ def walker_views(rng) -> list:
         for limit in (6, 15, 40):
             seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=3)})
             if limit >= len(seeds):
-                views.append(extract_subgraph(graph, seeds, limit, WalkParams()))
+                views.append(extract_subgraph(graph, seeds, limit, RunConfig()))
     return views
 
 
@@ -203,7 +203,7 @@ def coo_structural_reference(view) -> sp.csr_matrix:
     return sp.diags(inv).dot(t).tocsr()
 
 
-def transpose_copy_ppr_reference(matrix: sp.csr_matrix, seeds, params: WalkParams) -> np.ndarray:
+def transpose_copy_ppr_reference(matrix: sp.csr_matrix, seeds, params: RunConfig) -> np.ndarray:
     """The reference for ``ppr``: each step by a CSR copy of M^T, the dangling term always added."""
     n = matrix.shape[0]
     restart = np.zeros(n, dtype=np.float64)
@@ -243,7 +243,7 @@ def test_query_aware_transition_matches_blend_reference_bitwise():
     for lambda_ in (0.0, 0.5, 1.0):
         # theta 1.0 leaves every row below the floor, -1.0 masks nothing
         for theta in (-1.0, 0.4, 1.0):
-            params = WalkParams(lambda_=lambda_, theta=theta)
+            params = RunConfig(lambda_=lambda_, cosine_threshold=theta)
             for view in views:
                 structural = build_structural_transition(view)
                 query = random_unit(rng, view.proposition_embeddings.shape[1])
@@ -265,13 +265,13 @@ def test_query_aware_transition_matches_blend_reference_bitwise():
         structural = random_transition(rng, n)
         query = random_unit(rng, view.proposition_embeddings.shape[1])
         sims = view.proposition_embeddings @ query.astype(np.float64)
-        want = blend(structural, build_semantic_transition(structural, sims, WalkParams()), 0.5)
-        assert_same_arrays(query_aware_transition(view, query, WalkParams(), structural).matrix, want.matrix)
+        want = blend(structural, build_semantic_transition(structural, sims, RunConfig()), 0.5)
+        assert_same_arrays(query_aware_transition(view, query, RunConfig(), structural).matrix, want.matrix)
 
 
 def test_ppr_matches_transpose_copy_reference_bitwise():
     rng = np.random.default_rng(71)
-    params = WalkParams()
+    params = RunConfig()
     for dangling_frac in (0.0, 0.2, 1.0):
         for _ in range(10):
             n = int(rng.integers(1, 30))
@@ -312,7 +312,7 @@ def dense_semantic_oracle(ts_dense, sims, tau, theta):
 
 def test_semantic_threshold_kills_low_similarity():
     ts = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    params = WalkParams(theta=0.4)
+    params = RunConfig(cosine_threshold=0.4)
     tn = build_semantic_transition(ts, np.array([0.5, 0.3]), params)
     dense = tn.matrix.toarray()
     # node 1 falls below the floor: row 1 puts all mass on node 0, and
@@ -332,7 +332,7 @@ def test_semantic_equal_similarities_uniform():
         ]
     )
     ts = TransitionMatrix(sp.csr_matrix(ts_dense))
-    tn = build_semantic_transition(ts, np.full(4, 0.8), WalkParams()).matrix.toarray()
+    tn = build_semantic_transition(ts, np.full(4, 0.8), RunConfig()).matrix.toarray()
     assert np.allclose(tn[0], [0.0, 0.5, 0.5, 0.0])
     assert np.allclose(tn[1], [1 / 3, 0.0, 1 / 3, 1 / 3])
     assert np.allclose(tn[2], [0.0, 1.0, 0.0, 0.0])
@@ -341,13 +341,13 @@ def test_semantic_equal_similarities_uniform():
 
 def test_semantic_matches_dense_oracle():
     rng = np.random.default_rng(31)
-    params = WalkParams(tau=0.1, theta=0.4)
+    params = RunConfig(temperature=0.1, cosine_threshold=0.4)
     for _ in range(30):
         n = int(rng.integers(2, 8))
         ts = random_transition(rng, n)
         sims = rng.uniform(-1, 1, size=n)
         tn = build_semantic_transition(ts, sims, params)
-        expected, fallback = dense_semantic_oracle(ts.matrix.toarray(), sims, params.tau, params.theta)
+        expected, fallback = dense_semantic_oracle(ts.matrix.toarray(), sims, params.temperature, params.cosine_threshold)
         assert np.max(np.abs(tn.matrix.toarray() - expected)) < 1e-12
         assert tn.fallback_rows == frozenset(fallback)
 
@@ -356,7 +356,7 @@ def loop_semantic_reference(structural, similarities, params) -> TransitionMatri
     """The query-aware operator built row by row in a ``lil_matrix``."""
     n = structural.size
     similarities = np.asarray(similarities, dtype=np.float64).ravel()
-    boosted = np.where(similarities >= params.theta, np.exp(similarities / params.tau), 0.0)
+    boosted = np.where(similarities >= params.cosine_threshold, np.exp(similarities / params.temperature), 0.0)
     base = structural.matrix
     indptr = base.indptr
     indices = base.indices
@@ -392,10 +392,10 @@ def test_semantic_matches_loop_reference_bitwise():
         for limit in (6, 15, 40):
             seeds = sorted({int(i) for i in rng.integers(0, len(graph.propositions), size=2)})
             if limit >= len(seeds):
-                views.append(extract_subgraph(graph, seeds, limit, WalkParams()))
+                views.append(extract_subgraph(graph, seeds, limit, RunConfig()))
     # theta 1.0 leaves every row below the floor; -1.0 masks nothing
     for theta in (-1.0, 0.0, 0.4, 0.9, 1.0):
-        params = WalkParams(theta=theta, tau=float(rng.choice([0.05, 0.1, 1.0])))
+        params = RunConfig(cosine_threshold=theta, temperature=float(rng.choice([0.05, 0.1, 1.0])))
         for view in views:
             structural = build_structural_transition(view)
             sims = view.proposition_embeddings.astype(np.float64) @ random_unit(rng, view.proposition_embeddings.shape[1])
@@ -410,14 +410,14 @@ def test_semantic_matches_loop_reference_bitwise():
 def test_semantic_rejects_bad_inputs():
     ts = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     with pytest.raises(ValueError):
-        build_semantic_transition(ts, np.array([0.1]), WalkParams())
-    with pytest.raises(ValueError):
-        WalkParams(tau=0.0)
+        build_semantic_transition(ts, np.array([0.1]), RunConfig())
+    with pytest.raises(ConfigError):
+        RunConfig(temperature=0.0)
 
 
 def test_sparsity_containment_except_fallback():
     rng = np.random.default_rng(37)
-    params = WalkParams()
+    params = RunConfig()
     for _ in range(20):
         n = int(rng.integers(2, 10))
         ts = random_transition(rng, n)
@@ -440,7 +440,7 @@ def test_sparsity_containment_except_fallback():
 def test_blend_extremes_and_idempotence():
     rng = np.random.default_rng(41)
     ts = random_transition(rng, 5, dangling_frac=0.0)
-    tn = build_semantic_transition(ts, rng.uniform(0.5, 1.0, size=5), WalkParams())
+    tn = build_semantic_transition(ts, rng.uniform(0.5, 1.0, size=5), RunConfig())
     assert np.allclose(blend(ts, tn, 1.0).matrix.toarray(), ts.matrix.toarray())
     assert np.allclose(blend(ts, tn, 0.0).matrix.toarray(), tn.matrix.toarray())
     swap = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
@@ -452,7 +452,7 @@ def test_blend_rows_remain_stochastic():
     for _ in range(20):
         n = int(rng.integers(2, 12))
         ts = random_transition(rng, n)
-        tn = build_semantic_transition(ts, rng.uniform(-1, 1, size=n), WalkParams())
+        tn = build_semantic_transition(ts, rng.uniform(-1, 1, size=n), RunConfig())
         mixed = blend(ts, tn, 0.5)
         for i, total in enumerate(np.asarray(mixed.matrix.sum(axis=1)).ravel()):
             assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
@@ -486,7 +486,7 @@ def dense_ppr_oracle(m_dense, seeds, damping, iters=5000, tol=1e-13):
 
 def test_ppr_single_node():
     m = TransitionMatrix(sp.csr_matrix((1, 1)))
-    dist = ppr(m, [0], WalkParams())
+    dist = ppr(m, [0], RunConfig())
     assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -494,7 +494,7 @@ def test_ppr_two_node_closed_form():
     # swap matrix, seed {0}: pi0 = (1-d)/(1-d^2), pi1 = d * pi0
     d = 0.85
     m = TransitionMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    dist = ppr(m, [0], WalkParams(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
+    dist = ppr(m, [0], RunConfig(damping=d, ppr_epsilon=1e-14, ppr_max_iters=10000))
     pi0 = (1 - d) / (1 - d**2)
     assert dist[0] == pytest.approx(pi0, abs=1e-9)
     assert dist[1] == pytest.approx(d * pi0, abs=1e-9)
@@ -502,7 +502,7 @@ def test_ppr_two_node_closed_form():
 
 def test_ppr_matches_dense_oracle():
     rng = np.random.default_rng(47)
-    params = WalkParams()
+    params = RunConfig()
     for _ in range(20):
         n = int(rng.integers(2, 9))
         m = random_transition(rng, n)
@@ -517,7 +517,7 @@ def test_ppr_is_distribution():
     for _ in range(10):
         n = int(rng.integers(2, 12))
         m = random_transition(rng, n)
-        dist = ppr(m, [0], WalkParams())
+        dist = ppr(m, [0], RunConfig())
         assert dist.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(dist >= 0.0)
 
@@ -525,16 +525,16 @@ def test_ppr_is_distribution():
 def test_ppr_rejects_empty_or_out_of_range_seeds():
     m = random_transition(np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
-        ppr(m, [], WalkParams())
+        ppr(m, [], RunConfig())
     with pytest.raises(IndexError):
-        ppr(m, [7], WalkParams())
+        ppr(m, [7], RunConfig())
 
 
 def test_ppr_permutation_invariance():
     # relabeled matrix M'[i, j] = M[perm[i], perm[j]] must walk to
     # pi'[i] = pi[perm[i]], within twice the convergence epsilon
     rng = np.random.default_rng(59)
-    params = WalkParams()
+    params = RunConfig()
     for _ in range(5):
         n = 8
         m = random_transition(rng, n)
@@ -554,14 +554,14 @@ def test_ppr_permutation_invariance():
 
 def test_extract_whole_graph_when_limit_large():
     graph = graph_from_links([["e1"], ["e1", "e2"], ["e2"]])
-    sub = extract_subgraph(graph, [0], graph.node_count, WalkParams())
+    sub = extract_subgraph(graph, [0], graph.node_count, RunConfig())
     assert sub.nodes.tolist() == list(range(graph.node_count))
     assert (sub.uniform_transition != graph.uniform_transition).nnz == 0
 
 
 def test_extract_minimal_closure():
     graph = graph_from_links([["e1"], ["e1"], ["e2"], ["e2"]])
-    sub = extract_subgraph(graph, [0, 1], 4, WalkParams())
+    sub = extract_subgraph(graph, [0, 1], 4, RunConfig())
     expected = {
         proposition_id(0),
         proposition_id(1),
@@ -574,7 +574,7 @@ def test_extract_minimal_closure():
 def test_extract_includes_passage_of_every_chosen_proposition():
     rng = np.random.default_rng(61)
     graph = build_random_graph(rng, 12)
-    sub = extract_subgraph(graph, [0], 9, WalkParams())
+    sub = extract_subgraph(graph, [0], 9, RunConfig())
     for idx in sub.proposition_indices:
         assert graph.propositions[idx].passage in sub.nodes  # a passage's global index is its index
 
@@ -603,7 +603,7 @@ def _chain_clique_graph():
 
 def test_extract_chain_outranks_distant_clique():
     graph = _chain_clique_graph()
-    params = WalkParams()
+    params = RunConfig()
     # dense RWR oracle over the full heterogeneous graph
     order = node_order(graph)
     gi = {node: i for i, node in enumerate(order)}
@@ -632,9 +632,9 @@ def test_extract_chain_outranks_distant_clique():
 def test_extract_validates_inputs():
     graph = graph_from_links([["e"]])
     with pytest.raises(ValueError):
-        extract_subgraph(graph, [], 5, WalkParams())
+        extract_subgraph(graph, [], 5, RunConfig())
     with pytest.raises(ValueError):
-        extract_subgraph(graph, [0], 0, WalkParams())
+        extract_subgraph(graph, [0], 0, RunConfig())
 
 
 # ----------------------------------------------------------------------
@@ -709,7 +709,7 @@ def test_extract_subgraphs_equal_single_carvings():
         graph = graph_with_lonely_passages(rng, n_props) if trial % 2 else build_random_graph(rng, n_props)
         seed_sets = random_seed_sets(rng, graph, int(rng.integers(1, 6)))
         for limit in (3, 8, 25, graph.node_count):
-            params = WalkParams(damping=float(rng.choice([0.5, 0.85])))
+            params = RunConfig(damping=float(rng.choice([0.5, 0.85])))
             carved = extract_subgraphs(graph, seed_sets, limit, params)
             assert len(carved) == len(seed_sets)
             for seeds, got in zip(seed_sets, carved):
@@ -725,21 +725,21 @@ def test_extract_subgraphs_on_a_graph_many_times_the_limit():
     rng = np.random.default_rng(83)
     graph = build_random_graph(rng, 300)
     seed_sets = random_seed_sets(rng, graph, 10)
-    carved = extract_subgraphs(graph, seed_sets, 30, WalkParams())
+    carved = extract_subgraphs(graph, seed_sets, 30, RunConfig())
     for seeds, got in zip(seed_sets, carved):
         assert got.node_count <= 31  # the last proposition admitted may bring its passage
-        assert np.array_equal(got.nodes, single_extract_subgraph(graph, seeds, 30, WalkParams()).nodes)
+        assert np.array_equal(got.nodes, single_extract_subgraph(graph, seeds, 30, RunConfig()).nodes)
 
 
 def test_extract_subgraphs_validates_every_set():
     graph = graph_from_links([["e"], ["e"]])
-    assert extract_subgraphs(graph, [], 5, WalkParams()) == []
+    assert extract_subgraphs(graph, [], 5, RunConfig()) == []
     with pytest.raises(ValueError, match="non-empty"):
-        extract_subgraphs(graph, [[0], []], 5, WalkParams())
+        extract_subgraphs(graph, [[0], []], 5, RunConfig())
     with pytest.raises(ValueError, match="below seed count"):
-        extract_subgraphs(graph, [[0], [0, 1]], 1, WalkParams())
+        extract_subgraphs(graph, [[0], [0, 1]], 1, RunConfig())
     with pytest.raises(UnknownNodeError):
-        extract_subgraphs(graph, [[0], [2]], 5, WalkParams())
+        extract_subgraphs(graph, [[0], [2]], 5, RunConfig())
 
 
 def two_slice_induced_walk(parent, nodes) -> sp.csr_matrix:
@@ -802,7 +802,7 @@ def test_embeddings_are_exact_float64_values_and_scores_unchanged():
         want = [(int(i), float(scores[i])) for i in np.lexsort((np.arange(50), -scores))]
         assert got == want
         assert top_k_similar(query, stored, 50) == want
-    sub = extract_subgraph(graph, [0, 1], 20, WalkParams())
+    sub = extract_subgraph(graph, [0, 1], 20, RunConfig())
     assert np.array_equal(sub.proposition_embeddings, stored[sub.proposition_indices].astype(np.float64))
 
 
@@ -875,7 +875,7 @@ def certificate_case(seed):
     """A seeded block of carvings: a graph of one family, walk parameters, seed sets and a size limit."""
     rng = np.random.default_rng(seed)
     graph = CASE_FAMILIES[seed % len(CASE_FAMILIES)](rng, int(rng.integers(20, 300)))
-    params = WalkParams(
+    params = RunConfig(
         damping=float(rng.choice([0.5, 0.85, 0.95, 0.99])),
         ppr_epsilon=float(rng.choice([1e-8, 1e-12, 1e-15])),
         ppr_max_iters=3000,
@@ -959,7 +959,7 @@ def assert_walk_record(graph, seed_props, size_limit, params, carved, exact=None
 
 def test_certified_carvings_equal_single_carvings():
     rng = np.random.default_rng(103)
-    params = [WalkParams(), WalkParams(damping=0.5), WalkParams(damping=0.95), WalkParams(ppr_max_iters=7)]
+    params = [RunConfig(), RunConfig(damping=0.5), RunConfig(damping=0.95), RunConfig(ppr_max_iters=7)]
     stops = set()
     for trial in range(10):
         graph = CASE_FAMILIES[trial % len(CASE_FAMILIES)](rng, int(rng.integers(2, 90)))
@@ -1015,12 +1015,12 @@ def test_twin_units_let_carvings_stop_early(seed):
 
 def test_carvings_record_their_walks():
     graph = build_random_graph(np.random.default_rng(107), 60)
-    params = WalkParams()
+    params = RunConfig()
     carved = extract_subgraphs(graph, [[0], [1, 2]], 12, params)
     for seeds, got in zip([[0], [1, 2]], carved):
         assert isinstance(got.walk_steps, int) and isinstance(got.walk_stop, str)
         assert_walk_record(graph, seeds, 12, params, got)
-    budget = extract_subgraph(graph, [0], 12, WalkParams(ppr_max_iters=3))
+    budget = extract_subgraph(graph, [0], 12, RunConfig(ppr_max_iters=3))
     assert (budget.walk_steps, budget.walk_stop) == (3, "budget")
     plain = Subgraph(graph, carved[0].nodes)
     assert (plain.walk_steps, plain.walk_stop) == (None, None)
@@ -1060,7 +1060,7 @@ def test_convergence_test_is_skipped_only_where_it_cannot_pass():
         for damping in (0.5, 0.85, 0.95):
             for epsilon in (1e-8, 1e-12):
                 for budget in (1, 7, 40, 3000):
-                    params = WalkParams(damping=damping, ppr_epsilon=epsilon, ppr_max_iters=budget)
+                    params = RunConfig(damping=damping, ppr_epsilon=epsilon, ppr_max_iters=budget)
                     first = _first_testable_step(graph, params)
                     for seeds in rows:
                         changes = ppr_changes(graph, seeds.tolist(), params)
@@ -1075,7 +1075,7 @@ def test_carvings_certified_early_sum_no_columns(monkeypatch):
     power_iteration = traversal._power_iteration
     monkeypatch.setattr(traversal, "_power_iteration", lambda *args: calls.append(args) or power_iteration(*args))
     graph = build_random_graph(np.random.default_rng(127), 200)
-    params = WalkParams()
+    params = RunConfig()
     seed_sets = random_seed_sets(np.random.default_rng(131), graph, 6)
     carved = extract_subgraphs(graph, seed_sets, 40, params)
     assert all(sub.walk_stop == "certificate" for sub in carved)
@@ -1164,9 +1164,9 @@ def test_uncertified_columns_fall_back_to_the_exact_walk(monkeypatch):
     )
     cases = [
         # the budget ends before the first check, at step 4
-        WalkParams(ppr_max_iters=3),
+        RunConfig(ppr_max_iters=3),
         # the convergence test can pass from step 9, before the bracket has narrowed enough to check
-        WalkParams(ppr_epsilon=0.5),
+        RunConfig(ppr_epsilon=0.5),
     ]
     for params in cases:
         assert _first_testable_step(graph, params) <= 9 or params.ppr_max_iters < 4
@@ -1198,7 +1198,7 @@ def test_one_sided_brackets_are_within_their_spread_of_exact(monkeypatch):
     compared = 0
     for family in (build_random_graph, graph_with_hub, graph_with_lonely_passages):
         graph = family(rng, 24)
-        params = WalkParams(damping=0.9)
+        params = RunConfig(damping=0.9)
         seed_sets = random_seed_sets(rng, graph, 2)
         checks.clear()
         extract_subgraphs(graph, seed_sets, 10, params)
