@@ -161,8 +161,8 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")

@@ -625,8 +625,8 @@ def load(path: str | Path) -> HeteroGraph:
     if not manifest_path.exists():
         raise CorruptFileError(f"{root}: no manifest.json")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{root}: unreadable manifest: {err}") from err
     if not isinstance(manifest, dict) or manifest.get("format") != GRAPH_FORMAT:
         raise CorruptFileError(f"{root}: not a graph directory")

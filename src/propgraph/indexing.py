@@ -248,20 +248,28 @@ def index_corpus(
     return graph.finalize()
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise InputFileError(f"{path}: not valid UTF-8: {err}") from err
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
     """The objects of a JSONL file, each with its ``path:line``; blank lines are skipped."""
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{number}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise InputFileError(f"{where}: {err}") from err
-            if not isinstance(obj, dict):
-                raise InputFileError(f"{where}: expected a JSON object")
-            yield where, obj
+    # read_text turns every line ending into "\n", so these are the lines that iterating the file gives
+    for number, line in enumerate(_read_text(Path(path)).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{number}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise InputFileError(f"{where}: {err}") from err
+        if not isinstance(obj, dict):
+            raise InputFileError(f"{where}: expected a JSON object")
+        yield where, obj
 
 
 def load_corpus(path: str | Path) -> list[CorpusDocument]:
@@ -274,7 +282,7 @@ def load_corpus(path: str | Path) -> list[CorpusDocument]:
     if p.is_dir():
         docs = []
         for f in sorted(p.glob("*.txt")):
-            docs.append(CorpusDocument(f.name, f.read_text()))
+            docs.append(CorpusDocument(f.name, _read_text(f)))
         return docs
     docs = []
     for where, obj in read_jsonl(p):

@@ -68,8 +68,7 @@ class _Pattern:
     ``lengths`` is each row's entry count. ``gather`` lists the entries of
     the nonempty rows grouped by length, ascending, row after row; ``rows``
     names those rows in the same order, and ``blocks`` each group's start in
-    ``gather``, row count and length. ``ascending`` orders the entries by
-    row, then by column.
+    ``gather``, row count and length.
     """
 
     def __init__(self, matrix: sp.csr_matrix):
@@ -81,18 +80,6 @@ class _Pattern:
         sizes, counts = np.unique(self.lengths[self.rows], return_counts=True)
         starts = np.concatenate(([0], np.cumsum(sizes * counts)[:-1]))
         self.blocks = list(zip(starts.tolist(), counts.tolist(), sizes.tolist()))
-        # Each row reversed puts the descending rows that
-        # build_structural_transition stores in ascending order; other rows
-        # are sorted.
-        indices = matrix.indices
-        self.ascending = np.repeat(indptr[:-1] + indptr[1:] - 1, self.lengths) - np.arange(len(indices))
-        reversed_indices = indices[self.ascending]
-        rises = reversed_indices[1:] > reversed_indices[:-1]
-        # a row's first entry need not rise above the previous row's last
-        rises[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < len(indices))] - 1] = True
-        if not rises.all():
-            row_starts = np.repeat(np.arange(len(self.lengths), dtype=np.int64) * matrix.shape[1], self.lengths)
-            self.ascending = np.argsort(row_starts + indices, kind="stable")
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
         """Each row's sum of ``values``, one per entry, as numpy sums that row's values alone.
@@ -228,7 +215,11 @@ def build_structural_transition(view: HeteroGraph | Subgraph) -> TransitionMatri
     indptr = _kept_indptr(indptr, nonzero)
     # each row reversed, from its last entry to its first
     order = kept[np.repeat(indptr[:-1] + indptr[1:] - 1, np.diff(indptr)) - np.arange(len(kept))]
-    return TransitionMatrix(sp.csr_matrix((data[order], columns[order], indptr), shape=(n, n)))
+    matrix = sp.csr_matrix((data[order], columns[order], indptr), shape=(n, n))
+    # every walker's operator shares this pattern
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return TransitionMatrix(matrix)
 
 
 def _kept_indptr(indptr: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -685,19 +676,17 @@ def query_aware_transition(
 
     ``structural`` is ``build_structural_transition(view)``, which every
     query over one view shares, so its two-hop product and row layout are
-    computed once. The result is
-    ``blend(structural, build_semantic_transition(...))``, array for array,
-    computed on the structural pattern: a masked neighbor adds
-    (1 - lambda) * 0.0 to its blended entry, so it needs no removing first.
+    computed once. The result equals
+    ``blend(structural, build_semantic_transition(...))`` entry for entry,
+    on the structural pattern, whose read-only ``indices`` and ``indptr``
+    it shares: a masked neighbor keeps its entry, lambda times its
+    structural weight, 0.0 when lambda is 0. Its walk is the blend's bit
+    for bit, as :func:`ppr` sums each entry of M^T pi in ascending source
+    row order, whatever the order of a row's entries, and an explicit zero
+    adds +0.0.
     """
     sims = view.proposition_embeddings @ np.asarray(query_vec, dtype=np.float64)
     semantic, fallback = _semantic_weights(structural, sims, cfg)
     base = structural.matrix
     mixed = cfg.lambda_ * base.data + (1.0 - cfg.lambda_) * semantic
-    # blend's sum stores each row in ascending column order, without zeros
-    ascending = structural._pattern.ascending
-    data, indices, indptr = mixed[ascending], base.indices[ascending], base.indptr.copy()
-    if not data.all():
-        nonzero = data != 0.0
-        data, indices, indptr = data[nonzero], indices[nonzero], _kept_indptr(indptr, nonzero)
-    return TransitionMatrix(sp.csr_matrix((data, indices, indptr), shape=base.shape), fallback)
+    return TransitionMatrix(sp.csr_matrix((mixed, base.indices, base.indptr), shape=base.shape), fallback)

@@ -350,6 +350,24 @@ def test_corpus_row_without_doc_id_is_reported(workspace, capsys):
     assert_reported(code, capsys.readouterr().err, "corpus.jsonl:3: a corpus row needs a doc_id and a text string")
 
 
+@pytest.mark.parametrize(
+    "bad, command, message",
+    [
+        ("corpus/bad.txt", "index --config {ws}/config.json --corpus {ws}/corpus --out {ws}/g", "bad.txt: not valid UTF-8"),
+        ("corpus.jsonl", "index --config {ws}/config.json --corpus {ws}/corpus.jsonl --out {ws}/g", "corpus.jsonl: not valid UTF-8"),
+        ("config.json", "query --config {ws}/config.json --graph {ws}/graph Ulm?", "cannot read config "),
+        ("dataset.jsonl", "eval --config {ws}/config.json --graph {ws}/graph --dataset {ws}/dataset.jsonl --out {ws}/run", "dataset.jsonl: not valid UTF-8"),
+        ("graph/manifest.json", "stats --graph {ws}/graph", "unreadable manifest"),
+    ],
+)
+def test_input_that_is_not_utf8_is_reported(workspace, capsys, bad, command, message):
+    run_index(workspace)
+    capsys.readouterr()
+    (workspace / bad).write_bytes(b'{"doc_id": "d0", "text": "Ulm \xff"}\n')
+    code = main(command.format(ws=workspace).split())
+    assert_reported(code, capsys.readouterr().err, message)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_a_graph_without_propositions_is_reported(tmp_path, capsys, mode):
     # every default: the unscripted mock extracts no propositions

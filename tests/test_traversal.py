@@ -228,6 +228,14 @@ def assert_same_arrays(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
 
+def canonical(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """A copy of ``matrix`` with each row's columns ascending and no explicit zeros, as ``blend`` stores its rows."""
+    copy = matrix.copy()
+    copy.sort_indices()
+    copy.eliminate_zeros()
+    return copy
+
+
 def test_structural_matches_coo_reference_bitwise():
     for view in walker_views(np.random.default_rng(61)):
         got = build_structural_transition(view).matrix
@@ -253,7 +261,7 @@ def test_query_aware_transition_matches_blend_reference_bitwise():
                     query_aware_transition(view, query, params, structural),
                     query_aware_transition(view, query, params, build_structural_transition(view)),
                 ):
-                    assert_same_arrays(got.matrix, want.matrix)
+                    assert_same_arrays(canonical(got.matrix), want.matrix)
                     assert got.fallback_rows == want.fallback_rows
                 n = structural.size
                 for seeds in ([0], [n - 1], sorted({int(i) for i in rng.integers(0, n, size=3)})):
@@ -266,7 +274,7 @@ def test_query_aware_transition_matches_blend_reference_bitwise():
         query = random_unit(rng, view.proposition_embeddings.shape[1])
         sims = view.proposition_embeddings @ query.astype(np.float64)
         want = blend(structural, build_semantic_transition(structural, sims, RunConfig()), 0.5)
-        assert_same_arrays(query_aware_transition(view, query, RunConfig(), structural).matrix, want.matrix)
+        assert_same_arrays(canonical(query_aware_transition(view, query, RunConfig(), structural).matrix), want.matrix)
 
 
 def test_ppr_matches_transpose_copy_reference_bitwise():
@@ -284,6 +292,52 @@ def test_ppr_matches_transpose_copy_reference_bitwise():
         rows = (np.add(seeds, graph.proposition_rows.start)).tolist()
         want = transpose_copy_ppr_reference(graph.uniform_transition, rows, params)
         assert ppr(graph.uniform_transition, rows, params).tobytes() == want.tobytes()
+
+
+def scrambled(rng, matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix`` with each row's entries in a random order and explicit 0.0 entries in some absent columns."""
+    n = matrix.shape[0]
+    indices, data, indptr = [], [], [0]
+    for row in range(n):
+        span = slice(matrix.indptr[row], matrix.indptr[row + 1])
+        absent = np.setdiff1d(np.arange(n), matrix.indices[span])
+        zeros = rng.choice(absent, size=int(rng.integers(0, len(absent) + 1)), replace=False)
+        columns = np.concatenate((matrix.indices[span], zeros.astype(matrix.indices.dtype)))
+        values = np.concatenate((matrix.data[span], np.zeros(len(zeros))))
+        order = rng.permutation(len(columns))
+        indices.append(columns[order])
+        data.append(values[order])
+        indptr.append(indptr[-1] + len(columns))
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=matrix.shape)
+
+
+def test_ppr_does_not_depend_on_row_layout():
+    """Each entry of M^T pi sums its terms in ascending source row order, so neither a row's entry order nor an explicit zero changes a bit."""
+    rng = np.random.default_rng(73)
+    configs = (RunConfig(), RunConfig(damping=0.5, ppr_epsilon=1e-14, ppr_max_iters=1000))
+    for case in range(240):
+        n = int(rng.integers(1, 30))
+        m = random_transition(rng, n, dangling_frac=(0.0, 0.2, 0.5)[case % 3]).matrix
+        other = scrambled(rng, m)
+        assert (other != m).nnz == 0
+        seeds = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        for params in configs:
+            assert ppr(other, seeds, params).tobytes() == ppr(m, seeds, params).tobytes()
+
+
+def test_walkers_share_the_read_only_structural_pattern():
+    rng = np.random.default_rng(79)
+    graph = build_random_graph(rng, 40)
+    structural = build_structural_transition(graph)
+    base = structural.matrix
+    assert not any(array.flags.writeable for array in (base.data, base.indices, base.indptr))
+    walker = query_aware_transition(graph, random_unit(rng, graph.embedding_dim), RunConfig(), structural).matrix
+    assert np.shares_memory(walker.indices, base.indices) and np.shares_memory(walker.indptr, base.indptr)
+    before = base.indices.tobytes()
+    # the structural rows store their columns in descending order, so sorting would rewrite them
+    with pytest.raises(ValueError):
+        walker.sort_indices()
+    assert base.indices.tobytes() == before
 
 
 # ----------------------------------------------------------------------
