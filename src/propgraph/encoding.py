@@ -22,6 +22,13 @@ from .http_json import OpenAICompatClient
 
 NORM_TOL = 1e-6
 
+# Above the exact norm of every row of a finalized graph's vector stores.
+# Finalizing rejects a row whose float64 norm, one dot product and a square
+# root, is off 1 by more than NORM_TOL; that norm is within a relative
+# (d + 1) 2^-53 of the exact one, far below NORM_TOL for any dimension d
+# under 10^9, so the exact norm is below 1 + NORM_TOL + NORM_TOL.
+STORED_NORM_BOUND = 1.0 + 2.0 * NORM_TOL
+
 DEFAULT_MOCK_DIM = 256
 
 _GRAM_CACHE_SIZE = 1 << 16
@@ -96,7 +103,9 @@ class GrowingRows:
             self.matrix.resize((self.count, width), refcheck=False)
 
 
-def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tuple[int, float]]:
+def top_k_similar(
+    query: np.ndarray, candidates: np.ndarray, k: int, norm_bound: float | None = None
+) -> list[tuple[int, float]]:
     """Exact top-k rows of ``candidates`` by cosine against ``query``.
 
     Rows are ranked by their float64 scores, the dot products of the
@@ -111,7 +120,11 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
     the last bits.) A float32 matrix is scanned in float32 first, and
     only the rows that :func:`_float32_candidates` proves can rank in the
     first ``k`` are scored. Any other matrix, and a float32 one whose
-    scan cannot decide, has every row scored.
+    scan cannot decide, has every row scored. ``norm_bound``, when given,
+    must be at least the exact norm of every row, as
+    :data:`STORED_NORM_BOUND` is for a finalized graph's stores; the scan
+    then takes it rather than a pass over the matrix. The ranking is the
+    same either way.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -123,7 +136,7 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
         raise DimensionMismatchError(
             f"dimension mismatch: query {query.shape[0]} vs candidates {candidates.shape[1]}"
         )
-    rows = _float32_candidates(query, candidates, k) if candidates.dtype == np.float32 else None
+    rows = _float32_candidates(query, candidates, k, norm_bound) if candidates.dtype == np.float32 else None
     if rows is None:
         rows = np.arange(candidates.shape[0])
         picked = np.asarray(candidates, dtype=np.float64)
@@ -140,7 +153,7 @@ def top_k_similar(query: np.ndarray, candidates: np.ndarray, k: int) -> list[tup
     return [(int(rows[i]), float(scores[i])) for i in order[:k]]
 
 
-def _float32_candidates(query: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray | None:
+def _float32_candidates(query: np.ndarray, matrix: np.ndarray, k: int, norm_bound: float | None = None) -> np.ndarray | None:
     """The rows of the float32 ``matrix`` that can rank in the first ``k`` of its float64 scores against ``query``.
 
     Returns the ascending row indices, or ``None`` when the float32 scan
@@ -167,9 +180,15 @@ def _float32_candidates(query: np.ndarray, matrix: np.ndarray, k: int) -> np.nda
     for every row, where N bounds the row norms. The step from
     gamma_(d+1) to gamma_(d+2), over u N |q|, and the doubled underflow
     term cover gamma'_d and the float64 rounding of D and of t - 2 D
-    below. N comes from the largest squared row norm taken in float32,
-    n32, which is at least (1 - gamma_d) |e|^2 - 2 d eta by the same
-    bound: N = sqrt((n32 + 2 d eta) / (1 - gamma_d)).
+    below. N is ``norm_bound`` when the caller has one. For a finalized
+    graph's store that is :data:`STORED_NORM_BOUND`, 1 + 2e-6, which
+    finalizing proved of every row, so the scan reads the matrix once.
+    Otherwise N comes from a second pass, the largest squared row norm
+    taken in float32, n32, which is at least (1 - gamma_d) |e|^2 - 2 d eta
+    by the same bound: N = sqrt((n32 + 2 d eta) / (1 - gamma_d)), about
+    1 + gamma_d / 2 for unit rows (1 + 7.6e-6 at d = 256), looser than the
+    proven bound once d exceeds about 70. Any N that bounds every row's
+    exact norm gives the float64 ranking; a tighter one keeps fewer rows.
 
     If t is the k-th largest float32 score, each of the k rows scoring
     at least t has s64 >= t - D, so the k-th largest s64 is at least
@@ -183,10 +202,11 @@ def _float32_candidates(query: np.ndarray, matrix: np.ndarray, k: int) -> np.nda
     # an overflow or a NaN leaves a score or the bound non-finite, which is checked
     with np.errstate(over="ignore", invalid="ignore"):
         scores = matrix @ query.astype(np.float32)
-        squared = float(np.matmul(matrix[:, None, :], matrix[:, :, None]).max())
-    norm = math.sqrt((squared + 2 * d * eta) / (1 - d * u / (1 - d * u)))
+        if norm_bound is None:
+            squared = float(np.matmul(matrix[:, None, :], matrix[:, :, None]).max())
+            norm_bound = math.sqrt((squared + 2 * d * eta) / (1 - d * u / (1 - d * u)))
     gamma = (d + 2) * u / (1 - (d + 2) * u)
-    bound = gamma * norm * math.hypot(*query.tolist()) + 2 * math.sqrt(d) * eta * norm + 4 * d * eta
+    bound = gamma * norm_bound * math.hypot(*query.tolist()) + 2 * math.sqrt(d) * eta * norm_bound + 4 * d * eta
     if not (math.isfinite(bound) and np.isfinite(scores).all()):
         return None
     t = float(np.partition(scores, n - k)[n - k])

@@ -321,7 +321,8 @@ class HeteroGraph:
             # no name holds a view of the matrix, so a traceback of this frame holds none at a later resize
             for start in range(0, count, _NORM_CHUNK):
                 rows = store.matrix[start : start + _NORM_CHUNK].astype(np.float64)
-                # one dot product per row, as is_normalized takes a vector's norm; a NaN norm is bad too
+                # one dot product per row, as is_normalized takes a vector's norm; a NaN norm is bad too.
+                # encoding.STORED_NORM_BOUND, which the similarity scan takes, rests on this check.
                 norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
                 bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
                 if bad.size:

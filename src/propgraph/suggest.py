@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .encoding import top_k_similar
+from .encoding import STORED_NORM_BOUND, top_k_similar
 from .errors import EmptyGraphError
 from .graph import HeteroGraph
 from .llm import LLMGateway
@@ -44,11 +44,15 @@ class Result:
 
 
 def suggest_naive(query_vec: np.ndarray, graph: HeteroGraph, cfg: RunConfig) -> list[int]:
-    """Top-k propositions by cosine, ignoring edges and any seed context."""
+    """Top-k propositions by cosine, ignoring edges and any seed context.
+
+    The store is a finalized graph's, whose row norms finalizing bounded,
+    so the similarity scan takes that bound rather than a pass of its own.
+    """
     matrix = graph.proposition_embeddings
     if matrix.shape[0] == 0:
         raise EmptyGraphError("graph has no propositions")
-    return [idx for idx, _ in top_k_similar(query_vec, matrix, cfg.top_k)]
+    return [idx for idx, _ in top_k_similar(query_vec, matrix, cfg.top_k, norm_bound=STORED_NORM_BOUND)]
 
 
 def _rank_new(

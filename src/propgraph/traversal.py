@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,12 +29,19 @@ from .errors import UnknownNodeError
 from .graph import HeteroGraph
 
 _DANGLING_EPS = 1e-15
-# How far a carving walk's bracket must narrow, from step 4 or from a check
-# that found no positive gap, before a certificate check runs (see
-# _Admission). On the seed-7 and seed-31 bench graphs the bracket narrows
-# about 0.79-fold per step, so 256-fold takes about 23 steps, and a
-# carving's gap first turned positive at step 30 in the median (quartiles
-# 26 and 36).
+# How far a carving walk's bracket must narrow before a certificate check
+# runs (see _Admission): _FIRST_NARROWING from step 4 before a column's
+# first check, _NARROWING after a check that found no positive gap. On the
+# 217 carvings of the seed-7 and seed-31 bench questions the bracket
+# narrows about 0.75-fold per step. A gap first turned positive at step 32
+# in the median (quartiles 28 and 36), and the earliest check that could
+# prove a carving was at step 60 (quartiles 56 and 68). So a first check
+# at 256-fold, near step 20, almost always failed; at 65536-fold it runs
+# near step 48. Counting a full check as three single-column steps, 16384-
+# to 65536-fold cost least of 256- to 1048576-fold on both graphs. Against
+# 256-fold for every check, full checks went 597 -> 423 and walk steps
+# 13,850 -> 13,866; on seed 911, held out, 307 -> 219 and 7,104 -> 7,030.
+_FIRST_NARROWING = 65536.0
 _NARROWING = 256.0
 
 
@@ -299,44 +306,76 @@ def ppr(
             raise IndexError(f"seed {s} out of range for {n} rows")
     restart = np.zeros(n, dtype=np.float64)
     restart[sorted(set(seeds))] = 1.0 / len(set(seeds))
-    return _power_iteration(matrix, restart, cfg)[0]
+    return _power_iteration(_matrix_step(matrix, restart), restart, cfg)[0]
 
 
-def _power_iteration(matrix: sp.csr_matrix, restart: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, int, str]:
-    """The loop of :func:`ppr` from the ``restart`` distribution: its result, the steps it ran and why it stopped, ``"convergence"`` or ``"budget"``."""
+def _matrix_step(matrix: sp.csr_matrix, restart: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The step of :func:`ppr` over ``matrix`` before damping: pi to M^T pi, the mass on dangling rows put back on ``restart``."""
     dangling = np.flatnonzero(np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_EPS)
     # M^T pi by the CSC view of M^T: each entry adds its terms in ascending row order
     mt = matrix.T
+
+    def step(pi: np.ndarray) -> np.ndarray:
+        nxt = mt @ pi
+        if len(dangling):
+            nxt += float(pi[dangling].sum()) * restart
+        return nxt
+
+    return step
+
+
+def _side_step(graph: HeteroGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`_matrix_step` of ``graph.uniform_transition`` for a walk from propositions, by the two blocks of :attr:`HeteroGraph.side_transitions`.
+
+    Each entry of M^T pi sums the same products as the CSC view of M^T
+    does, in the same ascending order of source rows (the hubs' columns
+    keep node order), so the result has the same bits, in about three
+    fifths of the time. No mass reaches a dangling row, a degree-0 node
+    without in-edges, so none is put back.
+    """
+    to_hubs, to_props = graph.side_transitions
+    props = graph.proposition_rows
+
+    def step(pi: np.ndarray) -> np.ndarray:
+        reached = to_hubs @ pi[props]
+        nxt = np.empty_like(pi)
+        nxt[: props.start] = reached[: props.start]
+        nxt[props] = to_props @ np.concatenate((pi[: props.start], pi[props.stop :]))
+        nxt[props.stop :] = reached[props.start :]
+        return nxt
+
+    return step
+
+
+def _power_iteration(step: Callable[[np.ndarray], np.ndarray], restart: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, int, str]:
+    """The loop of :func:`ppr` by ``step`` from the ``restart`` distribution: its result, the steps it ran and why it stopped, ``"convergence"`` or ``"budget"``."""
     d = cfg.damping
     teleport = (1.0 - d) * restart
 
     pi = restart.copy()
-    for step in range(1, cfg.ppr_max_iters + 1):
-        nxt = mt @ pi
-        if len(dangling):
-            nxt += float(pi[dangling].sum()) * restart
+    for step_count in range(1, cfg.ppr_max_iters + 1):
+        nxt = step(pi)
         nxt *= d
         nxt += teleport
         change = nxt - pi
         err = float(np.abs(change, out=change).sum())
         pi = nxt
         if err < cfg.ppr_epsilon:
-            return pi, step, "convergence"
+            return pi, step_count, "convergence"
     return pi, cfg.ppr_max_iters, "budget"
 
 
-def _admit(scores: np.ndarray, included: np.ndarray, brings: np.ndarray, size_limit: int) -> tuple[np.ndarray, np.ndarray]:
+def _admit(scores: np.ndarray, included: np.ndarray, count: int, brings: np.ndarray, size_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes the admission loop reads, in order, and how many nodes each read adds.
 
     The loop reads nodes by descending score, ties by ascending index, and
     admits each one not yet in along with what it brings, until at least
-    ``size_limit`` nodes are in; ``included`` marks the nodes in from the
-    start. A read adds the members of its (node, brought) pair that are
-    neither in from the start nor in an earlier pair, so the gains are
-    first appearances in the list of pairs, and the loop reads up to the
-    first read at which the running count reaches the limit.
+    ``size_limit`` nodes are in; ``included`` marks the ``count`` nodes in
+    from the start. A read adds the members of its (node, brought) pair
+    that are neither in from the start nor in an earlier pair, so the gains
+    are first appearances in the list of pairs, and the loop reads up to
+    the first read at which the running count reaches the limit.
     """
-    count = np.count_nonzero(included)
     if count >= size_limit:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # The loop reads an entry only while fewer than size_limit nodes are
@@ -393,16 +432,24 @@ class _Admission:
     w is read off the propositions' slice at every fourth step: over a
     block of six columns a read costs about a third of a full step, and w
     narrows about 2.6-fold in four steps. A full check ranks the nodes and
-    costs about two steps of one column, so it runs only once the bracket
-    could be narrow enough: the first when w has fallen ``_NARROWING``-fold
-    since step 4, each later one when w is below the gap the last check
+    costs about three steps of one column, so it runs only once a proof
+    could close: a column's first check once w has fallen
+    ``_FIRST_NARROWING``-fold since step 4, by when most gaps are
+    positive; each later one when w is below the gap the last check
     measured, as gaps change little once positive, or has fallen
     ``_NARROWING``-fold again after a check that found no positive gap.
+    Every column not yet proven is checked at the walk's last check step,
+    the last multiple of 4 up to ``last_step``: a gap that once exceeded w
+    stays above the gap minus w, while w keeps narrowing, so a column that
+    an earlier check would have proven is most likely proven there, and
+    a check costs far less than the exact walk it would spare.
     """
 
-    def __init__(self, graph: HeteroGraph, seed_rows: list[np.ndarray], size_limit: int, damping: float):
+    def __init__(self, graph: HeteroGraph, seed_rows: list[np.ndarray], size_limit: int, cfg: RunConfig):
         self.graph = graph
         self.size_limit = size_limit
+        # the one-sided walk runs while the convergence test of ppr cannot pass
+        self.last_step = min(_first_testable_step(graph, cfg) - 1, cfg.ppr_max_iters)
         # admitting a node admits what it brings: a proposition its passage,
         # any other node only itself
         self.brings = np.arange(graph.node_count)
@@ -415,6 +462,7 @@ class _Admission:
             included = np.zeros(graph.node_count, dtype=bool)
             included[rows] = included[self.brings[rows]] = True
             self.initial.append(included)
+        self.counts = [np.count_nonzero(included) for included in self.initial]
         # Rounding margin. Let u = 2^-53 and K the longest row. A step of
         # ppr sums at most K nonnegative products per entry, scales by d
         # and may add a teleport term, so each computed entry is the exact
@@ -437,10 +485,9 @@ class _Admission:
         # the gap of ppr's floats, two b's each within E + u, exceeds their
         # w, within 2E + 2u, by that margin.
         u = np.finfo(np.float64).eps / 2
+        d = cfg.damping
         self.longest = float(graph.global_degrees.max())
-        self.one_sided_margin = (
-            8.0 * (self.longest + 4.0) * u / (1.0 - damping) + 4.0 * (self.longest + 3.0) * u / (1.0 - damping) + 4.0 * u
-        )
+        self.one_sided_margin = 8.0 * (self.longest + 4.0) * u / (1.0 - d) + 4.0 * (self.longest + 3.0) * u / (1.0 - d) + 4.0 * u
         self.steps = np.zeros(len(seed_rows), dtype=np.int64)
         self.stops = np.full(len(seed_rows), "budget", dtype=object)
         self.check_below = np.full(len(seed_rows), np.nan)
@@ -473,7 +520,7 @@ class _Admission:
         included = self.initial[column].copy()
         read = self.proven_reads.get(column)
         if read is None:
-            read, _ = _admit(self._scores(visits), included, self.brings, self.size_limit)
+            read, _ = _admit(self._scores(visits), included, self.counts[column], self.brings, self.size_limit)
         included[read] = included[self.brings[read]] = True
         return np.flatnonzero(included)
 
@@ -486,15 +533,20 @@ class _Admission:
         ``columns`` names the carving of each block column. ``bracket(k)``
         gives block column k's visits at this step and the lower end of
         their bracket, b, and the gap scales b by ``1 -/+ spread`` (see
-        :meth:`_gap`). Records the stop of each proven one.
+        :meth:`_gap`). Records the stop of each proven one. Checks only the
+        columns the schedule (see the class docstring) says are due.
         """
         fresh = np.isnan(self.check_below[columns])
-        self.check_below[columns[fresh]] = widths[fresh] / _NARROWING
+        self.check_below[columns[fresh]] = widths[fresh] / _FIRST_NARROWING
+        due = widths < self.check_below[columns]
+        # every running column is at the walk's step; at its last check step every one is due
+        if self.steps[columns[0]] + 4 > self.last_step:
+            due[:] = True
         proven = np.zeros(len(columns), dtype=bool)
-        for k in np.flatnonzero(widths < self.check_below[columns]).tolist():
+        for k in np.flatnonzero(due).tolist():
             column, width = columns[k], widths[k]
             visits, low = bracket(k)
-            read, gains = _admit(self._scores(visits), self.initial[column], self.brings, self.size_limit)
+            read, gains = _admit(self._scores(visits), self.initial[column], self.counts[column], self.brings, self.size_limit)
             gap = self._gap(column, read, gains, self._scores(low), spread)
             proven[k] = gap > width
             if proven[k]:
@@ -502,6 +554,16 @@ class _Admission:
             self.check_below[column] = gap if gap > 0 else width / _NARROWING
         self.stops[columns[proven]] = "certificate"
         return proven
+
+    def _twins_of(self, node: int) -> np.ndarray:
+        """The twin class of ``node``, found among the neighbours of its first neighbour, which every twin shares."""
+        walk, twins = self.graph.uniform_transition, self.graph.twin_classes
+        start, stop = walk.indptr[node : node + 2]
+        if start == stop:
+            return np.flatnonzero(twins == twins[node])
+        hub = walk.indices[start]
+        near = walk.indices[walk.indptr[hub] : walk.indptr[hub + 1]]
+        return near[twins[near] == twins[node]]
 
     def _gap(self, column: int, read: np.ndarray, gains: np.ndarray, base: np.ndarray, spread: float) -> float:
         """The smallest separation in ``base`` between the last unit of the admission loop's ``read`` and the nodes that must stay on either side of it.
@@ -514,12 +576,11 @@ class _Admission:
             return np.inf
         last = read[-1]
         twins = self.graph.twin_classes
-        unit = twins == twins[last]
         before = read[:-1][gains[:-1] > 0]
-        before = before[~unit[before]]
+        before = before[twins[before] != twins[last]]
         out = ~self.initial[column]
         out[before] = out[self.brings[before]] = False
-        out[unit] = False
+        out[self._twins_of(last)] = False
         low, high = 1.0 - spread, 1.0 + spread
         above = float(base[before].min()) * low - base[last] * high if before.size else np.inf
         below = base[last] * low - float(np.max(base, where=out, initial=-np.inf)) * high
@@ -566,8 +627,8 @@ def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], cfg: RunCo
     margin and spread.
 
     The walk runs while the convergence test of :func:`ppr` cannot pass,
-    up to the step before :func:`_first_testable_step` or to
-    ``ppr_max_iters``, so a proven column's step is one at which ``ppr``
+    to ``admission.last_step``: the step before :func:`_first_testable_step`
+    or ``ppr_max_iters``, so a proven column's step is one at which ``ppr``
     has not stopped. It stops where every column is proven. The columns it
     returns are not.
     """
@@ -582,7 +643,7 @@ def _one_sided_walks(graph: HeteroGraph, seed_rows: list[np.ndarray], cfg: RunCo
     degrees = graph.global_degrees[props, None]
     running = np.arange(len(seed_rows))
     scale = 1.0  # d^(step - 1)
-    for step in range(1, min(_first_testable_step(graph, cfg) - 1, cfg.ppr_max_iters) + 1):
+    for step in range(1, admission.last_step + 1):
         series[(step - 1) % 2] += ((1.0 - d) * scale) * term
         term = (to_hubs if step % 2 else to_props) @ term
         scale *= d
@@ -642,14 +703,14 @@ def extract_subgraphs(
         seed_rows.append(np.add(seeds, graph.proposition_rows.start))
     if not seed_rows:
         return []
-    admission = _Admission(graph, seed_rows, size_limit, cfg.damping)
+    admission = _Admission(graph, seed_rows, size_limit, cfg)
     visits = {}
-    for column in _one_sided_walks(graph, seed_rows, cfg, admission).tolist():
+    unproven = _one_sided_walks(graph, seed_rows, cfg, admission).tolist()
+    step = _side_step(graph)
+    for column in unproven:
         restart = np.zeros(graph.node_count)
         restart[seed_rows[column]] = 1.0 / len(seed_rows[column])
-        visits[column], admission.steps[column], admission.stops[column] = _power_iteration(
-            graph.uniform_transition, restart, cfg
-        )
+        visits[column], admission.steps[column], admission.stops[column] = _power_iteration(step, restart, cfg)
     return [
         Subgraph(graph, admission.nodes(column, visits.get(column)), int(admission.steps[column]), admission.stops[column])
         for column in range(len(seed_rows))

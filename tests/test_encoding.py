@@ -2,12 +2,16 @@ import hashlib
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from propgraph import encoding
+from propgraph import encoding, suggest
+from propgraph.config import RunConfig
 from propgraph.encoding import (
+    NORM_TOL,
+    STORED_NORM_BOUND,
     HashedNgramEmbedder,
     cosine,
     is_normalized,
@@ -15,6 +19,8 @@ from propgraph.encoding import (
     top_k_similar,
 )
 from propgraph.errors import DimensionMismatchError
+from propgraph.graph import HeteroGraph, load, save
+from propgraph.suggest import suggest_naive
 
 from conftest import random_unit
 
@@ -218,6 +224,70 @@ def test_float32_scan_with_k_at_least_n_scores_every_row_as_float64():
     for k in (25, 26, 100):
         assert encoding._float32_candidates(query, stored, k) is None
         assert top_k_similar(query, stored, k) == [(i, scores[i]) for i in float64_ranking(stored, query, k)]
+
+
+def proven_norm_store(rng: np.random.Generator, dim: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Unit float32 rows with duplicates, ulp-close near-ties and norms 1 +/- 0.9 NORM_TOL, and a query near the ties.
+
+    Every row passes the graph's unit-length check.
+    """
+    base = random_unit(rng, dim)
+    up, down = np.nextafter(base, np.float32(np.inf)), np.nextafter(base, np.float32(-np.inf))
+    steps = rng.integers(-1, 2, size=(60, dim))
+    near = np.where(steps > 0, up, np.where(steps < 0, down, base))
+    scaled = [(base.astype(np.float64) * (1.0 + sign * 0.9 * NORM_TOL)).astype(np.float32) for sign in (1, -1) for _ in range(3)]
+    others = np.stack([random_unit(rng, dim) for _ in range(80)])
+    stored = np.vstack([near, scaled, others, others[:10], near[:10]])
+    stored = stored[rng.permutation(len(stored))]
+    assert all(is_normalized(row) for row in stored)
+    norms = np.linalg.norm(stored.astype(np.float64), axis=1)
+    assert norms.max() > 1.0 + 0.8 * NORM_TOL and norms.min() < 1.0 - 0.8 * NORM_TOL
+    return stored, base.astype(np.float64) + rng.normal(scale=0.01, size=dim)
+
+
+def graph_of_store(stored: np.ndarray) -> HeteroGraph:
+    graph = HeteroGraph()
+    passage = graph.add_passage("passage", "d", (0, 8))
+    for i, row in enumerate(stored):
+        graph.add_proposition(f"prop {i}", passage, [], row)
+    return graph.finalize()
+
+
+def test_graph_scan_takes_the_proven_norm_bound_and_ranks_as_float64(monkeypatch, tmp_path):
+    # suggest_naive calls the scan by the name suggest imports, with the bound
+    # finalizing proved, and the scan reads no norms of its own
+    seen = []
+    scan, candidates = suggest.top_k_similar, encoding._float32_candidates
+
+    def forward(*args, **kwargs):
+        seen.append(kwargs.get("norm_bound"))
+        return scan(*args, **kwargs)
+
+    def spy(query, matrix, k, norm_bound=None):
+        rows = candidates(query, matrix, k, norm_bound)
+        seen.append(rows is not None and len(rows) < len(matrix))
+        return rows
+
+    monkeypatch.setattr(suggest, "top_k_similar", forward)
+    monkeypatch.setattr(encoding, "_float32_candidates", spy)
+    rng = np.random.default_rng(61)
+    narrowed = 0
+    for trial in range(4):
+        stored, query = proven_norm_store(rng)
+        finalized = graph_of_store(stored)
+        save(finalized, tmp_path / str(trial))
+        for graph in (finalized, load(tmp_path / str(trial))):
+            assert graph.proposition_embeddings.tobytes() == stored.tobytes()
+            for k in (1, 5, 20, len(stored) - 1):
+                seen.clear()
+                assert suggest_naive(query, graph, RunConfig(top_k=k)) == float64_ranking(stored, query, k), k
+                assert seen[0] == STORED_NORM_BOUND
+                narrowed += seen[1]
+    assert narrowed > 0
+    # the bound is above every row's exact norm, taken in exact rationals
+    bound = Fraction(STORED_NORM_BOUND) ** 2
+    for row in stored:
+        assert sum(Fraction(float(x)) ** 2 for x in row) < bound
 
 
 def test_mock_embed_deterministic():

@@ -1219,7 +1219,7 @@ def test_uncertified_columns_fall_back_to_the_exact_walk(monkeypatch):
     cases = [
         # the budget ends before the first check, at step 4
         RunConfig(ppr_max_iters=3),
-        # the convergence test can pass from step 9, before the bracket has narrowed enough to check
+        # the convergence test can pass from step 9: the walk's one check, at step 8, is too early to prove a column
         RunConfig(ppr_epsilon=0.5),
     ]
     for params in cases:
@@ -1281,3 +1281,59 @@ def test_one_sided_brackets_are_within_their_spread_of_exact(monkeypatch):
                     assert Fraction(widths[k]) >= (w + Fraction(margin)) * (1 - 2 * u)
                     compared += 1
     assert compared >= 6
+
+
+def test_side_step_is_the_full_graph_step_bitwise():
+    # the fallback walk steps by the two side blocks: every M^T pi, and the
+    # whole walk with its steps and stop, has the bits of the CSC view of M^T
+    rng = np.random.default_rng(167)
+    stops = set()
+    for trial in range(10):
+        graph = CASE_FAMILIES[trial % len(CASE_FAMILIES)](rng, int(rng.integers(2, 120)))
+        walk = graph.uniform_transition
+        step = traversal._side_step(graph)
+        for _ in range(3):
+            pi = rng.random(graph.node_count) * (rng.random(graph.node_count) < 0.7)
+            assert step(pi).tobytes() == (walk.T @ pi).tobytes()
+        for rows in seed_rows(graph, random_seed_sets(rng, graph, 2)):
+            restart = np.zeros(graph.node_count)
+            restart[rows] = 1.0 / len(rows)
+            for params in (RunConfig(), RunConfig(damping=0.95, ppr_max_iters=40), RunConfig(damping=0.5, ppr_epsilon=1e-15)):
+                vector, steps, stop = traversal._power_iteration(step, restart, params)
+                want = traversal._power_iteration(traversal._matrix_step(walk, restart), restart, params)
+                assert (vector.tobytes(), steps, stop) == (want[0].tobytes(), want[1], want[2])
+                assert vector.tobytes() == ppr(walk, rows.tolist(), params).tobytes()
+                stops.add(stop)
+    assert stops == {"convergence", "budget"}
+
+
+def carvings_with_checks(monkeypatch, first_narrowing, graph, seed_sets, limit, params):
+    """The carvings of ``seed_sets`` with the first check at ``first_narrowing``, and the full checks they ran."""
+    checks = []
+    gap = traversal._Admission._gap
+    with monkeypatch.context() as patch:
+        patch.setattr(traversal, "_FIRST_NARROWING", first_narrowing)
+        patch.setattr(traversal._Admission, "_gap", lambda self, *args: checks.append(args) or gap(self, *args))
+        carved = extract_subgraphs(graph, seed_sets, limit, params)
+    return carved, len(checks)
+
+
+def test_a_later_first_check_proves_every_carving_the_earlier_one_does(monkeypatch):
+    # the sweep of certificate_case, at its own walk parameters and at ones
+    # that end the walk early: a short budget and a loose convergence test
+    shipped = traversal._FIRST_NARROWING
+    assert shipped > traversal._NARROWING
+    carvings, checks = 0, {"early": 0, "shipped": 0}
+    for seed in range(60):
+        graph, seed_sets, limit, params = certificate_case(seed)
+        for p in (params, replace(params, ppr_epsilon=1e-4), replace(params, ppr_max_iters=40)):
+            early, early_checks = carvings_with_checks(monkeypatch, traversal._NARROWING, graph, seed_sets, limit, p)
+            late, late_checks = carvings_with_checks(monkeypatch, shipped, graph, seed_sets, limit, p)
+            for before, after in zip(early, late):
+                assert after.nodes.tobytes() == before.nodes.tobytes(), seed
+                if before.walk_stop == "certificate":
+                    assert after.walk_stop == "certificate", seed
+            carvings += len(seed_sets)
+            checks["early"] += early_checks
+            checks["shipped"] += late_checks
+    assert checks["shipped"] / carvings < checks["early"] / carvings
