@@ -134,9 +134,6 @@ class EntityRegistry:
         self._candidate = np.empty(0, dtype=bool)
         self._surface_to_id: dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return self._founders.count
-
     def new_surfaces(self, surfaces: Iterable[str]) -> list[str]:
         """The surfaces whose embeddings :meth:`resolve` would read, in order.
 

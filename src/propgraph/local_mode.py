@@ -47,18 +47,18 @@ def answer_local(
     """Suggestion-selection cycles with sufficiency checks and follow-ups.
 
     Seeding: similarity search for the starting question, pruned by
-    selection, checked once for sufficiency before any walk. Each
-    iteration then carves one subgraph around the current pool and walks
-    it once per active question, prunes, folds the survivors into the
-    collected set, and re-checks sufficiency; follow-up questions steer the
-    next iteration. They are asked only when another iteration walks them:
-    not after the last one, nor after a later one that kept nothing (the
-    next one stops with a ``pool_empty`` event). The first iteration's next
-    pool is the seeds plus what it kept, so after a first iteration that
-    kept nothing they are still asked, and the second iteration walks from
-    the seeds again. When the iteration budget runs out a
-    best-effort answer is still produced from the collected facts, flagged
-    as exhausted on the trace.
+    selection. Each pass of the loop then checks the collected facts for
+    sufficiency, asks for follow-up questions that steer the next
+    iteration, and runs that iteration: it carves one subgraph around the
+    pool and walks it once per active question, prunes, and folds the
+    survivors into the collected set. An iteration's next pool is what it
+    kept, and the second iteration also walks from the seeds. An
+    iteration that keeps nothing ends the loop (the next one stops with a
+    ``pool_empty`` event). The first iteration walks the starting
+    question, and follow-ups are asked only when another iteration walks
+    them: not after the last iteration, nor after one that kept nothing.
+    When the iteration budget runs out a best-effort answer is still
+    produced from the collected facts, flagged as exhausted on the trace.
 
     An iteration offers each suggestion only to the first of its questions
     that suggests it (the ``candidates`` of its ``suggest`` event). The
@@ -79,17 +79,19 @@ def answer_local(
 
     s_pool = dict.fromkeys(seed_kept)
     s_loc = dict(s_pool)
-
-    verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc))
-    trace.log("eval", after_iteration=0, sufficient=verdict.sufficient, answer=verdict.answer)
-    if verdict.sufficient:
-        trace.log("result", answer=verdict.answer, failed=False, exhausted=False, iterations=0)
-        return Result(verdict.answer, False, trace, list(s_loc))
-
     questions = [q_start]
-    s_pool_new = dict(s_pool)
     iteration = 0
-    while iteration < cfg.max_iter:
+    while True:
+        verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc))
+        trace.log("eval", after_iteration=iteration, sufficient=verdict.sufficient, answer=verdict.answer)
+        if verdict.sufficient:
+            trace.log("result", answer=verdict.answer, failed=False, exhausted=False, iterations=iteration)
+            return Result(verdict.answer, False, trace, list(s_loc))
+        if iteration == cfg.max_iter:
+            break
+        if iteration and s_pool:  # else no iteration walks the follow-ups
+            questions = gateway.next_questions(q_start, graph.proposition_texts(s_loc), cfg.max_subquestions)
+            trace.log("next_questions", iteration=iteration, questions=questions)
         iteration += 1
         if not s_pool:
             trace.log("pool_empty", iteration=iteration)
@@ -105,7 +107,6 @@ def answer_local(
         asks = [(question, candidates) for question, _, candidates in walks]
         kept_lists = select_wave(asks, verdicts, cfg.top_k, graph, gateway, select)
         for q_index, ((question, suggested, candidates), kept) in enumerate(zip(walks, kept_lists)):
-            s_pool_new.update(dict.fromkeys(kept))
             trace.log(
                 "suggest",
                 iteration=iteration,
@@ -115,17 +116,9 @@ def answer_local(
                 candidates=candidates,
                 kept=kept,
             )
-        s_loc.update(s_pool_new)
-        s_pool, s_pool_new = s_pool_new, {}
-
-        verdict = gateway.evaluate_answerable(q_start, graph.proposition_texts(s_loc))
-        trace.log("eval", after_iteration=iteration, sufficient=verdict.sufficient, answer=verdict.answer)
-        if verdict.sufficient:
-            trace.log("result", answer=verdict.answer, failed=False, exhausted=False, iterations=iteration)
-            return Result(verdict.answer, False, trace, list(s_loc))
-        if s_pool and iteration < cfg.max_iter:  # else no iteration walks the follow-ups
-            questions = gateway.next_questions(q_start, graph.proposition_texts(s_loc), cfg.max_subquestions)
-            trace.log("next_questions", iteration=iteration, questions=questions)
+        kept_now = dict.fromkeys(c for kept in kept_lists for c in kept)
+        s_loc.update(kept_now)
+        s_pool = {**s_pool, **kept_now} if iteration == 1 and kept_now else kept_now
 
     answer = gateway.final_answer(q_start, graph.proposition_texts(s_loc))
     trace.log("result", answer=answer, failed=True, exhausted=True, iterations=iteration)

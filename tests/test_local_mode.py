@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -152,35 +154,99 @@ def test_an_iteration_that_keeps_nothing_asks_for_no_follow_ups(two_hop_graph, e
     assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == [1]
 
 
-def test_a_first_iteration_that_keeps_nothing_still_asks_for_follow_ups(monkeypatch):
-    # the first iteration's next pool is the seeds plus what it kept: after
-    # it keeps nothing the second walks from the seeds, and only a later
-    # iteration that keeps nothing ends the loop
-    selects = []
+class ScriptedLoop(MockChatBackend):
+    """Select keeps all but in iteration ``dead``; Eval first reads sufficient after iteration ``sufficient``.
 
-    def keep_two_at_seeding(prompt):
-        selects.append(prompt)
-        return "KEEP: 1, 2" if len(selects) == 1 else "KEEP: none"
+    Each pass of the loop checks sufficiency before it walks, so the Eval
+    calls made so far number the iteration a Select belongs to (0 at
+    seeding). Each NextQ asks a question text not asked before, so every
+    wave's candidates are unjudged and each wave sends one Select.
+    """
 
+    def __init__(self, dead=None, sufficient=None):
+        super().__init__()
+        self.dead, self.sufficient = dead, sufficient
+        self.calls = Counter()
+
+    def complete(self, prompt):
+        template = prompt.template_id.value
+        self.calls[template] += 1
+        if template == "Select":
+            count = len(prompt.slots["candidates"].splitlines())
+            if self.calls["Eval"] == self.dead:
+                return "KEEP: none"
+            return "KEEP: " + ", ".join(str(i + 1) for i in range(count))
+        if template == "Eval":
+            return "SUFFICIENT: found" if self.calls["Eval"] - 1 == self.sufficient else "INSUFFICIENT"
+        if template == "NextQ":
+            return f"1. Which passage number holds entity number {self.calls['NextQ']}?"
+        return super().complete(prompt)
+
+
+def scripted_answer(monkeypatch, max_iter, dead=None, sufficient=None):
+    """A local answer on a seeded random graph under :class:`ScriptedLoop`; its backend and each carving's pool."""
     pools = []
     carve = local_mode.carve_local
     monkeypatch.setattr(
         local_mode, "carve_local", lambda graph, seeds, cfg: pools.append(list(seeds)) or carve(graph, seeds, cfg)
     )
     graph = build_random_graph(np.random.default_rng(11), 240, dim=16)
-    gateway = CountingGateway(MockChatBackend([MockRule(template="Select", respond=keep_two_at_seeding)]))
-    question = "Which proposition number links entity number 7 to passage number 3?"
-    cfg = RunConfig(max_iter=5, top_k=6, subgraph_max_size=40)
-    result = answer_local(question, graph, gateway, HashedNgramEmbedder(dim=16), cfg)
+    backend = ScriptedLoop(dead, sufficient)
+    cfg = RunConfig(max_iter=max_iter, top_k=6, subgraph_max_size=40)
+    result = answer_local(CARVED_QUESTION, graph, LLMGateway(backend), HashedNgramEmbedder(dim=16), cfg)
+    return result, backend, pools
+
+
+def kept_in(result, iteration):
+    return [c for e in result.trace.of_kind("suggest") if e["iteration"] == iteration for c in e["kept"]]
+
+
+@pytest.mark.parametrize("dead", [1, 2, 3])
+def test_an_iteration_that_keeps_nothing_ends_the_loop(monkeypatch, dead):
+    # the first iteration follows the rule of every later one: no NextQ
+    # after it, and the next iteration stops at pool_empty
+    result, backend, pools = scripted_answer(monkeypatch, max_iter=5, dead=dead)
+    assert kept_in(result, dead) == []
+    assert all(kept_in(result, i) for i in range(1, dead))
+    assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == list(range(1, dead))
+    assert backend.calls["NextQ"] == dead - 1
+    assert result.trace.of_kind("pool_empty") == [{"event": "pool_empty", "iteration": dead + 1}]
+    assert result.trace.of_kind("result")[0]["iterations"] == dead + 1
+    # an iteration walks from what the one before kept; after a first
+    # iteration that kept something, the second walks from the seeds too
     [seed] = result.trace.of_kind("seed")
-    assert len(seed["kept"]) == 2
-    assert pools == [seed["kept"], seed["kept"]]
-    assert [e["kept"] for e in result.trace.of_kind("suggest")] == [[]] * len(result.trace.of_kind("suggest"))
-    assert {e["iteration"] for e in result.trace.of_kind("suggest")} == {1, 2}
-    assert [e["iteration"] for e in result.trace.of_kind("next_questions")] == [1]
-    assert gateway.nextq_calls == 1
-    assert result.trace.of_kind("pool_empty") == [{"event": "pool_empty", "iteration": 3}]
-    assert result.trace.of_kind("result")[0]["iterations"] == 3
+    assert pools == [seed["kept"], seed["kept"] + kept_in(result, 1), kept_in(result, 2)][:dead]
+
+
+@pytest.mark.parametrize("sufficient", [None, 0, 1, 2])
+@pytest.mark.parametrize("dead", [None, 1, 2])
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_every_exit_of_the_loop(monkeypatch, max_iter, dead, sufficient):
+    # the spec: iterations walk until the budget runs out, one keeps
+    # nothing, or an Eval reads sufficient; NextQ comes before every walk
+    # but the first, and an iteration that kept nothing before the budget
+    # ran out is followed by pool_empty
+    last = min(max_iter, dead or max_iter)
+    answered = sufficient is not None and sufficient <= last
+    walks = sufficient if answered else last
+    kinds = ["seed", "eval"]
+    for iteration in range(1, walks + 1):
+        kinds += (["next_questions"] if iteration > 1 else []) + ["suggest", "eval"]
+    if not answered and last < max_iter:
+        kinds.append("pool_empty")
+    kinds.append("result")
+
+    result, backend, pools = scripted_answer(monkeypatch, max_iter, dead, sufficient)
+    assert [e["event"] for e in result.trace.events] == kinds
+    calls = {t: backend.calls[t] for t in ("Eval", "NextQ", "Select", "FinalAnswer")}
+    assert calls == {
+        "Eval": walks + 1, "NextQ": max(walks - 1, 0), "Select": walks + 1, "FinalAnswer": int(not answered)
+    }
+    assert len(pools) == walks
+    final = result.trace.of_kind("result")[0]
+    assert final["iterations"] == walks + (not answered and last < max_iter)
+    assert (final["failed"], final["exhausted"], result.failed) == (not answered,) * 3
+    assert (result.answer == "found") == answered
 
 
 def test_collected_pool_grows_monotonically(two_hop_graph, two_hop_gateway, embedder):

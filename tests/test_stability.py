@@ -13,12 +13,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from propgraph import RunConfig
+from propgraph import RunConfig, evaluation, indexing
+from propgraph import graph as graph_module
 from propgraph.cli import main
 from propgraph.encoding import HashedNgramEmbedder
 from propgraph.global_mode import answer_global
@@ -42,7 +44,7 @@ PINNED_GRAPH = {
 }
 PINNED_EVAL = {
     "questions.jsonl": "2bbd0c8ce119eeb1abdfc63d5508e8a76c65b119bff64271197c61a1626d797f",
-    "report.json": "a493d1f73b80f9fae8a2437832d216cb240279889005f2d8e3bd624ec1479e31",
+    "report.json": "3cb15df8cdb1a7f4b3a5784ec99265015ac530d5d942e0a18d0522cb9a1af540",
 }
 PINNED_LOCAL_TRACE = "4b8acd9ad3eb49108bd4359c2822775a93681d2ee354ea5254d652852ddcb0bb"
 PINNED_GLOBAL_TRACE = "924dd1fc34dc64f2cb98d2ef61ccab42a328ceed5597950c7be73c64e8a71642"
@@ -125,6 +127,65 @@ def test_bench_span_boundaries_resolve(monkeypatch):
 
     missing = [name for owner, attr, name in spans.BOUNDARIES if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+def test_bench_spans_see_every_layer_the_questions_reach(tmp_path, monkeypatch):
+    # a wrapper the library routes around (a call moved to a name the
+    # benchmark does not rebind) records nothing: every span that indexing
+    # and one question of each mode must pass through records a call, and
+    # tracing changes no trace
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    # top-5 seeding misses the bridge fact, so the local answer walks; the
+    # fixture's communities are small, so the global one builds reports
+    cfg = RunConfig(top_k=5, min_community_size=2)
+    docs = [indexing.CorpusDocument(f"doc{i}", text) for i, (text, _, _) in enumerate(TWO_HOP_PASSAGES)]
+    modes = ("naive", "local", "global")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "setup"
+        gateway = LLMGateway(spans.CountingBackend(MockChatBackend(two_hop_rules()), tracer))
+        embedder = spans.TracedEmbedder(HashedNgramEmbedder(), tracer)
+        graph_module.save(indexing.index_corpus(docs, gateway, embedder, cfg), tmp_path / "graph")
+        loaded = graph_module.load(tmp_path / "graph")
+        tracer.phase = "op"
+        traced = [evaluation.answer_question(TWO_HOP_QUESTION, m, loaded, gateway, embedder, cfg) for m in modes]
+    finally:
+        tracer.uninstall()
+
+    calls = {phase: Counter(s.name for s in tracer.spans if s.phase == phase) for phase in ("setup", "op")}
+    setup = [
+        *[f"indexing.{f}" for f in ("index_corpus", "chunk", "resolve")],
+        *[f"graph.{f}" for f in ("add", "finalize", "save", "load")],
+    ]
+    questions = [
+        "evaluation.answer_question",
+        *[f"suggest.{f}" for f in ("suggest_naive", "suggest_local", "suggest_global", "select")],
+        *[
+            f"traversal.{f}"
+            for f in ("extract_subgraph", "build_structural_transition", "query_aware_transition", "ppr")
+        ],
+        "encoding.top_k_similar",
+        *[
+            f"global_mode.{f}"
+            for f in ("collect_anchors", "compute_queries", "detect_communities", "select_communities", "build_reports")
+        ],
+        "community.leiden_levels",
+    ]
+    both = ["llm.complete", "encoding.embed"]
+    assert [name for name in setup + both if not calls["setup"][name]] == []
+    assert [name for name in questions + both if not calls["op"][name]] == []
+    assert [s.name for s in tracer.spans if s.phase == "op" and s.parent is None] == ["evaluation.answer_question"] * 3
+
+    plain_graph = graph_module.load(tmp_path / "graph")
+    plain_gateway = LLMGateway(MockChatBackend(two_hop_rules()))
+    for mode, result in zip(modes, traced):
+        plain = evaluation.answer_question(
+            TWO_HOP_QUESTION, mode, plain_graph, plain_gateway, HashedNgramEmbedder(), cfg
+        )
+        assert (result.trace.events, result.answer) == (plain.trace.events, plain.answer)
 
 
 @pytest.mark.parametrize("module", ["networkx", "requests"])
