@@ -48,6 +48,12 @@ class NodeKind(enum.Enum):
 
 _KIND_RANK = {NodeKind.PASSAGE: 0, NodeKind.PROPOSITION: 1, NodeKind.ENTITY: 2}
 
+# the attributes HeteroGraph.finalize sets
+_FROZEN_ARRAYS = (
+    "proposition_embeddings", "entity_embeddings", "uniform_transition", "side_transitions",
+    "global_degrees", "proposition_passages", "twin_classes",
+)
+
 
 @functools.total_ordering
 @dataclass(frozen=True)
@@ -114,12 +120,35 @@ class HeteroGraph:
 
     A record's index is its position in the sequence of its kind: a list
     while the graph is mutable, then a tuple. Records are frozen and carry
-    no vectors. The graph holds one float32 vector store per embedded kind,
-    row i for the record with index i: a matrix that grows in place while
-    the graph is mutable (:class:`~propgraph.encoding.GrowingRows`), then
-    that matrix trimmed to its rows and read-only, the vectors as the
-    embedder gave them and as the files hold them. A computation that needs
-    float64 converts the rows it reads.
+    no vectors. While the graph is mutable it holds one float32 vector store
+    per embedded kind, row i for the record with index i, a matrix that
+    grows in place (:class:`~propgraph.encoding.GrowingRows`). Finalizing
+    trims each to its rows and drops the store, keeping only the matrix:
+    the vectors as the embedder gave them and as the files hold them. A
+    computation that needs float64 converts the rows it reads.
+
+    :meth:`finalize` sets these read-only attributes; reading one earlier
+    raises :class:`~propgraph.errors.GraphNotFinalizedError`.
+
+    - ``proposition_embeddings``, ``entity_embeddings``: one float32 row
+      per proposition and per entity.
+    - ``uniform_transition``: the row-stochastic uniform-over-neighbors walk
+      matrix over all nodes, rows and columns in the global order of
+      :meth:`global_index`, each row's column indices sorted; its pattern
+      is the adjacency.
+    - ``side_transitions``: the two blocks of ``uniform_transition``
+      transposed that a walk's step uses, propositions to hubs and hubs to
+      propositions. The graph is bipartite, propositions on one side and
+      the hubs, passages then entities in node order, on the other, so
+      every other block is empty, and a distribution on one side steps to
+      the other by one block. The second is column-major: a product then
+      runs over the few hubs rather than the many short proposition rows,
+      in about half the time.
+    - ``global_degrees``: each node's degree, as float64.
+    - ``proposition_passages``: the global index of each proposition's
+      passage.
+    - ``twin_classes``: each node's twin class, the least index of the
+      nodes whose neighbor list equals its own.
     """
 
     def __init__(self) -> None:
@@ -128,14 +157,14 @@ class HeteroGraph:
         self.entities: list[EntityRecord] | tuple[EntityRecord, ...] = []
         self._finalized = False
         self._embedding_dim: int | None = None
-        self._prop_embeddings: GrowingRows | np.ndarray = GrowingRows(np.empty((0, 0), dtype=np.float32))
-        self._entity_embeddings: GrowingRows | np.ndarray = GrowingRows(np.empty((0, 0), dtype=np.float32))
-        # caches built at finalize
-        self._uniform_csr: sp.csr_matrix | None = None
-        self._sides: tuple[sp.csr_matrix, sp.csc_matrix] | None = None
-        self._degrees: np.ndarray | None = None
-        self._prop_passage: np.ndarray | None = None
-        self._twins: np.ndarray | None = None
+        self._prop_store = GrowingRows(np.empty((0, 0), dtype=np.float32))
+        self._entity_store = GrowingRows(np.empty((0, 0), dtype=np.float32))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set, as a frozen array is not before finalize
+        if name in _FROZEN_ARRAYS:
+            raise GraphNotFinalizedError(f"{name} is set by finalize(); call it first")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __setattr__(self, name: str, value) -> None:
         # finalize sets _finalized last, so it can still rebind everything before
@@ -184,7 +213,7 @@ class HeteroGraph:
         self._check_mutable()
         if not canonical_name:
             raise EmptyTextError("entity name must be non-empty")
-        self._entity_embeddings.append(self._check_embedding(embedding))
+        self._entity_store.append(self._check_embedding(embedding))
         self.entities.append(EntityRecord(canonical_name))
         return entity_id(len(self.entities) - 1)
 
@@ -207,7 +236,7 @@ class HeteroGraph:
             raise EmptyTextError("proposition text must be non-empty")
         passage_index = self._check_node(passage, NodeKind.PASSAGE)
         refs = tuple(dict.fromkeys(self._check_node(ent, NodeKind.ENTITY) for ent in entities))
-        self._prop_embeddings.append(self._check_embedding(embedding))
+        self._prop_store.append(self._check_embedding(embedding))
         self.propositions.append(PropositionRecord(text, passage_index, refs))
         return proposition_id(len(self.propositions) - 1)
 
@@ -270,11 +299,25 @@ class HeteroGraph:
             return self
         incidence = _incidence(self)
         self._check_structure(incidence)
-        # the stores built here, or the matrices load read, become their trimmed matrices
-        self._prop_embeddings, self._entity_embeddings = self._vector_matrices()
+        # a kept store would hold the entity matrix that orphan removal replaces by a copy
+        self.proposition_embeddings, self.entity_embeddings = self._vector_matrices()
+        del self._prop_store, self._entity_store
         incidence = self._remove_orphan_entities(incidence)
         self.passages, self.propositions, self.entities = map(tuple, (self.passages, self.propositions, self.entities))
-        self._build_caches(incidence)
+        walk = _uniform_walk(self, incidence)
+        self.global_degrees = np.diff(walk.indptr).astype(np.float64)
+        # each proposition's first neighbor is its passage, as passages come first
+        self.proposition_passages = walk.indices[walk.indptr[self.proposition_rows]]
+        self.twin_classes = _twin_classes(walk)
+        self.side_transitions = _side_blocks(walk, self.global_degrees, self.proposition_rows)
+        self.uniform_transition = walk
+        for matrix in (walk, *self.side_transitions):
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
+        for array in (
+            self.global_degrees, self.proposition_passages, self.twin_classes, self.proposition_embeddings, self.entity_embeddings
+        ):
+            array.flags.writeable = False
         self._finalized = True
         return self
 
@@ -287,7 +330,7 @@ class HeteroGraph:
             return incidence
         remap = np.cumsum(used) - 1
         self.entities = [rec for rec, keep in zip(self.entities, used.tolist()) if keep]
-        self._entity_embeddings = self._entity_embeddings[used]
+        self.entity_embeddings = self.entity_embeddings[used]
         renumbered = remap.tolist()
         self.propositions = [
             replace(prop, entity_refs=tuple(renumbered[e] for e in prop.entity_refs)) for prop in self.propositions
@@ -312,7 +355,7 @@ class HeteroGraph:
 
     def _vector_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The two vector stores' matrices, trimmed in place; raises unless each row is a unit vector."""
-        stores = self._prop_embeddings, self._entity_embeddings
+        stores = self._prop_store, self._entity_store
         for kind, store in zip((NodeKind.PROPOSITION, NodeKind.ENTITY), stores):
             count = len(self._records(kind))
             if store.count != count:
@@ -328,77 +371,6 @@ class HeteroGraph:
                 if bad.size:
                     raise NotNormalizedError(f"{NodeId(kind, start + int(bad[0]))} embedding is not unit length")
         return stores[0].matrix, stores[1].matrix
-
-    def _build_caches(self, incidence: tuple) -> None:
-        walk = _uniform_walk(self, incidence)
-        self._degrees = np.diff(walk.indptr).astype(np.float64)
-        # each proposition's first neighbor is its passage, as passages come first
-        self._prop_passage = walk.indices[walk.indptr[self.proposition_rows]]
-        self._twins = _twin_classes(walk)
-        self._sides = _side_blocks(walk, self._degrees, self.proposition_rows)
-        for matrix in (walk, *self._sides):
-            for array in (matrix.data, matrix.indices, matrix.indptr):
-                array.flags.writeable = False
-        for array in (self._degrees, self._prop_passage, self._twins, self._prop_embeddings, self._entity_embeddings):
-            array.flags.writeable = False
-        self._uniform_csr = walk
-
-    def _require_finalized(self) -> None:
-        if not self._finalized:
-            raise GraphNotFinalizedError("call finalize() first")
-
-    @property
-    def proposition_embeddings(self) -> np.ndarray:
-        """One read-only float32 row per proposition, its vector as embedded and as saved."""
-        self._require_finalized()
-        return self._prop_embeddings
-
-    @property
-    def entity_embeddings(self) -> np.ndarray:
-        self._require_finalized()
-        return self._entity_embeddings
-
-    @property
-    def uniform_transition(self) -> sp.csr_matrix:
-        """Row-stochastic uniform-over-neighbors walk matrix over all nodes.
-
-        Rows and columns follow the global order of :meth:`global_index`;
-        each row's column indices are sorted. Its pattern is the graph's
-        adjacency.
-        """
-        self._require_finalized()
-        return self._uniform_csr
-
-    @property
-    def side_transitions(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """The two blocks of :attr:`uniform_transition` transposed that a walk's step uses: propositions to hubs, hubs to propositions.
-
-        The graph is bipartite, propositions on one side and the hubs,
-        passages then entities in node order, on the other, so every other
-        block is empty, and a distribution on one side steps to the other
-        by one block. The second is column-major: a product then runs over
-        the few hubs rather than the many short proposition rows, in about
-        half the time.
-        """
-        self._require_finalized()
-        return self._sides
-
-    @property
-    def global_degrees(self) -> np.ndarray:
-        self._require_finalized()
-        return self._degrees
-
-    @property
-    def proposition_passages(self) -> np.ndarray:
-        """Global index of each proposition's passage."""
-        self._require_finalized()
-        return self._prop_passage
-
-    @property
-    def twin_classes(self) -> np.ndarray:
-        """Each node's twin class: the least index of the nodes whose neighbor list equals its own."""
-        self._require_finalized()
-        return self._twins
 
 
 def _incidence(graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -515,7 +487,8 @@ def _write_records(path: Path, rows) -> None:
 
 def save(graph: HeteroGraph, path: str | Path) -> None:
     """Write ``graph`` to a directory; see :func:`load` for the inverse."""
-    graph._require_finalized()
+    if not graph._finalized:
+        raise GraphNotFinalizedError("call finalize() before save")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -582,17 +555,22 @@ def _is_str_list(value) -> bool:
     return type(value) is list and all(map(_is_str, value))
 
 
+def _is_text(value) -> bool:
+    return _is_str(value) and value != ""
+
+
 def _is_span(value) -> bool:
-    return _is_int_list(value) and len(value) == 2
+    return _is_int_list(value) and len(value) == 2 and 0 <= value[0] <= value[1]
 
 
 _MISSING = object()  # a field a record line lacks; no check accepts it
 
-# each record file's fields, with what each must be and its check
-_INT, _STR = ("an int", _is_int), ("a string", _is_str)
-_PASSAGE_FIELDS = {"id": _INT, "text": _STR, "source_doc": _STR, "char_span": ("two ints", _is_span)}
-_PROPOSITION_FIELDS = {"id": _INT, "text": _STR, "passage": _INT, "entities": ("a list of ints", _is_int_list)}
-_ENTITY_FIELDS = {"id": _INT, "name": _STR, "aliases": ("a list of strings", _is_str_list)}
+# each record file's fields, with what each must be and its check: what add_* accepts
+_INT, _STR, _TEXT = ("an int", _is_int), ("a string", _is_str), ("a non-empty string", _is_text)
+_SPAN = ("two ints with 0 <= start <= end", _is_span)
+_PASSAGE_FIELDS = {"id": _INT, "text": _TEXT, "source_doc": _STR, "char_span": _SPAN}
+_PROPOSITION_FIELDS = {"id": _INT, "text": _TEXT, "passage": _INT, "entities": ("a list of ints", _is_int_list)}
+_ENTITY_FIELDS = {"id": _INT, "name": _TEXT, "aliases": ("a list of strings", _is_str_list)}
 
 
 def _read_records(path: Path, fields: dict):
@@ -645,7 +623,7 @@ def load(path: str | Path) -> HeteroGraph:
     try:
         props = _read_embeddings(root / "proposition_embeddings.bin")
         ents = _read_embeddings(root / "entity_embeddings.bin")
-        graph._prop_embeddings, graph._entity_embeddings = GrowingRows(props), GrowingRows(ents)
+        graph._prop_store, graph._entity_store = GrowingRows(props), GrowingRows(ents)
         dims = [props.shape[1], ents.shape[1], manifest.get("embedding_dim", props.shape[1])]
         if dims.count(dims[0]) != 3:
             raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")
