@@ -122,6 +122,13 @@ def partition_pool(pool: Iterable[int], m: int) -> list[list[int]]:
     return [ids[j::m] for j in range(m)]
 
 
+def _keep(pool: dict[int, list[WalkRecord]], suggested: list[int], origins: dict[int, np.ndarray]) -> None:
+    """Add what a walk's ``Select`` kept to ``pool``: ``origins`` maps each kept id, in order, to its origin query."""
+    rec = WalkRecord(origins, [c for c in suggested if c not in origins])
+    for prop in origins:
+        pool.setdefault(prop, []).append(rec)
+
+
 def collect_anchors(
     q_start: str,
     graph: HeteroGraph,
@@ -132,12 +139,14 @@ def collect_anchors(
 ) -> tuple[list[int], int]:
     """Iterative breadth-first anchor gathering: the anchors, in collection order, and the rounds run.
 
-    Seeds the pool from decomposed facet queries. The distinct facets are
-    embedded in one call, then searched and selected once each, in order of
-    first appearance. A repeated facet (decomposition pads a short list
-    with the question) reuses its first seeding, yet still logs its own
-    ``seed`` event and adds its own round to the refinement records, so the
-    refined queries are those of seeding every facet.
+    The pool maps each proposition of the last seeding or round, in
+    insertion order, to the records of the walks that kept it. Seeds it
+    from decomposed facet queries. The distinct facets are embedded in one
+    call, then searched and selected once each, in order of first
+    appearance. A repeated facet (decomposition pads a short list with the
+    question) reuses its first seeding, yet still logs its own ``seed``
+    event and adds its own record, so the refined queries are those of
+    seeding every facet.
 
     Then it loops - refine queries, partition the pool, walk each
     partition, select - until ``min_facts`` anchors are collected, the
@@ -161,35 +170,25 @@ def collect_anchors(
 
     verdicts: dict[tuple[str, int], bool] = {}
     distinct = list(dict.fromkeys(subqueries))
-    q_vecs = [np.asarray(vec, dtype=np.float64) for vec in embedder.embed(distinct)]
+    q_vecs = embedder.embed(distinct)
     asks = [(question, suggest_naive(q_vec, graph, cfg)) for question, q_vec in zip(distinct, q_vecs)]
-    seeds: dict[str, tuple[list[int], WalkRecord]] = {}
-    for (question, suggested), q_vec, kept in zip(
-        asks, q_vecs, select_wave(asks, verdicts, cfg.top_k, graph, gateway, select)
-    ):
-        kept_set = set(kept)
-        seeds[question] = suggested, WalkRecord(dict.fromkeys(kept, q_vec), [c for c in suggested if c not in kept_set])
-
-    s_pool: dict[int, None] = {}
-    records: dict[int, list[WalkRecord]] = {}
+    kept_lists = select_wave(asks, verdicts, cfg.top_k, graph, gateway, select)
+    pool: dict[int, list[WalkRecord]] = {}
     for q_index, question in enumerate(subqueries):
-        suggested, rec = seeds[question]
-        for prop in rec.origins:  # what the seeding kept, in order
-            s_pool[prop] = None
-            records.setdefault(prop, []).append(rec)
-        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=list(rec.origins))
-    s_glb = dict(s_pool)
+        first = distinct.index(question)
+        (_, suggested), kept = asks[first], kept_lists[first]
+        _keep(pool, suggested, dict.fromkeys(kept, q_vecs[first]))
+        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=kept)
+    collected = dict.fromkeys(pool)
 
     iteration = 0
-    while len(s_glb) < cfg.min_facts and iteration < cfg.max_iter and s_pool:
+    while len(collected) < cfg.min_facts and iteration < cfg.max_iter and pool:
         iteration += 1
-        states = compute_queries(s_pool, records, graph, cfg)
-        s_pool_new: dict[int, None] = {}
-        new_records: dict[int, list[WalkRecord]] = {}
+        states = compute_queries(pool, pool, graph, cfg)
         # a round-robin split leaves any empty parts at the end
-        parts = [part for part in partition_pool(s_pool, cfg.breadth_m) if part]
+        parts = [part for part in partition_pool(pool, cfg.breadth_m) if part]
         carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, cfg)
-        collected = list(s_glb)  # no suggestion of the round depends on a Select of it
+        # every walk of the round finishes before any of its Selects, so none sees the round's anchors
         walks = [
             suggest_global([(prop, states[prop].q) for prop in part], sub, cfg, exclude=collected)
             for part, sub in zip(parts, carved)
@@ -197,16 +196,10 @@ def collect_anchors(
         kept_lists = select_wave(
             [(q_start, suggested) for suggested, _ in walks], verdicts, cfg.top_k, graph, gateway, select
         )
+        pool = {}
         for part_index, (part, (suggested, nearest), kept) in enumerate(zip(parts, walks, kept_lists)):
             origin = dict(zip(suggested, nearest))
-            kept_set = set(kept)
-            rec = WalkRecord(
-                {prop: states[part[origin[prop]]].q for prop in kept},
-                [c for c in suggested if c not in kept_set],
-            )
-            for prop in kept:
-                s_pool_new[prop] = None
-                new_records.setdefault(prop, []).append(rec)
+            _keep(pool, suggested, {prop: states[part[origin[prop]]].q for prop in kept})
             trace.log(
                 "explore",
                 iteration=iteration,
@@ -215,11 +208,9 @@ def collect_anchors(
                 suggested=suggested,
                 kept=kept,
             )
-        s_glb.update(s_pool_new)
-        s_pool = s_pool_new
-        records = new_records
-        trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
-    return list(s_glb), iteration
+        collected.update(dict.fromkeys(pool))
+        trace.log("collected", iteration=iteration, anchors=len(collected), pool=len(pool))
+    return list(collected), iteration
 
 
 def detect_communities(
@@ -403,7 +394,7 @@ def answer_global(
 
     candidates = _candidate_communities(graph, cfg)
     anchor_nodes = {graph.proposition_rows.start + i for i in anchor_ids}
-    chosen = select_communities(anchor_nodes, candidates, cfg.node_budget) if candidates else []
+    chosen = select_communities(anchor_nodes, candidates, cfg.node_budget)
     trace.log(
         "communities",
         candidates=len(candidates),

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .encoding import NORM_TOL, GrowingRows, is_normalized
+from .encoding import NORM_TOL, GrowingRows
 from .errors import (
     CorruptFileError,
     DimensionMismatchError,
@@ -188,15 +188,13 @@ class HeteroGraph:
     def _check_embedding(self, embedding: np.ndarray) -> np.ndarray:
         embedding = np.asarray(embedding, dtype=np.float32)
         if embedding.ndim != 1:
-            raise NotNormalizedError("embedding must be a 1-d vector")
+            raise DimensionMismatchError(f"expected a 1-d embedding, got shape {embedding.shape}")
         if self._embedding_dim is None:
             self._embedding_dim = int(embedding.shape[0])
         elif embedding.shape[0] != self._embedding_dim:
             raise DimensionMismatchError(
                 f"embedding dimension {embedding.shape[0]} != graph dimension {self._embedding_dim}"
             )
-        if not is_normalized(embedding, NORM_TOL):
-            raise NotNormalizedError("embedding is not unit length within 1e-6")
         return embedding
 
     def add_passage(self, text: str, source_doc: str, span: tuple[int, int]) -> NodeId:

@@ -139,15 +139,16 @@ def suggest_global(
     row_of = {p: r for r, p in enumerate(row_props)}
     structural = build_structural_transition(sub)
 
-    aggregate = np.zeros(len(row_props), dtype=np.float64)
-    pis: list[np.ndarray] = []
-    for prop, q_vec in queries:
-        blended = query_aware_transition(sub, q_vec, cfg, structural=structural)
-        pi = ppr(blended, [row_of[prop]], cfg)
-        aggregate += pi
-        pis.append(pi)
-    suggested = _rank_new(aggregate, row_props, set(members) | set(exclude), cfg.top_k)
-    visits = np.array(pis)[:, [row_of[p] for p in suggested]]
+    pis = np.array(
+        [
+            ppr(query_aware_transition(sub, q_vec, cfg, structural=structural), [row_of[prop]], cfg)
+            for prop, q_vec in queries
+        ]
+    )
+    # each member has its own row, so two walkers give two columns, and the sum over axis 0
+    # then adds the walkers in order (numpy sums a lone column pairwise)
+    suggested = _rank_new(pis.sum(axis=0), row_props, set(members) | set(exclude), cfg.top_k)
+    visits = pis[:, [row_of[p] for p in suggested]]
     return suggested, np.argmax(visits, axis=0).tolist()  # ties resolve to the lowest walker index
 
 

@@ -23,8 +23,10 @@ from propgraph.global_mode import (
 )
 from propgraph.graph import HeteroGraph, NodeKind, entity_id, passage_id, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
+from propgraph.suggest import select, select_wave, suggest_global, suggest_naive
 from propgraph.tokens import estimate_tokens
 from propgraph.trace import Trace
+from propgraph.traversal import extract_subgraphs
 
 from conftest import build_random_graph, node_order, random_unit
 from test_traversal import graph_from_links
@@ -408,6 +410,138 @@ def test_a_degraded_select_gives_its_candidates_a_keep_verdict():
     for event in explores:
         assert [p for p in event["suggested"] if p in degraded] == [p for p in event["kept"] if p in degraded]
     assert not degraded & {p for ids in sent[:1] + sent[3:] for p in ids}
+
+
+def two_dict_collect_anchors(q_start, graph, gateway, embedder, cfg, trace):
+    """:func:`collect_anchors` as it was, with the pool and its records kept in two parallel dicts."""
+    subqueries = gateway.decompose(q_start, cfg.breadth_m)
+    trace.log("decompose", questions=subqueries)
+
+    verdicts = {}
+    distinct = list(dict.fromkeys(subqueries))
+    q_vecs = [np.asarray(vec, dtype=np.float64) for vec in embedder.embed(distinct)]
+    asks = [(question, suggest_naive(q_vec, graph, cfg)) for question, q_vec in zip(distinct, q_vecs)]
+    seeds = {}
+    for (question, suggested), q_vec, kept in zip(
+        asks, q_vecs, select_wave(asks, verdicts, cfg.top_k, graph, gateway, select)
+    ):
+        kept_set = set(kept)
+        seeds[question] = suggested, WalkRecord(dict.fromkeys(kept, q_vec), [c for c in suggested if c not in kept_set])
+
+    s_pool = {}
+    records = {}
+    for q_index, question in enumerate(subqueries):
+        suggested, rec = seeds[question]
+        for prop in rec.origins:
+            s_pool[prop] = None
+            records.setdefault(prop, []).append(rec)
+        trace.log("seed", query_index=q_index, query=question, suggested=suggested, kept=list(rec.origins))
+    s_glb = dict(s_pool)
+
+    iteration = 0
+    while len(s_glb) < cfg.min_facts and iteration < cfg.max_iter and s_pool:
+        iteration += 1
+        states = global_mode.compute_queries(s_pool, records, graph, cfg)
+        s_pool_new = {}
+        new_records = {}
+        parts = [part for part in partition_pool(s_pool, cfg.breadth_m) if part]
+        carved = extract_subgraphs(graph, parts, cfg.subgraph_max_size, cfg)
+        collected = list(s_glb)
+        walks = [
+            suggest_global([(prop, states[prop].q) for prop in part], sub, cfg, exclude=collected)
+            for part, sub in zip(parts, carved)
+        ]
+        kept_lists = select_wave(
+            [(q_start, suggested) for suggested, _ in walks], verdicts, cfg.top_k, graph, gateway, select
+        )
+        for part_index, (part, (suggested, nearest), kept) in enumerate(zip(parts, walks, kept_lists)):
+            origin = dict(zip(suggested, nearest))
+            kept_set = set(kept)
+            rec = WalkRecord(
+                {prop: states[part[origin[prop]]].q for prop in kept},
+                [c for c in suggested if c not in kept_set],
+            )
+            for prop in kept:
+                s_pool_new[prop] = None
+                new_records.setdefault(prop, []).append(rec)
+            trace.log(
+                "explore", iteration=iteration, partition=part_index, members=part, suggested=suggested, kept=kept
+            )
+        s_glb.update(s_pool_new)
+        s_pool = s_pool_new
+        records = new_records
+        trace.log("collected", iteration=iteration, anchors=len(s_glb), pool=len(s_pool))
+    return list(s_glb), iteration
+
+
+def scripted_gateway(decomposition, keeps_of):
+    """Decompose answers ``decomposition``; Select keeps a candidate when ``keeps_of(question, prop)``."""
+
+    def respond(prompt):
+        question = prompt.slots["question"]
+        # "1. proposition number 4"
+        ids = [int(line.rsplit(" ", 1)[1]) for line in prompt.slots["candidates"].splitlines()]
+        return "KEEP: " + (", ".join(str(i + 1) for i, prop in enumerate(ids) if keeps_of(question, prop)) or "none")
+
+    rules = [MockRule(template="Decompose", response=decomposition), MockRule(template="Select", respond=respond)]
+    return LLMGateway(MockChatBackend(rules))
+
+
+def test_collect_anchors_matches_the_two_dict_loop(monkeypatch):
+    rounds = []
+
+    def spy(pool, records, graph, cfg):
+        # what a round refines from, copied before the loop moves on
+        def copy(rec):
+            return [(k, np.asarray(v, np.float64).tobytes()) for k, v in rec.origins.items()], list(rec.pruned)
+
+        rounds.append([(prop, [copy(rec) for rec in records[prop]]) for prop in pool])
+        return compute_queries(pool, records, graph, cfg)
+
+    monkeypatch.setattr(global_mode, "compute_queries", spy)
+    seen = Counter()
+    for case in range(50):
+        rng = np.random.default_rng(4100 + case)
+        graph = build_random_graph(rng, int(rng.integers(8, 41)))
+        m = int(rng.integers(2, 5))
+        facets = rng.choice(["alpha facet", "beta facet", "gamma facet"], size=int(rng.integers(0, m + 1))).tolist()
+        decomposition = "\n".join(f"{i + 1}. {facet}" for i, facet in enumerate(facets)) or "no list here"
+        salt, stingy = int(rng.integers(1, 7)), case % 5 == 0  # a stingy case's rounds keep nothing
+
+        def keeps_of(question, prop):
+            return not (stingy and question == "broad question") and (prop * salt + len(question)) % 3 != 0
+
+        cfg = small_cfg(
+            breadth_m=m,
+            min_facts=int(rng.integers(3, 31)),
+            max_iter=int(rng.integers(1, 5)),
+            top_k=int(rng.integers(2, 6)),
+            subgraph_max_size=int(rng.integers(10, 61)),
+        )
+        runs = []
+        for collect in (collect_anchors, two_dict_collect_anchors):
+            trace = Trace()
+            start = len(rounds)
+            gateway = scripted_gateway(decomposition, keeps_of)
+            out = collect("broad question", graph, gateway, HashedNgramEmbedder(dim=8), cfg, trace)
+            runs.append((out, trace.events, rounds[start:]))
+        assert runs[0] == runs[1], case
+        (anchors, iterations), events, _ = runs[0]
+        subqueries = events[0]["questions"]
+        explores = [e for e in events if e["event"] == "explore"]
+        collected = [e for e in events if e["event"] == "collected"]
+        seen["repeated facet"] += len(set(subqueries)) < len(subqueries)
+        seen["kept by two partitions"] += any(
+            sum(prop in e["kept"] for e in explores if e["iteration"] == i) > 1
+            for i in range(1, iterations + 1)
+            for prop in anchors
+        )
+        seen["a round keeps nothing"] += any(e["pool"] == 0 for e in collected)
+        seen["min_facts stop"] += iterations > 0 and len(anchors) >= cfg.min_facts
+        seen["max_iter stop"] += (
+            iterations == cfg.max_iter and len(anchors) < cfg.min_facts and collected[-1]["pool"] > 0
+        )
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from propgraph import graph as g
 from propgraph.encoding import NORM_TOL, is_normalized
 from propgraph.errors import (
     CorruptFileError,
+    DimensionMismatchError,
     EmptyTextError,
     FrozenGraphError,
     GraphNotFinalizedError,
@@ -81,10 +82,14 @@ def test_add_proposition_validates_inputs():
         graph.add_proposition("x", g.passage_id(9), [], unit())
     with pytest.raises(UnknownNodeError):
         graph.add_proposition("x", p, [g.entity_id(0)], unit())
-    with pytest.raises(NotNormalizedError):
-        graph.add_proposition("x", p, [], np.array([1.0, 1.0, 0.0, 0.0], dtype=np.float32))
+    with pytest.raises(DimensionMismatchError, match=r"shape \(1, 4\)"):
+        graph.add_proposition("x", p, [], unit()[None, :])
     with pytest.raises(EmptyTextError):
         graph.add_proposition("", p, [], unit())
+    # a vector's norm is checked once, by finalize, for a built graph as for a loaded one
+    graph.add_proposition("x", p, [], np.array([1.0, 1.0, 0.0, 0.0], dtype=np.float32))
+    with pytest.raises(NotNormalizedError, match=r"PROPOSITION.*index=0\) embedding is not unit length"):
+        graph.finalize()
 
 
 def test_neighbors_sorted_and_validated():
