@@ -143,14 +143,20 @@ def top_k_similar(
     else:
         picked = candidates[rows].astype(np.float64)
     scores = np.matmul(picked[:, None, :], query[:, None]).ravel()
-    negated = -scores
-    kth = min(k, len(scores)) - 1
-    # Only rows scoring at least the k-th highest score can rank in the
-    # first k. A NaN there (fewer than k scores are numbers) keeps every row.
-    head = np.flatnonzero(~(negated > np.partition(negated, kth)[kth]))
     # rows ascend, so a tie is broken by the row index
-    order = head[np.lexsort((head, negated[head]))]
-    return [(int(rows[i]), float(scores[i])) for i in order[:k]]
+    return [(int(rows[i]), float(scores[i])) for i in top_rows(scores, k)]
+
+
+def top_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the first ``k`` scores by descending score, ties to the lower position.
+
+    Only the entries scoring at least the k-th highest score are sorted. A
+    NaN there (fewer than k scores are numbers) keeps every entry; NaNs rank last.
+    """
+    negated = -np.asarray(scores)
+    kth = min(k, len(negated)) - 1
+    head = np.flatnonzero(~(negated > np.partition(negated, kth)[kth]))
+    return head[np.lexsort((head, negated[head]))][:k]
 
 
 def _float32_candidates(query: np.ndarray, matrix: np.ndarray, k: int, norm_bound: float | None = None) -> np.ndarray | None:

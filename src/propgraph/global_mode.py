@@ -35,7 +35,7 @@ T = TypeVar("T")
 
 @dataclass
 class WalkRecord:
-    """What one suggestion round kept for later query refinement.
+    """What one walk's ``Select`` kept for later query refinement: a partition's walk in a round, or one facet's seeding.
 
     ``origins`` maps each kept proposition to the query of the walker most
     likely to have reached it; a seeding round's facet query stands for
@@ -50,7 +50,6 @@ class WalkRecord:
 class QueryState:
     """Per-anchor refined query and the feedback components that built it."""
 
-    anchor: int
     q_origin: np.ndarray
     q_positive: np.ndarray
     q_negative: np.ndarray
@@ -80,10 +79,12 @@ def compute_queries(
     """Refine one query vector per pooled proposition from walk feedback.
 
     The origin component averages the proposition's origin query over
-    every round that kept it; the positive component is the proposition's
-    own embedding; the negative component averages the mean embeddings of
-    what selection pruned in those rounds. The combination alpha*origin + beta*positive
-    - gamma*negative is renormalized to unit length for downstream cosine.
+    every walk of that seeding or round that kept it (the pool holds one
+    seeding's or one round's records); the positive component is the
+    proposition's own embedding; the negative component averages the mean
+    embeddings of what selection pruned in those walks. The combination
+    alpha*origin + beta*positive - gamma*negative is renormalized to unit
+    length for downstream cosine.
     """
     states: dict[int, QueryState] = {}
     embeddings = graph.proposition_embeddings
@@ -110,7 +111,7 @@ def compute_queries(
         q_raw = cfg.rocchio_alpha * q_origin + cfg.rocchio_beta * q_positive - cfg.rocchio_gamma * q_negative
         norm = float(np.linalg.norm(q_raw))
         q = q_raw / norm if norm > 0 else q_positive.copy()
-        states[prop] = QueryState(prop, q_origin, q_positive, q_negative, q_raw, q, len(origin_parts))
+        states[prop] = QueryState(q_origin, q_positive, q_negative, q_raw, q, len(origin_parts))
     return states
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .encoding import STORED_NORM_BOUND, top_k_similar
+from .encoding import STORED_NORM_BOUND, top_k_similar, top_rows
 from .errors import EmptyGraphError
 from .graph import HeteroGraph
 from .llm import LLMGateway
@@ -61,20 +61,13 @@ def _rank_new(
     excluded: set[int],
     k: int,
 ) -> list[int]:
-    """Positively-visited rows mapped to proposition ids, minus exclusions."""
-    order = np.lexsort((np.arange(len(row_props)), -probabilities))
-    out: list[int] = []
-    for row in order:
-        p = float(probabilities[row])
-        if p <= 0.0:
-            break  # unvisited rows are not reachable suggestions
-        prop = row_props[int(row)]
-        if prop in excluded:
-            continue
-        out.append(prop)
-        if len(out) == k:
-            break
-    return out
+    """Positively-visited rows mapped to proposition ids, minus exclusions.
+
+    Rows are distinct propositions, so the first ``k`` kept are among the first ``k + len(excluded)`` ranked.
+    """
+    ranked = top_rows(probabilities, k + len(excluded))
+    props = [row_props[row] for row in ranked[probabilities[ranked] > 0.0].tolist()]
+    return [prop for prop in props if prop not in excluded][:k]
 
 
 def carve_local(

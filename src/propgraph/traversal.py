@@ -12,7 +12,8 @@ Conventions used throughout:
   mass; rows without candidates are left all-zero ("dangling") and their
   mass is redirected to the restart vector during iteration;
 * diagonals are always zero — a node never transitions to itself;
-* all rankings break ties by ascending index so results are reproducible.
+* all rankings go through :func:`propgraph.encoding.top_rows`: descending
+  score, ties to the lower index, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import RunConfig
+from .encoding import top_rows
 from .errors import UnknownNodeError
 from .graph import HeteroGraph
 
@@ -378,13 +380,8 @@ def _admit(scores: np.ndarray, included: np.ndarray, count: int, brings: np.ndar
     """
     if count >= size_limit:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # The loop reads an entry only while fewer than size_limit nodes are
-    # in, and every entry ranked above it is in: it reads at most the
-    # first size_limit entries, which rank among the nodes scoring at
-    # least the size_limit-th highest score.
-    kth = len(scores) - min(size_limit, len(scores))
-    head = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
-    ranking = head[np.lexsort((head, -scores[head]))]
+    # Every entry read is in, so the loop reads at most size_limit entries.
+    ranking = top_rows(scores, size_limit)
     pairs = np.column_stack((ranking, brings[ranking])).ravel()
     # each node's first position in the pairs
     appears = np.full(len(scores), len(pairs))

@@ -17,6 +17,7 @@ from propgraph.encoding import (
     is_normalized,
     normalize,
     top_k_similar,
+    top_rows,
 )
 from propgraph.errors import DimensionMismatchError
 from propgraph.graph import HeteroGraph, load, save
@@ -113,6 +114,22 @@ def test_top_k_equal_rows_score_equally_and_rank_by_index(dim, n, dtype):
             hits = top_k_similar(rng.normal(size=dim), stored, k)
             assert [i for i, _ in hits] == list(range(min(k, n)))
             assert len({score for _, score in hits}) == 1
+
+
+def test_top_rows_ranks_as_a_full_sort_by_descending_score_ties_to_the_lower_position():
+    # scores drawn from a few values, so ties straddle the k-th score
+    values = np.array([0.0, -0.0, 0.5, -0.5, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(38)
+    cases = [np.array([np.nan, 1.0, np.nan, -0.0, np.nan, 0.0])]  # fewer numbers than k = 5
+    cases += [rng.choice(values, size=int(rng.integers(1, 40))) for _ in range(300)]
+    few_numbers = 0
+    for scores in cases:
+        n = len(scores)
+        full = np.lexsort((np.arange(n), -scores))
+        for k in {1, 2, n - 1, n, n + 3} - {0}:
+            assert top_rows(scores, k).tolist() == full[:k].tolist(), (scores, k)
+            few_numbers += np.count_nonzero(~np.isnan(scores)) < k <= n
+    assert few_numbers > 100
 
 
 def test_top_k_rejects_bad_input():

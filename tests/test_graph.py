@@ -175,7 +175,7 @@ def test_finalize_and_load_derive_the_incidence_once(tmp_path, monkeypatch):
 
 
 def test_finalize_rejects_a_bad_vector_store_and_stays_mutable():
-    # add_* checks each vector, so the stores are edited behind the API
+    # the stores are edited behind the API: add_* appends one vector per record, so a count mismatch cannot arise through it
     graph = _three_facts()
     props, ents = graph._prop_store, graph._entity_store
     props.matrix[1] = props.matrix[1] * 2

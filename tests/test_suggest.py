@@ -250,6 +250,39 @@ def test_global_excludes_members_and_caller_set():
     assert 0 not in got and 1 not in got and 4 not in got
 
 
+def loop_rank_new(probabilities, row_props, excluded, k):
+    """The reference for ``_rank_new``: a full sort of every row, read until ``k`` are kept or a row is unvisited."""
+    out = []
+    for row in np.lexsort((np.arange(len(row_props)), -probabilities)):
+        if probabilities[row] <= 0.0:
+            break
+        if row_props[row] not in excluded:
+            out.append(row_props[row])
+            if len(out) == k:
+                break
+    return out
+
+
+def test_rank_new_matches_the_loop_over_a_full_sort():
+    rng = np.random.default_rng(38)
+    seen = {"zero": 0, "tie": 0, "excluded inside": 0, "excluded outside": 0, "k above positive rows": 0}
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        row_props = rng.permutation(60)[:n].tolist()  # distinct, as a subgraph's rows are
+        probabilities = rng.choice([0.0, 0.0, 0.05, 0.1, 0.25, 0.5], size=n)
+        excluded = set(rng.choice(row_props, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        excluded |= set(rng.integers(60, 80, size=int(rng.integers(0, 4))).tolist())
+        k = int(rng.integers(1, n + 4))
+        assert _rank_new(probabilities, row_props, excluded, k) == loop_rank_new(probabilities, row_props, excluded, k)
+        positive = probabilities > 0.0
+        seen["zero"] += not positive.all()
+        seen["tie"] += len(np.unique(probabilities[positive])) < np.count_nonzero(positive)
+        seen["excluded inside"] += bool(excluded & set(row_props))
+        seen["excluded outside"] += bool(excluded - set(row_props))
+        seen["k above positive rows"] += k > np.count_nonzero(positive)
+    assert min(seen.values()) >= 40, seen
+
+
 def reference_suggest_global(queries, sub, cfg, exclude=()):
     """The reference for ``suggest_global``: its walks over the COO structural build, ``blend`` of the semantic operator, and ``ppr`` by a CSR copy of M^T."""
     structural = TransitionMatrix(coo_structural_reference(sub))
