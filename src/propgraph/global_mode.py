@@ -26,7 +26,7 @@ from .encoding import EmbedBackend
 from .graph import HeteroGraph
 from .llm import LLMGateway
 from .suggest import Result, select, select_wave, suggest_global, suggest_naive
-from .tokens import WORDS_TO_TOKENS, estimate_tokens, truncate_to_tokens
+from .tokens import pack, split_to_fit, truncate_to_tokens
 from .trace import Trace
 from .traversal import extract_subgraphs
 
@@ -320,32 +320,9 @@ def build_reports(
                 f"- {truncate_to_tokens(graph.passages[i].text, cfg.passage_token_limit)}"
                 for i in passages
             )
-    return _pack_lines(lines, cfg.max_tokens_community_chunks)
-
-
-def _pack_lines(lines: Sequence[str], limit: int) -> list[str]:
-    pieces: list[str] = []
-    for line in lines:
-        if estimate_tokens(line) <= limit:
-            pieces.append(line)
-            continue
-        words = line.split()
-        step = max(1, int(limit / WORDS_TO_TOKENS))
-        pieces.extend(" ".join(words[i : i + step]) for i in range(0, len(words), step))
-    chunks: list[str] = []
-    current: list[str] = []
-    current_tokens = 0
-    for piece in pieces:
-        t = estimate_tokens(piece)
-        if current and current_tokens + t > limit:
-            chunks.append("\n".join(current))
-            current = []
-            current_tokens = 0
-        current.append(piece)
-        current_tokens += t
-    if current:
-        chunks.append("\n".join(current))
-    return chunks
+    limit = cfg.max_tokens_community_chunks
+    pieces = [piece for line in lines for piece in split_to_fit(line, limit)]
+    return ["\n".join(run) for run in pack(pieces, limit)]
 
 
 def interleave_extremes(items: Sequence[T]) -> list[T]:
@@ -360,18 +337,6 @@ def interleave_extremes(items: Sequence[T]) -> list[T]:
     for i, item in enumerate(items):
         (front if i % 2 == 0 else back).append(item)
     return front + back[::-1]
-
-
-def _fit_to_budget(items: Sequence[str], limit: int) -> list[str]:
-    kept: list[str] = []
-    total = 0
-    for item in items:
-        t = estimate_tokens(item)
-        if kept and total + t > limit:
-            break
-        kept.append(item)
-        total += t
-    return kept
 
 
 def answer_global(
@@ -412,11 +377,11 @@ def answer_global(
         ranked = sorted(scored, key=lambda item: (-item[0], item[1]))
         trace.log("intermediary", scores=[s for s, _, _ in ranked], chunks=len(chunks))
         answers = [answer for _, _, answer in ranked if answer.strip()]
-        kept = _fit_to_budget(answers, cfg.max_tokens_report)
+        kept = (pack(answers, cfg.max_tokens_report) or [[]])[0]
         context = interleave_extremes(kept)
         answer = gateway.final_answer(q_start, context, combine=True)
     else:
-        texts = _fit_to_budget(graph.proposition_texts(anchor_ids), cfg.max_tokens_report)
+        texts = (pack(graph.proposition_texts(anchor_ids), cfg.max_tokens_report) or [[]])[0]
         trace.log("anchor_fallback", facts=len(texts))
         answer = gateway.final_answer(q_start, texts, combine=False)
 

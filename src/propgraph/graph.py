@@ -644,6 +644,8 @@ def load(path: str | Path) -> HeteroGraph:
         edges = _parse_edge_file(root / "edges.txt", graph)
     except (KeyError, ValueError, IndexError, TypeError, NotNormalizedError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
+    except (FileNotFoundError, IsADirectoryError) as err:
+        raise CorruptFileError(f"{root}: no {Path(err.filename).name}") from err
 
     if counts != (stats := graph_stats(graph).as_dict()):
         raise CorruptFileError(f"{root}: manifest counts {counts} != graph {stats}")

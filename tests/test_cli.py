@@ -182,6 +182,14 @@ def test_graph_with_a_non_object_manifest_is_reported(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_graph_without_edges_is_reported(workspace, capsys):
+    graph_dir = run_index(workspace)
+    (graph_dir / "edges.txt").unlink()
+    capsys.readouterr()
+    assert main(["stats", "--graph", str(graph_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {graph_dir}: no edges.txt\n"
+
+
 def test_eval_parallel_workers_report_identical(workspace):
     graph_dir = run_index(workspace)
     reports = {}

@@ -24,7 +24,7 @@ from propgraph.global_mode import (
 from propgraph.graph import HeteroGraph, NodeKind, entity_id, passage_id, proposition_id
 from propgraph.llm import LLMGateway, MockChatBackend, MockRule
 from propgraph.suggest import select, select_wave, suggest_global, suggest_naive
-from propgraph.tokens import estimate_tokens
+from propgraph.tokens import WORDS_TO_TOKENS, estimate_tokens, pack, split_to_fit
 from propgraph.trace import Trace
 from propgraph.traversal import extract_subgraphs
 
@@ -830,6 +830,98 @@ def test_build_reports_splits_into_token_bounded_chunks():
     assert len(chunks) == 3
     for chunk in chunks:
         assert sum(estimate_tokens(line) for line in chunk.splitlines()) <= limit
+
+
+def reference_pack_lines(lines, limit):
+    """``global_mode._pack_lines`` as it was before ``tokens.pack`` replaced it."""
+    pieces = []
+    for line in lines:
+        if estimate_tokens(line) <= limit:
+            pieces.append(line)
+            continue
+        words = line.split()
+        step = max(1, int(limit / WORDS_TO_TOKENS))
+        pieces.extend(" ".join(words[i : i + step]) for i in range(0, len(words), step))
+    chunks = []
+    current = []
+    current_tokens = 0
+    for piece in pieces:
+        t = estimate_tokens(piece)
+        if current and current_tokens + t > limit:
+            chunks.append("\n".join(current))
+            current = []
+            current_tokens = 0
+        current.append(piece)
+        current_tokens += t
+    if current:
+        chunks.append("\n".join(current))
+    return chunks
+
+
+def reference_fit_to_budget(items, limit):
+    """``global_mode._fit_to_budget`` as it was before ``tokens.pack`` replaced it."""
+    kept = []
+    total = 0
+    for item in items:
+        t = estimate_tokens(item)
+        if kept and total + t > limit:
+            break
+        kept.append(item)
+        total += t
+    return kept
+
+
+def random_lines(rng):
+    """0 to 10 lines, each empty, whitespace only, or 1 to 40 words."""
+    lines = []
+    for kind in rng.integers(0, 4, size=int(rng.integers(0, 11))).tolist():
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(str(rng.choice([" ", "  ", "\t", " \t "])))
+        else:
+            lines.append(" ".join(f"w{j}" for j in range(int(rng.integers(1, 41)))))
+    return lines
+
+
+def test_pack_fills_a_run_to_exactly_the_limit():
+    assert pack([], 5) == []
+    assert pack(["a", "b"], 4) == [["a", "b"]]  # 2 + 2 tokens fit 4
+    assert pack(["a", "b"], 3) == [["a"], ["b"]]
+    assert pack(["a b c d", "", "e"], 2) == [["a b c d"], ["", "e"]]  # an oversize piece stands alone
+    assert split_to_fit("a  b", 3) == ["a  b"]  # 3 tokens fit 3, and the text stays as written
+    assert split_to_fit("a b c", 3) == ["a b", "c"]
+    assert split_to_fit("a b", 1) == ["a", "b"]  # at least one word per piece
+
+
+def test_packing_matches_the_two_greedy_rules_it_replaced():
+    rng = np.random.default_rng(39)
+    kinds = Counter()
+    for _ in range(200):
+        lines = random_lines(rng)
+        total = sum(map(estimate_tokens, lines))
+        limit = int(rng.integers(1, total + 3))
+        kinds.update(
+            empty=not lines,
+            blank=any(line and not line.strip() for line in lines),
+            oversize=any(estimate_tokens(line) > limit for line in lines),
+            limit_1=limit == 1,
+            above_total=limit > total,
+        )
+        pieces = [piece for line in lines for piece in split_to_fit(line, limit)]
+        assert ["\n".join(run) for run in pack(pieces, limit)] == reference_pack_lines(lines, limit)
+        assert (pack(lines, limit) or [[]])[0] == reference_fit_to_budget(lines, limit)
+
+        texts = [line for line in lines if line]  # a passage's text is never empty
+        graph = HeteroGraph()
+        passages = [graph.add_passage(text, "d", (0, len(text))) for text in texts]
+        graph.finalize()
+        chosen = [Community(0, frozenset(map(graph.global_index, passages)))] if texts else []
+        rendered = ["## Community 0", "Passages:", *(f"- {text}" for text in texts)] if texts else []
+        limit = int(rng.integers(1, sum(map(estimate_tokens, rendered)) + 3))
+        cfg = small_cfg(max_tokens_community_chunks=limit)
+        assert build_reports(chosen, graph, cfg) == reference_pack_lines(rendered, limit)
+    assert all(kinds[kind] >= 10 for kind in ("empty", "blank", "oversize", "limit_1", "above_total")), kinds
 
 
 def test_interleave_places_best_at_both_edges():

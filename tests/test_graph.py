@@ -1,6 +1,7 @@
 import functools
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -306,6 +307,28 @@ def test_load_truncated_embeddings_is_corrupt(tmp_path):
     target.write_bytes(target.read_bytes()[:-5])
     with pytest.raises(CorruptFileError):
         g.load(tmp_path / "g")
+
+
+GRAPH_MEMBERS = [
+    "passages.jsonl",
+    "propositions.jsonl",
+    "entities.jsonl",
+    "edges.txt",
+    "proposition_embeddings.bin",
+    "entity_embeddings.bin",
+]
+
+
+@pytest.mark.parametrize("as_directory", [False, True], ids=["missing", "directory"])
+@pytest.mark.parametrize("name", GRAPH_MEMBERS)
+def test_load_without_a_member_file_is_corrupt(tmp_path, name, as_directory):
+    root = tmp_path / "g"
+    g.save(build_random_graph(np.random.default_rng(23), 4), root)
+    (root / name).unlink()
+    if as_directory:
+        (root / name).mkdir()
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(f'{root}: no {name}')}$"):
+        g.load(root)
 
 
 def test_load_version_mismatch(tmp_path):
