@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BackendUnavailable, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .http_json import OpenAICompatClient
 
 NORM_TOL = 1e-6
@@ -296,9 +296,10 @@ class OpenAICompatEmbedder(EmbedBackend):
 
     Sends batched inputs and returns one vector per input, in order.
     Responses are re-normalized locally since not every served model
-    guarantees unit vectors; a served vector that does not normalize to unit
-    length (non-finite entries, or a norm that overflows) is a malformed
-    body and is retried. When ``dim`` is given, a served vector of another
+    guarantees unit vectors; a reply with another number of vectors than
+    inputs, or a served vector that does not normalize to unit length
+    (non-finite entries, or a norm that overflows), is a malformed body and
+    is retried. When ``dim`` is given, a served vector of another
     length raises ``DimensionMismatchError``, not retried.
     """
 
@@ -331,7 +332,7 @@ class OpenAICompatEmbedder(EmbedBackend):
         with np.errstate(over="ignore", invalid="ignore"):
             vectors = [normalize(item["embedding"]) for item in sorted(body["data"], key=lambda d: d["index"])]
         if len(vectors) != n_inputs:
-            raise BackendUnavailable(f"embeddings endpoint returned {len(vectors)} vectors for {n_inputs} inputs")
+            raise ValueError(f"embeddings endpoint returned {len(vectors)} vectors for {n_inputs} inputs")
         for vec in vectors:
             if not is_normalized(vec):
                 raise ValueError("embeddings endpoint served a vector that does not normalize to unit length")

@@ -476,11 +476,13 @@ def _node_tags(graph: HeteroGraph) -> list[str]:
     return [_tag(kind, i) for kind in NodeKind for i in range(len(graph._records(kind)))]
 
 
-def _write_records(path: Path, rows) -> None:
-    """One JSON object per line, keys sorted; line i holds record i, with its index as ``id``."""
+def _write_records(path: Path, records, fields) -> None:
+    """One JSON object per line, keys sorted: record i's ``fields`` under their file keys, and i as ``id``."""
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(row, sort_keys=True) builds per call
     with open(path, "w") as fh:
-        fh.writelines(encode(row) + "\n" for row in rows)
+        fh.writelines(
+            encode({"id": i, **{key: getattr(rec, attr) for key, attr, _ in fields}}) + "\n" for i, rec in enumerate(records)
+        )
 
 
 def save(graph: HeteroGraph, path: str | Path) -> None:
@@ -496,24 +498,8 @@ def save(graph: HeteroGraph, path: str | Path) -> None:
         "embedding_dim": graph.embedding_dim,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_records(
-        root / "passages.jsonl",
-        (
-            {"id": i, "text": rec.text, "source_doc": rec.source_doc, "char_span": list(rec.char_span)}
-            for i, rec in enumerate(graph.passages)
-        ),
-    )
-    _write_records(
-        root / "propositions.jsonl",
-        (
-            {"id": i, "text": rec.text, "passage": rec.passage, "entities": rec.entity_refs}
-            for i, rec in enumerate(graph.propositions)
-        ),
-    )
-    _write_records(
-        root / "entities.jsonl",
-        ({"id": i, "name": rec.canonical_name, "aliases": rec.aliases} for i, rec in enumerate(graph.entities)),
-    )
+    for kind, (_, fields) in _RECORD_FILES.items():
+        _write_records(root / f"{kind}.jsonl", getattr(graph, kind), fields)
     tags = _node_tags(graph)
     with open(root / "edges.txt", "w") as fh:
         fh.writelines(f"{tags[a]}\t{tags[b]}\n" for a, b in zip(*(x.tolist() for x in _edge_pairs(graph.uniform_transition))))
@@ -563,20 +549,33 @@ def _is_span(value) -> bool:
 
 _MISSING = object()  # a field a record line lacks; no check accepts it
 
-# each record file's fields, with what each must be and its check: what add_* accepts
+# what a stored value must be, and its check: what add_* accepts
 _INT, _STR, _TEXT = ("an int", _is_int), ("a string", _is_str), ("a non-empty string", _is_text)
 _SPAN = ("two ints with 0 <= start <= end", _is_span)
-_PASSAGE_FIELDS = {"id": _INT, "text": _TEXT, "source_doc": _STR, "char_span": _SPAN}
-_PROPOSITION_FIELDS = {"id": _INT, "text": _TEXT, "passage": _INT, "entities": ("a list of ints", _is_int_list)}
-_ENTITY_FIELDS = {"id": _INT, "name": _TEXT, "aliases": ("a list of strings", _is_str_list)}
+
+# The record files: ``<kind>.jsonl`` holds the graph's ``<kind>``, one record of
+# the class given per line, with its index as ``id``. Each of the class's
+# fields, in order, is stored under its file key and checked on load; a tuple
+# is stored as a JSON array and loaded back as a tuple.
+_RECORD_FILES = {
+    "passages": (PassageRecord, (("text", "text", _TEXT), ("source_doc", "source_doc", _STR), ("char_span", "char_span", _SPAN))),
+    "propositions": (
+        PropositionRecord,
+        (("text", "text", _TEXT), ("passage", "passage", _INT), ("entities", "entity_refs", ("a list of ints", _is_int_list))),
+    ),
+    "entities": (EntityRecord, (("name", "canonical_name", _TEXT), ("aliases", "aliases", ("a list of strings", _is_str_list)))),
+}
 
 
-def _read_records(path: Path, fields: dict):
-    """Each object of a JSONL record file, whose ``id`` must be its line position.
+def _read_records(path: Path, cls: type, fields) -> list:
+    """The ``cls`` records of a JSONL record file, each built from its line's ``fields``.
 
-    Each line must be an object holding every key of ``fields`` with a
-    value of the type named there; other keys are ignored.
+    Each line must be an object whose ``id`` is its position and that holds
+    every file key of ``fields`` with a value its check accepts; other keys
+    are ignored.
     """
+    checks = [("id", *_INT), *((key, *check) for key, _, check in fields)]
+    records = []
     with open(path) as fh:
         for position, line in enumerate(fh):
             try:
@@ -585,24 +584,22 @@ def _read_records(path: Path, fields: dict):
                 raise CorruptFileError(f"{path.name}: line {position + 1} is not JSON: {err}") from err
             if type(obj) is not dict:
                 raise CorruptFileError(f"{path.name}: line {position + 1} is not a JSON object")
-            for key, (expected, valid) in fields.items():
+            for key, expected, valid in checks:
                 value = obj.get(key, _MISSING)
                 if not valid(value):
                     found = "no " + repr(key) if value is _MISSING else f"{key} {value!r}, not {expected}"
                     raise CorruptFileError(f"{path.name}: line {position + 1} has {found}")
             if obj["id"] != position:
                 raise CorruptFileError(f"{path.name}: line {position + 1} has id {obj['id']!r}")
-            yield obj
+            values = (obj[key] for key, _, _ in fields)
+            records.append(cls(*(tuple(v) if type(v) is list else v for v in values)))
+    return records
 
 
-def load(path: str | Path) -> HeteroGraph:
-    """Load and finalize a graph directory written by :func:`save`; any inconsistency is a ``CorruptFileError``."""
-    root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise CorruptFileError(f"{root}: no manifest.json")
+def _read_manifest(root: Path) -> dict:
+    """The checked ``manifest.json`` of the graph directory ``root``."""
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{root}: unreadable manifest: {err}") from err
     if not isinstance(manifest, dict) or manifest.get("format") != GRAPH_FORMAT:
@@ -616,9 +613,15 @@ def load(path: str | Path) -> HeteroGraph:
     numbers = [manifest["format_version"], manifest.get("embedding_dim", 0)]
     if type(counts) is not dict or not all(map(_is_int, [*numbers, *counts.values()])):
         raise CorruptFileError(f"{root}: manifest format_version, embedding_dim and counts must be ints")
+    return manifest
 
+
+def load(path: str | Path) -> HeteroGraph:
+    """Load and finalize a graph directory written by :func:`save`; any inconsistency is a ``CorruptFileError``."""
+    root = Path(path)
     graph = HeteroGraph()
     try:
+        manifest = _read_manifest(root)
         props = _read_embeddings(root / "proposition_embeddings.bin")
         ents = _read_embeddings(root / "entity_embeddings.bin")
         graph._prop_store, graph._entity_store = GrowingRows(props), GrowingRows(ents)
@@ -626,17 +629,8 @@ def load(path: str | Path) -> HeteroGraph:
         if dims.count(dims[0]) != 3:
             raise CorruptFileError(f"{root}: proposition, entity and manifest embedding dimensions {dims} differ")
         graph._embedding_dim = props.shape[1]
-        graph.passages = [
-            PassageRecord(obj["text"], obj["source_doc"], tuple(obj["char_span"]))
-            for obj in _read_records(root / "passages.jsonl", _PASSAGE_FIELDS)
-        ]
-        graph.propositions = [
-            PropositionRecord(obj["text"], obj["passage"], tuple(obj["entities"]))
-            for obj in _read_records(root / "propositions.jsonl", _PROPOSITION_FIELDS)
-        ]
-        graph.entities = [
-            EntityRecord(obj["name"], tuple(obj["aliases"])) for obj in _read_records(root / "entities.jsonl", _ENTITY_FIELDS)
-        ]
+        for kind, (cls, fields) in _RECORD_FILES.items():
+            setattr(graph, kind, _read_records(root / f"{kind}.jsonl", cls, fields))
         cited = len(graph.entities)
         graph.finalize()
         if len(graph.entities) != cited:
@@ -644,10 +638,11 @@ def load(path: str | Path) -> HeteroGraph:
         edges = _parse_edge_file(root / "edges.txt", graph)
     except (KeyError, ValueError, IndexError, TypeError, NotNormalizedError) as err:
         raise CorruptFileError(f"{root}: corrupt graph file: {err}") from err
-    except (FileNotFoundError, IsADirectoryError) as err:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
+        # a root that is a file, not a directory, has no manifest.json either
         raise CorruptFileError(f"{root}: no {Path(err.filename).name}") from err
 
-    if counts != (stats := graph_stats(graph).as_dict()):
+    if (counts := manifest.get("counts", {})) != (stats := graph_stats(graph).as_dict()):
         raise CorruptFileError(f"{root}: manifest counts {counts} != graph {stats}")
     if not all(np.array_equal(x, y) for x, y in zip(edges, _edge_pairs(graph.uniform_transition))):
         raise CorruptFileError(f"{root}: edges.txt does not match the propositions' passages and entities")

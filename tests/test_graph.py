@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import json
@@ -310,6 +311,7 @@ def test_load_truncated_embeddings_is_corrupt(tmp_path):
 
 
 GRAPH_MEMBERS = [
+    "manifest.json",
     "passages.jsonl",
     "propositions.jsonl",
     "entities.jsonl",
@@ -329,6 +331,27 @@ def test_load_without_a_member_file_is_corrupt(tmp_path, name, as_directory):
         (root / name).mkdir()
     with pytest.raises(CorruptFileError, match=f"^{re.escape(f'{root}: no {name}')}$"):
         g.load(root)
+
+
+@pytest.mark.parametrize("root", ["missing", "a file"])
+def test_load_of_a_root_that_is_no_directory_is_corrupt(tmp_path, root):
+    path = tmp_path / "g"
+    if root == "a file":
+        path.write_text("{}")
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(f'{path}: no manifest.json')}$"):
+        g.load(path)
+
+
+@pytest.mark.parametrize("kind", ["passages", "propositions", "entities"])
+def test_the_record_table_stores_every_record_field(tmp_path, kind):
+    # a record field without a table entry would be dropped by save, and a stale entry would break load
+    cls, fields = g._RECORD_FILES[kind]
+    assert [attr for _, attr, _ in fields] == [f.name for f in dataclasses.fields(cls)]
+    graph = build_random_graph(np.random.default_rng(13), 10)
+    g.save(graph, tmp_path / "g")
+    lines = (tmp_path / "g" / f"{kind}.jsonl").read_text().splitlines()
+    assert len(lines) == len(getattr(graph, kind)) > 0
+    assert all(set(json.loads(line)) == {"id", *(key for key, _, _ in fields)} for line in lines)
 
 
 def test_load_version_mismatch(tmp_path):

@@ -201,6 +201,7 @@ def test_client_error_is_not_retried(fake_server, kind):
         b"null",
         b"[1, 2]",
         b"{}",
+        b'{"data": []}',
         # vectors that normalize to no unit vector: a NaN entry, and a norm that overflows
         b'{"data": [{"index": 0, "embedding": [NaN, 1.0]}]}',
         b'{"data": [{"index": 0, "embedding": [1e200, 1e200]}]}',
